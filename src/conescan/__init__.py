@@ -21,14 +21,14 @@ from .localizer import (
 )
 from .mapping_planner import Cylinder, ScanPlan, coverage_check, fit_cylinder, scan_circles
 from .mission import MissionRunner, RunReport, emit_plot_data, run_scenario
-from .simulator import NoiseModel, TargetTruth, UavState, WaypointFollower
+from .simulator import NoiseModel, TargetTruth, WaypointFollower
 from .view_planner import ViewCircle, Waypoint, fine_localization_circle, next_best_view
 
 __all__ = [
     "BBox", "BoxTrack", "CameraRig", "Cylinder", "GaussianSummary",
     "LocalizerConfig", "MissionRunner", "NoiseModel", "ParticleSet", "PoseSE3",
     "RunReport", "ScanPlan", "ScenarioConfig", "SimilarityTransform2D",
-    "TargetTruth", "TrackerConfig", "UavState", "ViewCircle", "Waypoint",
+    "TargetTruth", "TrackerConfig", "ViewCircle", "Waypoint",
     "WaypointFollower", "bbox_entropy", "coverage_check", "default_scenario",
     "estimate_similarity", "fine_localization_circle", "fit_cylinder",
     "generate_particles", "iou", "kl_divergence", "load", "next_best_view",

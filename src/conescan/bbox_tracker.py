@@ -121,7 +121,6 @@ class BoxTrack:
     id: int
     u: BBox
     sigma: np.ndarray
-    last_update_frame: int = 0
     status: str = ACTIVE
     spawn_frame: int = 0
     hits: int = 0
@@ -225,7 +224,6 @@ def associate_and_register(
                 id=next_id + len(new_tracks),
                 u=det,
                 sigma=cfg.initial_sigma.copy(),
-                last_update_frame=frame,
                 spawn_frame=frame,
                 hits=1,
             )
@@ -333,7 +331,7 @@ class TrackerState:
         for t in predicted:
             if t.id in assignments:
                 t2 = update(t, detections[assignments[t.id]], self.cfg)
-                t2 = replace(t2, last_update_frame=frame, hits=t.hits + 1)
+                t2 = replace(t2, hits=t.hits + 1)
                 updated.append(t2)
             else:
                 updated.append(t)

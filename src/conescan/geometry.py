@@ -10,10 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class BehindCameraError(ValueError):
-    """A point with non-positive camera-frame depth was projected."""
-
-
 class DegenerateConeError(ValueError):
     """Bounding-box corners do not span a proper four-face cone."""
 
@@ -62,12 +58,6 @@ class PoseSE3:
         pts = np.asarray(points, dtype=float)
         return pts @ self.rotation.T + self.translation
 
-    def matrix(self) -> np.ndarray:
-        m = np.eye(4)
-        m[:3, :3] = self.rotation
-        m[:3, 3] = self.translation
-        return m
-
 
 @dataclass(frozen=True)
 class CameraRig:
@@ -104,22 +94,6 @@ class CameraRig:
     @property
     def hfov(self) -> float:
         return 2.0 * math.atan(self.width / (2.0 * self.fx))
-
-    @property
-    def K(self) -> np.ndarray:
-        return np.array(
-            [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
-        )
-
-    @property
-    def K_inv(self) -> np.ndarray:
-        return np.array(
-            [
-                [1.0 / self.fx, 0.0, -self.cx / self.fx],
-                [0.0, 1.0 / self.fy, -self.cy / self.fy],
-                [0.0, 0.0, 1.0],
-            ]
-        )
 
 
 @dataclass(frozen=True)
@@ -168,27 +142,12 @@ class BBox:
         return np.array([self.u_min, self.v_min, self.u_max, self.v_max])
 
 
-def to_homogeneous(box: BBox) -> np.ndarray:
-    """Lift box corners to the stacked homogeneous 6-vector."""
-    return np.array([box.u_min, box.v_min, 1.0, box.u_max, box.v_max, 1.0])
-
-
 def to_euclidean(x) -> BBox:
     """Drop the homogeneous entries of a stacked 6-vector back to a box."""
     x = np.asarray(x, dtype=float).reshape(6)
     if abs(x[2] - 1.0) > 1e-6 or abs(x[5] - 1.0) > 1e-6:
         raise ValueError("homogeneous entries must equal 1")
     return BBox(x[0], x[1], x[3], x[4])
-
-
-def project(point, world_to_cam: PoseSE3, cam: CameraRig):
-    """Project a world point; returns (pixel, depth). Raises behind the camera."""
-    p_cam = world_to_cam.apply(np.asarray(point, dtype=float))
-    z = p_cam[2]
-    if z <= 0:
-        raise BehindCameraError(f"point has camera-frame depth {z:.6g} <= 0")
-    pix = np.array([cam.fx * p_cam[0] / z + cam.cx, cam.fy * p_cam[1] / z + cam.cy])
-    return pix, z
 
 
 def project_points(points, world_to_cam: PoseSE3, cam: CameraRig):
@@ -230,11 +189,6 @@ def cone_normals(corners, cam: CameraRig) -> np.ndarray:
     if np.any(np.linalg.norm(normals, axis=1) < 1e-12):
         raise DegenerateConeError("zero-area bounding box")
     return normals
-
-
-def in_cone(normals: np.ndarray, point) -> bool:
-    """Strict four-face membership test for one camera-frame point."""
-    return bool(np.all(normals @ np.asarray(point, dtype=float) > 0.0))
 
 
 def cone_contains(normals: np.ndarray, points) -> np.ndarray:

@@ -110,11 +110,6 @@ class PcaSummary:
     def smallest_eigenvector(self) -> np.ndarray:
         return self.eigenvectors[:, 2]
 
-    @property
-    def ellipsoid_semi_axes(self) -> np.ndarray:
-        """Visualization semi-axes, two standard deviations per principal axis."""
-        return 2.0 * np.sqrt(np.maximum(self.eigenvalues, 0.0))
-
 
 def enlarge(box: BBox, factor: float) -> BBox:
     """Scale a box about its center; corners may leave the image."""

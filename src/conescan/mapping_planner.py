@@ -86,14 +86,6 @@ def fit_cylinder(ps: ParticleSet) -> Cylinder:
     )
 
 
-def scan_band(altitude: float, horizontal_dist: float, gamma: float, beta: float):
-    """Vertical wall interval covered from one altitude at one horizontal distance."""
-    return (
-        altitude - horizontal_dist * math.tan(gamma + beta / 2.0),
-        altitude - horizontal_dist * math.tan(gamma - beta / 2.0),
-    )
-
-
 def scan_circles(
     cyl: Cylinder, cam: CameraRig, standoff: float, n_per_circle: int = 36
 ) -> ScanPlan:

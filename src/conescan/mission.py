@@ -53,7 +53,6 @@ from .mapping_planner import (
 )
 from .simulator import (
     DetectionDelay,
-    UavState,
     WaypointFollower,
     make_target,
     perturb_pose,
@@ -212,6 +211,7 @@ class MissionRunner:
         self.det_rng = substream(seed, "detector")
         self.klt_rng = substream(seed, "klt")
         self.pose_rng = substream(seed, "pose")
+        self.detection_delay = DetectionDelay(self.noise.detection_latency_frames)
 
         self.search_path = lawnmower_path(
             cfg.region, cfg.search_altitude, self.cam, cfg.planner.overlap
@@ -234,7 +234,6 @@ class MissionRunner:
         self.t = 0.0
         self.distance = 0.0
         self.transitions = []
-        self.uav = UavState(start.position.copy(), start.yaw, np.zeros(3))
         self._prev_true_w2c = None
         self._prev_target_boxes = {}
         self._fine = None  # per fine-phase bookkeeping
@@ -266,7 +265,7 @@ class MissionRunner:
         self.state.active_target = target_id
 
     def _current_waypoint(self) -> Waypoint:
-        return Waypoint(self.uav.position.copy(), self.uav.yaw)
+        return Waypoint(self.follower.position.copy(), self.follower.yaw)
 
     def _live_hypotheses(self):
         return [h for h in self.hypotheses if not h.failed]
@@ -460,7 +459,7 @@ class MissionRunner:
                                             pcfg.n_surface_samples)
         coverage = float(covered.mean())
         uncovered = samples[~covered][:200].tolist()
-        path = mapping_path(plan, self.uav.position)
+        path = mapping_path(plan, self.follower.position)
         self._map_result = {
             "hyp": hyp,
             "payload": {
@@ -486,9 +485,8 @@ class MissionRunner:
         hyp.arc_fraction = res["arc_fraction"]
         self.done.append((hyp, res["payload"]))
         self.hypotheses.remove(hyp)
-        center = hyp.particles.points.mean(axis=0)
         self.suppression.append(
-            (center, self.cfg.mission.suppression_scale * cyl.radius)
+            (hyp.center, self.cfg.mission.suppression_scale * cyl.radius)
         )
         self.log.snapshot(hyp, self.frame, "done")
         self._map_result = None
@@ -545,24 +543,19 @@ class MissionRunner:
 
     def _tick(self):
         dt = self.cfg.mission.dt
-        prev_pos = self.uav.position.copy()
-        pos, yaw, vel = self.follower.step(dt)
+        prev_pos = self.follower.position.copy()
+        pos, yaw, _ = self.follower.step(dt)
         self.t += dt
         self.frame += 1
         self.distance += float(np.linalg.norm(pos - prev_pos))
 
         true_c2w = camera_to_world_pose(pos, yaw, self.cam.gamma)
         est_c2w = perturb_pose(true_c2w, self.noise, self.pose_rng)
-        self.uav = UavState(
-            position=pos, yaw=yaw, velocity=vel,
-            est_position=est_c2w.translation.copy(),
-            est_yaw=math.atan2(est_c2w.rotation[1, 2], est_c2w.rotation[0, 2]),
-        )
         true_w2c = true_c2w.inverse()
         est_w2c = est_c2w.inverse()
 
-        detections = simulate_detector(self.targets, true_w2c, self.cam,
-                                       self.noise, self.det_rng)
+        detections = self.detection_delay.push(simulate_detector(
+            self.targets, true_w2c, self.cam, self.noise, self.det_rng))
         sims = self._similarities(true_w2c)
         updated = self.tracker.step(detections, sims, self.frame)
         for track in self.tracker.tracks:
@@ -628,37 +621,30 @@ class MissionRunner:
                 return None
             return float(min(np.linalg.norm(center - c) for c in true_centers))
 
+        statuses = [(hyp, "done") for hyp, _ in self.done] + [
+            (hyp, "failed" if hyp.failed else hyp.status) for hyp in self.hypotheses]
         entries = []
-        for hyp, payload in self.done:
-            center = hyp.particles.points.mean(axis=0)
+        for hyp, status in statuses:
+            # coverage and arc_fraction are set when mapping finishes, so they
+            # stay None for live hypotheses
+            center = hyp.center
             entries.append(TargetReport(
                 target_id=hyp.target_id,
-                status="done",
+                status=status,
                 center=[float(v) for v in center],
                 eigenvalues=[float(v) for v in
                              pca_summary(hyp.particles).eigenvalues],
                 updates=hyp.updates,
                 localization_error=nearest_error(center),
-                coverage=payload["covered_fraction"],
+                coverage=hyp.coverage,
                 arc_fraction=hyp.arc_fraction,
-            ))
-        for hyp in self.hypotheses:
-            center = hyp.particles.points.mean(axis=0)
-            entries.append(TargetReport(
-                target_id=hyp.target_id,
-                status="failed" if hyp.failed else hyp.status,
-                center=[float(v) for v in center],
-                eigenvalues=[float(v) for v in
-                             pca_summary(hyp.particles).eigenvalues],
-                updates=hyp.updates,
-                localization_error=nearest_error(center),
             ))
         entries.sort(key=lambda e: e.target_id)
 
         found = 0
         for tg in self.targets:
             for hyp, _ in self.done:
-                err = np.linalg.norm(hyp.particles.points.mean(axis=0) - tg.center)
+                err = np.linalg.norm(hyp.center - tg.center)
                 if err <= self.cfg.mission.found_radius:
                     found += 1
                     break

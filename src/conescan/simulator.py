@@ -16,14 +16,9 @@ from .geometry import (
     BBox,
     CameraRig,
     PoseSE3,
-    camera_to_world_pose,
     project_points,
     wrap_angle,
 )
-
-REACHED_POSITION_TOL = 0.2  # m
-REACHED_YAW_TOL = 0.05  # rad
-
 
 def substream(seed: int, *key) -> np.random.Generator:
     """Named, order-independent RNG substream of one scenario seed."""
@@ -85,7 +80,6 @@ class NoiseModel:
     false_positive_rate: float = 0.05  # expected spurious boxes per frame
     detection_latency_frames: int = 0  # frames between capture and delivery
     klt_pixel_sigma: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("pose_sigma_xyz", "yaw_sigma", "detector_pixel_sigma",
@@ -118,29 +112,6 @@ class DetectionDelay:
         if len(self._queue) > self.latency:
             return self._queue.pop(0)
         return []
-
-
-@dataclass
-class UavState:
-    position: np.ndarray
-    yaw: float
-    velocity: np.ndarray
-    est_position: np.ndarray = None
-    est_yaw: float = None
-
-    def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float)
-        self.velocity = np.asarray(self.velocity, dtype=float)
-        if self.est_position is None:
-            self.est_position = self.position.copy()
-        if self.est_yaw is None:
-            self.est_yaw = self.yaw
-
-    def camera_to_world(self, cam: CameraRig) -> PoseSE3:
-        return camera_to_world_pose(self.position, self.yaw, cam.gamma)
-
-    def est_camera_to_world(self, cam: CameraRig) -> PoseSE3:
-        return camera_to_world_pose(self.est_position, self.est_yaw, cam.gamma)
 
 
 class _Leg:
@@ -273,24 +244,6 @@ class WaypointFollower:
                     self._reached += 1
                 self.velocity = np.zeros(3)
         return self.position.copy(), self.yaw, self.velocity.copy()
-
-
-def follow_waypoints(state: UavState, waypoints, v_max, a_max, dt, yaw_rate=1.5):
-    """Yield one UavState per tick until the final waypoint is reached."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    follower = WaypointFollower(state.position, state.yaw, v_max, a_max, yaw_rate)
-    follower.set_path(waypoints)
-    while not follower.done:
-        pos, yaw, vel = follower.step(dt)
-        yield UavState(position=pos, yaw=yaw, velocity=vel)
-
-
-def reached(state: UavState, wp) -> bool:
-    return (
-        np.linalg.norm(state.position - wp.position) < REACHED_POSITION_TOL
-        and abs(wrap_angle(state.yaw - wp.yaw)) < REACHED_YAW_TOL
-    )
 
 
 def simulate_detector(targets, world_to_cam: PoseSE3, cam: CameraRig,

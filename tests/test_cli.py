@@ -27,6 +27,14 @@ class TestValidate:
         assert main(["validate", str(path)]) == 1
         assert "gamma > beta/2" in capsys.readouterr().err
 
+    def test_removed_field_rejected(self, tmp_path, capsys):
+        data = to_dict(default_scenario(0))
+        data["noise"]["seed"] = 0
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate", str(path)]) == 1
+        assert "noise: unknown field(s) ['seed']" in capsys.readouterr().err
+
     def test_unparseable_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{")

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +38,16 @@ class TestRoundTrip:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load(tmp_path / "nope.json")
+
+
+class TestStockScenarios:
+    @pytest.mark.parametrize("name, n_targets, seed", [
+        ("one_target.json", 1, 3), ("two_targets.json", 2, 7), ("empty.json", 0, 1),
+    ])
+    def test_file_matches_generator(self, name, n_targets, seed):
+        # scripts/make_scenarios.py writes these; a config change regenerates them
+        path = Path(__file__).resolve().parents[1] / "scenarios" / name
+        assert path.read_text() == to_json(default_scenario(n_targets, seed=seed)) + "\n"
 
 
 class TestValidation:

@@ -7,33 +7,26 @@ from hypothesis import strategies as st
 
 from conescan.geometry import (
     BBox,
-    BehindCameraError,
     DegenerateConeError,
     PoseSE3,
     back_project_direction,
     camera_to_world_pose,
     cone_contains,
     cone_normals,
-    in_cone,
-    project,
     project_points,
     to_euclidean,
-    to_homogeneous,
     wrap_angle,
 )
 
 from conftest import random_pose, random_rotation
 
 
-class TestHomogeneousConversions:
-    def test_lift(self):
-        assert np.array_equal(
-            to_homogeneous(BBox(0, 0, 10, 10)), [0, 0, 1, 10, 10, 1]
-        )
-        assert np.array_equal(
-            to_homogeneous(BBox(320, 240, 321, 241)), [320, 240, 1, 321, 241, 1]
-        )
+def lift(box):
+    """The stacked homogeneous 6-vector of a box's corners."""
+    return [box.u_min, box.v_min, 1.0, box.u_max, box.v_max, 1.0]
 
+
+class TestHomogeneousConversions:
     def test_drop(self):
         assert to_euclidean([0, 0, 1, 10, 10, 1]) == BBox(0, 0, 10, 10)
         assert to_euclidean([5, 5, 1, 5.5, 6, 1]) == BBox(5, 5, 5.5, 6)
@@ -48,13 +41,13 @@ class TestHomogeneousConversions:
             lo = rng.uniform(-100, 100, size=2)
             hi = lo + rng.uniform(0.1, 200, size=2)
             box = BBox(lo[0], lo[1], hi[0], hi[1])
-            assert to_euclidean(to_homogeneous(box)) == box
+            assert to_euclidean(lift(box)) == box
 
     @given(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3),
            st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
     def test_round_trip_property(self, u, v, w, h):
         box = BBox(u, v, u + w, v + h)
-        assert to_euclidean(to_homogeneous(box)) == box
+        assert to_euclidean(lift(box)) == box
 
 
 class TestBBox:
@@ -72,29 +65,20 @@ class TestBBox:
 class TestProjection:
     def test_principal_point(self, cam):
         pose = PoseSE3.identity()
-        pix, depth = project([0, 0, 5], pose, cam)
-        assert pix == pytest.approx([320, 240])
-        assert depth == pytest.approx(5.0)
+        pix, depth = project_points([0, 0, 5], pose, cam)
+        assert pix[0] == pytest.approx([320, 240])
+        assert depth == pytest.approx([5.0])
 
     def test_lateral_offset(self, cam):
         # u = cx + fx * x / z = 320 + 500 * (1 / 5)
-        pix, _ = project([1, 0, 5], PoseSE3.identity(), cam)
-        assert pix == pytest.approx([420, 240], abs=1e-12)
+        pix, _ = project_points([1, 0, 5], PoseSE3.identity(), cam)
+        assert pix[0] == pytest.approx([420, 240], abs=1e-12)
 
-    def test_behind_camera_is_an_error(self, cam):
-        with pytest.raises(BehindCameraError):
-            project([0, 0, -1], PoseSE3.identity(), cam)
-
-    def test_batch_matches_single(self, cam):
-        rng = np.random.default_rng(1)
-        pose = random_pose(rng)
-        pts = rng.uniform(-5, 5, size=(50, 3))
-        pix, depth = project_points(pts, pose, cam)
-        for i in range(len(pts)):
-            if depth[i] > 0:
-                single_pix, single_depth = project(pts[i], pose, cam)
-                assert pix[i] == pytest.approx(single_pix)
-                assert depth[i] == pytest.approx(single_depth)
+    def test_behind_camera_has_negative_depth(self, cam):
+        # callers mask on depth; a point behind the camera must not pass
+        _, depth = project_points([[0, 0, -1], [0, 0, 0], [0, 0, 2]],
+                                  PoseSE3.identity(), cam)
+        assert depth.tolist() == [-1.0, 0.0, 2.0]
 
 
 class TestBackProjection:
@@ -113,7 +97,7 @@ class TestBackProjection:
             pixel = rng.uniform([0, 0], [cam.width, cam.height])
             direction = back_project_direction(pixel, cam)
             for mu in (0.5, 1.0, 10.0):
-                pix, _ = project(mu * direction, pose, cam)
+                pix, _ = project_points(mu * direction, pose, cam)
                 assert np.max(np.abs(pix - pixel)) < 1e-9
 
     def test_round_trip_with_pose(self, cam):
@@ -124,7 +108,7 @@ class TestBackProjection:
             pixel = rng.uniform([0, 0], [cam.width, cam.height])
             mu = rng.uniform(0.1, 50)
             world = cam_to_world.apply(mu * back_project_direction(pixel, cam))
-            pix, _ = project(world, cam_to_world.inverse(), cam)
+            pix, _ = project_points(world, cam_to_world.inverse(), cam)
             assert np.max(np.abs(pix - pixel)) < 1e-9
 
 
@@ -151,7 +135,7 @@ class TestCone:
     def test_far_outside_pixel_violates(self, cam):
         normals = cone_normals(_centered_box_corners(cam), cam)
         outside_dir = back_project_direction([cam.cx + 500, cam.cy], cam)
-        assert not in_cone(normals, outside_dir)
+        assert not cone_contains(normals, outside_dir).any()
 
     def test_degenerate_box_rejected(self, cam):
         flat = np.array([[0, 0], [10, 0], [10, 0], [0, 0]], dtype=float)
@@ -160,30 +144,22 @@ class TestCone:
 
     def test_point_on_axis_inside_centered_box(self, cam):
         normals = cone_normals(_centered_box_corners(cam), cam)
-        assert in_cone(normals, [0, 0, 7.5])
+        assert cone_contains(normals, [0, 0, 7.5]).all()
 
     def test_mirrored_point_is_outside(self, cam):
         # all four inequalities flip sign under point negation
         normals = cone_normals(_centered_box_corners(cam), cam)
-        inside = np.array([0.1, -0.2, 5.0])
-        assert in_cone(normals, inside)
-        assert not in_cone(normals, -inside)
+        point = np.array([0.1, -0.2, 5.0])
+        assert cone_contains(normals, point).all()
+        assert not cone_contains(normals, -point).any()
 
     def test_scale_invariance(self, cam):
         rng = np.random.default_rng(4)
         normals = cone_normals(_centered_box_corners(cam), cam)
-        for _ in range(100):
-            point = rng.uniform(-3, 3, size=3)
-            base = in_cone(normals, point)
-            for s in (1e-3, 0.5, 7.0, 1e4):
-                assert in_cone(normals, s * point) == base
-
-    def test_batch_matches_scalar(self, cam):
-        rng = np.random.default_rng(5)
-        normals = cone_normals(_centered_box_corners(cam), cam)
-        pts = rng.uniform(-4, 4, size=(200, 3))
-        mask = cone_contains(normals, pts)
-        assert mask.tolist() == [in_cone(normals, p) for p in pts]
+        points = rng.uniform(-3, 3, size=(100, 3))
+        base = cone_contains(normals, points)
+        for s in (1e-3, 0.5, 7.0, 1e4):
+            assert np.array_equal(cone_contains(normals, s * points), base)
 
 
 class TestPoseSE3:
@@ -231,9 +207,9 @@ class TestCameraPose:
         altitude = 12.0
         ahead = altitude / math.tan(depression)
         pose = camera_to_world_pose([0, 0, altitude], 0.0, depression)
-        pix, depth = project([ahead, 0, 0], pose.inverse(), cam)
-        assert pix == pytest.approx([cam.cx, cam.cy], abs=1e-9)
-        assert depth == pytest.approx(altitude / math.sin(depression))
+        pix, depth = project_points([ahead, 0, 0], pose.inverse(), cam)
+        assert pix[0] == pytest.approx([cam.cx, cam.cy], abs=1e-9)
+        assert depth == pytest.approx([altitude / math.sin(depression)])
 
     def test_rotation_is_right_handed(self):
         rng = np.random.default_rng(9)

@@ -306,7 +306,7 @@ class TestPcaSummary:
         centered = ps.points - pca.mean
         for axis in range(3):
             proj = centered @ pca.eigenvectors[:, axis]
-            frac = np.mean(np.abs(proj) <= pca.ellipsoid_semi_axes[axis])
+            frac = np.mean(np.abs(proj) <= 2.0 * np.sqrt(pca.eigenvalues[axis]))
             assert 0.94 < frac < 0.965
 
     def test_eigenvectors_orthonormal(self):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 
@@ -136,6 +137,37 @@ class TestTwoTargets:
             assert modes == ["fine_localize", "map"]
 
 
+# SHA-256 of the stock missions' run-directory files (numpy 2.4, x86-64). A
+# change that means to alter an output updates its digest and says why.
+GOLDEN_DIGESTS = {
+    "one_target_run": {
+        "report.json": "dea2dd1118802f2dc7b8b8140f1d5b8494f8eaa4b9fe3e195582b588995eafb1",
+        "path.csv": "ddca79ab9520dae772583349016c26158bbd972f4e8ea71cf6a22559cb4da3fc",
+        "planned_path.csv":
+            "0864710a9ad3be5842ad52b5392ced7568e73462d5f7fd1bb7d8bf49ece97c1c",
+        "metrics.csv": "c6c7bdefd737b3702cad699610bfda7572727067504ff8bc1af66937070ef6de",
+        "coverage.json": "63006bdefdf803eb977b68bb6f685d143d8b34850f811e50723d6f2cb92e0896",
+    },
+    "two_target_run": {
+        "report.json": "1478525f1eec31ea17e3628708e3c4f97c20f7c8aac19140ac3260df648ce6a8",
+        "path.csv": "903640f7403554a0c5f34b99dcfdb9736f321031dbfd592816c5101eec86c5d7",
+        "planned_path.csv":
+            "5fad3e5115e1daa66a68ff0c3b6ef8bc7f66007cce970fe340b253fbec052365",
+        "metrics.csv": "6bcb73721c0c46ff2a7237359439c6d46040dce5ac5517a249e5c4a2ba5bb26e",
+        "coverage.json": "c0cba163c975eaac36298ce85e6b4d7eabdb5cc899283b2999909f7d036e3a61",
+    },
+}
+
+
+class TestGoldenDigests:
+    @pytest.mark.parametrize("run", sorted(GOLDEN_DIGESTS))
+    def test_run_directory_digests(self, run, request):
+        _, _, out = request.getfixturevalue(run)
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in GOLDEN_DIGESTS[run]}
+        assert digests == GOLDEN_DIGESTS[run]
+
+
 class TestDeterminism:
     def test_same_seed_byte_identical_outputs(self, tmp_path):
         cfg = default_scenario(1, seed=12)
@@ -150,6 +182,21 @@ class TestDeterminism:
         rep_a = run_scenario(default_scenario(1, seed=1))
         rep_b = run_scenario(default_scenario(1, seed=2))
         assert rep_a.to_dict() != rep_b.to_dict()
+
+
+class TestDetectionLatency:
+    def test_late_detections_change_the_mission(self, one_target_run, tmp_path):
+        cfg = default_scenario(1, seed=3)
+        cfg.noise.detection_latency_frames = 8
+        cfg.mission.max_sim_time = 40.0
+        late = run_scenario(cfg, out_dir=tmp_path)
+        _, prompt, prompt_out = one_target_run
+        prompt_transitions = [t for t in prompt.transitions if t["t"] <= 40.0]
+        assert late.transitions and prompt_transitions
+        assert late.transitions[0]["frame"] > prompt_transitions[0]["frame"]
+        late_path = (tmp_path / "path.csv").read_text().splitlines()
+        prompt_path = (prompt_out / "path.csv").read_text().splitlines()
+        assert late_path != prompt_path[:len(late_path)]
 
 
 class TestFlownVersusPlanned:

@@ -5,14 +5,12 @@ import pytest
 
 from conescan.geometry import PoseSE3, project_points, wrap_angle
 from conescan.simulator import (
+    DetectionDelay,
     NoiseModel,
     TargetTruth,
-    UavState,
     WaypointFollower,
-    follow_waypoints,
     make_target,
     perturb_pose,
-    reached,
     simulate_detector,
     simulate_klt,
     substream,
@@ -62,40 +60,45 @@ class TestMakeTarget:
             TargetTruth(0, [0, 0, 0], [1.0, 1.0, 0.0], np.zeros((4, 3)))
 
 
+def fly(waypoints, v_max=1.0, a_max=1.0, dt=0.1, yaw_rate=1.5):
+    """(position, yaw, velocity) of every tick from rest at the origin until
+    the last waypoint is reached."""
+    follower = WaypointFollower(np.zeros(3), 0.0, v_max, a_max, yaw_rate)
+    follower.set_path(waypoints)
+    ticks = []
+    while not follower.done:
+        ticks.append(follower.step(dt))
+    return ticks
+
+
 class TestWaypointFollower:
     def test_ten_meter_trapezoid_takes_eleven_seconds(self):
         # 1 s accelerate + 9 s cruise + 1 s decelerate
-        state = UavState(np.zeros(3), 0.0, np.zeros(3))
-        wps = [Waypoint([10, 0, 0], 0.0)]
-        states = list(follow_waypoints(state, wps, v_max=1.0, a_max=1.0, dt=0.1))
-        assert len(states) == 110
-        assert states[-1].position == pytest.approx([10, 0, 0], abs=1e-9)
-        assert np.linalg.norm(states[-1].velocity) == pytest.approx(0.0, abs=1e-9)
+        ticks = fly([Waypoint([10, 0, 0], 0.0)])
+        assert len(ticks) == 110
+        position, _, velocity = ticks[-1]
+        assert position == pytest.approx([10, 0, 0], abs=1e-9)
+        assert np.linalg.norm(velocity) == pytest.approx(0.0, abs=1e-9)
 
     def test_empty_path_immediate(self):
-        state = UavState(np.zeros(3), 0.0, np.zeros(3))
-        assert list(follow_waypoints(state, [], 1.0, 1.0, 0.1)) == []
+        assert fly([]) == []
 
     def test_kinematic_limits_every_tick(self):
-        state = UavState(np.zeros(3), 0.0, np.zeros(3))
         wps = [Waypoint([7, 3, 2], 1.0), Waypoint([-4, 1, 5], -2.0),
                Waypoint([0, 0, 0], 0.0)]
         v_max, a_max, dt = 1.0, 1.0, 0.1
         prev_v = np.zeros(3)
-        for s in follow_waypoints(state, wps, v_max, a_max, dt):
-            speed = np.linalg.norm(s.velocity)
-            assert speed <= v_max + 1e-9
-            assert np.linalg.norm(s.velocity - prev_v) <= a_max * dt + 1e-9
-            prev_v = s.velocity
+        for _, _, velocity in fly(wps, v_max, a_max, dt):
+            assert np.linalg.norm(velocity) <= v_max + 1e-9
+            assert np.linalg.norm(velocity - prev_v) <= a_max * dt + 1e-9
+            prev_v = velocity
 
     def test_yaw_rate_bounded(self):
-        state = UavState(np.zeros(3), 0.0, np.zeros(3))
-        wps = [Waypoint([0.1, 0, 0], 3.0)]
         yaw_rate = 1.5
         prev_yaw = 0.0
-        for s in follow_waypoints(state, wps, 1.0, 1.0, 0.1, yaw_rate=yaw_rate):
-            assert abs(wrap_angle(s.yaw - prev_yaw)) <= yaw_rate * 0.1 + 1e-9
-            prev_yaw = s.yaw
+        for _, yaw, _ in fly([Waypoint([0.1, 0, 0], 3.0)], yaw_rate=yaw_rate):
+            assert abs(wrap_angle(yaw - prev_yaw)) <= yaw_rate * 0.1 + 1e-9
+            prev_yaw = yaw
         assert prev_yaw == pytest.approx(3.0, abs=1e-9)
 
     def test_waypoints_reached_in_order(self):
@@ -110,8 +113,8 @@ class TestWaypointFollower:
                 target = wps[seen - 1]
                 assert np.linalg.norm(follower.position - target.position) < 0.2
         assert follower.waypoints_reached == 2
-        assert reached(UavState(follower.position, follower.yaw, follower.velocity),
-                       wps[-1])
+        assert np.linalg.norm(follower.position - wps[-1].position) < 0.2
+        assert abs(wrap_angle(follower.yaw - wps[-1].yaw)) < 0.05
 
     def test_replan_mid_motion_brakes_first(self):
         follower = WaypointFollower(np.zeros(3), 0.0, 1.0, 1.0)
@@ -126,6 +129,24 @@ class TestWaypointFollower:
             assert np.linalg.norm(v - prev_v) <= 1.0 * 0.1 + 1e-9
             assert np.linalg.norm(v) <= 1.0 + 1e-9
             prev_v = v
+
+
+class TestDetectionDelay:
+    def test_zero_latency_passes_frames_through(self):
+        delay = DetectionDelay(0)
+        for frame in (["a"], [], ["b", "c"]):
+            assert delay.push(frame) == frame
+
+    @pytest.mark.parametrize("latency", [1, 3])
+    def test_latency_delivers_empty_then_capture_order(self, latency):
+        delay = DetectionDelay(latency)
+        frames = [[f"box{i}"] for i in range(6)]
+        delivered = [delay.push(frame) for frame in frames]
+        assert delivered == [[]] * latency + frames[:len(frames) - latency]
+
+    def test_rejects_negative_latency(self):
+        with pytest.raises(ValueError):
+            DetectionDelay(-1)
 
 
 class TestSimulateDetector:
