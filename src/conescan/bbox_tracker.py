@@ -67,19 +67,30 @@ class SimilarityTransform2D:
             raise ValueError("linear block must be a uniform scale times a rotation")
         object.__setattr__(self, "matrix", m)
 
+    @classmethod
+    def _trusted(cls, matrix: np.ndarray) -> "SimilarityTransform2D":
+        """Wrap a float 3x3 similarity matrix that is valid by construction,
+        skipping the checks of the public constructor."""
+        sim = object.__new__(cls)
+        object.__setattr__(sim, "matrix", matrix)
+        return sim
+
     @staticmethod
     def identity() -> "SimilarityTransform2D":
-        return SimilarityTransform2D(np.eye(3))
+        """The shared identity transform; its matrix is read-only."""
+        return _IDENTITY
 
     @staticmethod
     def from_params(scale: float, theta: float, tx: float, ty: float):
         if scale <= 0:
             raise ValueError("scale must be positive")
+        if not all(math.isfinite(v) for v in (scale, theta, tx, ty)):
+            raise ValueError("similarity parameters must be finite")
         c, s = math.cos(theta), math.sin(theta)
         m = np.array(
             [[scale * c, -scale * s, tx], [scale * s, scale * c, ty], [0, 0, 1.0]]
         )
-        return SimilarityTransform2D(m)
+        return SimilarityTransform2D._trusted(m)
 
     @property
     def scale(self) -> float:
@@ -92,6 +103,14 @@ class SimilarityTransform2D:
     @property
     def translation(self) -> np.ndarray:
         return self.matrix[:2, 2].copy()
+
+
+_IDENTITY = SimilarityTransform2D(np.eye(3))
+_IDENTITY.matrix.flags.writeable = False
+
+
+def _is_symmetric(sig: np.ndarray) -> bool:
+    return np.allclose(sig, sig.T, atol=1e-9 * max(1.0, float(np.abs(sig).max())))
 
 
 @dataclass(frozen=True)
@@ -113,6 +132,12 @@ class TrackerConfig:
             sig = np.asarray(self.initial_sigma, dtype=float)
             if sig.shape != (4, 4):
                 raise ValueError("initial_sigma must be 4x4")
+            if not np.all(np.isfinite(sig)):
+                raise ValueError("initial_sigma must be finite")
+            if not _is_symmetric(sig):
+                raise ValueError("initial_sigma must be symmetric")
+            if np.linalg.eigvalsh(sig)[0] <= 0:
+                raise ValueError("initial_sigma must be positive definite")
         object.__setattr__(self, "initial_sigma", sig)
 
 
@@ -240,8 +265,15 @@ def bbox_entropy(sigma) -> float:
     sig = np.asarray(sigma, dtype=float)
     if sig.shape != (4, 4):
         raise ValueError("sigma must be 4x4")
-    if not np.allclose(sig, sig.T, atol=1e-9 * max(1.0, float(np.abs(sig).max()))):
+    if not _is_symmetric(sig):
         raise ValueError("sigma must be symmetric")
+    return _entropy(sig)
+
+
+def _entropy(sig: np.ndarray) -> float:
+    """bbox_entropy without its checks, for covariances the tracker itself
+    keeps symmetric: the validated initial sigma and every Kalman step's
+    symmetrized output."""
     sign, logdet = np.linalg.slogdet(sig)
     if sign <= 0 or not np.isfinite(logdet):
         return -math.inf
@@ -261,7 +293,7 @@ def prune(tracks, image_size, cfg: TrackerConfig, frame: int = None):
         if outside:
             out.append(replace(t, status=DEREGISTERED, dereg_reason="bounds",
                                dereg_frame=frame))
-        elif bbox_entropy(t.sigma) > cfg.entropy_dereg_threshold:
+        elif _entropy(t.sigma) > cfg.entropy_dereg_threshold:
             out.append(replace(t, status=DEREGISTERED, dereg_reason="entropy",
                                dereg_frame=frame))
         else:
@@ -296,21 +328,29 @@ def estimate_similarity(prev_points, curr_points) -> SimilarityTransform2D:
 
 @dataclass
 class TrackerState:
-    """Per-run track bank; `step` runs one predict/associate/update/prune frame."""
+    """Per-run track bank; `step` runs one predict/associate/update/prune frame.
+
+    Live tracks and retired (deregistered) ones are kept apart, so a frame
+    costs the live tracks only. `live` stays in id order; `retired` is in
+    order of deregistration.
+    """
 
     cfg: TrackerConfig
     image_size: tuple
-    tracks: list = field(default_factory=list)
+    live: list = field(default_factory=list)
+    retired: list = field(default_factory=list)
     next_id: int = 0
+
+    @property
+    def tracks(self) -> list:
+        """Every track ever made, retired and live, in id order."""
+        return sorted(self.retired + self.live, key=lambda t: t.id)
 
     def step(self, detections, similarity_by_track, frame: int):
         """Returns the ids of tracks that received a detector update this frame."""
         FALLBACK_NOISE_SCALE = 4.0
         predicted = []
-        for t in self.tracks:
-            if t.status != ACTIVE:
-                predicted.append(t)
-                continue
+        for t in self.live:
             sim = similarity_by_track.get(t.id)
             if sim is not None:
                 try:
@@ -335,9 +375,10 @@ class TrackerState:
                 updated.append(t2)
             else:
                 updated.append(t)
-        self.tracks = prune(updated + new_tracks, self.image_size, self.cfg,
-                            frame=frame)
+        self.live = []
+        for t in prune(updated + new_tracks, self.image_size, self.cfg, frame=frame):
+            (self.live if t.status == ACTIVE else self.retired).append(t)
         return set(assignments)
 
     def active(self):
-        return [t for t in self.tracks if t.status == ACTIVE]
+        return list(self.live)

@@ -39,6 +39,15 @@ class PoseSE3:
         object.__setattr__(self, "rotation", rot)
         object.__setattr__(self, "translation", tra)
 
+    @classmethod
+    def _trusted(cls, rotation: np.ndarray, translation: np.ndarray) -> "PoseSE3":
+        """Wrap a float rotation that is orthonormal by construction and a (3,)
+        float translation, skipping the checks of the public constructor."""
+        pose = object.__new__(cls)
+        object.__setattr__(pose, "rotation", rotation)
+        object.__setattr__(pose, "translation", translation)
+        return pose
+
     @staticmethod
     def identity() -> "PoseSE3":
         return PoseSE3(np.eye(3), np.zeros(3))
@@ -51,7 +60,7 @@ class PoseSE3:
         )
 
     def inverse(self) -> "PoseSE3":
-        return PoseSE3(self.rotation.T, -self.rotation.T @ self.translation)
+        return PoseSE3._trusted(self.rotation.T, -self.rotation.T @ self.translation)
 
     def apply(self, points):
         """Transform a (3,) point or an (n, 3) array of points."""
@@ -209,7 +218,7 @@ def camera_to_world_pose(position, yaw: float, depression: float) -> PoseSE3:
     z_axis = np.array([cg * cy, cg * sy, -sg])
     y_axis = np.cross(z_axis, x_axis)
     rot = np.column_stack([x_axis, y_axis, z_axis])
-    return PoseSE3(rot, np.asarray(position, dtype=float))
+    return PoseSE3._trusted(rot, np.asarray(position, dtype=float).reshape(3))
 
 
 def bearing(from_xy, to_xy) -> float:

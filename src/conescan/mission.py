@@ -557,15 +557,19 @@ class MissionRunner:
         detections = self.detection_delay.push(simulate_detector(
             self.targets, true_w2c, self.cam, self.noise, self.det_rng))
         sims = self._similarities(true_w2c)
+        n_retired = len(self.tracker.retired)
         updated = self.tracker.step(detections, sims, self.frame)
-        for track in self.tracker.tracks:
-            self.log.row(
-                self.log.tracks,
-                [self.frame, track.id, _fmt(track.u.u_min), _fmt(track.u.v_min),
-                 _fmt(track.u.u_max), _fmt(track.u.v_max),
-                 _fmt(np.trace(track.sigma)),
-                 _fmt(bbox_entropy(track.sigma)), track.status],
-            )
+        if self.log.tracks is not None:
+            # live tracks, plus a final row for each one retired this frame
+            just_retired = self.tracker.retired[n_retired:]
+            for track in sorted(self.tracker.live + just_retired, key=lambda t: t.id):
+                self.log.row(
+                    self.log.tracks,
+                    [self.frame, track.id, _fmt(track.u.u_min), _fmt(track.u.v_min),
+                     _fmt(track.u.u_max), _fmt(track.u.v_max),
+                     _fmt(np.trace(track.sigma)),
+                     _fmt(bbox_entropy(track.sigma)), track.status],
+                )
 
         if self.state.mode != MAP:
             for track in sorted(self.tracker.active(), key=lambda t: t.id):

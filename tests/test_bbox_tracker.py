@@ -55,6 +55,31 @@ class TestSimilarityTransform:
         with pytest.raises(ValueError):
             SimilarityTransform2D(m)
 
+    def test_identity_is_shared_and_read_only(self):
+        s = SimilarityTransform2D.identity()
+        assert s is SimilarityTransform2D.identity()
+        with pytest.raises(ValueError):
+            s.matrix[0, 2] = 5.0
+        assert np.array_equal(s.matrix, np.eye(3))
+
+    @pytest.mark.parametrize("params", [
+        (0.0, 0.1, 1.0, 2.0), (-1.0, 0.1, 1.0, 2.0), (math.nan, 0.1, 1.0, 2.0),
+        (1.0, 0.1, math.nan, 2.0), (1.0, 0.1, 1.0, math.inf),
+        (1.0, 0.1, -math.inf, 2.0), (1.0, math.nan, 1.0, 2.0),
+    ])
+    def test_from_params_rejects_invalid(self, params):
+        with pytest.raises(ValueError):
+            SimilarityTransform2D.from_params(*params)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(1e-12, 1e6), st.floats(-10, 10),
+           st.floats(-1e4, 1e4), st.floats(-1e4, 1e4))
+    def test_from_params_passes_public_checks(self, scale, theta, tx, ty):
+        # from_params skips the matrix checks of SimilarityTransform2D(...);
+        # what it builds must still satisfy them
+        sim = SimilarityTransform2D.from_params(scale, theta, tx, ty)
+        assert np.array_equal(SimilarityTransform2D(sim.matrix).matrix, sim.matrix)
+
 
 class TestPredict:
     def test_identity_zero_noise_is_noop(self):
@@ -421,3 +446,32 @@ class TestTrackerState:
         assert dead.status == DEREGISTERED
         assert dead.dereg_reason == "entropy"
         assert frame - dead.spawn_frame <= 50
+
+    def test_bank_order_and_live_only_work(self, monkeypatch):
+        seen = []  # ids of the tracks passed to predict and prune in one step
+
+        def spy(fn):
+            def wrapped(tracks, *args, **kwargs):
+                seen.extend(t.id for t in (tracks if isinstance(tracks, list) else [tracks]))
+                return fn(tracks, *args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr("conescan.bbox_tracker.predict", spy(predict))
+        monkeypatch.setattr("conescan.bbox_tracker.prune", spy(prune))
+        state = TrackerState(CFG, (640, 480))
+        box_a = BBox(10, 10, 30, 30)
+        box_b = BBox(200, 200, 230, 230)
+        box_c = BBox(400, 100, 430, 130)
+        # track 1 (box_b) goes unseen and retires first; track 0 (box_a) later
+        schedule = [[box_a, box_b]] + [[box_a]] * 60 + [[]] * 60 + [[box_c]] * 2
+        for frame, dets in enumerate(schedule, start=1):
+            retired_ids = {t.id for t in state.retired}
+            seen.clear()
+            state.step(dets, {}, frame)
+            assert retired_ids.isdisjoint(seen)
+            assert all(t.status == ACTIVE for t in state.active())
+            assert retired_ids.isdisjoint(t.id for t in state.active())
+        assert [t.id for t in state.retired] == [1, 0]
+        assert [t.id for t in state.tracks] == [0, 1, 2]
+        assert [t.status for t in state.tracks] == [DEREGISTERED, DEREGISTERED, ACTIVE]
+        assert [t.id for t in state.active()] == [2]

@@ -35,6 +35,15 @@ class TestValidate:
         assert main(["validate", str(path)]) == 1
         assert "noise: unknown field(s) ['seed']" in capsys.readouterr().err
 
+    def test_asymmetric_initial_sigma_rejected(self, tmp_path, capsys):
+        data = to_dict(default_scenario(0))
+        data["tracker"]["initial_sigma"] = [
+            [16, 1, 0, 0], [0, 16, 0, 0], [0, 0, 16, 0], [0, 0, 0, 16]]
+        path = tmp_path / "asym.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate", str(path)]) == 1
+        assert "tracker: initial_sigma must be symmetric" in capsys.readouterr().err
+
     def test_unparseable_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{")

@@ -2,6 +2,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conescan.config import (
@@ -81,6 +82,24 @@ class TestValidation:
         data["noise"]["detect_prob"] = 1.5
         with pytest.raises(ConfigError, match="noise"):
             from_dict(data)
+
+    @pytest.mark.parametrize("sigma, message", [
+        ([[16, 1, 0, 0], [0, 16, 0, 0], [0, 0, 16, 0], [0, 0, 0, 16]], "symmetric"),
+        ([[16, 0, 0, 0], [0, 16, 0, 0], [0, 0, 16, 0], [0, 0, 0, math.inf]], "finite"),
+        ([[16, 0, 0, 0], [0, 16, 0, 0], [0, 0, 16, 0], [0, 0, 0, math.nan]], "finite"),
+        ([[16, 0, 0, 0], [0, 16, 0, 0], [0, 0, 16, 0], [0, 0, 0, 0]], "positive definite"),
+        ([[1, 2, 0, 0], [2, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], "positive definite"),
+    ])
+    def test_bad_initial_sigma_rejected(self, sigma, message):
+        data = to_dict(default_scenario(1))
+        data["tracker"]["initial_sigma"] = sigma
+        with pytest.raises(ConfigError, match=f"tracker: initial_sigma must be {message}"):
+            from_dict(data)
+
+    def test_good_initial_sigma_kept(self):
+        data = to_dict(default_scenario(1))
+        data["tracker"]["initial_sigma"] = (9.0 * np.eye(4)).tolist()
+        assert np.array_equal(from_dict(data).tracker.initial_sigma, 9.0 * np.eye(4))
 
     def test_localizer_defaults_follow_altitude(self):
         cfg = validate(ScenarioConfig(search_altitude=9.0))

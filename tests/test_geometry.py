@@ -17,6 +17,7 @@ from conescan.geometry import (
     to_euclidean,
     wrap_angle,
 )
+from conescan.simulator import NoiseModel, perturb_pose
 
 from conftest import random_pose, random_rotation
 
@@ -218,6 +219,23 @@ class TestCameraPose:
             gamma = rng.uniform(0.1, 1.4)
             rot = camera_to_world_pose([0, 0, 0], yaw, gamma).rotation
             assert np.linalg.det(rot) == pytest.approx(1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3),
+       st.floats(-10, 10), st.floats(0.01, 1.56),
+       st.floats(0, 1), st.floats(0, 1), st.integers(0, 2**32 - 1))
+def test_built_poses_pass_public_checks(position, yaw, depression,
+                                        pose_sigma, yaw_sigma, seed):
+    # camera_to_world_pose, inverse and perturb_pose skip the checks of
+    # PoseSE3(...); what they build must still satisfy them
+    c2w = camera_to_world_pose(position, yaw, depression)
+    noise = NoiseModel(pose_sigma_xyz=pose_sigma, yaw_sigma=yaw_sigma)
+    noisy = perturb_pose(c2w, noise, np.random.default_rng(seed))
+    for pose in (c2w, c2w.inverse(), noisy, noisy.inverse()):
+        PoseSE3(pose.rotation, pose.translation)
+        assert pose.translation.shape == (3,)
+        assert pose.rotation.dtype == pose.translation.dtype == np.float64
 
 
 @given(st.floats(-50, 50))

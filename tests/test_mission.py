@@ -27,11 +27,17 @@ def one_target_run(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def two_target_run(tmp_path_factory):
+def two_target_mission(tmp_path_factory):
     out = tmp_path_factory.mktemp("two_target")
-    cfg = default_scenario(2, seed=7)
-    report = run_scenario(cfg, out_dir=out)
-    return cfg, report, out
+    runner = MissionRunner(default_scenario(2, seed=7), out_dir=out)
+    report = runner.run()
+    return runner, report, out
+
+
+@pytest.fixture(scope="module")
+def two_target_run(two_target_mission):
+    runner, report, out = two_target_mission
+    return runner.cfg, report, out
 
 
 def mode_pairs(report):
@@ -147,6 +153,7 @@ GOLDEN_DIGESTS = {
             "0864710a9ad3be5842ad52b5392ced7568e73462d5f7fd1bb7d8bf49ece97c1c",
         "metrics.csv": "c6c7bdefd737b3702cad699610bfda7572727067504ff8bc1af66937070ef6de",
         "coverage.json": "63006bdefdf803eb977b68bb6f685d143d8b34850f811e50723d6f2cb92e0896",
+        "tracks.csv": "8d5e97863b0801cba910bf8e40dc10c98124b3f9e90dbc50ee5b82abad959685",
     },
     "two_target_run": {
         "report.json": "1478525f1eec31ea17e3628708e3c4f97c20f7c8aac19140ac3260df648ce6a8",
@@ -155,6 +162,7 @@ GOLDEN_DIGESTS = {
             "5fad3e5115e1daa66a68ff0c3b6ef8bc7f66007cce970fe340b253fbec052365",
         "metrics.csv": "6bcb73721c0c46ff2a7237359439c6d46040dce5ac5517a249e5c4a2ba5bb26e",
         "coverage.json": "c0cba163c975eaac36298ce85e6b4d7eabdb5cc899283b2999909f7d036e3a61",
+        "tracks.csv": "3afedfbbca79b98a97f37934748dd1eeed25d3bb8c9c5cf74f0e9be83c091af4",
     },
 }
 
@@ -166,6 +174,42 @@ class TestGoldenDigests:
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                    for name in GOLDEN_DIGESTS[run]}
         assert digests == GOLDEN_DIGESTS[run]
+
+
+class TestTrackLog:
+    def test_rows_cover_each_track_while_live(self, two_target_mission):
+        runner, _, out = two_target_mission
+        with open(out / "tracks.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        by_id = {}
+        for r in rows:
+            by_id.setdefault(int(r["track_id"]), []).append(r)
+        bank = runner.tracker.tracks
+        assert sorted(by_id) == [t.id for t in bank]
+        live_rows = 0
+        for t in bank:
+            frames = [int(r["frame"]) for r in by_id[t.id]]
+            last = runner.frame if t.dereg_frame is None else t.dereg_frame
+            assert frames == list(range(t.spawn_frame, last + 1)), t.id
+            dereg = [int(r["frame"]) for r in by_id[t.id] if r["status"] == "deregistered"]
+            assert dereg == ([] if t.dereg_frame is None else [t.dereg_frame]), t.id
+            live_rows += last + 1 - t.spawn_frame - (t.dereg_frame is not None)
+        # one row per live track per frame, plus one final row per retired track
+        assert len(rows) == live_rows + len(runner.tracker.retired)
+        assert runner.tracker.retired and runner.tracker.live
+
+    def test_no_track_rows_built_without_a_run_directory(self, monkeypatch, tmp_path):
+        def refuse(sigma):
+            raise RuntimeError("track row built")
+
+        monkeypatch.setattr("conescan.mission.bbox_entropy", refuse)
+        cfg = default_scenario(1, seed=3)
+        cfg.mission.max_sim_time = 20.0
+        runner = MissionRunner(cfg)
+        runner.run()
+        assert runner.tracker.next_id > 0
+        with pytest.raises(RuntimeError, match="track row built"):
+            MissionRunner(cfg, out_dir=tmp_path).run()
 
 
 class TestDeterminism:
