@@ -70,6 +70,12 @@ def cmd_sweep(args) -> int:
         print("seeds must look like A..B", file=sys.stderr)
         return EXIT_INVALID
     seeds = list(range(lo, hi + 1))
+    if not seeds:
+        print(f"seeds {args.seeds}: empty range", file=sys.stderr)
+        return EXIT_INVALID
+    if args.jobs is not None and args.jobs < 1:
+        print("jobs must be at least 1", file=sys.stderr)
+        return EXIT_INVALID
     out_base = args.out or (Path(os.environ.get(OUT_ENV, "runs")) /
                             f"{Path(args.config).stem}-sweep")
     jobs = [(args.config, s, str(out_base)) for s in seeds]

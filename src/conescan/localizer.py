@@ -8,6 +8,7 @@ divergence and differential entropy of the cloud drive mission transitions.
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -82,7 +83,7 @@ class LocalizerConfig:
 @dataclass(frozen=True)
 class ParticleSet:
     target_id: int
-    points: np.ndarray  # (n_particles, 3) world frame
+    points: np.ndarray  # (n_particles, 3) world frame, read-only
     generation_frame: int
 
     def __post_init__(self):
@@ -91,13 +92,24 @@ class ParticleSet:
             raise ValueError("points must be (m, 3)")
         if not np.all(np.isfinite(pts)):
             raise ValueError("points must be finite")
+        pts = pts.view()  # no copy; read-only so the cached statistics stay valid
+        pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
+
+    @cached_property
+    def _stats(self):
+        return _cloud_statistics(self.points)
 
 
 @dataclass(frozen=True)
 class GaussianSummary:
     mean: np.ndarray
     cov: np.ndarray
+
+    @cached_property
+    def slogdet(self):
+        """Sign and log-determinant of the covariance, computed on first use."""
+        return np.linalg.slogdet(self.cov)
 
 
 @dataclass(frozen=True)
@@ -109,6 +121,23 @@ class PcaSummary:
     @property
     def smallest_eigenvector(self) -> np.ndarray:
         return self.eigenvectors[:, 2]
+
+
+def _cloud_statistics(points: np.ndarray):
+    """The one pass over a cloud: its Gaussian and PCA, read-only. The smallest-variance
+    axis is signed to world z >= 0 (ties on x, then y) for a stable direction."""
+    if len(points) < 2:
+        raise ValueError("need at least 2 points")
+    mean = points.mean(axis=0)
+    cov = np.cov(points.T, ddof=1)
+    evals, evecs = np.linalg.eigh(cov)
+    evals, evecs = evals[::-1], evecs[:, ::-1]  # eigh returns them ascending
+    v = evecs[:, 2]
+    if v[2] < 0 or (v[2] == 0 and (v[0] < 0 or (v[0] == 0 and v[1] < 0))):
+        evecs[:, 2] = -v
+    for arr in (mean, cov, evals, evecs):
+        arr.flags.writeable = False
+    return GaussianSummary(mean, cov), PcaSummary(evals, evecs, mean)
 
 
 def enlarge(box: BBox, factor: float) -> BBox:
@@ -229,29 +258,12 @@ def update_particles(
 
 def gaussian_summary(ps: ParticleSet) -> GaussianSummary:
     """Mean and sample covariance of the cloud as a 3D Gaussian."""
-    mean = ps.points.mean(axis=0)
-    cov = np.cov(ps.points.T, ddof=1)
-    return GaussianSummary(mean=mean, cov=cov)
+    return ps._stats[0]
 
 
 def pca_summary(ps: ParticleSet) -> PcaSummary:
-    """Eigen-decomposition of the sample covariance, eigenvalues descending.
-
-    The smallest-eigenvalue eigenvector is sign-normalized to a non-negative
-    world-z component (ties broken on x, then y) so planners get a stable
-    direction.
-    """
-    if len(ps.points) < 2:
-        raise ValueError("need at least 2 points")
-    cov = np.cov(ps.points.T, ddof=1)
-    evals, evecs = np.linalg.eigh(cov)
-    order = np.argsort(evals)[::-1]
-    evals = evals[order]
-    evecs = evecs[:, order]
-    v = evecs[:, 2]
-    if v[2] < 0 or (v[2] == 0 and (v[0] < 0 or (v[0] == 0 and v[1] < 0))):
-        evecs[:, 2] = -v
-    return PcaSummary(eigenvalues=evals, eigenvectors=evecs, mean=ps.points.mean(axis=0))
+    """Eigen-decomposition of the sample covariance, eigenvalues descending."""
+    return ps._stats[1]
 
 
 def kl_divergence(n0: GaussianSummary, n1: GaussianSummary) -> float:
@@ -264,8 +276,8 @@ def kl_divergence(n0: GaussianSummary, n1: GaussianSummary) -> float:
     diff = np.asarray(n1.mean, dtype=float) - np.asarray(n0.mean, dtype=float)
     trace_term = float(np.trace(np.linalg.solve(p1, p0)))
     quad_term = float(diff @ np.linalg.solve(p1, diff))
-    _, logdet1 = np.linalg.slogdet(p1)
-    sign0, logdet0 = np.linalg.slogdet(p0)
+    _, logdet1 = n1.slogdet
+    sign0, logdet0 = n0.slogdet
     if sign0 <= 0:
         return math.inf
     return 0.5 * (trace_term + quad_term - 3.0 + logdet1 - logdet0)
@@ -275,11 +287,9 @@ def points_entropy(ps: ParticleSet) -> float:
     """Differential entropy of the cloud's Gaussian approximation, in nats."""
     if len(ps.points) < 4:
         raise ValueError("need at least 4 points")
-    cov = np.cov(ps.points.T, ddof=1)
-    sign, logdet = np.linalg.slogdet(cov)
-    if sign <= 0 or not np.isfinite(logdet):
-        return -math.inf
-    return 1.5 + 1.5 * math.log(2.0 * math.pi) + 0.5 * logdet
+    sign, logdet = gaussian_summary(ps).slogdet
+    degenerate = sign <= 0 or not np.isfinite(logdet)
+    return -math.inf if degenerate else 1.5 + 1.5 * math.log(2.0 * math.pi) + 0.5 * logdet
 
 
 @dataclass(frozen=True)
@@ -289,26 +299,15 @@ class ConvergenceRecord:
     kl: Optional[float] = None  # None before the second update
 
 
-def localization_status(history, cfg: LocalizerConfig) -> str:
-    """Joint eigenvalue / entropy / KL gate; monotone across the history."""
-    if not history:
-        raise ValueError("need at least one convergence record")
-    best = STATUS_ROUGH
-    for rec in history:
-        if (
-            rec.lambda_max < cfg.lambda_fine
-            and rec.entropy < cfg.entropy_converged
-            and rec.kl is not None
-            and rec.kl < cfg.kl_converged
-        ):
-            status = STATUS_CONVERGED
-        elif rec.lambda_max < cfg.lambda_rough and rec.entropy < cfg.entropy_rough:
-            status = STATUS_FINE_REQUESTED
-        else:
-            status = STATUS_ROUGH
-        if _STATUS_ORDER[status] > _STATUS_ORDER[best]:
-            best = status
-    return best
+def localization_status(rec: ConvergenceRecord, cfg: LocalizerConfig) -> str:
+    """Joint eigenvalue / entropy / KL gate on one record; a hypothesis keeps the
+    highest status any of its records reached."""
+    if (rec.lambda_max < cfg.lambda_fine and rec.entropy < cfg.entropy_converged
+            and rec.kl is not None and rec.kl < cfg.kl_converged):
+        return STATUS_CONVERGED
+    if rec.lambda_max < cfg.lambda_rough and rec.entropy < cfg.entropy_rough:
+        return STATUS_FINE_REQUESTED
+    return STATUS_ROUGH
 
 
 @dataclass
@@ -332,21 +331,17 @@ class TargetHypothesis:
 
     @property
     def center(self) -> np.ndarray:
-        return self.particles.points.mean(axis=0)
+        return gaussian_summary(self.particles).mean
 
     @property
     def lambda_max(self) -> float:
         return self.history[-1].lambda_max if self.history else math.inf
 
     def record(self, cfg: LocalizerConfig, kl: Optional[float]):
-        pca = pca_summary(self.particles)
-        rec = ConvergenceRecord(
-            lambda_max=float(pca.eigenvalues[0]),
-            entropy=points_entropy(self.particles),
-            kl=kl,
-        )
+        rec = ConvergenceRecord(float(pca_summary(self.particles).eigenvalues[0]),
+                                points_entropy(self.particles), kl)
         self.history.append(rec)
-        self.status = localization_status(self.history, cfg)
+        self.status = max(self.status, localization_status(rec, cfg), key=status_rank)
         return rec
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CameraRig, bearing
-from .localizer import ParticleSet
+from .localizer import ParticleSet, gaussian_summary
 from .view_planner import Waypoint
 
 MIN_CYLINDER_RADIUS = 0.1
@@ -69,9 +69,7 @@ class ScanPlan:
 def fit_cylinder(ps: ParticleSet) -> Cylinder:
     """Smallest vertical cylinder containing the cloud, axis through the mean."""
     pts = ps.points
-    if len(pts) < 2:
-        raise ValueError("need at least 2 points")
-    axis = pts[:, :2].mean(axis=0)
+    axis = gaussian_summary(ps).mean[:2]  # raises below 2 points
     radial = np.linalg.norm(pts[:, :2] - axis, axis=1)
     z_bottom, z_top = float(pts[:, 2].min()), float(pts[:, 2].max())
     spread = float(radial.max()) + (z_top - z_bottom)

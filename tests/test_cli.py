@@ -93,5 +93,15 @@ class TestSweep:
         for seed in (1, 2, 3):
             assert (tmp_path / "sweep" / f"seed{seed:04d}" / "report.json").exists()
 
-    def test_sweep_bad_range(self, empty_scenario, capsys):
-        assert main(["sweep", str(empty_scenario), "--seeds", "nope"]) == 1
+    @pytest.mark.parametrize("args, message", [
+        pytest.param(["--seeds", "nope"], "seeds must look like A..B", id="not_a_range"),
+        pytest.param(["--seeds", "3..2"], "seeds 3..2: empty range", id="empty_range"),
+        pytest.param(["--seeds", "1..2", "--jobs", "0"], "jobs must be at least 1",
+                     id="zero_jobs"),
+    ])
+    def test_sweep_bad_range(self, empty_scenario, tmp_path, capsys, args, message):
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(empty_scenario), "--out", str(out)] + args) == 1
+        captured = capsys.readouterr()
+        assert captured.err == message + "\n" and not captured.out
+        assert not out.exists()

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conescan.geometry import (
     BBox,
@@ -274,6 +276,76 @@ class TestUpdateParticles:
             assert np.all(np.isfinite(ps.points))
 
 
+def reference_statistics(pts):
+    """Mean, covariance, sign-normalized descending PCA and entropy, from scratch."""
+    mean = pts.mean(axis=0)
+    cov = np.cov(pts.T, ddof=1)
+    evals, evecs = np.linalg.eigh(cov)
+    order = np.argsort(evals)[::-1]
+    evals, evecs = evals[order], evecs[:, order]
+    v = evecs[:, 2]
+    if v[2] < 0 or (v[2] == 0 and (v[0] < 0 or (v[0] == 0 and v[1] < 0))):
+        evecs[:, 2] = -v
+    sign, logdet = np.linalg.slogdet(cov)
+    entropy = (-math.inf if sign <= 0 or not np.isfinite(logdet)
+               else 1.5 + 1.5 * math.log(2.0 * math.pi) + 0.5 * logdet)
+    return mean, cov, evals, evecs, entropy
+
+
+def shaped_cloud(n, seed, scale, shape):
+    rng = np.random.default_rng(seed)
+    pts = scale * rng.standard_normal((n, 3)) + rng.uniform(-50, 50, size=3)
+    if shape == "duplicated":
+        pts = np.repeat(pts[: (n + 1) // 2], 2, axis=0)[:n]
+    elif shape == "collinear":
+        pts = np.column_stack([scale * rng.standard_normal(n), np.zeros(n), np.zeros(n)])
+    return pts
+
+
+class TestCachedCloudStatistics:
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.sampled_from([2, 4, 100]), seed=st.integers(0, 2**32 - 1),
+           scale=st.floats(1e-3, 1e3),
+           shape=st.sampled_from(["general", "duplicated", "collinear"]))
+    def test_bitwise_equal_to_fresh_computation(self, n, seed, scale, shape):
+        pts = shaped_cloud(n, seed, scale, shape)
+        mean, cov, evals, evecs, entropy = reference_statistics(pts.copy())
+        ps = cloud(pts)
+        hyp = TargetHypothesis(particles=ps, rng=np.random.default_rng(0))
+        for _ in range(2):  # the first read computes, the second reads the cache
+            gauss, pca = gaussian_summary(ps), pca_summary(ps)
+            assert np.array_equal(gauss.mean, mean) and np.array_equal(gauss.cov, cov)
+            assert np.array_equal(pca.mean, mean)
+            assert np.array_equal(pca.eigenvalues, evals)
+            assert np.array_equal(pca.eigenvectors, evecs)
+            assert np.array_equal(hyp.center, mean)
+            if n < 4:
+                with pytest.raises(ValueError):
+                    points_entropy(ps)
+            else:
+                assert points_entropy(ps) == entropy
+        if shape == "collinear" and n >= 4:
+            assert points_entropy(ps) == -math.inf
+
+    def test_points_are_a_read_only_view(self):
+        pts = np.random.default_rng(27).standard_normal((100, 3))
+        ps = cloud(pts)
+        assert np.shares_memory(ps.points, pts)
+        with pytest.raises(ValueError):
+            ps.points[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            ps.points += 1.0
+        pca = pca_summary(ps)
+        with pytest.raises(ValueError):
+            pca.eigenvectors[:, 2] *= -1.0
+        assert pts.flags.writeable
+
+    @pytest.mark.parametrize("summary", [gaussian_summary, pca_summary])
+    def test_fewer_than_two_points_rejected(self, summary):
+        with pytest.raises(ValueError, match="at least 2 points"):
+            summary(cloud(np.zeros((1, 3))))
+
+
 class TestPcaSummary:
     def test_collinear_points(self):
         t = np.linspace(-2, 2, 100)
@@ -400,35 +472,41 @@ class TestPointsEntropy:
 class TestLocalizationStatus:
     CFG = LocalizerConfig(lambda_rough=4.0, lambda_fine=0.25, kl_converged=0.01)
 
+    def _hyp(self, scale):
+        rng = np.random.default_rng(26)
+        return TargetHypothesis(particles=cloud(rng.normal(0.0, scale, size=(1000, 3))),
+                                rng=rng)
+
     def test_fresh_wide_set_is_rough(self):
-        history = [ConvergenceRecord(lambda_max=50.0, entropy=8.0, kl=None)]
-        assert localization_status(history, self.CFG) == "rough"
+        rec = ConvergenceRecord(lambda_max=50.0, entropy=8.0, kl=None)
+        assert localization_status(rec, self.CFG) == "rough"
 
     def test_fine_band(self):
-        history = [ConvergenceRecord(lambda_max=1.0, entropy=3.0, kl=0.5)]
-        assert localization_status(history, self.CFG) == "fine_requested"
+        rec = ConvergenceRecord(lambda_max=1.0, entropy=3.0, kl=0.5)
+        assert localization_status(rec, self.CFG) == "fine_requested"
 
     def test_converged(self):
-        history = [
-            ConvergenceRecord(lambda_max=50.0, entropy=8.0, kl=None),
-            ConvergenceRecord(lambda_max=0.1, entropy=0.5, kl=1e-4),
-        ]
-        assert localization_status(history, self.CFG) == "converged"
+        hyp = self._hyp(10.0)
+        hyp.record(self.CFG, kl=None)
+        assert hyp.status == "rough"
+        hyp.particles = self._hyp(0.1).particles
+        rec = hyp.record(self.CFG, kl=1e-4)
+        assert rec.lambda_max < 0.25 and rec.entropy < self.CFG.entropy_converged
+        assert hyp.status == "converged"
 
     def test_low_lambda_but_high_kl_not_converged(self):
-        history = [ConvergenceRecord(lambda_max=0.1, entropy=0.5, kl=0.5)]
-        assert localization_status(history, self.CFG) == "fine_requested"
+        rec = ConvergenceRecord(lambda_max=0.1, entropy=0.5, kl=0.5)
+        assert localization_status(rec, self.CFG) == "fine_requested"
 
     def test_monotone_no_regression(self):
-        history = [
-            ConvergenceRecord(lambda_max=0.1, entropy=0.5, kl=1e-4),
-            ConvergenceRecord(lambda_max=100.0, entropy=9.0, kl=5.0),
-        ]
-        assert localization_status(history, self.CFG) == "converged"
-
-    def test_empty_history_rejected(self):
-        with pytest.raises(ValueError):
-            localization_status([], self.CFG)
+        hyp = self._hyp(0.1)
+        hyp.record(self.CFG, kl=1e-4)
+        assert hyp.status == "converged"
+        hyp.particles = self._hyp(10.0).particles
+        rec = hyp.record(self.CFG, kl=5.0)
+        assert localization_status(rec, self.CFG) == "rough"
+        assert hyp.status == "converged"
+        assert len(hyp.history) == 2
 
     def test_derived_entropy_thresholds(self):
         cfg = LocalizerConfig(lambda_rough=4.0, lambda_fine=0.25)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from conescan import localizer, mission
 from conescan.config import default_scenario
 from conescan.localizer import LocalizerConfig
 from conescan.mission import (
@@ -144,7 +145,8 @@ class TestTwoTargets:
 
 
 # SHA-256 of the stock missions' run-directory files (numpy 2.4, x86-64). A
-# change that means to alter an output updates its digest and says why.
+# glob gets one digest over its files' sorted names and bytes. A change that
+# means to alter an output updates its digest and says why.
 GOLDEN_DIGESTS = {
     "one_target_run": {
         "report.json": "dea2dd1118802f2dc7b8b8140f1d5b8494f8eaa4b9fe3e195582b588995eafb1",
@@ -154,6 +156,8 @@ GOLDEN_DIGESTS = {
         "metrics.csv": "c6c7bdefd737b3702cad699610bfda7572727067504ff8bc1af66937070ef6de",
         "coverage.json": "63006bdefdf803eb977b68bb6f685d143d8b34850f811e50723d6f2cb92e0896",
         "tracks.csv": "8d5e97863b0801cba910bf8e40dc10c98124b3f9e90dbc50ee5b82abad959685",
+        "particles/*.json":
+            "0aa998e085fc87fd8253e89a120f6cbf21b9f96525f7b5f8af99a84ca67591d2",
     },
     "two_target_run": {
         "report.json": "1478525f1eec31ea17e3628708e3c4f97c20f7c8aac19140ac3260df648ce6a8",
@@ -163,17 +167,54 @@ GOLDEN_DIGESTS = {
         "metrics.csv": "6bcb73721c0c46ff2a7237359439c6d46040dce5ac5517a249e5c4a2ba5bb26e",
         "coverage.json": "c0cba163c975eaac36298ce85e6b4d7eabdb5cc899283b2999909f7d036e3a61",
         "tracks.csv": "3afedfbbca79b98a97f37934748dd1eeed25d3bb8c9c5cf74f0e9be83c091af4",
+        "particles/*.json":
+            "b3628a2b71f3a295f082be385ff2fda849ef198b270ae34fab18c9def412dbf8",
     },
 }
+
+
+def _digest(out, pattern):
+    sha = hashlib.sha256()
+    paths = sorted(out.glob(pattern))
+    assert paths, pattern
+    for path in paths:
+        if "*" in pattern:
+            sha.update(path.name.encode())
+        sha.update(path.read_bytes())
+    return sha.hexdigest()
 
 
 class TestGoldenDigests:
     @pytest.mark.parametrize("run", sorted(GOLDEN_DIGESTS))
     def test_run_directory_digests(self, run, request):
         _, _, out = request.getfixturevalue(run)
-        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-                   for name in GOLDEN_DIGESTS[run]}
+        digests = {name: _digest(out, name) for name in GOLDEN_DIGESTS[run]}
         assert digests == GOLDEN_DIGESTS[run]
+
+
+class TestCloudStatistics:
+    def test_one_statistics_pass_per_particle_set(self, monkeypatch):
+        passes, made = [], []
+        statistics, hypothesis = localizer._cloud_statistics, mission.TargetHypothesis
+
+        def counting(points):
+            passes.append(len(points))
+            return statistics(points)
+
+        def tracking(**kwargs):
+            made.append(hypothesis(**kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(localizer, "_cloud_statistics", counting)
+        monkeypatch.setattr(mission, "TargetHypothesis", tracking)
+        runner = MissionRunner(default_scenario(1, seed=3))
+        runner.run()
+        kept = runner.hypotheses + [h for h, _ in runner.done]
+        assert runner.done and {id(h) for h in kept} <= {id(h) for h in made}
+        # every registration and every accepted update is one new particle set
+        per_set = sum(len(h.history) for h in made)
+        assert per_set == len(made) + sum(h.updates for h in made)
+        assert len(passes) == per_set
 
 
 class TestTrackLog:
