@@ -79,8 +79,26 @@ class ScenarioConfig:
             self.localizer = LocalizerConfig(max_depth=2.0 * self.search_altitude)
 
 
+# Ranges of the fields whose use sites raise on a bad value, some of them only
+# mid-mission; each check is written so that NaN and non-numbers fail it.
+_RANGES = (
+    ("uav.v_max", lambda v: v > 0, "must be positive"),
+    ("uav.a_max", lambda v: v > 0, "must be positive"),
+    ("uav.yaw_rate", lambda v: v > 0, "must be positive"),
+    ("planner.overlap", lambda v: 0 <= v < 1, "must lie in [0, 1)"),
+    ("planner.angular_step", lambda v: v > 0, "must be positive"),
+    ("planner.standoff", lambda v: v > 0, "must be positive"),
+    ("planner.n_per_circle", lambda v: isinstance(v, (int, np.integer)) and v >= 4,
+     "must be an integer of at least 4"),
+    ("planner.n_surface_samples", lambda v: v >= 1, "must be at least 1"),
+    ("mission.dt", lambda v: v > 0, "must be positive"),
+    ("mission.confirm_hits", lambda v: v >= 1, "must be at least 1"),
+)
+
+
 def validate(cfg: ScenarioConfig) -> ScenarioConfig:
-    """Check cross-field geometry the dataclass invariants cannot see."""
+    """Check cross-field geometry the dataclass invariants cannot see, and the
+    uav, planner and mission ranges in _RANGES."""
     x0, y0, x1, y1 = cfg.region
     if not (x0 < x1 and y0 < y1):
         raise ConfigError("region: must satisfy x_min < x_max and y_min < y_max")
@@ -91,10 +109,14 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
             "camera: mapping geometry requires gamma > beta/2 so the shallow "
             "scanning ray still points downward"
         )
-    if cfg.mission.dt <= 0:
-        raise ConfigError("mission.dt: must be positive")
-    if cfg.mission.confirm_hits < 1:
-        raise ConfigError("mission.confirm_hits: must be at least 1")
+    for path, in_range, rule in _RANGES:
+        section, name = path.split(".")
+        try:
+            ok = in_range(getattr(getattr(cfg, section), name))
+        except TypeError:  # not a number
+            ok = False
+        if not ok:
+            raise ConfigError(f"{path}: {rule}")
     for i, tg in enumerate(cfg.targets):
         center = np.asarray(tg.center, dtype=float)
         half = np.asarray(tg.half_extents, dtype=float)

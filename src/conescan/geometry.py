@@ -192,9 +192,7 @@ def cone_normals(corners, cam: CameraRig) -> np.ndarray:
     dirs = np.column_stack(
         [back_project_direction(corners[i], cam) for i in range(4)]
     )  # 3x4
-    normals = np.empty((4, 3))
-    for i in range(4):
-        normals[i] = np.cross(dirs[:, i], dirs[:, (i + 1) % 4])
+    normals = np.cross(dirs.T, np.roll(dirs.T, -1, axis=0))  # ray i x ray i+1
     if np.any(np.linalg.norm(normals, axis=1) < 1e-12):
         raise DegenerateConeError("zero-area bounding box")
     return normals
@@ -214,10 +212,13 @@ def camera_to_world_pose(position, yaw: float, depression: float) -> PoseSE3:
     """
     cy, sy = math.cos(yaw), math.sin(yaw)
     cg, sg = math.cos(depression), math.sin(depression)
-    x_axis = np.array([sy, -cy, 0.0])
-    z_axis = np.array([cg * cy, cg * sy, -sg])
-    y_axis = np.cross(z_axis, x_axis)
-    rot = np.column_stack([x_axis, y_axis, z_axis])
+    x0, x1, x2 = sy, -cy, 0.0
+    z0, z1, z2 = cg * cy, cg * sy, -sg
+    rot = np.array([  # columns x, y = z cross x, z
+        [x0, z1 * x2 - z2 * x1, z0],
+        [x1, z2 * x0 - z0 * x2, z1],
+        [x2, z0 * x1 - z1 * x0, z2],
+    ])
     return PoseSE3._trusted(rot, np.asarray(position, dtype=float).reshape(3))
 
 

@@ -27,6 +27,12 @@ from .geometry import (
 # collapse the cloud; an all-floor frame is skipped instead of resampled.
 WEIGHT_FLOOR = 1e-12
 
+# Cone-membership chunks: a cone that holds a fair share of a cloud holds one of
+# its first few hundred points, and fourfold growth keeps the full scan of an
+# unmatched cloud to a handful of numpy calls.
+_FIRST_CHUNK = 256
+_CHUNK_GROWTH = 4
+
 STATUS_ROUGH = "rough"
 STATUS_FINE_REQUESTED = "fine_requested"
 STATUS_CONVERGED = "converged"
@@ -177,12 +183,24 @@ def generate_particles(
 
 
 def needs_new_particle_set(existing_sets, normals: np.ndarray, world_to_cam: PoseSE3):
-    """Sets with at least one point inside the cone; empty means register fresh."""
+    """Sets with at least one point inside the cone; empty means register fresh.
+
+    Each set is tested in chunks of 256, 1,024, 4,096, ... points, in order, and
+    its test stops at the first chunk holding a point strictly inside the cone,
+    so a matched set usually costs a few hundred points; a set with no point
+    inside is tested in full. Every point gets the same `apply` and
+    `cone_contains` arithmetic, and so the same in/out decision, as in a
+    whole-set test.
+    """
     matched = []
     for ps in existing_sets:
-        pts_cam = world_to_cam.apply(ps.points)
-        if bool(cone_contains(normals, pts_cam).any()):
-            matched.append(ps)
+        start, size = 0, _FIRST_CHUNK
+        while start < len(ps.points):
+            pts_cam = world_to_cam.apply(ps.points[start:start + size])
+            if cone_contains(normals, pts_cam).any():
+                matched.append(ps)
+                break
+            start, size = start + size, size * _CHUNK_GROWTH
     return matched
 
 

@@ -44,6 +44,14 @@ class TestValidate:
         assert main(["validate", str(path)]) == 1
         assert "tracker: initial_sigma must be symmetric" in capsys.readouterr().err
 
+    def test_range_that_run_would_reject(self, tmp_path, capsys):
+        data = to_dict(default_scenario(0))
+        data["uav"]["v_max"] = 0
+        path = tmp_path / "zero_speed.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate", str(path)]) == 1
+        assert "config error: uav.v_max: must be positive" in capsys.readouterr().err
+
     def test_unparseable_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{")

@@ -101,6 +101,30 @@ class TestValidation:
         data["tracker"]["initial_sigma"] = (9.0 * np.eye(4)).tolist()
         assert np.array_equal(from_dict(data).tracker.initial_sigma, 9.0 * np.eye(4))
 
+    @pytest.mark.parametrize("section, name, value", [
+        ("uav", "v_max", 0), ("uav", "a_max", -1.0), ("uav", "yaw_rate", 0.0),
+        ("planner", "overlap", 1.0), ("planner", "overlap", -0.1),
+        ("planner", "angular_step", 0), ("planner", "standoff", 0.0),
+        ("planner", "n_per_circle", 0), ("planner", "n_per_circle", 3),
+        ("planner", "n_per_circle", 36.0), ("planner", "n_surface_samples", 0),
+        ("mission", "dt", 0.0), ("mission", "confirm_hits", 0),
+        ("uav", "v_max", "fast"), ("mission", "dt", math.nan),
+    ])
+    def test_range_rejected_at_load(self, section, name, value):
+        # each value makes its use site raise, at start, mid-mission or at mapping,
+        # or is not a number at all
+        data = to_dict(default_scenario(1))
+        data[section][name] = value
+        with pytest.raises(ConfigError, match=rf"^{section}\.{name}: "):
+            from_dict(data)
+
+    def test_range_edges_accepted(self):
+        data = to_dict(default_scenario(1))
+        data["planner"].update(overlap=0.0, n_per_circle=4, n_surface_samples=1)
+        data["mission"]["confirm_hits"] = 1
+        cfg = from_dict(data)
+        assert (cfg.planner.overlap, cfg.planner.n_per_circle) == (0.0, 4)
+
     def test_localizer_defaults_follow_altitude(self):
         cfg = validate(ScenarioConfig(search_altitude=9.0))
         assert cfg.localizer.max_depth == pytest.approx(18.0)

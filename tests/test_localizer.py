@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conescan.geometry import (
     BBox,
+    CameraRig,
     PoseSE3,
     back_project_direction,
     camera_to_world_pose,
@@ -114,6 +115,47 @@ class TestGenerateParticles:
             generate_particles(flat, PoseSE3.identity(), cam, LCFG, rng)
 
 
+# Set sizes around the first cone-membership chunk, and places for a set's only
+# inside point: the front, each side of the chunk starts at 256 and 1,280, the
+# back, or nowhere.
+CHUNK_SIZES = (2, 255, 256, 257, 5000)
+CHUNK_PLACES = (0, 255, 256, 257, 1279, 1280, 1281, "last", None)
+CHUNK_LAYOUTS = [(n, p) for n in CHUNK_SIZES for p in CHUNK_PLACES
+                 if p is None or p == "last" or p < n]
+
+
+def one_inside_sets(layouts, seed):
+    """Particle sets, one per (size, place), whose points lie in the cone of a box
+    sharing an edge with the test box, except one point at `place` that lies in
+    the test box's cone. Returns the sets, the test cone's normals and its pose."""
+    cam = CameraRig(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480,
+                    gamma=math.radians(55.0), beta=math.radians(40.0))
+    inside, beside = BBox(200, 150, 420, 330), BBox(420, 150, 600, 330)
+    rng = np.random.default_rng(seed)
+    cam_to_world = random_pose(rng)
+    sets = []
+    for tid, (n, place) in enumerate(layouts):
+        lcfg = LocalizerConfig(n_particles=max(n, 100), max_depth=24.0)
+        pts = generate_particles(beside.corners_clockwise(), cam_to_world, cam, lcfg,
+                                 rng).points[:n].copy()
+        if place is not None:
+            pts[n - 1 if place == "last" else place] = generate_particles(
+                inside.corners_clockwise(), cam_to_world, cam, LCFG, rng).points[0]
+        sets.append(cloud(pts, target_id=tid))
+    return sets, cone_normals(inside.corners_clockwise(), cam), cam_to_world.inverse()
+
+
+class _RowCountingPose:
+    """A pose that counts the rows it transforms."""
+
+    def __init__(self, pose):
+        self.pose, self.rows = pose, 0
+
+    def apply(self, points):
+        self.rows += len(points)
+        return self.pose.apply(points)
+
+
 class TestNeedsNewParticleSet:
     def test_no_sets_means_register(self, cam):
         normals = cone_normals(BBox(10, 10, 50, 50).corners_clockwise(), cam)
@@ -135,6 +177,27 @@ class TestNeedsNewParticleSet:
         normals = cone_normals(corners, cam)
         matched = needs_new_particle_set([front, behind], normals, PoseSE3.identity())
         assert [ps.target_id for ps in matched] == [0]
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), layouts=st.permutations(CHUNK_LAYOUTS))
+    def test_matches_full_scan_in_order(self, seed, layouts):
+        sets, normals, world_to_cam = one_inside_sets(layouts, seed)
+        full = [cone_contains(normals, world_to_cam.apply(ps.points)) for ps in sets]
+        assert [int(mask.sum()) for mask in full] == [p is not None for _, p in layouts]
+        expected = [ps for ps, mask in zip(sets, full) if mask.any()]
+        assert needs_new_particle_set(sets, normals, world_to_cam) == expected
+
+    def test_a_hit_at_the_front_stops_the_scan(self):
+        sets, normals, world_to_cam = one_inside_sets([(100_000, 0)], seed=31)
+        counting = _RowCountingPose(world_to_cam)
+        assert needs_new_particle_set(sets, normals, counting) == sets
+        assert counting.rows <= 256
+
+    def test_a_set_without_a_hit_is_transformed_once(self):
+        sets, normals, world_to_cam = one_inside_sets([(100_000, None)], seed=31)
+        counting = _RowCountingPose(world_to_cam)
+        assert needs_new_particle_set(sets, normals, counting) == []
+        assert counting.rows == 100_000
 
 
 class TestWeightDensity:

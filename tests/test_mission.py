@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -172,6 +173,8 @@ GOLDEN_DIGESTS = {
     },
 }
 
+ONE_TARGET_100K_REPORT = "54f71725543a371ff32d2636dd7d1a76077872025da11ea5dfbf7624823d14be"
+
 
 def _digest(out, pattern):
     sha = hashlib.sha256()
@@ -190,6 +193,14 @@ class TestGoldenDigests:
         _, _, out = request.getfixturevalue(run)
         digests = {name: _digest(out, name) for name in GOLDEN_DIGESTS[run]}
         assert digests == GOLDEN_DIGESTS[run]
+
+    def test_one_target_100k_report_digest(self):
+        # the stock one-target mission at the particle count where the localizer
+        # dominates, run without a run directory as the benchmark runs it
+        cfg = default_scenario(1, seed=3)
+        cfg.localizer = dataclasses.replace(cfg.localizer, n_particles=100_000)
+        text = json.dumps(run_scenario(cfg).to_dict(), indent=2, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == ONE_TARGET_100K_REPORT
 
 
 class TestCloudStatistics:
