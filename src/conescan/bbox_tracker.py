@@ -29,6 +29,8 @@ _HOM_LIFT = np.array(
     dtype=float,
 )
 _HOM_OFFSET = np.array([0, 0, 1, 0, 0, 1], dtype=float)
+_EYE4 = np.eye(4)
+_EYE4.flags.writeable = False
 _HOM_DROP = np.array(
     [
         [1, 0, 0, 0, 0, 0],
@@ -165,11 +167,18 @@ def predict(
     by congruence (lift, motion, drop) plus the process noise, which keeps it
     symmetric PSD. noise_scale inflates the process noise when the similarity
     is a fallback identity.
+
+    For the shared identity every product in those congruences is by 1 or 0,
+    so the box stays put and the covariance is exactly sigma plus the process
+    noise; that case skips the 6x6 products.
     """
+    e2 = cfg.predict_noise_px**2 * noise_scale
+    if sim is _IDENTITY:
+        sigma_pred = track.sigma + e2 * _EYE4
+        return replace(track, sigma=0.5 * (sigma_pred + sigma_pred.T))
     motion = np.zeros((6, 6))
     motion[:3, :3] = sim.matrix
     motion[3:, 3:] = sim.matrix
-    e2 = cfg.predict_noise_px**2 * noise_scale
     process_cov = np.diag([e2, e2, 0.0, e2, e2, 0.0])
 
     x = _HOM_LIFT @ track.u.as_array() + _HOM_OFFSET

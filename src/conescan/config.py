@@ -80,7 +80,9 @@ class ScenarioConfig:
 
 
 # Ranges of the fields whose use sites raise on a bad value, some of them only
-# mid-mission; each check is written so that NaN and non-numbers fail it.
+# mid-mission, or that would run a mission unable to find anything (a negative
+# baseline, replan distance or found radius, no sim time); each check is
+# written so that NaN and non-numbers fail it.
 _RANGES = (
     ("uav.v_max", lambda v: v > 0, "must be positive"),
     ("uav.a_max", lambda v: v > 0, "must be positive"),
@@ -93,6 +95,10 @@ _RANGES = (
     ("planner.n_surface_samples", lambda v: v >= 1, "must be at least 1"),
     ("mission.dt", lambda v: v > 0, "must be positive"),
     ("mission.confirm_hits", lambda v: v >= 1, "must be at least 1"),
+    ("mission.min_update_baseline", lambda v: v >= 0, "must be non-negative"),
+    ("mission.fine_replan_distance", lambda v: v >= 0, "must be non-negative"),
+    ("mission.found_radius", lambda v: v >= 0, "must be non-negative"),
+    ("mission.max_sim_time", lambda v: v > 0, "must be positive"),
 )
 
 

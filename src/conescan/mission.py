@@ -53,6 +53,7 @@ from .mapping_planner import (
 )
 from .simulator import (
     DetectionDelay,
+    TruthPoints,
     WaypointFollower,
     make_target,
     perturb_pose,
@@ -208,6 +209,7 @@ class MissionRunner:
                         substream(seed, "target_features", i))
             for i, t in enumerate(cfg.targets)
         ]
+        self.truth = TruthPoints(self.targets)
         self.det_rng = substream(seed, "detector")
         self.klt_rng = substream(seed, "klt")
         self.pose_rng = substream(seed, "pose")
@@ -234,7 +236,7 @@ class MissionRunner:
         self.t = 0.0
         self.distance = 0.0
         self.transitions = []
-        self._prev_true_w2c = None
+        self._prev_truth = None  # last frame's TargetProjection per target
         self._prev_target_boxes = {}
         self._fine = None  # per fine-phase bookkeeping
 
@@ -272,25 +274,24 @@ class MissionRunner:
 
     # ------------------------------------------------------------- perception
 
-    def _true_target_boxes(self, world_to_cam):
+    def _true_target_boxes(self, truth):
         """Exact projected AABB per fully-in-front target (for the KLT matcher)."""
         boxes = {}
-        for tg in self.targets:
-            pix, depth = project_points(tg.corners(), world_to_cam, self.cam)
-            if np.any(depth <= 0):
+        for tg, proj in zip(self.targets, truth):
+            box = proj.corner_box()
+            if box is None:
                 continue
-            u0, v0 = pix[:, 0].min(), pix[:, 1].min()
-            u1, v1 = pix[:, 0].max(), pix[:, 1].max()
+            u0, v0, u1, v1 = box
             if u1 <= 0 or v1 <= 0 or u0 >= self.cam.width or v0 >= self.cam.height:
                 continue
             if u0 < u1 and v0 < v1:
                 boxes[tg.id] = BBox(u0, v0, u1, v1)
         return boxes
 
-    def _similarities(self, true_w2c):
+    def _similarities(self, truth):
         """Per-track image similarity from simulated feature correspondences."""
         sims = {}
-        if self._prev_true_w2c is None:
+        if self._prev_truth is None:
             return sims
         for track in sorted(self.tracker.active(), key=lambda t: t.id):
             best_id, best_iou = None, 0.1
@@ -301,7 +302,7 @@ class MissionRunner:
             if best_id is None:
                 continue
             pair = simulate_klt(
-                self.targets[best_id], self._prev_true_w2c, true_w2c,
+                self._prev_truth[best_id], truth[best_id],
                 self.cam, self.noise, self.klt_rng,
             )
             if pair is None:
@@ -554,9 +555,11 @@ class MissionRunner:
         true_w2c = true_c2w.inverse()
         est_w2c = est_c2w.inverse()
 
+        # all ground truth projected once; the next frame's KLT reuses it
+        truth = self.truth.split(*project_points(self.truth.points, true_w2c, self.cam))
         detections = self.detection_delay.push(simulate_detector(
-            self.targets, true_w2c, self.cam, self.noise, self.det_rng))
-        sims = self._similarities(true_w2c)
+            truth, self.cam, self.noise, self.det_rng))
+        sims = self._similarities(truth)
         n_retired = len(self.tracker.retired)
         updated = self.tracker.step(detections, sims, self.frame)
         if self.log.tracks is not None:
@@ -588,8 +591,8 @@ class MissionRunner:
 
         finished = self._step_modes()
 
-        self._prev_true_w2c = true_w2c
-        self._prev_target_boxes = self._true_target_boxes(true_w2c)
+        self._prev_truth = truth
+        self._prev_target_boxes = self._true_target_boxes(truth)
         self.log.row(
             self.log.path,
             [_fmt(self.t), _fmt(pos[0]), _fmt(pos[1]), _fmt(pos[2]), _fmt(yaw),

@@ -3,22 +3,19 @@
 Everything the estimation stack would get from real hardware is generated
 here from ground truth plus explicit, seeded noise. Targets are axis-aligned
 boxes carrying surface feature points so the detector sees an exact projected
-bounding box and the feature tracker sees real correspondences.
+bounding box and the feature tracker sees real correspondences. Each frame
+projects all ground truth once (`TruthPoints`); the detector reads the
+frame's projection and the feature tracker this frame's and the last one's.
 """
 
 import hashlib
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import (
-    BBox,
-    CameraRig,
-    PoseSE3,
-    project_points,
-    wrap_angle,
-)
+from .geometry import BBox, CameraRig, PoseSE3, wrap_angle
 
 def substream(seed: int, *key) -> np.random.Generator:
     """Named, order-independent RNG substream of one scenario seed."""
@@ -30,6 +27,12 @@ def substream(seed: int, *key) -> np.random.Generator:
         else:
             parts.append(int(item) & 0xFFFFFFFFFFFFFFFF)
     return np.random.default_rng(np.random.SeedSequence(parts))
+
+
+_CORNER_SIGNS = np.array(
+    [[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)],
+    dtype=float,
+)
 
 
 @dataclass(frozen=True)
@@ -47,13 +50,56 @@ class TargetTruth:
         object.__setattr__(self, "features", np.asarray(self.features, dtype=float))
         if np.any(self.half_extents <= 0):
             raise ValueError("half_extents must be positive")
+        corners = self.center + _CORNER_SIGNS * self.half_extents
+        corners.flags.writeable = False
+        object.__setattr__(self, "_corners", corners)
 
     def corners(self) -> np.ndarray:
-        signs = np.array(
-            [[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)],
-            dtype=float,
-        )
-        return self.center + signs * self.half_extents
+        """The 8 box corners, computed once; the array is read-only."""
+        return self._corners
+
+
+class TargetProjection(NamedTuple):
+    """One target's ground truth projected at one pose, rows in `TruthPoints`
+    order: center, 8 corners, features. Rows with depth <= 0 carry
+    meaningless pixels."""
+
+    pix: np.ndarray  # (9 + k, 2)
+    depth: np.ndarray  # (9 + k,)
+
+    def corner_box(self):
+        """(u_min, v_min, u_max, v_max) of the projected corners, or None when
+        a corner lies behind the camera."""
+        if np.any(self.depth[1:9] <= 0):
+            return None
+        pix = self.pix[1:9]
+        return pix[:, 0].min(), pix[:, 1].min(), pix[:, 0].max(), pix[:, 1].max()
+
+    @property
+    def feature_pix(self) -> np.ndarray:
+        return self.pix[9:]
+
+    @property
+    def feature_depth(self) -> np.ndarray:
+        return self.depth[9:]
+
+
+class TruthPoints:
+    """Every target's center, 8 corners and features stacked in one read-only
+    (n, 3) array, so that a frame projects all ground truth in one call;
+    `split` cuts that projection into one `TargetProjection` per target.
+    Rows are transformed independently, so a target's slice carries the same
+    bits as projecting its block alone."""
+
+    def __init__(self, targets):
+        blocks = [np.vstack([tg.center, tg.corners(), tg.features]) for tg in targets]
+        self.points = np.vstack(blocks) if blocks else np.empty((0, 3))
+        self.points.flags.writeable = False
+        ends = np.cumsum([len(b) for b in blocks], dtype=int).tolist()
+        self._bounds = list(zip([0] + ends[:-1], ends))
+
+    def split(self, pix: np.ndarray, depth: np.ndarray) -> list:
+        return [TargetProjection(pix[a:b], depth[a:b]) for a, b in self._bounds]
 
 
 def make_target(
@@ -246,30 +292,37 @@ class WaypointFollower:
         return self.position.copy(), self.yaw, self.velocity.copy()
 
 
-def simulate_detector(targets, world_to_cam: PoseSE3, cam: CameraRig,
-                      noise: NoiseModel, rng: np.random.Generator):
-    """Noisy detections: perturbed true boxes plus Poisson false positives."""
+def _clamp(x, hi) -> float:
+    """np.clip(x, 0, hi) as a float, bitwise, for any x but NaN."""
+    return float(min(max(0.0, x), hi))
+
+
+def simulate_detector(projections, cam: CameraRig, noise: NoiseModel,
+                      rng: np.random.Generator):
+    """Noisy detections: perturbed true boxes plus Poisson false positives.
+
+    `projections` holds one `TargetProjection` per target, from the frame's
+    single projection of `TruthPoints` at the true pose. A target is detectable
+    when its center projects in front of the camera and inside the image and
+    all 8 corners lie in front.
+    """
     detections = []
-    for tg in targets:
-        center_pix, center_depth = project_points(tg.center, world_to_cam, cam)
-        if center_depth[0] <= 0:
+    for proj in projections:
+        if proj.depth[0] <= 0:
             continue
-        u, v = center_pix[0]
+        u, v = proj.pix[0]
         if not (0 <= u < cam.width and 0 <= v < cam.height):
             continue
         if rng.uniform() >= noise.detect_prob:
             continue
-        pix, depth = project_points(tg.corners(), world_to_cam, cam)
-        if np.any(depth <= 0):
+        box = proj.corner_box()
+        if box is None:
             continue
-        coords = np.array(
-            [pix[:, 0].min(), pix[:, 1].min(), pix[:, 0].max(), pix[:, 1].max()]
-        )
-        coords += noise.detector_pixel_sigma * rng.standard_normal(4)
-        u_min = float(np.clip(coords[0], 0, cam.width))
-        v_min = float(np.clip(coords[1], 0, cam.height))
-        u_max = float(np.clip(coords[2], 0, cam.width))
-        v_max = float(np.clip(coords[3], 0, cam.height))
+        coords = np.array(box) + noise.detector_pixel_sigma * rng.standard_normal(4)
+        u_min = _clamp(coords[0], cam.width)
+        v_min = _clamp(coords[1], cam.height)
+        u_max = _clamp(coords[2], cam.width)
+        v_max = _clamp(coords[3], cam.height)
         if u_min < u_max and v_min < v_max:
             detections.append(BBox(u_min, v_min, u_max, v_max))
 
@@ -278,25 +331,24 @@ def simulate_detector(targets, world_to_cam: PoseSE3, cam: CameraRig,
         cv = rng.uniform(0, cam.height)
         w = rng.uniform(10, 60)
         h = rng.uniform(10, 60)
-        u_min = float(np.clip(cu - w / 2, 0, cam.width))
-        v_min = float(np.clip(cv - h / 2, 0, cam.height))
-        u_max = float(np.clip(cu + w / 2, 0, cam.width))
-        v_max = float(np.clip(cv + h / 2, 0, cam.height))
+        u_min = _clamp(cu - w / 2, cam.width)
+        v_min = _clamp(cv - h / 2, cam.height)
+        u_max = _clamp(cu + w / 2, cam.width)
+        v_max = _clamp(cv + h / 2, cam.height)
         if u_min < u_max and v_min < v_max:
             detections.append(BBox(u_min, v_min, u_max, v_max))
     return detections
 
 
-def simulate_klt(target: TargetTruth, world_to_cam_prev: PoseSE3,
-                 world_to_cam_curr: PoseSE3, cam: CameraRig,
+def simulate_klt(prev: TargetProjection, curr: TargetProjection, cam: CameraRig,
                  noise: NoiseModel, rng: np.random.Generator):
-    """Noisy pixel correspondences of the target's surface features.
+    """Noisy pixel correspondences of one target's surface features.
 
-    Returns (prev_pixels, curr_pixels) for features visible at both poses, or
-    None when fewer than 4 are covisible.
+    `prev` and `curr` are the target's projections at the previous and the
+    current frame's true pose; a runner keeps the previous frame's projection
+    rather than projecting again. Returns (prev_pixels, curr_pixels) for
+    features visible at both poses, or None when fewer than 4 are covisible.
     """
-    prev_pix, prev_depth = project_points(target.features, world_to_cam_prev, cam)
-    curr_pix, curr_depth = project_points(target.features, world_to_cam_curr, cam)
 
     def visible(pix, depth):
         return (
@@ -305,12 +357,14 @@ def simulate_klt(target: TargetTruth, world_to_cam_prev: PoseSE3,
             & (pix[:, 1] >= 0) & (pix[:, 1] < cam.height)
         )
 
-    keep = visible(prev_pix, prev_depth) & visible(curr_pix, curr_depth)
-    if keep.sum() < 4:
+    prev_pix, curr_pix = prev.feature_pix, curr.feature_pix
+    keep = visible(prev_pix, prev.feature_depth) & visible(curr_pix, curr.feature_depth)
+    n = int(keep.sum())
+    if n < 4:
         return None
-    prev = prev_pix[keep] + noise.klt_pixel_sigma * rng.standard_normal((keep.sum(), 2))
-    curr = curr_pix[keep] + noise.klt_pixel_sigma * rng.standard_normal((keep.sum(), 2))
-    return prev, curr
+    noisy_prev = prev_pix[keep] + noise.klt_pixel_sigma * rng.standard_normal((n, 2))
+    noisy_curr = curr_pix[keep] + noise.klt_pixel_sigma * rng.standard_normal((n, 2))
+    return noisy_prev, noisy_curr
 
 
 def perturb_pose(pose: PoseSE3, noise: NoiseModel, rng: np.random.Generator) -> PoseSE3:

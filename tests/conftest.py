@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conescan.geometry import CameraRig, PoseSE3
+from conescan.geometry import CameraRig, PoseSE3, project_points
+from conescan.simulator import TruthPoints
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -18,6 +19,13 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
 def random_pose(rng: np.random.Generator, translation_scale: float = 10.0) -> PoseSE3:
     return PoseSE3(random_rotation(rng),
                    translation_scale * rng.standard_normal(3))
+
+
+def project_truth(targets, world_to_cam: PoseSE3, cam: CameraRig) -> list:
+    """Each target's TargetProjection at one pose, made as MissionRunner makes
+    them: one project_points call over TruthPoints, cut by split."""
+    truth = TruthPoints(targets)
+    return truth.split(*project_points(truth.points, world_to_cam, cam))
 
 
 @pytest.fixture

@@ -47,6 +47,8 @@ from conescan.localizer import (
 from conescan.mapping_planner import Cylinder, coverage_check, scan_circles
 from conescan.mission import EXIT_UNCONVERGED, MissionRunner, run_scenario
 from conescan.simulator import NoiseModel, make_target, simulate_detector, simulate_klt
+
+from conftest import project_truth
 from conescan.view_planner import (
     Waypoint,
     fine_localization_circle,
@@ -215,7 +217,7 @@ def test_criterion_4_filter_benefit():
     radius = (12.0 - 0.8) / math.tan(CAM.gamma)
 
     raw_sq, tracked_sq = [], []
-    prev_w2c = None
+    prev_proj = None
     prev_truth = None
     spawn_truth_iou = {}
     for frame in range(1, 501):
@@ -225,14 +227,15 @@ def test_criterion_4_filter_benefit():
         truth = np.array([pix[:, 0].min(), pix[:, 1].min(),
                           pix[:, 0].max(), pix[:, 1].max()])
         truth_box = BBox(*truth)
-        detections = simulate_detector([target], w2c, CAM, noise, det_rng)
+        (proj,) = project_truth([target], w2c, CAM)
+        detections = simulate_detector([proj], CAM, noise, det_rng)
 
         sims = {}
-        if prev_w2c is not None:
+        if prev_proj is not None:
             for track in tracker.active():
                 if iou(track.u, prev_truth) < 0.1:
                     continue
-                pair = simulate_klt(target, prev_w2c, w2c, CAM, noise, klt_rng)
+                pair = simulate_klt(prev_proj, proj, CAM, noise, klt_rng)
                 if pair is None:
                     continue
                 try:
@@ -254,7 +257,7 @@ def test_criterion_4_filter_benefit():
             continue
         raw_sq.extend((best_det.as_array() - truth) ** 2)
         tracked_sq.extend((main.u.as_array() - truth) ** 2)
-        prev_w2c, prev_truth = w2c, truth_box
+        prev_proj, prev_truth = proj, truth_box
 
     raw_rmse = math.sqrt(np.mean(raw_sq))
     tracked_rmse = math.sqrt(np.mean(tracked_sq))

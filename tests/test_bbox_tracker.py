@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from conescan.bbox_tracker import (
     iou,
     predict,
     prune,
+    _is_symmetric,
     update,
 )
 from conescan.geometry import BBox
@@ -137,6 +139,49 @@ class TestPredict:
             out = predict(track, sim, CFG)
             assert out.u.as_array() == pytest.approx(expected_u, abs=1e-9)
             assert out.sigma == pytest.approx(expected_sigma, abs=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), noise_scale=st.sampled_from([1.0, 4.0]),
+           skewed=st.booleans())
+    def test_identity_shortcut_equals_full_path(self, seed, noise_scale, skewed):
+        # the shared identity skips the 6x6 congruence; a fresh identity
+        # matrix is not shared, so it takes the full homogeneous path
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((4, 4)) * rng.uniform(0.1, 30.0)
+        sigma = a @ a.T + rng.uniform(1e-3, 10.0) * np.eye(4)
+        if skewed:  # symmetric only to the tolerance _is_symmetric allows
+            sigma[0, 1] += 0.9e-9 * max(1.0, float(np.abs(sigma).max()))
+            assert _is_symmetric(sigma) and not np.array_equal(sigma, sigma.T)
+        u0, v0 = rng.uniform(-100, 700, size=2)
+        w, h = rng.uniform(1, 200, size=2)
+        track = BoxTrack(id=5, u=BBox(u0, v0, u0 + w, v0 + h), sigma=sigma,
+                         spawn_frame=2, hits=3)
+        fresh = SimilarityTransform2D(np.eye(3))
+        assert fresh is not SimilarityTransform2D.identity()
+        shared = SimilarityTransform2D.identity()
+        fast = predict(track, shared, CFG, noise_scale=noise_scale)
+        full = predict(track, fresh, CFG, noise_scale=noise_scale)
+        assert fast.sigma.tobytes() == full.sigma.tobytes()
+        assert fast.u.as_array().tobytes() == full.u.as_array().tobytes()
+        assert fast.u == track.u
+        rest = dict(u=None, sigma=None)
+        assert dataclasses.replace(fast, **rest) == dataclasses.replace(full, **rest)
+
+    def test_identity_shortcut_on_the_initial_sigma(self):
+        track = make_track((3, 4, 50, 60), sigma=CFG.initial_sigma)
+        for scale in (1.0, 4.0):
+            fast = predict(track, SimilarityTransform2D.identity(), CFG, noise_scale=scale)
+            full = predict(track, SimilarityTransform2D(np.eye(3)), CFG, noise_scale=scale)
+            assert fast.sigma.tobytes() == full.sigma.tobytes()
+
+    def test_shared_identity_skips_the_homogeneous_path(self, monkeypatch):
+        def refuse(x):
+            raise AssertionError("identity predict went through homogeneous coordinates")
+
+        monkeypatch.setattr("conescan.bbox_tracker.to_euclidean", refuse)
+        out = predict(make_track(), SimilarityTransform2D.identity(), CFG, noise_scale=4.0)
+        e2 = 4.0 * CFG.predict_noise_px**2
+        assert np.array_equal(out.sigma, np.eye(4) + e2 * np.eye(4))
 
     def test_rejects_non_finite(self):
         m = np.eye(3)

@@ -52,6 +52,16 @@ class TestValidate:
         assert main(["validate", str(path)]) == 1
         assert "config error: uav.v_max: must be positive" in capsys.readouterr().err
 
+    def test_mission_that_could_find_nothing(self, tmp_path, capsys):
+        # a negative found radius ran to the end and exited 2 with 0 found
+        data = to_dict(default_scenario(0))
+        data["mission"]["found_radius"] = -1.0
+        path = tmp_path / "negative_radius.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate", str(path)]) == 1
+        assert ("config error: mission.found_radius: must be non-negative"
+                in capsys.readouterr().err)
+
     def test_unparseable_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{")

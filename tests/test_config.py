@@ -125,6 +125,27 @@ class TestValidation:
         cfg = from_dict(data)
         assert (cfg.planner.overlap, cfg.planner.n_per_circle) == (0.0, 4)
 
+    @pytest.mark.parametrize("name, bad", [
+        ("min_update_baseline", -0.01), ("fine_replan_distance", -1.0),
+        ("found_radius", -1.0), ("max_sim_time", 0.0), ("max_sim_time", -1.0),
+    ])
+    @pytest.mark.parametrize("kind", ["out_of_range", "nan", "string"])
+    def test_useless_mission_value_rejected_at_load(self, name, bad, kind):
+        # each value runs a mission that finds nothing, so validate rejects it
+        value = {"out_of_range": bad, "nan": math.nan, "string": "far"}[kind]
+        data = to_dict(default_scenario(1))
+        data["mission"][name] = value
+        with pytest.raises(ConfigError, match=rf"^mission\.{name}: "):
+            from_dict(data)
+
+    def test_mission_value_edges_accepted(self):
+        data = to_dict(default_scenario(1))
+        data["mission"].update(min_update_baseline=0.0, fine_replan_distance=0,
+                               found_radius=0.0, max_sim_time=1e-9)
+        m = from_dict(data).mission
+        assert (m.min_update_baseline, m.fine_replan_distance, m.found_radius,
+                m.max_sim_time) == (0.0, 0, 0.0, 1e-9)
+
     def test_localizer_defaults_follow_altitude(self):
         cfg = validate(ScenarioConfig(search_altitude=9.0))
         assert cfg.localizer.max_depth == pytest.approx(18.0)

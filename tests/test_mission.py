@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conescan import localizer, mission
+from conescan import localizer, mission, simulator
 from conescan.config import default_scenario
 from conescan.localizer import LocalizerConfig
 from conescan.mission import (
@@ -226,6 +226,32 @@ class TestCloudStatistics:
         per_set = sum(len(h.history) for h in made)
         assert per_set == len(made) + sum(h.updates for h in made)
         assert len(passes) == per_set
+
+
+class TestTruthProjection:
+    def test_one_projection_per_frame(self, monkeypatch):
+        projected, klt_inputs = [], []
+        project, klt = mission.project_points, mission.simulate_klt
+
+        def counting(points, world_to_cam, cam):
+            projected.append(project(points, world_to_cam, cam))
+            return projected[-1]
+
+        def recording(prev, curr, *args):
+            klt_inputs.append((runner.frame, prev, curr))
+            return klt(prev, curr, *args)
+
+        for module in (mission, simulator):
+            monkeypatch.setattr(module, "project_points", counting, raising=False)
+        monkeypatch.setattr(mission, "simulate_klt", recording)
+        runner = MissionRunner(default_scenario(2, seed=7))
+        runner.run()
+        assert runner.frame > 0 and len(projected) == runner.frame
+        # KLT reads the previous frame's projection, not a new one of its pose
+        assert klt_inputs
+        for frame, prev, curr in klt_inputs:
+            assert np.shares_memory(prev.pix, projected[frame - 2][0])
+            assert np.shares_memory(curr.pix, projected[frame - 1][0])
 
 
 class TestTrackLog:

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from conescan.geometry import PoseSE3, project_points, wrap_angle
+from conescan.geometry import PoseSE3, camera_to_world_pose, project_points, wrap_angle
 from conescan.simulator import (
     DetectionDelay,
     NoiseModel,
     TargetTruth,
+    TruthPoints,
     WaypointFollower,
     make_target,
     perturb_pose,
@@ -17,7 +20,7 @@ from conescan.simulator import (
 )
 from conescan.view_planner import Waypoint
 
-from conftest import random_pose
+from conftest import project_truth, random_pose
 
 
 def overhead_world_to_cam(position):
@@ -149,6 +152,74 @@ class TestDetectionDelay:
             DetectionDelay(-1)
 
 
+class TestTruthPoints:
+    @staticmethod
+    def place(where, cam, rng):
+        """A camera-frame target center: in view, behind the camera, in front
+        but out of frame, or straddling the image plane."""
+        depth = {"ahead": rng.uniform(2, 40), "behind": -rng.uniform(2, 40),
+                 "aside": rng.uniform(2, 40), "straddle": rng.uniform(-0.5, 0.5)}[where]
+        u, v = rng.uniform(0, cam.width), rng.uniform(0, cam.height)
+        if where == "aside":
+            off = rng.uniform(200, 3000)
+            u = -off if rng.uniform() < 0.5 else cam.width + off
+        x = (u - cam.cx) / cam.fx * abs(depth)
+        y = (v - cam.cy) / cam.fy * abs(depth)
+        return np.array([x, y, depth])
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**32 - 1), survey_pose=st.booleans(),
+           placements=st.lists(st.sampled_from(["ahead", "behind", "aside", "straddle"]),
+                               min_size=1, max_size=4))
+    def test_slices_equal_separate_projections(self, cam, seed, survey_pose, placements):
+        # one projection per frame must give each target the bits that its
+        # own block, and the center / corner / feature calls it replaced, give
+        rng = np.random.default_rng(seed)
+        if survey_pose:
+            c2w = camera_to_world_pose(rng.uniform(-30, 30, 3),
+                                       rng.uniform(-math.pi, math.pi), cam.gamma)
+        else:
+            c2w = random_pose(rng)
+        targets = [
+            make_target(i, c2w.apply(self.place(where, cam, rng)),
+                        rng.uniform(0.1, 2.0, 3), int(rng.integers(4, 40)), rng)
+            for i, where in enumerate(placements)
+        ]
+        # world-to-camera poses made as the runner makes them, one frame apart
+        prev_w2c = perturb_pose(c2w, NoiseModel(), rng).inverse()
+        w2c = c2w.inverse()
+        truth = TruthPoints(targets)
+        prev = truth.split(*project_points(truth.points, prev_w2c, cam))
+        curr = truth.split(*project_points(truth.points, w2c, cam))
+        assert len(prev) == len(curr) == len(targets)
+        # the kept previous frame still equals a fresh projection at its pose
+        for pose, frame in ((prev_w2c, prev), (w2c, curr)):
+            for tg, proj in zip(targets, frame):
+                block = np.vstack([tg.center, tg.corners(), tg.features])
+                parts = [(proj.pix, proj.depth, block),
+                         (proj.pix[:1], proj.depth[:1], tg.center),
+                         (proj.pix[1:9], proj.depth[1:9], tg.corners()),
+                         (proj.feature_pix, proj.feature_depth, tg.features)]
+                for pix, depth, points in parts:
+                    fresh_pix, fresh_depth = project_points(points, pose, cam)
+                    assert np.array_equal(pix, fresh_pix)
+                    assert np.array_equal(depth, fresh_depth)
+
+    def test_no_targets_project_no_rows(self, cam):
+        truth = TruthPoints([])
+        assert truth.points.shape == (0, 3)
+        assert truth.split(*project_points(truth.points, PoseSE3.identity(), cam)) == []
+
+    def test_points_and_corners_are_read_only(self):
+        tg = make_target(0, [1.0, 2.0, 0.5], [0.5, 0.4, 0.5], 6, np.random.default_rng(0))
+        assert tg.corners() is tg.corners()
+        with pytest.raises(ValueError):
+            tg.corners()[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            TruthPoints([tg]).points[0, 0] = 0.0
+
+
 class TestSimulateDetector:
     def quiet(self, **kw):
         base = dict(detector_pixel_sigma=0.0, detect_prob=1.0,
@@ -160,7 +231,7 @@ class TestSimulateDetector:
         rng = np.random.default_rng(1)
         tg = make_target(0, [0.3, -0.2, 0.4], [0.5, 0.4, 0.4], 10, rng)
         w2c = overhead_world_to_cam([0, 0, 10])
-        dets = simulate_detector([tg], w2c, cam, self.quiet(), rng)
+        dets = simulate_detector(project_truth([tg], w2c, cam), cam, self.quiet(), rng)
         assert len(dets) == 1
         pix, depth = project_points(tg.corners(), w2c, cam)
         assert np.all(depth > 0)
@@ -173,7 +244,7 @@ class TestSimulateDetector:
         half = np.array([1.0, 1.0, 0.01])
         tg = make_target(0, [0, 0, 5.0], half, 10, rng)
         w2c = overhead_world_to_cam([0, 0, 15.0])
-        det = simulate_detector([tg], w2c, cam, self.quiet(), rng)[0]
+        det = simulate_detector(project_truth([tg], w2c, cam), cam, self.quiet(), rng)[0]
         near_depth = 15.0 - 5.01
         assert det.width == pytest.approx(cam.fx * 2.0 / near_depth, rel=1e-6)
         assert det.height == pytest.approx(cam.fy * 2.0 / near_depth, rel=1e-6)
@@ -185,15 +256,16 @@ class TestSimulateDetector:
         w2c = overhead_world_to_cam([0, 0, 10])
         pix, _ = project_points(tg.corners(), w2c, cam)
         true_box = [pix[:, 0].min(), pix[:, 1].min(), pix[:, 0].max(), pix[:, 1].max()]
+        truth = project_truth([tg], w2c, cam)
         for _ in range(50):
-            for det in simulate_detector([tg], w2c, cam, noise, rng):
+            for det in simulate_detector(truth, cam, noise, rng):
                 assert det.as_array() != pytest.approx(true_box, abs=1e-6)
 
     def test_out_of_frame_target_not_detected(self, cam):
         rng = np.random.default_rng(4)
         tg = make_target(0, [50, 0, 0.4], [0.5, 0.5, 0.4], 10, rng)
-        dets = simulate_detector([tg], overhead_world_to_cam([0, 0, 10]), cam,
-                                 self.quiet(), rng)
+        truth = project_truth([tg], overhead_world_to_cam([0, 0, 10]), cam)
+        dets = simulate_detector(truth, cam, self.quiet(), rng)
         assert dets == []
 
     def test_noisy_boxes_enclose_silhouette(self, cam):
@@ -207,10 +279,11 @@ class TestSimulateDetector:
         ahead = 9.0 / math.tan(cam.gamma)
         w2c = camera_to_world_pose([-ahead, 0, 9.9], 0.0, cam.gamma).inverse()
         sil_pix, _ = project_points(tg.features, w2c, cam)
+        truth = project_truth([tg], w2c, cam)
         inside = 0
         total = 0
         for _ in range(1000):
-            det = simulate_detector([tg], w2c, cam, noise, rng)[0]
+            det = simulate_detector(truth, cam, noise, rng)[0]
             inside += np.count_nonzero(
                 (sil_pix[:, 0] >= det.u_min) & (sil_pix[:, 0] <= det.u_max)
                 & (sil_pix[:, 1] >= det.v_min) & (sil_pix[:, 1] <= det.v_max)
@@ -223,11 +296,11 @@ class TestSimulateDetector:
                          np.random.default_rng(6))
         noise = NoiseModel(detector_pixel_sigma=2.0, detect_prob=0.7,
                            false_positive_rate=0.5)
-        w2c = overhead_world_to_cam([0, 0, 10])
+        truth = project_truth([tg], overhead_world_to_cam([0, 0, 10]), cam)
         runs = []
         for _ in range(2):
             rng = substream(42, "detector")
-            frames = [simulate_detector([tg], w2c, cam, noise, rng)
+            frames = [simulate_detector(truth, cam, noise, rng)
                       for _ in range(20)]
             runs.append([[d.as_array().tolist() for d in f] for f in frames])
         assert runs[0] == runs[1]
@@ -238,8 +311,8 @@ class TestSimulateKlt:
         rng = np.random.default_rng(7)
         tg = make_target(0, [0, 0, 0.4], [0.5, 0.5, 0.4], 30, rng)
         noise = NoiseModel(klt_pixel_sigma=0.0)
-        w2c = overhead_world_to_cam([0, 0, 10])
-        prev, curr = simulate_klt(tg, w2c, w2c, cam, noise, rng)
+        (proj,) = project_truth([tg], overhead_world_to_cam([0, 0, 10]), cam)
+        prev, curr = simulate_klt(proj, proj, cam, noise, rng)
         assert np.array_equal(prev, curr)
         assert len(prev) >= 4
 
@@ -256,7 +329,9 @@ class TestSimulateKlt:
         c, s = math.cos(roll), math.sin(roll)
         rz = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1.0]])
         w2c_curr = PoseSE3(rz, np.zeros(3)).compose(w2c_prev)
-        pair = simulate_klt(tg, w2c_prev, w2c_curr, cam, noise, rng)
+        (prev,) = project_truth([tg], w2c_prev, cam)
+        (curr,) = project_truth([tg], w2c_curr, cam)
+        pair = simulate_klt(prev, curr, cam, noise, rng)
         assert pair is not None
         sim = estimate_similarity(pair[0], pair[1])
         assert abs(sim.theta) == pytest.approx(roll, abs=math.radians(0.5))
@@ -266,8 +341,8 @@ class TestSimulateKlt:
         rng = np.random.default_rng(9)
         tg = make_target(0, [100, 0, 0.4], [0.5, 0.5, 0.4], 30, rng)
         noise = NoiseModel()
-        assert simulate_klt(tg, overhead_world_to_cam([0, 0, 10]),
-                            overhead_world_to_cam([0, 0, 10]), cam, noise, rng) is None
+        (proj,) = project_truth([tg], overhead_world_to_cam([0, 0, 10]), cam)
+        assert simulate_klt(proj, proj, cam, noise, rng) is None
 
 
 class TestPerturbPose:
