@@ -7,7 +7,7 @@ invertible.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,6 +31,10 @@ _HOM_LIFT = np.array(
 _HOM_OFFSET = np.array([0, 0, 1, 0, 0, 1], dtype=float)
 _EYE4 = np.eye(4)
 _EYE4.flags.writeable = False
+# Where the process noise enters the lifted covariance: the four box
+# coordinates, not the homogeneous entries.
+_PROCESS_MASK = np.diag([1.0, 1.0, 0.0, 1.0, 1.0, 0.0])
+_PROCESS_MASK.flags.writeable = False
 _HOM_DROP = np.array(
     [
         [1, 0, 0, 0, 0, 0],
@@ -124,8 +128,12 @@ class TrackerConfig:
     initial_sigma: np.ndarray = None
 
     def __post_init__(self):
-        if self.predict_noise_px <= 0 or self.measure_noise_px <= 0:
-            raise ValueError("noise stds must be positive")
+        # written so that NaN fails each check
+        for name in ("predict_noise_px", "measure_noise_px"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if math.isnan(self.entropy_dereg_threshold):
+            raise ValueError("entropy_dereg_threshold must be a number, not NaN")
         if not 0 < self.iou_register_threshold < 1:
             raise ValueError("iou_register_threshold must lie in (0, 1)")
         if self.initial_sigma is None:
@@ -141,6 +149,9 @@ class TrackerConfig:
             if np.linalg.eigvalsh(sig)[0] <= 0:
                 raise ValueError("initial_sigma must be positive definite")
         object.__setattr__(self, "initial_sigma", sig)
+        measure_cov = self.measure_noise_px**2 * np.eye(4)
+        measure_cov.flags.writeable = False
+        object.__setattr__(self, "_measure_cov", measure_cov)
 
 
 @dataclass(frozen=True)
@@ -150,9 +161,17 @@ class BoxTrack:
     sigma: np.ndarray
     status: str = ACTIVE
     spawn_frame: int = 0
-    hits: int = 0
+    hits: int = 0  # detections fused: the registering one, then one per update
     dereg_reason: str = ""
     dereg_frame: int = None
+
+
+def _derive(track: BoxTrack, **changes) -> BoxTrack:
+    """A copy of track with some fields changed: dataclasses.replace without
+    its per-call field walk and __init__, as BoxTrack has no checks to rerun."""
+    new = object.__new__(BoxTrack)
+    new.__dict__.update(track.__dict__, **changes)
+    return new
 
 
 def predict(
@@ -175,33 +194,33 @@ def predict(
     e2 = cfg.predict_noise_px**2 * noise_scale
     if sim is _IDENTITY:
         sigma_pred = track.sigma + e2 * _EYE4
-        return replace(track, sigma=0.5 * (sigma_pred + sigma_pred.T))
+        return _derive(track, sigma=0.5 * (sigma_pred + sigma_pred.T))
     motion = np.zeros((6, 6))
     motion[:3, :3] = sim.matrix
     motion[3:, 3:] = sim.matrix
-    process_cov = np.diag([e2, e2, 0.0, e2, e2, 0.0])
 
     x = _HOM_LIFT @ track.u.as_array() + _HOM_OFFSET
     omega = _HOM_LIFT @ track.sigma @ _HOM_LIFT.T
     x_pred = motion @ x
-    omega_pred = motion @ omega @ motion.T + process_cov
+    omega_pred = motion @ omega @ motion.T + e2 * _PROCESS_MASK
     u_pred = to_euclidean(x_pred)
     sigma_pred = _HOM_DROP @ omega_pred @ _HOM_DROP.T
     sigma_pred = 0.5 * (sigma_pred + sigma_pred.T)
-    return replace(track, u=u_pred, sigma=sigma_pred)
+    return _derive(track, u=u_pred, sigma=sigma_pred)
 
 
 def update(track: BoxTrack, z: BBox, cfg: TrackerConfig) -> BoxTrack:
-    """Kalman measurement update with an identity observation model."""
+    """Kalman measurement update with an identity observation model; the
+    fused detection counts as one more hit."""
     meas = z.as_array()
     if not np.all(np.isfinite(meas)):
         raise ValueError("measurement must be finite")
-    measure_cov = cfg.measure_noise_px**2 * np.eye(4)
-    gain = track.sigma @ np.linalg.inv(track.sigma + measure_cov)
-    u_new = track.u.as_array() + gain @ (meas - track.u.as_array())
-    sigma_new = (np.eye(4) - gain) @ track.sigma
+    u = track.u.as_array()
+    gain = track.sigma @ np.linalg.inv(track.sigma + cfg._measure_cov)
+    u_new = u + gain @ (meas - u)
+    sigma_new = (_EYE4 - gain) @ track.sigma
     sigma_new = 0.5 * (sigma_new + sigma_new.T)
-    return replace(track, u=BBox(*u_new), sigma=sigma_new)
+    return _derive(track, u=BBox(*u_new), sigma=sigma_new, hits=track.hits + 1)
 
 
 def iou(a: BBox, b: BBox) -> float:
@@ -279,6 +298,12 @@ def bbox_entropy(sigma) -> float:
     return _entropy(sig)
 
 
+# Entropy of a 4D Gaussian minus half its log-determinant.
+_ENTROPY_OFFSET = 2.0 + 2.0 * math.log(2.0 * math.pi)
+# Below the entropy gate by more than this, Hadamard's bound settles the gate.
+_GATE_MARGIN = 1e-9
+
+
 def _entropy(sig: np.ndarray) -> float:
     """bbox_entropy without its checks, for covariances the tracker itself
     keeps symmetric: the validated initial sigma and every Kalman step's
@@ -286,12 +311,37 @@ def _entropy(sig: np.ndarray) -> float:
     sign, logdet = np.linalg.slogdet(sig)
     if sign <= 0 or not np.isfinite(logdet):
         return -math.inf
-    return 2.0 + 2.0 * math.log(2.0 * math.pi) + 0.5 * logdet
+    return _ENTROPY_OFFSET + 0.5 * logdet
+
+
+def _entropy_bound_reaches(sig: np.ndarray, threshold: float) -> bool:
+    """False when Hadamard's bound puts the entropy of sig more than
+    _GATE_MARGIN below threshold; True when it cannot tell (or sig is not
+    finite)."""
+    log_bound = 0.0  # log of the product of the row norms
+    for row in sig.tolist():
+        norm = math.hypot(*row)
+        if norm == 0.0:
+            return False  # a zero row: det is 0, the entropy -inf
+        log_bound += math.log(norm)
+    return not _ENTROPY_OFFSET + 0.5 * log_bound < threshold - _GATE_MARGIN
 
 
 def prune(tracks, image_size, cfg: TrackerConfig, frame: int = None):
-    """Deregister tracks fully outside the image or grown past the entropy gate."""
+    """Deregister tracks fully outside the image or grown past the entropy gate.
+
+    The gate compares the entropy, a constant plus half of log|det sigma|,
+    with cfg.entropy_dereg_threshold. Hadamard's inequality,
+    |det S| <= prod_i ||row_i(S)||_2, holds for any real matrix, so the row
+    norms bound the entropy from above at the cost of four 4-term norms. A
+    track whose bound lies more than 1e-9 below the threshold keeps its
+    status without the log-determinant. The margin stands far above the
+    rounding of slogdet and of the bound, which on the tracker's covariances
+    is below 1e-14 nats at entropies near 20, so the gate deregisters exactly
+    the tracks that the log-determinant alone would.
+    """
     width, height = image_size
+    threshold = cfg.entropy_dereg_threshold
     out = []
     for t in tracks:
         if t.status != ACTIVE:
@@ -300,10 +350,11 @@ def prune(tracks, image_size, cfg: TrackerConfig, frame: int = None):
         b = t.u
         outside = b.u_max <= 0 or b.v_max <= 0 or b.u_min >= width or b.v_min >= height
         if outside:
-            out.append(replace(t, status=DEREGISTERED, dereg_reason="bounds",
+            out.append(_derive(t, status=DEREGISTERED, dereg_reason="bounds",
                                dereg_frame=frame))
-        elif _entropy(t.sigma) > cfg.entropy_dereg_threshold:
-            out.append(replace(t, status=DEREGISTERED, dereg_reason="entropy",
+        elif (_entropy_bound_reaches(t.sigma, threshold)
+              and _entropy(t.sigma) > threshold):
+            out.append(_derive(t, status=DEREGISTERED, dereg_reason="entropy",
                                dereg_frame=frame))
         else:
             out.append(t)
@@ -379,9 +430,7 @@ class TrackerState:
         updated = []
         for t in predicted:
             if t.id in assignments:
-                t2 = update(t, detections[assignments[t.id]], self.cfg)
-                t2 = replace(t2, hits=t.hits + 1)
-                updated.append(t2)
+                updated.append(update(t, detections[assignments[t.id]], self.cfg))
             else:
                 updated.append(t)
         self.live = []

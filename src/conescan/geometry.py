@@ -189,13 +189,18 @@ def cone_normals(corners, cam: CameraRig) -> np.ndarray:
     corners = np.asarray(corners, dtype=float)
     if corners.shape != (4, 2):
         raise ValueError("expected 4 pixel corners")
-    dirs = np.column_stack(
-        [back_project_direction(corners[i], cam) for i in range(4)]
-    )  # 3x4
-    normals = np.cross(dirs.T, np.roll(dirs.T, -1, axis=0))  # ray i x ray i+1
-    if np.any(np.linalg.norm(normals, axis=1) < 1e-12):
-        raise DegenerateConeError("zero-area bounding box")
-    return normals
+    # rays (x, y, 1) = K^-1 (u, v, 1), as back_project_direction gives them
+    rays = [((u - cam.cx) / cam.fx, (v - cam.cy) / cam.fy)
+            for u, v in corners.tolist()]
+    normals = []
+    for (x0, y0), (x1, y1) in zip(rays, rays[1:] + rays[:1]):
+        # ray i x ray i+1, multiply then subtract as np.cross does; a product
+        # with the unit depth is exact, so it is left out
+        n = (y0 - y1, x1 - x0, x0 * y1 - y0 * x1)
+        if math.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2]) < 1e-12:
+            raise DegenerateConeError("zero-area bounding box")
+        normals.append(n)
+    return np.array(normals)
 
 
 def cone_contains(normals: np.ndarray, points) -> np.ndarray:

@@ -278,10 +278,9 @@ class MissionRunner:
         """Exact projected AABB per fully-in-front target (for the KLT matcher)."""
         boxes = {}
         for tg, proj in zip(self.targets, truth):
-            box = proj.corner_box()
-            if box is None:
+            if proj.box is None:
                 continue
-            u0, v0, u1, v1 = box
+            u0, v0, u1, v1 = proj.box
             if u1 <= 0 or v1 <= 0 or u0 >= self.cam.width or v0 >= self.cam.height:
                 continue
             if u0 < u1 and v0 < v1:
@@ -293,7 +292,7 @@ class MissionRunner:
         sims = {}
         if self._prev_truth is None:
             return sims
-        for track in sorted(self.tracker.active(), key=lambda t: t.id):
+        for track in self.tracker.live:  # in id order
             best_id, best_iou = None, 0.1
             for tid, box in self._prev_target_boxes.items():
                 score = iou(track.u, box)
@@ -575,7 +574,7 @@ class MissionRunner:
                 )
 
         if self.state.mode != MAP:
-            for track in sorted(self.tracker.active(), key=lambda t: t.id):
+            for track in self.tracker.live:  # in id order
                 if track.id not in updated or track.hits < self.cfg.mission.confirm_hits:
                     continue
                 self._localize_from_track(track, est_c2w, est_w2c)

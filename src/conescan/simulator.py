@@ -59,21 +59,25 @@ class TargetTruth:
         return self._corners
 
 
+def corner_box(pix: np.ndarray, depth: np.ndarray):
+    """(u_min, v_min, u_max, v_max) of a target's projected corners, rows 1-8
+    of its `TargetProjection`, or None when a corner lies behind the camera."""
+    if (depth[1:9] <= 0).any():
+        return None
+    corners = pix[1:9]
+    return (corners[:, 0].min(), corners[:, 1].min(),
+            corners[:, 0].max(), corners[:, 1].max())
+
+
 class TargetProjection(NamedTuple):
     """One target's ground truth projected at one pose, rows in `TruthPoints`
     order: center, 8 corners, features. Rows with depth <= 0 carry
-    meaningless pixels."""
+    meaningless pixels. `box` is the frame's one `corner_box`, which the
+    detector and the KLT matcher share."""
 
     pix: np.ndarray  # (9 + k, 2)
     depth: np.ndarray  # (9 + k,)
-
-    def corner_box(self):
-        """(u_min, v_min, u_max, v_max) of the projected corners, or None when
-        a corner lies behind the camera."""
-        if np.any(self.depth[1:9] <= 0):
-            return None
-        pix = self.pix[1:9]
-        return pix[:, 0].min(), pix[:, 1].min(), pix[:, 0].max(), pix[:, 1].max()
+    box: tuple  # corner_box(pix, depth)
 
     @property
     def feature_pix(self) -> np.ndarray:
@@ -99,7 +103,11 @@ class TruthPoints:
         self._bounds = list(zip([0] + ends[:-1], ends))
 
     def split(self, pix: np.ndarray, depth: np.ndarray) -> list:
-        return [TargetProjection(pix[a:b], depth[a:b]) for a, b in self._bounds]
+        out = []
+        for a, b in self._bounds:
+            p, d = pix[a:b], depth[a:b]
+            out.append(TargetProjection(p, d, corner_box(p, d)))
+        return out
 
 
 def make_target(
@@ -128,14 +136,14 @@ class NoiseModel:
     klt_pixel_sigma: float = 1.0
 
     def __post_init__(self):
+        # written so that NaN fails each check
         for name in ("pose_sigma_xyz", "yaw_sigma", "detector_pixel_sigma",
-                     "klt_pixel_sigma", "false_positive_rate"):
-            if getattr(self, name) < 0:
+                     "klt_pixel_sigma", "false_positive_rate",
+                     "detection_latency_frames"):
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative")
         if not 0 <= self.detect_prob <= 1:
             raise ValueError("detect_prob must lie in [0, 1]")
-        if self.detection_latency_frames < 0:
-            raise ValueError("detection_latency_frames must be non-negative")
 
 
 class DetectionDelay:
@@ -315,10 +323,9 @@ def simulate_detector(projections, cam: CameraRig, noise: NoiseModel,
             continue
         if rng.uniform() >= noise.detect_prob:
             continue
-        box = proj.corner_box()
-        if box is None:
+        if proj.box is None:
             continue
-        coords = np.array(box) + noise.detector_pixel_sigma * rng.standard_normal(4)
+        coords = np.array(proj.box) + noise.detector_pixel_sigma * rng.standard_normal(4)
         u_min = _clamp(coords[0], cam.width)
         v_min = _clamp(coords[1], cam.height)
         u_max = _clamp(coords[2], cam.width)

@@ -23,7 +23,7 @@ from conescan.bbox_tracker import (
     _is_symmetric,
     update,
 )
-from conescan.geometry import BBox
+from conescan.geometry import BBox, to_euclidean
 
 
 def make_track(box=(0, 0, 10, 10), sigma=None, track_id=0):
@@ -32,6 +32,76 @@ def make_track(box=(0, 0, 10, 10), sigma=None, track_id=0):
 
 
 CFG = TrackerConfig()
+
+# Reference Kalman steps as the tracker first wrote them: np.diag / np.eye
+# built per call, tracks copied by dataclasses.replace.
+_REF_LIFT = np.zeros((6, 4))
+_REF_LIFT[[0, 1, 3, 4], [0, 1, 2, 3]] = 1.0
+_REF_OFFSET = np.array([0, 0, 1, 0, 0, 1.0])
+_REF_DROP = np.zeros((4, 6))
+_REF_DROP[[0, 1, 2, 3], [0, 1, 3, 4]] = 1.0
+
+
+def reference_predict(track, sim, cfg, noise_scale=1.0):
+    e2 = cfg.predict_noise_px**2 * noise_scale
+    if sim is SimilarityTransform2D.identity():
+        sigma_pred = track.sigma + e2 * np.eye(4)
+        return dataclasses.replace(track, sigma=0.5 * (sigma_pred + sigma_pred.T))
+    motion = np.zeros((6, 6))
+    motion[:3, :3] = sim.matrix
+    motion[3:, 3:] = sim.matrix
+    process_cov = np.diag([e2, e2, 0.0, e2, e2, 0.0])
+    x = _REF_LIFT @ track.u.as_array() + _REF_OFFSET
+    omega = _REF_LIFT @ track.sigma @ _REF_LIFT.T
+    x_pred = motion @ x
+    omega_pred = motion @ omega @ motion.T + process_cov
+    u_pred = to_euclidean(x_pred)
+    sigma_pred = _REF_DROP @ omega_pred @ _REF_DROP.T
+    sigma_pred = 0.5 * (sigma_pred + sigma_pred.T)
+    return dataclasses.replace(track, u=u_pred, sigma=sigma_pred)
+
+
+def reference_update(track, z, cfg):
+    meas = z.as_array()
+    measure_cov = cfg.measure_noise_px**2 * np.eye(4)
+    gain = track.sigma @ np.linalg.inv(track.sigma + measure_cov)
+    u_new = track.u.as_array() + gain @ (meas - track.u.as_array())
+    sigma_new = (np.eye(4) - gain) @ track.sigma
+    sigma_new = 0.5 * (sigma_new + sigma_new.T)
+    return dataclasses.replace(track, u=BBox(*u_new), sigma=sigma_new,
+                               hits=track.hits + 1)
+
+
+def reference_dereg(sigma, threshold) -> bool:
+    """The entropy gate with the log-determinant alone."""
+    sign, logdet = np.linalg.slogdet(sigma)
+    if sign <= 0 or not np.isfinite(logdet):
+        return False
+    return 2.0 + 2.0 * math.log(2.0 * math.pi) + 0.5 * logdet > threshold
+
+
+def assert_same_track(out, ref):
+    """Equal fields, with u and sigma compared byte for byte (signed zeros count)."""
+    assert out.u.as_array().tobytes() == ref.u.as_array().tobytes()
+    assert out.sigma.tobytes() == ref.sigma.tobytes()
+    rest = dict(u=None, sigma=None)
+    assert dataclasses.replace(out, **rest) == dataclasses.replace(ref, **rest)
+
+
+def random_spd(rng, skewed=False):
+    a = rng.standard_normal((4, 4)) * rng.uniform(0.1, 30.0)
+    sigma = a @ a.T + rng.uniform(1e-3, 10.0) * np.eye(4)
+    if skewed:  # symmetric only to the tolerance _is_symmetric allows
+        sigma[0, 1] += 0.9e-9 * max(1.0, float(np.abs(sigma).max()))
+    return sigma
+
+
+def random_track(rng, sigma):
+    u0, v0 = rng.uniform(-100, 700, size=2)
+    w, h = rng.uniform(1, 200, size=2)
+    return BoxTrack(id=int(rng.integers(0, 100)), u=BBox(u0, v0, u0 + w, v0 + h),
+                    sigma=sigma, spawn_frame=int(rng.integers(0, 50)),
+                    hits=int(rng.integers(1, 20)))
 
 
 class TestSimilarityTransform:
@@ -167,6 +237,32 @@ class TestPredict:
         rest = dict(u=None, sigma=None)
         assert dataclasses.replace(fast, **rest) == dataclasses.replace(full, **rest)
 
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           noise_scale=st.sampled_from([1.0, 4.0, 0.5]),
+           kind=st.sampled_from(["shared_identity", "similarity", "violent"]),
+           skewed=st.booleans())
+    def test_equals_the_reference_formulas(self, seed, noise_scale, kind, skewed):
+        # the process noise as e2 times a constant mask, and the field-copy
+        # helper, give the bytes of np.diag and dataclasses.replace
+        rng = np.random.default_rng(seed)
+        cfg = TrackerConfig(predict_noise_px=float(rng.uniform(0.1, 10.0)))
+        track = random_track(rng, random_spd(rng, skewed))
+        if kind == "shared_identity":
+            sim = SimilarityTransform2D.identity()
+        else:
+            turn = math.pi if kind == "violent" else 0.3  # pi flips the box
+            sim = SimilarityTransform2D.from_params(
+                rng.uniform(0.5, 2.0), rng.uniform(-turn, turn),
+                rng.uniform(-50, 50), rng.uniform(-50, 50))
+        try:
+            ref = reference_predict(track, sim, cfg, noise_scale=noise_scale)
+        except ValueError:
+            with pytest.raises(ValueError):
+                predict(track, sim, cfg, noise_scale=noise_scale)
+            return
+        assert_same_track(predict(track, sim, cfg, noise_scale=noise_scale), ref)
+
     def test_identity_shortcut_on_the_initial_sigma(self):
         track = make_track((3, 4, 50, 60), sigma=CFG.initial_sigma)
         for scale in (1.0, 4.0):
@@ -191,6 +287,29 @@ class TestPredict:
 
 
 class TestUpdate:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), skewed=st.booleans())
+    def test_equals_the_reference_formulas(self, seed, skewed):
+        # constant identity and measurement covariance give the bytes of the
+        # per-call np.eye formulas; the fused detection counts one hit
+        rng = np.random.default_rng(seed)
+        cfg = TrackerConfig(measure_noise_px=float(rng.uniform(0.1, 10.0)))
+        track = random_track(rng, random_spd(rng, skewed))
+        shift = rng.normal(0.0, 5.0, size=4)
+        b = track.u
+        z = BBox(b.u_min + shift[0], b.v_min + shift[1],
+                 b.u_max + max(shift[2], shift[0]) + 1.0,
+                 b.v_max + max(shift[3], shift[1]) + 1.0)
+        try:
+            ref = reference_update(track, z, cfg)
+        except ValueError:  # a correlated sigma can turn the box inside out
+            with pytest.raises(ValueError):
+                update(track, z, cfg)
+            return
+        out = update(track, z, cfg)
+        assert_same_track(out, ref)
+        assert out.hits == track.hits + 1
+
     def test_zero_prior_covariance_ignores_measurement(self):
         track = make_track((0, 0, 10, 10), sigma=np.zeros((4, 4)))
         out = update(track, BBox(5, 5, 15, 15), CFG)
@@ -372,6 +491,59 @@ class TestPrune:
         pruned = prune([track], (640, 480), cfg)
         assert pruned[0].status == DEREGISTERED
         assert pruned[0].dereg_reason == "entropy"
+
+
+    @staticmethod
+    def _hadamard_entropy(sigma):
+        norms = [math.hypot(*row) for row in sigma.tolist()]
+        return 2.0 + 2.0 * math.log(2.0 * math.pi) + 0.5 * sum(map(math.log, norms))
+
+    @settings(max_examples=400, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["spd", "diagonal", "indefinite", "singular",
+                                 "zero_row"]),
+           anchor=st.sampled_from(["entropy", "bound"]),
+           offset=st.sampled_from([-1e-3, -2e-9, -1e-9, -1e-12, 0.0, 1e-12,
+                                   1e-9, 2e-9, 1e-3]))
+    def test_gate_equals_the_log_determinant(self, seed, kind, anchor, offset):
+        # the threshold is put next to the sigma's entropy (scaled SPD and
+        # diagonal sigmas straddle the gate) or next to the Hadamard bound at
+        # the gate's 1e-9 margin; the decision must be the slogdet one
+        rng = np.random.default_rng(seed)
+        if kind == "diagonal":  # Hadamard's bound is tight
+            sigma = np.diag(rng.uniform(0.1, 100.0, size=4))
+        elif kind == "indefinite":  # two negative eigenvalues, det > 0
+            q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+            eig = rng.uniform(0.1, 100.0, size=4) * np.array([-1, -1, 1, 1])
+            sigma = q @ np.diag(eig) @ q.T
+        elif kind == "singular":
+            a = rng.standard_normal((4, 3)) * rng.uniform(0.1, 30.0)
+            sigma = a @ a.T
+        elif kind == "zero_row":
+            sigma = random_spd(rng)
+            i = rng.integers(0, 4)
+            sigma[i, :] = 0.0
+            sigma[:, i] = 0.0
+        else:
+            sigma = random_spd(rng)
+        # a zero row's bound is -inf; its threshold is put at the usual 19
+        h_bound = self._hadamard_entropy(sigma) if kind != "zero_row" else 19.0
+        if anchor == "entropy" and kind in ("spd", "diagonal"):
+            sign, logdet = np.linalg.slogdet(sigma)
+            h = 2.0 + 2.0 * math.log(2.0 * math.pi) + 0.5 * logdet
+            sigma = sigma * math.exp((19.0 - h) / 2.0)  # entropy now about 19
+            threshold = 19.0 + offset
+        else:
+            threshold = h_bound + 1e-9 + offset * 1e-3  # within 1e-12 of the gate
+        track = make_track((10, 10, 50, 50), sigma=sigma)
+        out = prune([track], (640, 480), TrackerConfig(entropy_dereg_threshold=threshold),
+                    frame=7)[0]
+        if reference_dereg(sigma, threshold):
+            assert (out.status, out.dereg_reason, out.dereg_frame) == (
+                DEREGISTERED, "entropy", 7)
+        else:
+            assert (out.status, out.dereg_reason, out.dereg_frame) == (ACTIVE, "", None)
+            assert out is track
 
 
 class TestEstimateSimilarity:

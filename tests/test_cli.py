@@ -62,6 +62,17 @@ class TestValidate:
         assert ("config error: mission.found_radius: must be non-negative"
                 in capsys.readouterr().err)
 
+    def test_nan_noise_rejected(self, tmp_path, capsys):
+        # NaN passed the old `< 0` check and the mission died mid-run
+        data = to_dict(default_scenario(0))
+        data["noise"]["klt_pixel_sigma"] = math.nan
+        path = tmp_path / "nan_noise.json"
+        path.write_text(json.dumps(data))
+        assert "NaN" in path.read_text()
+        assert main(["validate", str(path)]) == 1
+        assert ("config error: noise: klt_pixel_sigma must be non-negative"
+                in capsys.readouterr().err)
+
     def test_unparseable_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{")

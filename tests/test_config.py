@@ -118,6 +118,37 @@ class TestValidation:
         with pytest.raises(ConfigError, match=rf"^{section}\.{name}: "):
             from_dict(data)
 
+    @pytest.mark.parametrize("section, name, value", [
+        ("noise", "pose_sigma_xyz", math.nan), ("noise", "yaw_sigma", math.nan),
+        ("noise", "detector_pixel_sigma", math.nan),
+        ("noise", "klt_pixel_sigma", math.nan),
+        ("noise", "false_positive_rate", math.nan),
+        ("noise", "detection_latency_frames", math.nan),
+        ("noise", "detection_latency_frames", -1),
+        ("tracker", "predict_noise_px", math.nan),
+        ("tracker", "measure_noise_px", math.nan),
+        ("tracker", "predict_noise_px", math.inf),
+        ("tracker", "measure_noise_px", 0.0),
+        ("tracker", "entropy_dereg_threshold", math.nan),
+    ])
+    def test_noise_and_tracker_value_rejected_at_load(self, section, name, value):
+        # NaN passed the old `< 0` and `<= 0` checks and failed mid-mission,
+        # or ran a mission that found nothing
+        data = to_dict(default_scenario(1))
+        data[section][name] = value
+        with pytest.raises(ConfigError, match=rf"^{section}: {name} must"):
+            from_dict(data)
+
+    def test_noise_and_tracker_edges_accepted(self):
+        data = to_dict(default_scenario(1))
+        data["noise"].update(pose_sigma_xyz=0.0, yaw_sigma=0.0, detector_pixel_sigma=0.0,
+                             klt_pixel_sigma=0.0, false_positive_rate=0.0,
+                             detection_latency_frames=0)
+        data["tracker"].update(predict_noise_px=1e-12, entropy_dereg_threshold=math.inf)
+        cfg = from_dict(data)
+        assert cfg.noise.klt_pixel_sigma == 0.0
+        assert cfg.tracker.entropy_dereg_threshold == math.inf
+
     def test_range_edges_accepted(self):
         data = to_dict(default_scenario(1))
         data["planner"].update(overlap=0.0, n_per_circle=4, n_surface_samples=1)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conescan.geometry import (
     BBox,
+    CameraRig,
     DegenerateConeError,
     PoseSE3,
     back_project_direction,
@@ -137,6 +138,29 @@ class TestCone:
         normals = cone_normals(_centered_box_corners(cam), cam)
         outside_dir = back_project_direction([cam.cx + 500, cam.cy], cam)
         assert not cone_contains(normals, outside_dir).any()
+
+    @settings(max_examples=400, deadline=None)
+    @given(u0=st.floats(-1500, 2100), v0=st.floats(-1500, 2000),
+           w=st.one_of(st.floats(0, 1e-8), st.floats(1e-8, 900)),
+           h=st.one_of(st.floats(0, 1e-8), st.floats(1e-8, 900)),
+           intrinsics=st.sampled_from([(500.0, 500.0, 320.0, 240.0),
+                                       (431.7, 612.3, 0.0, 0.0),
+                                       (1e-3, 2e-3, 123.4, -56.7)]))
+    def test_normals_equal_np_cross(self, u0, v0, w, h, intrinsics):
+        # boxes inside, straddling and outside the image, down to zero area;
+        # tobytes() compares signed zeros too
+        fx, fy, cx, cy = intrinsics
+        cam = CameraRig(fx=fx, fy=fy, cx=cx, cy=cy, width=640, height=480,
+                        gamma=math.radians(55.0), beta=math.radians(40.0))
+        u1, v1 = u0 + w, v0 + h
+        corners = np.array([[u0, v0], [u1, v0], [u1, v1], [u0, v1]])
+        dirs = np.column_stack([back_project_direction(c, cam) for c in corners])
+        expected = np.cross(dirs.T, np.roll(dirs.T, -1, axis=0))
+        if np.any(np.linalg.norm(expected, axis=1) < 1e-12):
+            with pytest.raises(DegenerateConeError):
+                cone_normals(corners, cam)
+        else:
+            assert cone_normals(corners, cam).tobytes() == expected.tobytes()
 
     def test_degenerate_box_rejected(self, cam):
         flat = np.array([[0, 0], [10, 0], [10, 0], [0, 0]], dtype=float)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conescan import localizer, mission, simulator
+from conescan import bbox_tracker, localizer, mission, simulator
 from conescan.config import default_scenario
 from conescan.localizer import LocalizerConfig
 from conescan.mission import (
@@ -252,6 +252,60 @@ class TestTruthProjection:
         for frame, prev, curr in klt_inputs:
             assert np.shares_memory(prev.pix, projected[frame - 2][0])
             assert np.shares_memory(curr.pix, projected[frame - 1][0])
+
+
+@pytest.fixture(scope="class")
+def lean_path_mission():
+    """The stock two-target mission, counting per frame the corner boxes made,
+    the log-determinants the tracker takes and the order of the live bank."""
+    counts = {"corner_box": [], "entropy": 0, "unordered_frames": []}
+    corner_box, entropy, step = (simulator.corner_box, bbox_tracker._entropy,
+                                 bbox_tracker.TrackerState.step)
+
+    def counting_corner_box(pix, depth):
+        counts["corner_box"].append(runner.frame)
+        return corner_box(pix, depth)
+
+    def counting_entropy(sigma):
+        counts["entropy"] += 1
+        return entropy(sigma)
+
+    def checking_step(self, detections, sims, frame):
+        out = step(self, detections, sims, frame)
+        ids = [t.id for t in self.active()]
+        if ids != sorted(ids):
+            counts["unordered_frames"].append(frame)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "corner_box", counting_corner_box)
+        mp.setattr(bbox_tracker, "_entropy", counting_entropy)
+        mp.setattr(bbox_tracker.TrackerState, "step", checking_step)
+        runner = MissionRunner(default_scenario(2, seed=7))
+        runner.run()
+    return runner, counts
+
+
+class TestLeanTrackerPath:
+    def test_live_tracks_in_id_order_every_frame(self, lean_path_mission):
+        runner, counts = lean_path_mission
+        assert runner.frame == 2671
+        assert counts["unordered_frames"] == []
+
+    def test_one_corner_box_per_target_per_frame(self, lean_path_mission):
+        runner, counts = lean_path_mission
+        per_frame = np.bincount(counts["corner_box"], minlength=runner.frame + 1)
+        assert per_frame[1:].max() <= len(runner.targets)
+        assert len(counts["corner_box"]) == len(runner.targets) * runner.frame
+
+    def test_one_log_determinant_per_entropy_deregistration(self, lean_path_mission):
+        # with no run directory only prune takes log-determinants, and
+        # Hadamard's bound lets through only the tracks that then retire
+        runner, counts = lean_path_mission
+        entropy_retired = [t for t in runner.tracker.retired
+                           if t.dereg_reason == "entropy"]
+        assert len(entropy_retired) > 100
+        assert counts["entropy"] == len(entropy_retired)
 
 
 class TestTrackLog:
