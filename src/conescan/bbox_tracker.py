@@ -128,14 +128,6 @@ class TrackerConfig:
     initial_sigma: np.ndarray = None
 
     def __post_init__(self):
-        # written so that NaN fails each check
-        for name in ("predict_noise_px", "measure_noise_px"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
-        if math.isnan(self.entropy_dereg_threshold):
-            raise ValueError("entropy_dereg_threshold must be a number, not NaN")
-        if not 0 < self.iou_register_threshold < 1:
-            raise ValueError("iou_register_threshold must lie in (0, 1)")
         if self.initial_sigma is None:
             sig = self.measure_noise_px**2 * np.eye(4)
         else:

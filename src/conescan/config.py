@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -79,64 +80,119 @@ class ScenarioConfig:
             self.localizer = LocalizerConfig(max_depth=2.0 * self.search_altitude)
 
 
-# Ranges of the fields whose use sites raise on a bad value, some of them only
-# mid-mission, or that would run a mission unable to find anything (a negative
-# baseline, replan distance or found radius, no sim time); each check is
-# written so that NaN and non-numbers fail it.
+def _integer(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _at_least(low):
+    return lambda v: _integer(v) and v >= low, f"must be an integer of at least {low}"
+
+
+def _three_finite(v, low=-math.inf) -> bool:
+    a = np.asarray(v, dtype=float)
+    return a.shape == (3,) and bool(np.all((a > low) & (a < math.inf)))
+
+
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_POSITIVE_FINITE = (lambda v: 0 < v < math.inf, "must be positive and finite")
+_NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
+_NON_NEGATIVE_FINITE = (lambda v: 0 <= v < math.inf, "must be non-negative and finite")
+_FINITE = (lambda v: -math.inf < v < math.inf, "must be finite")
+_UNIT = (lambda v: 0 <= v <= 1, "must lie in [0, 1]")
+
+# The one range check of every scenario value. A value out of its row's range
+# either makes its use site raise, some only mid-mission, or runs a mission
+# that cannot find anything; each rule is written so that NaN and non-numbers
+# fail it. mission.suppression_scale, mission.fine_max_laps and
+# tracker.initial_sigma (checked where the matrix is built) have no row.
 _RANGES = (
-    ("uav.v_max", lambda v: v > 0, "must be positive"),
-    ("uav.a_max", lambda v: v > 0, "must be positive"),
-    ("uav.yaw_rate", lambda v: v > 0, "must be positive"),
+    ("region", lambda r: len(r) == 4 and -math.inf < r[0] < r[2] < math.inf
+     and -math.inf < r[1] < r[3] < math.inf,
+     "must be finite [x_min, y_min, x_max, y_max] with x_min < x_max and y_min < y_max"),
+    ("search_altitude", *_POSITIVE_FINITE),
+    ("seed", _integer, "must be an integer"),
+    ("camera.fx", *_POSITIVE_FINITE),
+    ("camera.fy", *_POSITIVE_FINITE),
+    ("camera.cx", *_FINITE),
+    ("camera.cy", *_FINITE),
+    ("camera.width", *_at_least(1)),
+    ("camera.height", *_at_least(1)),
+    ("camera.gamma", lambda v: 0 < v < math.pi / 2, "must lie in (0, pi/2)"),
+    ("camera.beta", lambda v: 0 < v < math.pi, "must lie in (0, pi)"),
+    ("noise.pose_sigma_xyz", *_NON_NEGATIVE_FINITE),
+    ("noise.yaw_sigma", *_NON_NEGATIVE_FINITE),
+    ("noise.detector_pixel_sigma", *_NON_NEGATIVE_FINITE),
+    ("noise.klt_pixel_sigma", *_NON_NEGATIVE_FINITE),
+    ("noise.false_positive_rate", *_NON_NEGATIVE_FINITE),
+    ("noise.detect_prob", *_UNIT),
+    ("noise.detection_latency_frames", *_at_least(0)),
+    ("uav.v_max", *_POSITIVE),
+    ("uav.a_max", *_POSITIVE),
+    ("uav.yaw_rate", *_POSITIVE),
+    ("tracker.predict_noise_px", *_POSITIVE_FINITE),
+    ("tracker.measure_noise_px", *_POSITIVE_FINITE),
+    ("tracker.iou_register_threshold", lambda v: 0 < v < 1, "must lie in (0, 1)"),
+    ("tracker.entropy_dereg_threshold", lambda v: -math.inf <= v <= math.inf,
+     "must be a number, not NaN"),
+    ("localizer.n_particles", *_at_least(100)),
+    ("localizer.max_depth", *_POSITIVE_FINITE),
+    ("localizer.enlarge_factor", lambda v: 1 <= v < math.inf, "must be finite and at least 1"),
+    ("localizer.update_noise_var", *_NON_NEGATIVE_FINITE),
+    ("localizer.gauss_weight", *_UNIT),
+    ("localizer.uniform_weight", *_UNIT),
+    ("localizer.lambda_rough", *_POSITIVE),
+    ("localizer.lambda_fine", *_POSITIVE),
+    ("localizer.kl_converged", *_POSITIVE),
     ("planner.overlap", lambda v: 0 <= v < 1, "must lie in [0, 1)"),
-    ("planner.angular_step", lambda v: v > 0, "must be positive"),
-    ("planner.standoff", lambda v: v > 0, "must be positive"),
-    ("planner.n_per_circle", lambda v: isinstance(v, (int, np.integer)) and v >= 4,
-     "must be an integer of at least 4"),
+    ("planner.angular_step", *_POSITIVE),
+    ("planner.standoff", *_POSITIVE),
+    ("planner.n_per_circle", *_at_least(4)),
     ("planner.n_surface_samples", lambda v: v >= 1, "must be at least 1"),
-    ("mission.dt", lambda v: v > 0, "must be positive"),
+    ("mission.dt", *_POSITIVE),
     ("mission.confirm_hits", lambda v: v >= 1, "must be at least 1"),
-    ("mission.min_update_baseline", lambda v: v >= 0, "must be non-negative"),
-    ("mission.fine_replan_distance", lambda v: v >= 0, "must be non-negative"),
-    ("mission.found_radius", lambda v: v >= 0, "must be non-negative"),
-    ("mission.max_sim_time", lambda v: v > 0, "must be positive"),
+    ("mission.min_update_baseline", *_NON_NEGATIVE),
+    ("mission.fine_replan_distance", *_NON_NEGATIVE),
+    ("mission.found_radius", *_NON_NEGATIVE),
+    ("mission.max_sim_time", *_POSITIVE),
+)
+
+_TARGET_RANGES = (
+    ("center", _three_finite, "must be 3 finite values"),
+    ("half_extents", lambda v: _three_finite(v, low=0), "must be 3 positive finite values"),
+    ("n_features", *_at_least(4)),
 )
 
 
-def validate(cfg: ScenarioConfig) -> ScenarioConfig:
-    """Check cross-field geometry the dataclass invariants cannot see, and the
-    uav, planner and mission ranges in _RANGES."""
-    x0, y0, x1, y1 = cfg.region
-    if not (x0 < x1 and y0 < y1):
-        raise ConfigError("region: must satisfy x_min < x_max and y_min < y_max")
-    if cfg.search_altitude <= 0:
-        raise ConfigError("search_altitude: must be positive (above the terrain plane)")
-    if cfg.camera.gamma <= cfg.camera.beta / 2.0:
-        raise ConfigError(
-            "camera: mapping geometry requires gamma > beta/2 so the shallow "
-            "scanning ray still points downward"
-        )
-    for path, in_range, rule in _RANGES:
-        section, name = path.split(".")
+def _check(rows, obj, prefix=""):
+    for path, in_range, rule in rows:
         try:
-            ok = in_range(getattr(getattr(cfg, section), name))
-        except TypeError:  # not a number
+            ok = bool(in_range(attrgetter(path)(obj)))
+        except (TypeError, ValueError):  # not a number, or not a sequence of them
             ok = False
         if not ok:
-            raise ConfigError(f"{path}: {rule}")
+            raise ConfigError(f"{prefix}{path}: {rule}")
+
+
+def validate(cfg: ScenarioConfig) -> ScenarioConfig:
+    """Check every value against its row in _RANGES, each target against
+    _TARGET_RANGES, then the constraints that span fields."""
+    _check(_RANGES, cfg)
+    if cfg.camera.beta >= cfg.camera.vfov:
+        raise ConfigError("camera.beta: must be smaller than the vertical field of view")
+    if cfg.camera.gamma <= cfg.camera.beta / 2.0:
+        raise ConfigError(
+            "camera.gamma: mapping geometry requires gamma > beta/2 so the shallow "
+            "scanning ray still points downward"
+        )
+    if abs(cfg.localizer.gauss_weight + cfg.localizer.uniform_weight - 1.0) > 1e-9:
+        raise ConfigError("localizer.uniform_weight: must sum to 1 with gauss_weight")
     for i, tg in enumerate(cfg.targets):
-        center = np.asarray(tg.center, dtype=float)
-        half = np.asarray(tg.half_extents, dtype=float)
-        if center.shape != (3,):
-            raise ConfigError(f"targets[{i}].center: must be a 3-vector")
-        if half.shape != (3,) or np.any(half <= 0):
-            raise ConfigError(f"targets[{i}].half_extents: must be 3 positive values")
-        if center[2] + half[2] >= cfg.search_altitude:
+        _check(_TARGET_RANGES, tg, f"targets[{i}].")
+        if float(tg.center[2]) + float(tg.half_extents[2]) >= cfg.search_altitude:
             raise ConfigError(
                 f"targets[{i}]: top reaches the search altitude "
                 f"{cfg.search_altitude}; the UAV would start below the target"
             )
-        if tg.n_features < 4:
-            raise ConfigError(f"targets[{i}].n_features: need at least 4")
     return cfg
 
 
@@ -175,28 +231,17 @@ def _build(cls, data, path):
         raise ConfigError(f"{path}: {exc}") from None
 
 
+_SECTIONS = {"camera": CameraRig, "noise": NoiseModel, "uav": UavConfig,
+             "tracker": TrackerConfig, "localizer": LocalizerConfig,
+             "planner": PlannerConfig, "mission": MissionConfig}
+
+
 def from_dict(data: dict) -> ScenarioConfig:
     if not isinstance(data, dict):
         raise ConfigError("top level: expected a JSON object")
     data = dict(data)
-    parts = {}
-    if "camera" in data:
-        parts["camera"] = _build(CameraRig, data.pop("camera"), "camera")
-    if "noise" in data:
-        parts["noise"] = _build(NoiseModel, data.pop("noise"), "noise")
-    if "uav" in data:
-        parts["uav"] = _build(UavConfig, data.pop("uav"), "uav")
-    if "tracker" in data:
-        tracker = dict(data.pop("tracker"))
-        if tracker.get("initial_sigma") is not None:
-            tracker["initial_sigma"] = np.asarray(tracker["initial_sigma"], dtype=float)
-        parts["tracker"] = _build(TrackerConfig, tracker, "tracker")
-    if "localizer" in data:
-        parts["localizer"] = _build(LocalizerConfig, data.pop("localizer"), "localizer")
-    if "planner" in data:
-        parts["planner"] = _build(PlannerConfig, data.pop("planner"), "planner")
-    if "mission" in data:
-        parts["mission"] = _build(MissionConfig, data.pop("mission"), "mission")
+    parts = {name: _build(cls, data.pop(name), name)
+             for name, cls in _SECTIONS.items() if name in data}
     if "targets" in data:
         raw = data.pop("targets")
         if not isinstance(raw, list):
@@ -205,17 +250,11 @@ def from_dict(data: dict) -> ScenarioConfig:
             _build(TargetSpec, t, f"targets[{i}]") for i, t in enumerate(raw)
         ]
     if "region" in data:
-        region = data.pop("region")
-        if not (isinstance(region, (list, tuple)) and len(region) == 4):
-            raise ConfigError("region: expected [x_min, y_min, x_max, y_max]")
-        parts["region"] = tuple(float(v) for v in region)
-    for key in ("search_altitude", "seed"):
-        if key in data:
-            parts[key] = data.pop(key)
-    if data:
-        raise ConfigError(f"top level: unknown field(s) {sorted(data)}")
-    cfg = _build(ScenarioConfig, parts if isinstance(parts, dict) else {}, "scenario")
-    return validate(cfg)
+        try:
+            parts["region"] = tuple(float(v) for v in data.pop("region"))
+        except (TypeError, ValueError):
+            raise ConfigError("region: expected [x_min, y_min, x_max, y_max]") from None
+    return validate(_build(ScenarioConfig, {**data, **parts}, "top level"))
 
 
 def load(path) -> ScenarioConfig:

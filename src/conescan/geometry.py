@@ -86,16 +86,6 @@ class CameraRig:
     gamma: float
     beta: float
 
-    def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise ValueError("focal lengths must be positive")
-        if not 0 < self.gamma < math.pi / 2:
-            raise ValueError("gamma must lie in (0, pi/2)")
-        if not 0 < self.beta < math.pi:
-            raise ValueError("beta must lie in (0, pi)")
-        if self.beta >= self.vfov:
-            raise ValueError("beta must be strictly smaller than the vertical FOV")
-
     @property
     def vfov(self) -> float:
         return 2.0 * math.atan(self.height / (2.0 * self.fy))

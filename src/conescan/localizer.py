@@ -60,30 +60,16 @@ class LocalizerConfig:
     lambda_rough: float = 4.0
     lambda_fine: float = 0.25
     kl_converged: float = 0.01
-    entropy_rough: float = None
-    entropy_converged: float = None
 
-    def __post_init__(self):
-        if self.n_particles < 100:
-            raise ValueError("n_particles must be at least 100")
-        if self.max_depth <= 0:
-            raise ValueError("max_depth must be positive")
-        if self.enlarge_factor < 1:
-            raise ValueError("enlarge_factor must be >= 1")
-        if self.gauss_weight < 0 or self.uniform_weight < 0:
-            raise ValueError("mixture weights must be non-negative")
-        if abs(self.gauss_weight + self.uniform_weight - 1.0) > 1e-9:
-            raise ValueError("mixture weights must sum to 1")
-        if self.entropy_rough is None:
-            object.__setattr__(
-                self, "entropy_rough", gaussian_entropy_for_eigenvalue(self.lambda_rough)
-            )
-        if self.entropy_converged is None:
-            object.__setattr__(
-                self,
-                "entropy_converged",
-                gaussian_entropy_for_eigenvalue(self.lambda_fine),
-            )
+    @property
+    def entropy_rough(self) -> float:
+        """Entropy gate of the rough phase, the isotropic cloud at lambda_rough."""
+        return gaussian_entropy_for_eigenvalue(self.lambda_rough)
+
+    @property
+    def entropy_converged(self) -> float:
+        """Entropy gate of convergence, the isotropic cloud at lambda_fine."""
+        return gaussian_entropy_for_eigenvalue(self.lambda_fine)
 
 
 @dataclass(frozen=True)

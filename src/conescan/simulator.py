@@ -135,16 +135,6 @@ class NoiseModel:
     detection_latency_frames: int = 0  # frames between capture and delivery
     klt_pixel_sigma: float = 1.0
 
-    def __post_init__(self):
-        # written so that NaN fails each check
-        for name in ("pose_sigma_xyz", "yaw_sigma", "detector_pixel_sigma",
-                     "klt_pixel_sigma", "false_positive_rate",
-                     "detection_latency_frames"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be non-negative")
-        if not 0 <= self.detect_prob <= 1:
-            raise ValueError("detect_prob must lie in [0, 1]")
-
 
 class DetectionDelay:
     """FIFO that delivers each frame's detections a fixed number of frames late.

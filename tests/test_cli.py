@@ -70,8 +70,37 @@ class TestValidate:
         path.write_text(json.dumps(data))
         assert "NaN" in path.read_text()
         assert main(["validate", str(path)]) == 1
-        assert ("config error: noise: klt_pixel_sigma must be non-negative"
+        assert ("config error: noise.klt_pixel_sigma: must be non-negative and finite"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("key, value", [
+        ("region", [0.0, "east", 30.0, 10.0]), ("search_altitude", "high"),
+        ("search_altitude", math.nan), ("seed", 1.5), ("seed", "x"),
+    ])
+    def test_bad_top_level_value(self, tmp_path, capsys, command, key, value):
+        # these raised a traceback from from_dict, validate or mid-run, or ran
+        # the streams of a truncated seed
+        data = to_dict(default_scenario(0))
+        data[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        args = [command, str(path)] + (["--out", str(out)] if command == "run" else [])
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_bad_target_field(self, tmp_path, capsys):
+        # a fractional feature count validated, then died at mission start
+        data = to_dict(default_scenario(1))
+        data["targets"][0]["n_features"] = 30.5
+        path = tmp_path / "bad_target.json"
+        path.write_text(json.dumps(data))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "config error: targets[0].n_features: must be an integer of at least 4\n")
 
     def test_unparseable_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

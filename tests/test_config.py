@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -5,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conescan import config as config_mod
 from conescan.config import (
     ConfigError,
     ScenarioConfig,
@@ -16,6 +18,9 @@ from conescan.config import (
     to_json,
     validate,
 )
+from conescan.localizer import gaussian_entropy_for_eigenvalue
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 class TestRoundTrip:
@@ -47,7 +52,7 @@ class TestStockScenarios:
     ])
     def test_file_matches_generator(self, name, n_targets, seed):
         # scripts/make_scenarios.py writes these; a config change regenerates them
-        path = Path(__file__).resolve().parents[1] / "scenarios" / name
+        path = SCENARIOS / name
         assert path.read_text() == to_json(default_scenario(n_targets, seed=seed)) + "\n"
 
 
@@ -109,34 +114,73 @@ class TestValidation:
         ("planner", "n_per_circle", 36.0), ("planner", "n_surface_samples", 0),
         ("mission", "dt", 0.0), ("mission", "confirm_hits", 0),
         ("uav", "v_max", "fast"), ("mission", "dt", math.nan),
-    ])
-    def test_range_rejected_at_load(self, section, name, value):
-        # each value makes its use site raise, at start, mid-mission or at mapping,
-        # or is not a number at all
-        data = to_dict(default_scenario(1))
-        data[section][name] = value
-        with pytest.raises(ConfigError, match=rf"^{section}\.{name}: "):
-            from_dict(data)
-
-    @pytest.mark.parametrize("section, name, value", [
         ("noise", "pose_sigma_xyz", math.nan), ("noise", "yaw_sigma", math.nan),
         ("noise", "detector_pixel_sigma", math.nan),
         ("noise", "klt_pixel_sigma", math.nan),
         ("noise", "false_positive_rate", math.nan),
         ("noise", "detection_latency_frames", math.nan),
         ("noise", "detection_latency_frames", -1),
+        ("noise", "detection_latency_frames", 2.5),
+        ("noise", "pose_sigma_xyz", math.inf), ("noise", "detect_prob", 1.5),
         ("tracker", "predict_noise_px", math.nan),
         ("tracker", "measure_noise_px", math.nan),
         ("tracker", "predict_noise_px", math.inf),
         ("tracker", "measure_noise_px", 0.0),
         ("tracker", "entropy_dereg_threshold", math.nan),
+        ("tracker", "entropy_dereg_threshold", "high"),
+        ("tracker", "iou_register_threshold", 1.0),
+        ("camera", "fx", math.nan), ("camera", "cx", math.nan),
+        ("camera", "fy", 0.0), ("camera", "cy", math.inf),
+        ("camera", "width", 0), ("camera", "height", 480.5),
+        ("camera", "gamma", math.pi / 2), ("camera", "beta", math.nan),
+        ("localizer", "update_noise_var", -0.01), ("localizer", "max_depth", math.nan),
+        ("localizer", "enlarge_factor", math.nan), ("localizer", "kl_converged", math.nan),
+        ("localizer", "lambda_rough", 0), ("localizer", "lambda_rough", -1),
+        ("localizer", "lambda_fine", math.nan), ("localizer", "n_particles", 99),
+        ("localizer", "n_particles", 1000.0), ("localizer", "gauss_weight", 1.1),
+        ("localizer", "uniform_weight", -0.1),
     ])
-    def test_noise_and_tracker_value_rejected_at_load(self, section, name, value):
-        # NaN passed the old `< 0` and `<= 0` checks and failed mid-mission,
-        # or ran a mission that found nothing
+    def test_range_rejected_at_load(self, section, name, value):
+        # each value makes its use site raise, at start, mid-mission or at mapping,
+        # runs a mission that finds nothing, or is not a number at all
         data = to_dict(default_scenario(1))
         data[section][name] = value
-        with pytest.raises(ConfigError, match=rf"^{section}: {name} must"):
+        with pytest.raises(ConfigError, match=rf"^{section}\.{name}: "):
+            from_dict(data)
+
+    @pytest.mark.parametrize("key, value", [
+        ("search_altitude", math.nan), ("search_altitude", "high"),
+        ("search_altitude", math.inf), ("seed", 1.5), ("seed", "x"), ("seed", True),
+        ("region", [0.0, 0.0, math.nan, 10.0]), ("region", [0.0, 0.0, math.inf, 10.0]),
+        ("region", [0.0, "x", 30.0, 10.0]), ("region", [0.0, 0.0, 30.0]),
+    ])
+    def test_top_level_value_rejected_at_load(self, key, value):
+        # a fractional seed ran the truncated seed's streams under the given name
+        data = to_dict(default_scenario(1))
+        data[key] = value
+        with pytest.raises(ConfigError, match=rf"^{key}: "):
+            from_dict(data)
+
+    @pytest.mark.parametrize("name, value", [
+        ("n_features", math.nan), ("n_features", 30.5), ("n_features", 3),
+        ("center", [15.0, math.nan, 0.3]), ("center", [15.0, 5.5]),
+        ("center", "middle"), ("half_extents", [0.4, 0.0, 0.3]),
+        ("half_extents", [0.4, math.inf, 0.3]),
+    ])
+    def test_target_value_rejected_at_load(self, name, value):
+        data = to_dict(default_scenario(1))
+        data["targets"][0][name] = value
+        with pytest.raises(ConfigError, match=rf"^targets\[0\]\.{name}: "):
+            from_dict(data)
+
+    @pytest.mark.parametrize("section, values, message", [
+        ("camera", {"beta": 1.0, "gamma": 1.5}, r"^camera\.beta: .*vertical field of view"),
+        ("localizer", {"gauss_weight": 0.8}, r"^localizer\.uniform_weight: must sum to 1"),
+    ])
+    def test_cross_field_rejected_at_load(self, section, values, message):
+        data = to_dict(default_scenario(1))
+        data[section].update(values)
+        with pytest.raises(ConfigError, match=message):
             from_dict(data)
 
     def test_noise_and_tracker_edges_accepted(self):
@@ -153,8 +197,15 @@ class TestValidation:
         data = to_dict(default_scenario(1))
         data["planner"].update(overlap=0.0, n_per_circle=4, n_surface_samples=1)
         data["mission"]["confirm_hits"] = 1
+        data["camera"].update(cx=0.0, cy=-1e6, width=1, beta=1e-9, gamma=1e-9)
+        data["localizer"].update(n_particles=100, enlarge_factor=1, update_noise_var=0.0,
+                                 gauss_weight=1.0, uniform_weight=0.0, lambda_fine=1e-12,
+                                 kl_converged=math.inf)
+        data["seed"] = -1
         cfg = from_dict(data)
         assert (cfg.planner.overlap, cfg.planner.n_per_circle) == (0.0, 4)
+        assert (cfg.camera.cy, cfg.camera.width) == (-1e6, 1)
+        assert (cfg.localizer.n_particles, cfg.localizer.update_noise_var) == (100, 0.0)
 
     @pytest.mark.parametrize("name, bad", [
         ("min_update_baseline", -0.01), ("fine_replan_distance", -1.0),
@@ -177,6 +228,65 @@ class TestValidation:
         assert (m.min_update_baseline, m.fine_replan_distance, m.found_radius,
                 m.max_sim_time) == (0.0, 0, 0.0, 1e-9)
 
+    def test_entropy_gates_follow_lambdas(self):
+        # the gates were stored in every scenario file, so an edited lambda_rough
+        # left the rough entropy gate at the value for 4.0
+        data = json.loads((SCENARIOS / "one_target.json").read_text())
+        data["localizer"].update(lambda_rough=1.0, lambda_fine=0.05)
+        loc = from_dict(data).localizer
+        assert loc.entropy_rough == gaussian_entropy_for_eigenvalue(1.0)
+        assert loc.entropy_converged == gaussian_entropy_for_eigenvalue(0.05)
+
+    def test_derived_gates_equal_the_stored_ones(self):
+        # the values the stock files stored, bit for bit
+        loc = load(SCENARIOS / "one_target.json").localizer
+        assert (loc.entropy_rough, loc.entropy_converged) == (
+            6.336257141293855, 1.4111356222851965)
+
+    @pytest.mark.parametrize("name", ["entropy_rough", "entropy_converged"])
+    def test_stored_entropy_gate_rejected(self, name):
+        data = to_dict(default_scenario(1))
+        data["localizer"][name] = 6.3
+        with pytest.raises(ConfigError, match=rf"^localizer: unknown field\(s\) \['{name}'\]"):
+            from_dict(data)
+
     def test_localizer_defaults_follow_altitude(self):
         cfg = validate(ScenarioConfig(search_altitude=9.0))
         assert cfg.localizer.max_depth == pytest.approx(18.0)
+
+
+# Fields that no range row checks, each with the reason.
+UNRANGED = {
+    "tracker.initial_sigma": "a matrix, checked where TrackerConfig builds it; prune "
+                             "relies on those checks",
+    "mission.suppression_scale": "its range is left to the stress matrix of ROADMAP item 5",
+    "mission.fine_max_laps": "its range is left to the stress matrix of ROADMAP item 5",
+}
+
+
+def scenario_fields():
+    """Dotted path of every scalar scenario field; targets[i] stands for each target."""
+    cfg = default_scenario(1)
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from (f"{f.name}.{g.name}" for g in dataclasses.fields(value))
+        elif f.name == "targets":
+            yield from (f"targets[i].{g.name}" for g in dataclasses.fields(TargetSpec))
+        else:
+            yield f.name
+
+
+class TestFieldCoverage:
+    def test_every_field_is_range_checked_or_exempt(self):
+        rows = {path for path, _, _ in config_mod._RANGES}
+        rows |= {f"targets[i].{name}" for name, _, _ in config_mod._TARGET_RANGES}
+        unchecked = [p for p in scenario_fields() if p not in rows and p not in UNRANGED]
+        assert unchecked == []
+
+    def test_no_row_or_exemption_is_stale(self):
+        known = set(scenario_fields())
+        rows = [path for path, _, _ in config_mod._RANGES]
+        rows += [f"targets[i].{name}" for name, _, _ in config_mod._TARGET_RANGES]
+        assert [p for p in rows + list(UNRANGED) if p not in known] == []
+        assert not set(rows) & set(UNRANGED)
