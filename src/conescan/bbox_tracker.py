@@ -8,6 +8,7 @@ invertible.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -125,25 +126,19 @@ class TrackerConfig:
     measure_noise_px: float = 4.0
     iou_register_threshold: float = 0.3
     entropy_dereg_threshold: float = 19.0
-    initial_sigma: np.ndarray = None
 
-    def __post_init__(self):
-        if self.initial_sigma is None:
-            sig = self.measure_noise_px**2 * np.eye(4)
-        else:
-            sig = np.asarray(self.initial_sigma, dtype=float)
-            if sig.shape != (4, 4):
-                raise ValueError("initial_sigma must be 4x4")
-            if not np.all(np.isfinite(sig)):
-                raise ValueError("initial_sigma must be finite")
-            if not _is_symmetric(sig):
-                raise ValueError("initial_sigma must be symmetric")
-            if np.linalg.eigvalsh(sig)[0] <= 0:
-                raise ValueError("initial_sigma must be positive definite")
-        object.__setattr__(self, "initial_sigma", sig)
-        measure_cov = self.measure_noise_px**2 * np.eye(4)
-        measure_cov.flags.writeable = False
-        object.__setattr__(self, "_measure_cov", measure_cov)
+    @cached_property
+    def measure_cov(self) -> np.ndarray:
+        """Covariance of one detection, isotropic in the four box coordinates;
+        read-only."""
+        cov = self.measure_noise_px**2 * np.eye(4)
+        cov.flags.writeable = False
+        return cov
+
+    @property
+    def initial_sigma(self) -> np.ndarray:
+        """Covariance of a track registered from one detection: measure_cov."""
+        return self.measure_cov
 
 
 @dataclass(frozen=True)
@@ -208,7 +203,7 @@ def update(track: BoxTrack, z: BBox, cfg: TrackerConfig) -> BoxTrack:
     if not np.all(np.isfinite(meas)):
         raise ValueError("measurement must be finite")
     u = track.u.as_array()
-    gain = track.sigma @ np.linalg.inv(track.sigma + cfg._measure_cov)
+    gain = track.sigma @ np.linalg.inv(track.sigma + cfg.measure_cov)
     u_new = u + gain @ (meas - u)
     sigma_new = (_EYE4 - gain) @ track.sigma
     sigma_new = 0.5 * (sigma_new + sigma_new.T)
@@ -298,8 +293,8 @@ _GATE_MARGIN = 1e-9
 
 def _entropy(sig: np.ndarray) -> float:
     """bbox_entropy without its checks, for covariances the tracker itself
-    keeps symmetric: the validated initial sigma and every Kalman step's
-    symmetrized output."""
+    keeps symmetric: the initial sigma, a multiple of the identity, and every
+    Kalman step's symmetrized output."""
     sign, logdet = np.linalg.slogdet(sig)
     if sign <= 0 or not np.isfinite(logdet):
         return -math.inf

@@ -3,6 +3,7 @@
 import argparse
 import concurrent.futures
 import os
+import statistics
 import sys
 from pathlib import Path
 
@@ -50,14 +51,18 @@ def cmd_validate(args) -> int:
 
 
 def _sweep_one(payload):
+    """One seed's row: found and total targets, then over the done targets their
+    localization errors, largest eigenvalue and accepted updates, then sim
+    seconds and exit code."""
     config_path, seed, out_base = payload
     cfg = cfg_mod.load(config_path)
     out = Path(out_base) / f"seed{seed:04d}" if out_base else None
     report = run_scenario(cfg, seed=seed, out_dir=out)
-    errors = [t.localization_error for t in report.targets
-              if t.status == "done" and t.localization_error is not None]
-    worst = max(errors) if errors else None
-    return seed, report.targets_found, report.targets_total, worst, report.exit_code
+    done = [t for t in report.targets if t.status == "done"]
+    errors = [t.localization_error for t in done if t.localization_error is not None]
+    lam = max((t.eigenvalues[0] for t in done), default=None)
+    return (seed, report.targets_found, report.targets_total, errors, lam,
+            sum(t.updates for t in done), report.duration_s, report.exit_code)
 
 
 def cmd_sweep(args) -> int:
@@ -82,11 +87,22 @@ def cmd_sweep(args) -> int:
     worst_exit = EXIT_OK
     with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
         results = sorted(pool.map(_sweep_one, jobs))
-    print("seed  found  worst_error  exit")
-    for seed, found, total, worst, code in results:
-        err = "-" if worst is None else f"{worst:.3f}"
-        print(f"{seed:<6d}{found}/{total:<5d}{err:<13s}{code}")
+    print("seed  found  worst_error  lambda_max  updates  sim_s   exit")
+    found_all = total_all = 0
+    all_errors = []
+    for seed, found, total, errors, lam, updates, sim_s, code in results:
+        found_all, total_all = found_all + found, total_all + total
+        all_errors += errors
+        err = f"{max(errors):.3f}" if errors else "-"
+        lam = "-" if lam is None else f"{lam:.4f}"
+        print(f"{seed:<6d}{found}/{total:<5d}{err:<13s}{lam:<12s}{updates:<9d}"
+              f"{sim_s:<8.1f}{code}")
         worst_exit = max(worst_exit, code)
+    summary = f"found {found_all}/{total_all} targets"
+    if all_errors:
+        summary += (f", median error {statistics.median(all_errors):.3f} m, "
+                    f"worst {max(all_errors):.3f} m")
+    print(summary)
     return worst_exit
 
 

@@ -71,13 +71,9 @@ class ScenarioConfig:
     noise: NoiseModel = field(default_factory=NoiseModel)
     uav: UavConfig = field(default_factory=UavConfig)
     tracker: TrackerConfig = field(default_factory=TrackerConfig)
-    localizer: LocalizerConfig = None
+    localizer: LocalizerConfig = field(default_factory=LocalizerConfig)
     planner: PlannerConfig = field(default_factory=PlannerConfig)
     mission: MissionConfig = field(default_factory=MissionConfig)
-
-    def __post_init__(self):
-        if self.localizer is None:
-            self.localizer = LocalizerConfig(max_depth=2.0 * self.search_altitude)
 
 
 def _integer(v) -> bool:
@@ -103,8 +99,7 @@ _UNIT = (lambda v: 0 <= v <= 1, "must lie in [0, 1]")
 # The one range check of every scenario value. A value out of its row's range
 # either makes its use site raise, some only mid-mission, or runs a mission
 # that cannot find anything; each rule is written so that NaN and non-numbers
-# fail it. mission.suppression_scale, mission.fine_max_laps and
-# tracker.initial_sigma (checked where the matrix is built) have no row.
+# fail it. Only mission.suppression_scale and mission.fine_max_laps have no row.
 _RANGES = (
     ("region", lambda r: len(r) == 4 and -math.inf < r[0] < r[2] < math.inf
      and -math.inf < r[1] < r[3] < math.inf,
@@ -135,10 +130,8 @@ _RANGES = (
     ("tracker.entropy_dereg_threshold", lambda v: -math.inf <= v <= math.inf,
      "must be a number, not NaN"),
     ("localizer.n_particles", *_at_least(100)),
-    ("localizer.max_depth", *_POSITIVE_FINITE),
     ("localizer.enlarge_factor", lambda v: 1 <= v < math.inf, "must be finite and at least 1"),
     ("localizer.update_noise_var", *_NON_NEGATIVE_FINITE),
-    ("localizer.gauss_weight", *_UNIT),
     ("localizer.uniform_weight", *_UNIT),
     ("localizer.lambda_rough", *_POSITIVE),
     ("localizer.lambda_fine", *_POSITIVE),
@@ -184,8 +177,6 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
             "camera.gamma: mapping geometry requires gamma > beta/2 so the shallow "
             "scanning ray still points downward"
         )
-    if abs(cfg.localizer.gauss_weight + cfg.localizer.uniform_weight - 1.0) > 1e-9:
-        raise ConfigError("localizer.uniform_weight: must sum to 1 with gauss_weight")
     for i, tg in enumerate(cfg.targets):
         _check(_TARGET_RANGES, tg, f"targets[{i}].")
         if float(tg.center[2]) + float(tg.half_extents[2]) >= cfg.search_altitude:
@@ -196,21 +187,8 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
     return cfg
 
 
-def _asdict(obj):
-    if dataclasses.is_dataclass(obj):
-        out = {}
-        for f in dataclasses.fields(obj):
-            out[f.name] = _asdict(getattr(obj, f.name))
-        return out
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (list, tuple)):
-        return [_asdict(v) for v in obj]
-    return obj
-
-
 def to_dict(cfg: ScenarioConfig) -> dict:
-    return _asdict(cfg)
+    return dataclasses.asdict(cfg)
 
 
 def to_json(cfg: ScenarioConfig) -> str:
@@ -284,14 +262,12 @@ def default_scenario(n_targets: int = 1, seed: int = 7) -> ScenarioConfig:
     region = (0.0, 0.0, max(30.0, 10.0 + 6.0 * n_targets * 2), 10.0)
     if n_targets >= 2:
         region = (0.0, 0.0, 36.0, 10.0)
-    search_altitude = 12.0
     cfg = ScenarioConfig(
         region=region,
-        search_altitude=search_altitude,
+        search_altitude=12.0,
         targets=targets,
         seed=seed,
         localizer=LocalizerConfig(
-            max_depth=2.0 * search_altitude,
             update_noise_var=0.01,
             lambda_fine=0.15,
             # updates are taken 3 m apart, so each one genuinely moves a

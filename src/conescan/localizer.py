@@ -52,14 +52,18 @@ def gaussian_entropy_for_eigenvalue(lam: float) -> float:
 @dataclass(frozen=True)
 class LocalizerConfig:
     n_particles: int = 1000
-    max_depth: float = 24.0
     enlarge_factor: float = 1.5
     update_noise_var: float = 0.04
-    gauss_weight: float = 0.9
     uniform_weight: float = 0.1
     lambda_rough: float = 4.0
     lambda_fine: float = 0.25
     kl_converged: float = 0.01
+
+    @property
+    def gauss_weight(self) -> float:
+        """Weight of the Gaussian term of the box likelihood, the rest of the
+        uniform term's."""
+        return 1.0 - self.uniform_weight
 
     @property
     def entropy_rough(self) -> float:
@@ -149,6 +153,8 @@ def generate_particles(
     rng: np.random.Generator,
     target_id: int = 0,
     frame: int = 0,
+    *,
+    max_depth: float,
 ) -> ParticleSet:
     """Seed a cloud inside the cone spanned by four enlarged box corners.
 
@@ -162,7 +168,7 @@ def generate_particles(
     m = cfg.n_particles
     coeffs = 1.0 - rng.uniform(size=(4, m))  # in (0, 1]
     coeffs /= coeffs.sum(axis=0)
-    depths = cfg.max_depth * (1.0 - rng.uniform(size=m))  # in (0, max_depth]
+    depths = max_depth * (1.0 - rng.uniform(size=m))  # in (0, max_depth]
     pts_cam = (dirs @ coeffs) * depths
     pts_world = cam_to_world.apply(pts_cam.T)
     return ParticleSet(target_id=target_id, points=pts_world, generation_frame=frame)

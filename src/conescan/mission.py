@@ -87,7 +87,7 @@ EXIT_UNCONVERGED = 2
 class MissionState:
     mode: str = SEARCH
     active_target: int = None
-    resume_waypoint_index: int = 0
+    resume_waypoint_index: int = 0  # survey waypoint the search path starts at
 
 
 @dataclass
@@ -223,7 +223,6 @@ class MissionRunner:
             start.position, start.yaw, cfg.uav.v_max, cfg.uav.a_max, cfg.uav.yaw_rate
         )
         self.follower.set_path(self.search_path)
-        self._search_base = 0
 
         self.tracker = TrackerState(cfg.tracker, (self.cam.width, self.cam.height))
         self.state = MissionState()
@@ -360,8 +359,11 @@ class MissionRunner:
         hyp_id = self.next_hypothesis_id
         self.next_hypothesis_id += 1
         rng = substream(self.cfg.seed, "particles", hyp_id)
+        # depths reach twice the survey height, past the ground along any ray
+        # at least 30 degrees below the horizon
         particles = generate_particles(
-            corners, est_c2w, self.cam, lcfg, rng, target_id=hyp_id, frame=self.frame
+            corners, est_c2w, self.cam, lcfg, rng, target_id=hyp_id, frame=self.frame,
+            max_depth=2.0 * self.cfg.search_altitude,
         )
         hyp = TargetHypothesis(particles=particles, rng=rng,
                                last_update_camera=est_c2w.translation.copy())
@@ -439,8 +441,9 @@ class MissionRunner:
         return frac * self._fine["planned_angle"]
 
     def _enter_fine(self, hyp):
+        # only entered from SEARCH, whose path starts at the resume index
         self.state.resume_waypoint_index = min(
-            self._search_base + self.follower.waypoints_reached,
+            self.state.resume_waypoint_index + self.follower.waypoints_reached,
             len(self.search_path) - 1,
         )
         self._transition(FINE_LOCALIZE, hyp.target_id,
@@ -495,7 +498,6 @@ class MissionRunner:
     def _resume_search(self):
         idx = self.state.resume_waypoint_index
         self._transition(SEARCH, None, resume_index=idx)
-        self._search_base = idx
         remaining = self.search_path[idx:]
         self.follower.set_path(remaining)
         self._log_plan(SEARCH, [self._current_waypoint()] + list(remaining))

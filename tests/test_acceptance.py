@@ -71,7 +71,7 @@ def test_criterion_1_cone_closure():
     from conftest import random_pose
 
     rng = np.random.default_rng(101)
-    cfg = LocalizerConfig(n_particles=10_000, max_depth=30.0)
+    cfg = LocalizerConfig(n_particles=10_000)
     t0 = time.time()
     violations = 0
     total = 0
@@ -81,7 +81,7 @@ def test_criterion_1_cone_closure():
         box = BBox(lo[0], lo[1], lo[0] + size[0], lo[1] + size[1])
         corners = box.corners_clockwise()
         pose = random_pose(rng)
-        ps = generate_particles(corners, pose, CAM, cfg, rng)
+        ps = generate_particles(corners, pose, CAM, cfg, rng, max_depth=30.0)
         normals = cone_normals(corners, CAM)
         inside = cone_contains(normals, pose.inverse().apply(ps.points))
         violations += int(len(inside) - inside.sum())

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -36,13 +37,15 @@ class TestValidate:
         assert "noise: unknown field(s) ['seed']" in capsys.readouterr().err
 
     def test_asymmetric_initial_sigma_rejected(self, tmp_path, capsys):
+        # the prior is derived from measure_noise_px, so any stored one is refused
         data = to_dict(default_scenario(0))
         data["tracker"]["initial_sigma"] = [
             [16, 1, 0, 0], [0, 16, 0, 0], [0, 0, 16, 0], [0, 0, 0, 16]]
         path = tmp_path / "asym.json"
         path.write_text(json.dumps(data))
         assert main(["validate", str(path)]) == 1
-        assert "tracker: initial_sigma must be symmetric" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "config error: tracker: unknown field(s) ['initial_sigma']\n")
 
     def test_range_that_run_would_reject(self, tmp_path, capsys):
         data = to_dict(default_scenario(0))
@@ -147,9 +150,29 @@ class TestSweep:
         assert code == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0].startswith("seed")
-        assert len(lines) == 4
+        assert len(lines) == 5
+        assert lines[-1] == "found 0/0 targets"
         for seed in (1, 2, 3):
             assert (tmp_path / "sweep" / f"seed{seed:04d}" / "report.json").exists()
+
+    def test_one_seed_row_matches_its_report(self, tmp_path, capsys):
+        scenario = Path(__file__).resolve().parents[1] / "scenarios" / "one_target.json"
+        out = tmp_path / "sweep"
+        code = main(["sweep", str(scenario), "--seeds", "3..3", "--out", str(out),
+                     "--jobs", "1"])
+        header, row, summary = capsys.readouterr().out.strip().splitlines()
+        report = json.loads((out / "seed0003" / "report.json").read_text())
+        done = [t for t in report["targets"] if t["status"] == "done"]
+        assert code == 0 and len(done) == 1
+        error = done[0]["localization_error"]
+        assert header.split() == ["seed", "found", "worst_error", "lambda_max",
+                                  "updates", "sim_s", "exit"]
+        assert row.split() == [
+            "3", f"{report['targets_found']}/{report['targets_total']}", f"{error:.3f}",
+            f"{done[0]['eigenvalues'][0]:.4f}", str(done[0]["updates"]),
+            f"{report['duration_s']:.1f}", "0"]
+        assert summary == (f"found 1/1 targets, median error {error:.3f} m, "
+                           f"worst {error:.3f} m")
 
     @pytest.mark.parametrize("args, message", [
         pytest.param(["--seeds", "nope"], "seeds must look like A..B", id="not_a_range"),

@@ -96,15 +96,13 @@ class TestValidation:
         ([[1, 2, 0, 0], [2, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], "positive definite"),
     ])
     def test_bad_initial_sigma_rejected(self, sigma, message):
+        # the prior is measure_noise_px**2 * I, not a field: a stored matrix is
+        # refused whatever is wrong with it, before any check of its content
         data = to_dict(default_scenario(1))
         data["tracker"]["initial_sigma"] = sigma
-        with pytest.raises(ConfigError, match=f"tracker: initial_sigma must be {message}"):
+        with pytest.raises(ConfigError,
+                           match=r"^tracker: unknown field\(s\) \['initial_sigma'\]$"):
             from_dict(data)
-
-    def test_good_initial_sigma_kept(self):
-        data = to_dict(default_scenario(1))
-        data["tracker"]["initial_sigma"] = (9.0 * np.eye(4)).tolist()
-        assert np.array_equal(from_dict(data).tracker.initial_sigma, 9.0 * np.eye(4))
 
     @pytest.mark.parametrize("section, name, value", [
         ("uav", "v_max", 0), ("uav", "a_max", -1.0), ("uav", "yaw_rate", 0.0),
@@ -125,7 +123,7 @@ class TestValidation:
         ("tracker", "predict_noise_px", math.nan),
         ("tracker", "measure_noise_px", math.nan),
         ("tracker", "predict_noise_px", math.inf),
-        ("tracker", "measure_noise_px", 0.0),
+        ("tracker", "measure_noise_px", 0.0), ("tracker", "measure_noise_px", "x"),
         ("tracker", "entropy_dereg_threshold", math.nan),
         ("tracker", "entropy_dereg_threshold", "high"),
         ("tracker", "iou_register_threshold", 1.0),
@@ -133,12 +131,12 @@ class TestValidation:
         ("camera", "fy", 0.0), ("camera", "cy", math.inf),
         ("camera", "width", 0), ("camera", "height", 480.5),
         ("camera", "gamma", math.pi / 2), ("camera", "beta", math.nan),
-        ("localizer", "update_noise_var", -0.01), ("localizer", "max_depth", math.nan),
+        ("localizer", "update_noise_var", -0.01),
         ("localizer", "enlarge_factor", math.nan), ("localizer", "kl_converged", math.nan),
         ("localizer", "lambda_rough", 0), ("localizer", "lambda_rough", -1),
         ("localizer", "lambda_fine", math.nan), ("localizer", "n_particles", 99),
-        ("localizer", "n_particles", 1000.0), ("localizer", "gauss_weight", 1.1),
-        ("localizer", "uniform_weight", -0.1),
+        ("localizer", "n_particles", 1000.0), ("localizer", "uniform_weight", -0.1),
+        ("localizer", "uniform_weight", 1.1),
     ])
     def test_range_rejected_at_load(self, section, name, value):
         # each value makes its use site raise, at start, mid-mission or at mapping,
@@ -155,8 +153,10 @@ class TestValidation:
         ("region", [0.0, "x", 30.0, 10.0]), ("region", [0.0, 0.0, 30.0]),
     ])
     def test_top_level_value_rejected_at_load(self, key, value):
-        # a fractional seed ran the truncated seed's streams under the given name
+        # a fractional seed ran the truncated seed's streams under the given name;
+        # with no localizer section, a string altitude died computing the depth prior
         data = to_dict(default_scenario(1))
+        del data["localizer"]
         data[key] = value
         with pytest.raises(ConfigError, match=rf"^{key}: "):
             from_dict(data)
@@ -175,7 +175,6 @@ class TestValidation:
 
     @pytest.mark.parametrize("section, values, message", [
         ("camera", {"beta": 1.0, "gamma": 1.5}, r"^camera\.beta: .*vertical field of view"),
-        ("localizer", {"gauss_weight": 0.8}, r"^localizer\.uniform_weight: must sum to 1"),
     ])
     def test_cross_field_rejected_at_load(self, section, values, message):
         data = to_dict(default_scenario(1))
@@ -199,13 +198,14 @@ class TestValidation:
         data["mission"]["confirm_hits"] = 1
         data["camera"].update(cx=0.0, cy=-1e6, width=1, beta=1e-9, gamma=1e-9)
         data["localizer"].update(n_particles=100, enlarge_factor=1, update_noise_var=0.0,
-                                 gauss_weight=1.0, uniform_weight=0.0, lambda_fine=1e-12,
+                                 uniform_weight=0.0, lambda_fine=1e-12,
                                  kl_converged=math.inf)
         data["seed"] = -1
         cfg = from_dict(data)
         assert (cfg.planner.overlap, cfg.planner.n_per_circle) == (0.0, 4)
         assert (cfg.camera.cy, cfg.camera.width) == (-1e6, 1)
         assert (cfg.localizer.n_particles, cfg.localizer.update_noise_var) == (100, 0.0)
+        assert cfg.localizer.gauss_weight == 1.0
 
     @pytest.mark.parametrize("name, bad", [
         ("min_update_baseline", -0.01), ("fine_replan_distance", -1.0),
@@ -250,15 +250,35 @@ class TestValidation:
         with pytest.raises(ConfigError, match=rf"^localizer: unknown field\(s\) \['{name}'\]"):
             from_dict(data)
 
-    def test_localizer_defaults_follow_altitude(self):
-        cfg = validate(ScenarioConfig(search_altitude=9.0))
-        assert cfg.localizer.max_depth == pytest.approx(18.0)
+    def test_derived_prior_and_weight_equal_the_stored_ones(self):
+        # the values the stock files stored, bit for bit
+        cfg = load(SCENARIOS / "one_target.json")
+        assert np.array_equal(cfg.tracker.initial_sigma, 16.0 * np.eye(4))
+        assert cfg.localizer.gauss_weight == 0.9
+
+    def test_derived_prior_and_weight_follow_their_fields(self):
+        data = to_dict(default_scenario(1))
+        data["tracker"]["measure_noise_px"] = 3.0
+        data["localizer"]["uniform_weight"] = 0.25
+        cfg = from_dict(data)
+        assert np.array_equal(cfg.tracker.initial_sigma, 9.0 * np.eye(4))
+        assert cfg.localizer.gauss_weight == 0.75
+
+    @pytest.mark.parametrize("section, name, value", [
+        ("tracker", "initial_sigma", (16.0 * np.eye(4)).tolist()),
+        ("localizer", "max_depth", 24.0), ("localizer", "gauss_weight", 0.9),
+    ])
+    def test_stored_derived_value_rejected(self, section, name, value):
+        # the values the stock files stored before these became derived
+        data = to_dict(default_scenario(1))
+        data[section][name] = value
+        with pytest.raises(ConfigError,
+                           match=rf"^{section}: unknown field\(s\) \['{name}'\]$"):
+            from_dict(data)
 
 
 # Fields that no range row checks, each with the reason.
 UNRANGED = {
-    "tracker.initial_sigma": "a matrix, checked where TrackerConfig builds it; prune "
-                             "relies on those checks",
     "mission.suppression_scale": "its range is left to the stress matrix of ROADMAP item 5",
     "mission.fine_max_laps": "its range is left to the stress matrix of ROADMAP item 5",
 }
@@ -290,3 +310,9 @@ class TestFieldCoverage:
         rows += [f"targets[i].{name}" for name, _, _ in config_mod._TARGET_RANGES]
         assert [p for p in rows + list(UNRANGED) if p not in known] == []
         assert not set(rows) & set(UNRANGED)
+
+    def test_no_config_class_computes_at_construction(self):
+        # a value computed in __post_init__ runs before validate, so a bad field
+        # fails there without its section.field name
+        classes = [ScenarioConfig, TargetSpec, *config_mod._SECTIONS.values()]
+        assert [c.__name__ for c in classes if hasattr(c, "__post_init__")] == []

@@ -38,7 +38,8 @@ from conescan.localizer import (
 
 from conftest import random_pose
 
-LCFG = LocalizerConfig(n_particles=1000, max_depth=24.0)
+LCFG = LocalizerConfig(n_particles=1000)
+MAX_DEPTH = 24.0
 
 
 def cloud(points, target_id=0):
@@ -77,7 +78,7 @@ class TestGenerateParticles:
         rng = np.random.default_rng(1)
         corners = BBox(200, 150, 420, 330).corners_clockwise()
         pose = random_pose(rng)
-        ps = generate_particles(corners, pose, cam, LCFG, rng)
+        ps = generate_particles(corners, pose, cam, LCFG, rng, max_depth=MAX_DEPTH)
         normals = cone_normals(corners, cam)
         pts_cam = pose.inverse().apply(ps.points)
         assert cone_contains(normals, pts_cam).all()
@@ -85,26 +86,28 @@ class TestGenerateParticles:
     def test_camera_depth_in_range(self, cam):
         rng = np.random.default_rng(2)
         corners = BBox(100, 100, 500, 380).corners_clockwise()
-        ps = generate_particles(corners, PoseSE3.identity(), cam, LCFG, rng)
+        ps = generate_particles(corners, PoseSE3.identity(), cam, LCFG, rng,
+                                max_depth=MAX_DEPTH)
         z = ps.points[:, 2]  # identity pose: world frame is the camera frame
         assert np.all(z > 0)
-        assert np.all(z <= LCFG.max_depth)
+        assert np.all(z <= MAX_DEPTH)
 
     def test_sample_mean_matches_corner_direction_average(self, cam):
         # E[point] = E[depth] * mean of the four corner directions
         rng = np.random.default_rng(3)
-        cfg = LocalizerConfig(n_particles=100_000, max_depth=10.0)
+        cfg = LocalizerConfig(n_particles=100_000)
         corners = BBox(0, 0, cam.width, cam.height).corners_clockwise()
-        ps = generate_particles(corners, PoseSE3.identity(), cam, cfg, rng)
+        ps = generate_particles(corners, PoseSE3.identity(), cam, cfg, rng, max_depth=10.0)
         dirs = np.stack([back_project_direction(c, cam) for c in corners])
-        expected = 0.5 * cfg.max_depth * dirs.mean(axis=0)
+        expected = 0.5 * 10.0 * dirs.mean(axis=0)
         se = ps.points.std(axis=0, ddof=1) / math.sqrt(cfg.n_particles)
         assert np.all(np.abs(ps.points.mean(axis=0) - expected) < 3 * se)
 
     def test_exact_count_and_finite(self, cam):
         rng = np.random.default_rng(4)
         corners = BBox(10, 10, 50, 50).corners_clockwise()
-        ps = generate_particles(corners, random_pose(rng), cam, LCFG, rng)
+        ps = generate_particles(corners, random_pose(rng), cam, LCFG, rng,
+                                max_depth=MAX_DEPTH)
         assert ps.points.shape == (LCFG.n_particles, 3)
         assert np.all(np.isfinite(ps.points))
 
@@ -112,7 +115,8 @@ class TestGenerateParticles:
         rng = np.random.default_rng(5)
         flat = np.array([[0, 0], [10, 0], [10, 0], [0, 0]], dtype=float)
         with pytest.raises(ValueError):
-            generate_particles(flat, PoseSE3.identity(), cam, LCFG, rng)
+            generate_particles(flat, PoseSE3.identity(), cam, LCFG, rng,
+                               max_depth=MAX_DEPTH)
 
 
 # Set sizes around the first cone-membership chunk, and places for a set's only
@@ -135,12 +139,13 @@ def one_inside_sets(layouts, seed):
     cam_to_world = random_pose(rng)
     sets = []
     for tid, (n, place) in enumerate(layouts):
-        lcfg = LocalizerConfig(n_particles=max(n, 100), max_depth=24.0)
+        lcfg = LocalizerConfig(n_particles=max(n, 100))
         pts = generate_particles(beside.corners_clockwise(), cam_to_world, cam, lcfg,
-                                 rng).points[:n].copy()
+                                 rng, max_depth=MAX_DEPTH).points[:n].copy()
         if place is not None:
             pts[n - 1 if place == "last" else place] = generate_particles(
-                inside.corners_clockwise(), cam_to_world, cam, LCFG, rng).points[0]
+                inside.corners_clockwise(), cam_to_world, cam, LCFG, rng,
+                max_depth=MAX_DEPTH).points[0]
         sets.append(cloud(pts, target_id=tid))
     return sets, cone_normals(inside.corners_clockwise(), cam), cam_to_world.inverse()
 
@@ -164,7 +169,8 @@ class TestNeedsNewParticleSet:
     def test_same_cone_static_camera_matches(self, cam):
         rng = np.random.default_rng(6)
         corners = BBox(200, 150, 420, 330).corners_clockwise()
-        ps = generate_particles(corners, PoseSE3.identity(), cam, LCFG, rng)
+        ps = generate_particles(corners, PoseSE3.identity(), cam, LCFG, rng,
+                                max_depth=MAX_DEPTH)
         normals = cone_normals(corners, cam)
         matched = needs_new_particle_set([ps], normals, PoseSE3.identity())
         assert matched == [ps]
@@ -172,7 +178,8 @@ class TestNeedsNewParticleSet:
     def test_behind_camera_set_not_matched(self, cam):
         rng = np.random.default_rng(7)
         corners = BBox(200, 150, 420, 330).corners_clockwise()
-        front = generate_particles(corners, PoseSE3.identity(), cam, LCFG, rng)
+        front = generate_particles(corners, PoseSE3.identity(), cam, LCFG, rng,
+                                   max_depth=MAX_DEPTH)
         behind = cloud(-front.points, target_id=1)
         normals = cone_normals(corners, cam)
         matched = needs_new_particle_set([front, behind], normals, PoseSE3.identity())
@@ -287,7 +294,7 @@ class TestUpdateParticles:
         pose_a = camera_to_world_pose([-8, 0, 10], 0.0, math.radians(55))
         box_a = exact_box(spread, pose_a.inverse(), cam, pad=2.0)
         corners = enlarge(box_a, LCFG.enlarge_factor).corners_clockwise()
-        ps = generate_particles(corners, pose_a, cam, LCFG, rng)
+        ps = generate_particles(corners, pose_a, cam, LCFG, rng, max_depth=MAX_DEPTH)
         trace0 = np.trace(np.cov(ps.points.T))
 
         for position, yaw in (([0, -8, 10], math.pi / 2), ([8, 0, 10], math.pi)):
@@ -316,8 +323,8 @@ class TestUpdateParticles:
     def test_zero_noise_whole_image_uniform_is_permutation(self, cam):
         rng = np.random.default_rng(15)
         cfg = LocalizerConfig(
-            n_particles=500, max_depth=24.0, update_noise_var=0.0,
-            gauss_weight=0.0, uniform_weight=1.0, enlarge_factor=1.0,
+            n_particles=500, update_noise_var=0.0, uniform_weight=1.0,
+            enlarge_factor=1.0,
         )
         pts = rng.normal([0, 0, 10], 0.5, size=(500, 3))
         ps = cloud(pts)
@@ -329,7 +336,8 @@ class TestUpdateParticles:
     def test_count_and_finiteness_preserved(self, cam):
         rng = np.random.default_rng(16)
         corners = BBox(250, 190, 390, 290).corners_clockwise()
-        ps = generate_particles(corners, PoseSE3.identity(), cam, LCFG, rng)
+        ps = generate_particles(corners, PoseSE3.identity(), cam, LCFG, rng,
+                                max_depth=MAX_DEPTH)
         for _ in range(10):
             box = BBox(250 + rng.uniform(-20, 20), 190 + rng.uniform(-20, 20),
                        390 + rng.uniform(-20, 20), 290 + rng.uniform(-20, 20))

@@ -228,6 +228,24 @@ class TestCloudStatistics:
         assert len(passes) == per_set
 
 
+class TestDepthPrior:
+    def test_registration_seeds_to_twice_the_altitude(self, monkeypatch):
+        # the depth prior was a localizer field, so a scenario with its own
+        # localizer section kept that depth at any survey altitude
+        depths = []
+        generate = mission.generate_particles
+
+        def recording(*args, max_depth, **kwargs):
+            depths.append(max_depth)
+            return generate(*args, max_depth=max_depth, **kwargs)
+
+        monkeypatch.setattr(mission, "generate_particles", recording)
+        cfg = dataclasses.replace(default_scenario(1, seed=3), search_altitude=9.0)
+        cfg.mission.max_sim_time = 60.0
+        MissionRunner(cfg).run()
+        assert depths and set(depths) == {18.0}
+
+
 class TestTruthProjection:
     def test_one_projection_per_frame(self, monkeypatch):
         projected, klt_inputs = [], []
@@ -414,9 +432,7 @@ class TestFlownVersusPlanned:
 class TestFailurePaths:
     def test_impossible_convergence_gives_failed_target(self, tmp_path):
         cfg = default_scenario(1, seed=3)
-        cfg.localizer = LocalizerConfig(
-            max_depth=24.0, update_noise_var=0.01, lambda_fine=1e-9,
-        )
+        cfg.localizer = LocalizerConfig(update_noise_var=0.01, lambda_fine=1e-9)
         cfg.mission.min_update_baseline = 3.0
         report = run_scenario(cfg, out_dir=tmp_path)
         assert report.exit_code == EXIT_UNCONVERGED
@@ -429,9 +445,7 @@ class TestFailurePaths:
 
     def test_mission_always_terminates(self, tmp_path):
         cfg = default_scenario(1, seed=3)
-        cfg.localizer = LocalizerConfig(
-            max_depth=24.0, update_noise_var=0.01, lambda_fine=1e-9,
-        )
+        cfg.localizer = LocalizerConfig(update_noise_var=0.01, lambda_fine=1e-9)
         report = run_scenario(cfg)
         assert report.duration_s < cfg.mission.max_sim_time
 
