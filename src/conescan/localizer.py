@@ -7,7 +7,7 @@ divergence and differential entropy of the cloud drive mission transitions.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -78,9 +78,7 @@ class LocalizerConfig:
 
 @dataclass(frozen=True)
 class ParticleSet:
-    target_id: int
     points: np.ndarray  # (n_particles, 3) world frame, read-only
-    generation_frame: int
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -151,8 +149,6 @@ def generate_particles(
     cam: CameraRig,
     cfg: LocalizerConfig,
     rng: np.random.Generator,
-    target_id: int = 0,
-    frame: int = 0,
     *,
     max_depth: float,
 ) -> ParticleSet:
@@ -171,7 +167,7 @@ def generate_particles(
     depths = max_depth * (1.0 - rng.uniform(size=m))  # in (0, max_depth]
     pts_cam = (dirs @ coeffs) * depths
     pts_world = cam_to_world.apply(pts_cam.T)
-    return ParticleSet(target_id=target_id, points=pts_world, generation_frame=frame)
+    return ParticleSet(pts_world)
 
 
 def needs_new_particle_set(existing_sets, normals: np.ndarray, world_to_cam: PoseSE3):
@@ -263,7 +259,7 @@ def update_particles(
     if np.all(weights <= WEIGHT_FLOOR):
         return UpdateResult(ps, starved=True)
     idx = systematic_resample(weights, rng)
-    return UpdateResult(replace(ps, points=perturbed[idx]), starved=False)
+    return UpdateResult(ParticleSet(perturbed[idx]), starved=False)
 
 
 def gaussian_summary(ps: ParticleSet) -> GaussianSummary:
@@ -322,22 +318,22 @@ def localization_status(rec: ConvergenceRecord, cfg: LocalizerConfig) -> str:
 
 @dataclass
 class TargetHypothesis:
-    """A particle set plus the bookkeeping the mission needs around it."""
+    """One target's estimate: its current particle set, the random stream that
+    resamples it, and the convergence record of every set it has had.
 
+    `status` only rises (rough, fine_requested, converged) as records are
+    added; the mission marks a hypothesis whose fine phase ran out "failed" and
+    stops updating it.
+    """
+
+    target_id: int
     particles: ParticleSet
     rng: np.random.Generator
     history: list = field(default_factory=list)
     status: str = STATUS_ROUGH
-    failed: bool = False
     updates: int = 0
     starved_updates: int = 0
     last_update_camera: np.ndarray = None  # where the last accepted view was taken
-    coverage: float = None
-    arc_fraction: float = None
-
-    @property
-    def target_id(self) -> int:
-        return self.particles.target_id
 
     @property
     def center(self) -> np.ndarray:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .geometry import CameraRig, bearing
 from .localizer import ParticleSet, gaussian_summary
-from .view_planner import Waypoint
+from .view_planner import ViewCircle, Waypoint
 
 MIN_CYLINDER_RADIUS = 0.1
 
@@ -41,23 +41,8 @@ class Cylinder:
 
 
 @dataclass(frozen=True)
-class ScanCircle:
-    center: np.ndarray  # on the cylinder axis, z = orbit altitude
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "center", np.asarray(self.center, dtype=float).reshape(3)
-        )
-
-    @property
-    def altitude(self) -> float:
-        return float(self.center[2])
-
-
-@dataclass(frozen=True)
 class ScanPlan:
-    circles: list
+    circles: list  # ViewCircles on the cylinder axis, center z = orbit altitude
     waypoints: list  # one waypoint list per circle
     gamma_low: float  # steep ray, covers the bottom edge of each band
     gamma_high: float  # shallow ray, covers the top edge
@@ -114,7 +99,7 @@ def scan_circles(
     waypoint_lists = []
     for k in range(n_circles):
         altitude = first_altitude + k * band_height
-        circle = ScanCircle(
+        circle = ViewCircle(
             center=np.array([cyl.axis_xy[0], cyl.axis_xy[1], altitude]),
             radius=orbit_radius,
         )
@@ -128,7 +113,7 @@ def scan_circles(
     )
 
 
-def circle_waypoints(circle: ScanCircle, n_per_circle: int, axis_xy) -> list:
+def circle_waypoints(circle: ViewCircle, n_per_circle: int, axis_xy) -> list:
     """Equally spaced orbit waypoints, yaw locked on the cylinder axis.
 
     All circles start at azimuth zero so consecutive circles join at a matching
@@ -139,10 +124,7 @@ def circle_waypoints(circle: ScanCircle, n_per_circle: int, axis_xy) -> list:
     axis = np.asarray(axis_xy, dtype=float).reshape(2)
     wps = []
     for i in range(n_per_circle):
-        az = 2.0 * math.pi * i / n_per_circle
-        pos = circle.center + circle.radius * np.array(
-            [math.cos(az), math.sin(az), 0.0]
-        )
+        pos = circle.point_at(2.0 * math.pi * i / n_per_circle)
         wps.append(Waypoint(pos, bearing(pos[:2], axis)))
     return wps
 
@@ -171,10 +153,9 @@ def coverage_samples(
     sz = z_grid.ravel()
     samples = np.column_stack([sx, sy, sz])
 
-    waypoints = plan.all_waypoints() if plan is not None else []
     covered = np.zeros(sx.shape, dtype=bool)
     half_hfov = cam.hfov / 2.0
-    for wp in waypoints:
+    for wp in plan.all_waypoints():
         qx, qy, qz = wp.position
         dx, dy = sx - qx, sy - qy
         dist_h = np.hypot(dx, dy)
@@ -195,7 +176,7 @@ def coverage_check(
     plan: ScanPlan, cam: CameraRig, cyl: Cylinder, n_surface_samples: int
 ) -> float:
     """Fraction of the cylinder wall seen by at least one planned waypoint."""
-    if plan is None or not plan.all_waypoints():
+    if not plan.all_waypoints():
         return 0.0
     _, covered = coverage_samples(plan, cam, cyl, n_surface_samples)
     return float(covered.mean())

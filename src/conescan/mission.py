@@ -9,7 +9,8 @@ then resume the search where it was interrupted.
 import csv
 import json
 import math
-from dataclasses import dataclass
+import shutil
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -84,13 +85,6 @@ EXIT_UNCONVERGED = 2
 
 
 @dataclass
-class MissionState:
-    mode: str = SEARCH
-    active_target: int = None
-    resume_waypoint_index: int = 0  # survey waypoint the search path starts at
-
-
-@dataclass
 class TargetReport:
     target_id: int
     status: str
@@ -117,23 +111,24 @@ class RunReport:
         return EXIT_OK if self.targets_found >= self.targets_total else EXIT_UNCONVERGED
 
     def to_dict(self) -> dict:
-        return {
-            "targets": [vars(t).copy() for t in self.targets],
-            "duration_s": self.duration_s,
-            "distance_m": self.distance_m,
-            "targets_found": self.targets_found,
-            "targets_total": self.targets_total,
-            "transitions": self.transitions,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 class _RunLog:
-    """Streaming CSV/JSON writers for one run directory (no-ops when disabled)."""
+    """Streaming CSV/JSON writers for one run directory (no-ops when disabled).
+
+    A run directory that already exists loses its previous run's particle
+    snapshots and plot series; the other files are rewritten.
+    """
 
     def __init__(self, out_dir):
         self.dir = Path(out_dir) if out_dir else None
         self._files = []
+        if self.dir:
+            shutil.rmtree(self.dir / "plots", ignore_errors=True)
+            for stale in (self.dir / "particles").glob("*.json"):
+                stale.unlink()
+            (self.dir / "particles").mkdir(parents=True, exist_ok=True)
         self.tracks = self._csv(
             "tracks.csv",
             ["frame", "track_id", "u_min", "v_min", "u_max", "v_max",
@@ -146,13 +141,10 @@ class _RunLog:
             ["frame", "target_id", "lambda1", "lambda2", "lambda3",
              "entropy", "kl", "status"],
         )
-        if self.dir:
-            (self.dir / "particles").mkdir(parents=True, exist_ok=True)
 
     def _csv(self, name, header):
         if not self.dir:
             return None
-        self.dir.mkdir(parents=True, exist_ok=True)
         fh = open(self.dir / name, "w", newline="")
         self._files.append(fh)
         writer = csv.writer(fh)
@@ -163,7 +155,7 @@ class _RunLog:
         if writer is not None:
             writer.writerow(values)
 
-    def snapshot(self, hyp: TargetHypothesis, frame: int, tag: str = ""):
+    def snapshot(self, hyp: TargetHypothesis, frame: int, tag: str):
         if not self.dir:
             return
         rec = hyp.history[-1] if hyp.history else None
@@ -174,10 +166,9 @@ class _RunLog:
             "eigenvalues": pca_summary(hyp.particles).eigenvalues.tolist(),
             "entropy": rec.entropy if rec else None,
             "kl": rec.kl if rec else None,
-            "status": "failed" if hyp.failed else hyp.status,
+            "status": hyp.status,
         }
-        suffix = f"_{tag}" if tag else ""
-        name = f"target{hyp.target_id:03d}_frame{frame:06d}{suffix}.json"
+        name = f"target{hyp.target_id:03d}_frame{frame:06d}_{tag}.json"
         with open(self.dir / "particles" / name, "w") as fh:
             json.dump(data, fh, sort_keys=True)
 
@@ -225,8 +216,11 @@ class MissionRunner:
         self.follower.set_path(self.search_path)
 
         self.tracker = TrackerState(cfg.tracker, (self.cam.width, self.cam.height))
-        self.state = MissionState()
-        self.hypotheses = []
+        self.mode = SEARCH
+        self.active = None  # the hypothesis being fine-localized or mapped
+        self.resume_index = 0  # survey waypoint the search path starts at
+        self.hypotheses = []  # live ones only
+        self.failed = []  # hypotheses whose fine phase ran out of laps
         self.next_hypothesis_id = 0
         self.suppression = []  # (center, radius) of finished targets
         self.done = []  # (hypothesis, coverage_payload)
@@ -236,8 +230,8 @@ class MissionRunner:
         self.distance = 0.0
         self.transitions = []
         self._prev_truth = None  # last frame's TargetProjection per target
-        self._prev_target_boxes = {}
-        self._fine = None  # per fine-phase bookkeeping
+        self._fine = None  # the current fine arc's plan, read in FINE_LOCALIZE
+        self._mapping = None  # (coverage payload, suppression radius), read in MAP
 
         self.log = _RunLog(out_dir)
         self._log_plan(SEARCH, self.search_path)
@@ -252,24 +246,21 @@ class MissionRunner:
                  _fmt(wp.position[2]), _fmt(wp.yaw)],
             )
 
-    def _transition(self, new_mode, target_id=None, **extra):
+    def _transition(self, new_mode, hyp=None, **extra):
         entry = {
             "frame": self.frame,
             "t": round(self.t, 6),
-            "from": self.state.mode,
+            "from": self.mode,
             "to": new_mode,
-            "target": target_id,
+            "target": None if hyp is None else hyp.target_id,
         }
         entry.update(extra)
         self.transitions.append(entry)
-        self.state.mode = new_mode
-        self.state.active_target = target_id
+        self.mode = new_mode
+        self.active = hyp
 
     def _current_waypoint(self) -> Waypoint:
         return Waypoint(self.follower.position.copy(), self.follower.yaw)
-
-    def _live_hypotheses(self):
-        return [h for h in self.hypotheses if not h.failed]
 
     # ------------------------------------------------------------- perception
 
@@ -291,9 +282,10 @@ class MissionRunner:
         sims = {}
         if self._prev_truth is None:
             return sims
+        prev_boxes = self._true_target_boxes(self._prev_truth)
         for track in self.tracker.live:  # in id order
             best_id, best_iou = None, 0.1
-            for tid, box in self._prev_target_boxes.items():
+            for tid, box in prev_boxes.items():
                 score = iou(track.u, box)
                 if score > best_iou:
                     best_id, best_iou = tid, score
@@ -335,15 +327,15 @@ class MissionRunner:
             normals = cone_normals(corners, self.cam)
         except DegenerateConeError:
             return
-        live = self._live_hypotheses()
-        matched_sets = needs_new_particle_set([h.particles for h in live], normals, est_w2c)
-        matched_ids = {ps.target_id for ps in matched_sets}
-        matched = [h for h in live if h.target_id in matched_ids]
+        matched_sets = needs_new_particle_set(
+            [h.particles for h in self.hypotheses], normals, est_w2c)
+        matched_ids = {id(ps) for ps in matched_sets}
+        matched = [h for h in self.hypotheses if id(h.particles) in matched_ids]
 
         if matched:
             cam_pos = est_c2w.translation
             for hyp in matched:
-                if self.state.mode == FINE_LOCALIZE and hyp.target_id != self.state.active_target:
+                if self.mode == FINE_LOCALIZE and hyp is not self.active:
                     continue  # only the active target updates off-search
                 if (hyp.last_update_camera is not None
                         and np.linalg.norm(cam_pos - hyp.last_update_camera)
@@ -352,7 +344,7 @@ class MissionRunner:
                 self._update_hypothesis(hyp, track.u, est_w2c, cam_pos)
             return
 
-        if self.state.mode == FINE_LOCALIZE:
+        if self.mode == FINE_LOCALIZE:
             return  # no fresh registrations while circling one target
         if self._suppressed(normals, est_w2c):
             return
@@ -362,10 +354,9 @@ class MissionRunner:
         # depths reach twice the survey height, past the ground along any ray
         # at least 30 degrees below the horizon
         particles = generate_particles(
-            corners, est_c2w, self.cam, lcfg, rng, target_id=hyp_id, frame=self.frame,
-            max_depth=2.0 * self.cfg.search_altitude,
+            corners, est_c2w, self.cam, lcfg, rng, max_depth=2.0 * self.cfg.search_altitude,
         )
-        hyp = TargetHypothesis(particles=particles, rng=rng,
+        hyp = TargetHypothesis(target_id=hyp_id, particles=particles, rng=rng,
                                last_update_camera=est_c2w.translation.copy())
         hyp.record(lcfg, kl=None)
         self.hypotheses.append(hyp)
@@ -428,7 +419,6 @@ class MissionRunner:
                 path.append(Waypoint(pos, bearing(pos, center)))
             sweep = 2.0 * math.pi
         self._fine = {
-            "hyp": hyp,
             "center": center.copy(),
             "path_len": max(len(path) - 1, 1),
             "planned_angle": sweep,
@@ -442,71 +432,53 @@ class MissionRunner:
 
     def _enter_fine(self, hyp):
         # only entered from SEARCH, whose path starts at the resume index
-        self.state.resume_waypoint_index = min(
-            self.state.resume_waypoint_index + self.follower.waypoints_reached,
-            len(self.search_path) - 1,
-        )
-        self._transition(FINE_LOCALIZE, hyp.target_id,
-                         resume_index=self.state.resume_waypoint_index)
+        self.resume_index = min(self.resume_index + self.follower.waypoints_reached,
+                                len(self.search_path) - 1)
+        self._transition(FINE_LOCALIZE, hyp, resume_index=self.resume_index)
         self._lap_angle = 0.0
         self._plan_fine_arc(hyp)
 
     def _enter_map(self, hyp):
         arc_fraction = None
-        if self._fine is not None and self._fine["planned_angle"] > 0:
+        if self._fine["planned_angle"] > 0:
             arc_fraction = self._fine_progress_angle() / self._fine["planned_angle"]
         pcfg = self.cfg.planner
         cylinder = fit_cylinder(hyp.particles)
         plan = scan_circles(cylinder, self.cam, pcfg.standoff, pcfg.n_per_circle)
         samples, covered = coverage_samples(plan, self.cam, cylinder,
                                             pcfg.n_surface_samples)
-        coverage = float(covered.mean())
-        uncovered = samples[~covered][:200].tolist()
         path = mapping_path(plan, self.follower.position)
-        self._map_result = {
-            "hyp": hyp,
-            "payload": {
-                "target_id": hyp.target_id,
-                "circle_altitudes": [c.altitude for c in plan.circles],
-                "orbit_radius": plan.circles[0].radius,
-                "covered_fraction": coverage,
-                "uncovered_samples": uncovered,
-            },
-            "coverage": coverage,
-            "cylinder": cylinder,
-            "arc_fraction": arc_fraction,
+        payload = {
+            "target_id": hyp.target_id,
+            "circle_altitudes": [float(c.center[2]) for c in plan.circles],
+            "orbit_radius": plan.circles[0].radius,
+            "covered_fraction": float(covered.mean()),
+            "uncovered_samples": samples[~covered][:200].tolist(),
         }
-        self._fine = None
-        self._transition(MAP, hyp.target_id, arc_fraction=arc_fraction)
+        self._mapping = (payload, self.cfg.mission.suppression_scale * cylinder.radius)
+        self._transition(MAP, hyp, arc_fraction=arc_fraction)
         self.follower.set_path(path)
         self._log_plan(MAP, [self._current_waypoint()] + path)
 
     def _finish_map(self):
-        res = self._map_result
-        hyp, cyl = res["hyp"], res["cylinder"]
-        hyp.coverage = res["coverage"]
-        hyp.arc_fraction = res["arc_fraction"]
-        self.done.append((hyp, res["payload"]))
+        hyp, (payload, radius) = self.active, self._mapping
+        self.done.append((hyp, payload))
         self.hypotheses.remove(hyp)
-        self.suppression.append(
-            (hyp.center, self.cfg.mission.suppression_scale * cyl.radius)
-        )
+        self.suppression.append((hyp.center, radius))
         self.log.snapshot(hyp, self.frame, "done")
-        self._map_result = None
         self._resume_search()
 
     def _resume_search(self):
-        idx = self.state.resume_waypoint_index
-        self._transition(SEARCH, None, resume_index=idx)
-        remaining = self.search_path[idx:]
+        self._transition(SEARCH, resume_index=self.resume_index)
+        remaining = self.search_path[self.resume_index:]
         self.follower.set_path(remaining)
         self._log_plan(SEARCH, [self._current_waypoint()] + list(remaining))
 
     def _step_modes(self):
-        mode = self.state.mode
+        mode = self.mode
         if mode == SEARCH:
             candidates = [
-                h for h in self._live_hypotheses()
+                h for h in self.hypotheses
                 if loc.status_rank(h.status) >= loc.status_rank(STATUS_FINE_REQUESTED)
             ]
             if candidates:
@@ -514,7 +486,7 @@ class MissionRunner:
                 return False
             return self.follower.done
         if mode == FINE_LOCALIZE:
-            hyp = self._fine["hyp"]
+            hyp = self.active
             if hyp.status == STATUS_CONVERGED:
                 self._enter_map(hyp)
                 return False
@@ -528,9 +500,10 @@ class MissionRunner:
                     else self._fine_progress_angle()
                 )
                 if self._lap_angle >= self.cfg.mission.fine_max_laps * 2.0 * math.pi:
-                    hyp.failed = True
+                    hyp.status = "failed"
+                    self.hypotheses.remove(hyp)
+                    self.failed.append(hyp)
                     self.log.snapshot(hyp, self.frame, "failed")
-                    self._fine = None
                     self._resume_search()
                 else:
                     self._plan_fine_arc(hyp)
@@ -575,29 +548,26 @@ class MissionRunner:
                      _fmt(bbox_entropy(track.sigma)), track.status],
                 )
 
-        if self.state.mode != MAP:
+        if self.mode != MAP:
             for track in self.tracker.live:  # in id order
                 if track.id not in updated or track.hits < self.cfg.mission.confirm_hits:
                     continue
                 self._localize_from_track(track, est_c2w, est_w2c)
-            kept, _ = drop_duplicates(self._live_hypotheses())
+            kept, _ = drop_duplicates(self.hypotheses)
             # a live hypothesis converging into a finished target's zone is a
             # duplicate of that target, not a new one
-            kept = [
+            self.hypotheses = [
                 h for h in kept
-                if h.target_id == self.state.active_target
-                or not self._near_done_target(h.center)
+                if h is self.active or not self._near_done_target(h.center)
             ]
-            self.hypotheses = kept + [h for h in self.hypotheses if h.failed]
 
         finished = self._step_modes()
 
         self._prev_truth = truth
-        self._prev_target_boxes = self._true_target_boxes(truth)
         self.log.row(
             self.log.path,
             [_fmt(self.t), _fmt(pos[0]), _fmt(pos[1]), _fmt(pos[2]), _fmt(yaw),
-             self.state.mode],
+             self.mode],
         )
         return finished
 
@@ -608,7 +578,7 @@ class MissionRunner:
                     break
             report = self._report()
             if self.dump_particles:
-                for hyp in self.hypotheses:
+                for hyp in self.hypotheses + self.failed:
                     self.log.snapshot(hyp, self.frame, "final")
             self.log.write_json(
                 "coverage.json", [payload for _, payload in self.done]
@@ -629,12 +599,14 @@ class MissionRunner:
                 return None
             return float(min(np.linalg.norm(center - c) for c in true_centers))
 
-        statuses = [(hyp, "done") for hyp, _ in self.done] + [
-            (hyp, "failed" if hyp.failed else hyp.status) for hyp in self.hypotheses]
+        # coverage and arc fraction belong to finished targets only
+        arc_fractions = {t["target"]: t["arc_fraction"] for t in self.transitions
+                         if t["to"] == MAP}
+        rows = [(hyp, "done", payload["covered_fraction"], arc_fractions[hyp.target_id])
+                for hyp, payload in self.done]
+        rows += [(hyp, hyp.status, None, None) for hyp in self.hypotheses + self.failed]
         entries = []
-        for hyp, status in statuses:
-            # coverage and arc_fraction are set when mapping finishes, so they
-            # stay None for live hypotheses
+        for hyp, status, coverage, arc_fraction in rows:
             center = hyp.center
             entries.append(TargetReport(
                 target_id=hyp.target_id,
@@ -644,8 +616,8 @@ class MissionRunner:
                              pca_summary(hyp.particles).eigenvalues],
                 updates=hyp.updates,
                 localization_error=nearest_error(center),
-                coverage=hyp.coverage,
-                arc_fraction=hyp.arc_fraction,
+                coverage=coverage,
+                arc_fraction=arc_fraction,
             ))
         entries.sort(key=lambda e: e.target_id)
 
@@ -671,7 +643,7 @@ def run_scenario(cfg: ScenarioConfig, seed=None, out_dir=None,
                  dump_particles=False) -> RunReport:
     """Run one mission; returns the report (exit code via report.exit_code)."""
     if seed is not None:
-        cfg = ScenarioConfig(**{**vars(cfg), "seed": int(seed)})
+        cfg = replace(cfg, seed=int(seed))
     runner = MissionRunner(cfg, out_dir=out_dir, dump_particles=dump_particles)
     return runner.run()
 

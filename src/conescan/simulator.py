@@ -150,8 +150,6 @@ class DetectionDelay:
         self._queue = []
 
     def push(self, detections):
-        if self.latency == 0:
-            return list(detections)
         self._queue.append(list(detections))
         if len(self._queue) > self.latency:
             return self._queue.pop(0)

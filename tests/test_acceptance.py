@@ -290,7 +290,7 @@ def _convergence_worker(seed: int):
     runner = MissionRunner(cfg)
     report = runner.run()
     truth = np.asarray(cfg.targets[0].center, dtype=float)
-    hyps = [h for h, _ in runner.done] + runner.hypotheses
+    hyps = [h for h, _ in runner.done] + runner.hypotheses + runner.failed
     best = max(hyps, key=lambda h: h.updates)
     error = float(np.linalg.norm(best.particles.points.mean(axis=0) - truth))
     return error, best.history[0].lambda_max, best.history[-1].lambda_max
@@ -327,7 +327,7 @@ def test_criterion_6_nbv_optimality():
                            rng.uniform(0, 2)])
         a = 0.3 * rng.standard_normal((3, 3))
         cov = a @ a.T + 0.01 * np.eye(3)
-        ps = ParticleSet(0, rng.multivariate_normal(center, cov, size=500), 0)
+        ps = ParticleSet(rng.multivariate_normal(center, cov, size=500))
         pca = pca_summary(ps)
         v = pca.smallest_eigenvector
         if math.hypot(v[0], v[1]) < 1e-6 or v[2] < 1e-6:
@@ -439,7 +439,7 @@ def test_criterion_9_degenerate_inputs():
 
     assert bbox_entropy(np.diag([1.0, 1.0, 1.0, 0.0])) == -math.inf
     assert points_entropy(
-        ParticleSet(0, np.outer(np.linspace(0, 1, 50), [1.0, 2.0, -1.0]), 0)
+        ParticleSet(np.outer(np.linspace(0, 1, 50), [1.0, 2.0, -1.0]))
     ) == -math.inf
     with pytest.raises(ValueError):
         kl_divergence(GaussianSummary(np.zeros(3), np.eye(3)),
@@ -447,7 +447,7 @@ def test_criterion_9_degenerate_inputs():
     details.append("singular covariances signalled")
 
     rng = np.random.default_rng(109)
-    far_cloud = ParticleSet(0, rng.normal([0, 0, 5], 0.1, size=(500, 3)), 0)
+    far_cloud = ParticleSet(rng.normal([0, 0, 5], 0.1, size=(500, 3)))
     result = update_particles(far_cloud, BBox(0, 0, 4, 4), PoseSE3.identity(),
                               CAM, LocalizerConfig(), rng)
     assert result.starved and result.particles is far_cloud

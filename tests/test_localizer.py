@@ -42,9 +42,8 @@ LCFG = LocalizerConfig(n_particles=1000)
 MAX_DEPTH = 24.0
 
 
-def cloud(points, target_id=0):
-    return ParticleSet(target_id=target_id, points=np.asarray(points, dtype=float),
-                       generation_frame=0)
+def cloud(points):
+    return ParticleSet(np.asarray(points, dtype=float))
 
 
 def gaussian_cloud(rng, mean, cov, n=1000):
@@ -138,7 +137,7 @@ def one_inside_sets(layouts, seed):
     rng = np.random.default_rng(seed)
     cam_to_world = random_pose(rng)
     sets = []
-    for tid, (n, place) in enumerate(layouts):
+    for n, place in layouts:
         lcfg = LocalizerConfig(n_particles=max(n, 100))
         pts = generate_particles(beside.corners_clockwise(), cam_to_world, cam, lcfg,
                                  rng, max_depth=MAX_DEPTH).points[:n].copy()
@@ -146,7 +145,7 @@ def one_inside_sets(layouts, seed):
             pts[n - 1 if place == "last" else place] = generate_particles(
                 inside.corners_clockwise(), cam_to_world, cam, LCFG, rng,
                 max_depth=MAX_DEPTH).points[0]
-        sets.append(cloud(pts, target_id=tid))
+        sets.append(cloud(pts))
     return sets, cone_normals(inside.corners_clockwise(), cam), cam_to_world.inverse()
 
 
@@ -180,10 +179,10 @@ class TestNeedsNewParticleSet:
         corners = BBox(200, 150, 420, 330).corners_clockwise()
         front = generate_particles(corners, PoseSE3.identity(), cam, LCFG, rng,
                                    max_depth=MAX_DEPTH)
-        behind = cloud(-front.points, target_id=1)
+        behind = cloud(-front.points)
         normals = cone_normals(corners, cam)
         matched = needs_new_particle_set([front, behind], normals, PoseSE3.identity())
-        assert [ps.target_id for ps in matched] == [0]
+        assert matched == [front]
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), layouts=st.permutations(CHUNK_LAYOUTS))
@@ -382,7 +381,7 @@ class TestCachedCloudStatistics:
         pts = shaped_cloud(n, seed, scale, shape)
         mean, cov, evals, evecs, entropy = reference_statistics(pts.copy())
         ps = cloud(pts)
-        hyp = TargetHypothesis(particles=ps, rng=np.random.default_rng(0))
+        hyp = TargetHypothesis(target_id=0, particles=ps, rng=np.random.default_rng(0))
         for _ in range(2):  # the first read computes, the second reads the cache
             gauss, pca = gaussian_summary(ps), pca_summary(ps)
             assert np.array_equal(gauss.mean, mean) and np.array_equal(gauss.cov, cov)
@@ -545,7 +544,8 @@ class TestLocalizationStatus:
 
     def _hyp(self, scale):
         rng = np.random.default_rng(26)
-        return TargetHypothesis(particles=cloud(rng.normal(0.0, scale, size=(1000, 3))),
+        return TargetHypothesis(target_id=0,
+                                particles=cloud(rng.normal(0.0, scale, size=(1000, 3))),
                                 rng=rng)
 
     def test_fresh_wide_set_is_rough(self):
@@ -590,7 +590,7 @@ class TestDropDuplicates:
     def _hyp(self, target_id, center, status, lam):
         rng = np.random.default_rng(target_id)
         pts = rng.normal(center, 0.05, size=(120, 3))
-        hyp = TargetHypothesis(particles=cloud(pts, target_id=target_id), rng=rng)
+        hyp = TargetHypothesis(target_id=target_id, particles=cloud(pts), rng=rng)
         hyp.status = status
         hyp.history = [ConvergenceRecord(lambda_max=lam, entropy=0.0, kl=None)]
         return hyp

@@ -8,7 +8,6 @@ from conescan.localizer import ParticleSet
 from conescan.mapping_planner import (
     MIN_CYLINDER_RADIUS,
     Cylinder,
-    ScanCircle,
     circle_waypoints,
     coverage_check,
     coverage_samples,
@@ -16,11 +15,11 @@ from conescan.mapping_planner import (
     mapping_path,
     scan_circles,
 )
+from conescan.view_planner import ViewCircle
 
 
 def cloud(points):
-    return ParticleSet(target_id=0, points=np.asarray(points, dtype=float),
-                       generation_frame=0)
+    return ParticleSet(np.asarray(points, dtype=float))
 
 
 def band_oracle(height, band):
@@ -78,14 +77,14 @@ class TestScanCircles:
         assert band == pytest.approx(9.0955, abs=1e-3)
         assert len(plan.circles) == 1
         expected_altitude = 3.0 * math.tan(math.radians(75))
-        assert plan.circles[0].altitude == pytest.approx(expected_altitude, abs=1e-9)
+        assert plan.circles[0].center[2] == pytest.approx(expected_altitude, abs=1e-9)
 
     def test_height_just_above_band_needs_two(self, cam):
         band = 3.0 * (math.tan(math.radians(75)) - math.tan(math.radians(35)))
         cyl = Cylinder(axis_xy=[0, 0], z_bottom=0.0, z_top=band + 0.05, radius=1.0)
         plan = scan_circles(cyl, cam, standoff=3.0)
         assert len(plan.circles) == 2
-        assert plan.circles[1].altitude - plan.circles[0].altitude == pytest.approx(band)
+        assert plan.circles[1].center[2] - plan.circles[0].center[2] == pytest.approx(band)
 
     def test_orbit_radius_is_cylinder_plus_standoff(self, cam):
         cyl = Cylinder(axis_xy=[2, -1], z_bottom=0.0, z_top=2.0, radius=1.7)
@@ -109,14 +108,14 @@ class TestScanCircles:
             cyl = Cylinder(axis_xy=[0, 0], z_bottom=-2.0, z_top=-2.0 + height,
                            radius=1.0)
             plan = scan_circles(cyl, cam, standoff=3.0)
-            lo = plan.circles[0].altitude - 3.0 * math.tan(plan.gamma_low)
-            hi = plan.circles[-1].altitude - 3.0 * math.tan(plan.gamma_high)
+            lo = plan.circles[0].center[2] - 3.0 * math.tan(plan.gamma_low)
+            hi = plan.circles[-1].center[2] - 3.0 * math.tan(plan.gamma_high)
             assert lo <= cyl.z_bottom + 1e-9
             assert hi >= cyl.z_top - 1e-9
             # consecutive bands join without gaps
             for a, b in zip(plan.circles, plan.circles[1:]):
-                top_a = a.altitude - 3.0 * math.tan(plan.gamma_high)
-                bottom_b = b.altitude - 3.0 * math.tan(plan.gamma_low)
+                top_a = a.center[2] - 3.0 * math.tan(plan.gamma_high)
+                bottom_b = b.center[2] - 3.0 * math.tan(plan.gamma_low)
                 assert bottom_b <= top_a + 1e-9
 
     def test_wider_scan_angle_never_needs_more_circles(self):
@@ -145,14 +144,14 @@ class TestScanCircles:
 
 class TestCircleWaypoints:
     def test_four_point_azimuths(self):
-        circle = ScanCircle(center=[0, 0, 5], radius=4.0)
+        circle = ViewCircle(center=[0, 0, 5], radius=4.0)
         wps = circle_waypoints(circle, 4, [0, 0])
         azimuths = [math.degrees(math.atan2(w.position[1], w.position[0]))
                     for w in wps]
         assert azimuths == pytest.approx([0, 90, 180, -90])
 
     def test_yaw_hits_axis(self):
-        circle = ScanCircle(center=[3, -2, 5], radius=6.0)
+        circle = ViewCircle(center=[3, -2, 5], radius=6.0)
         for wp in circle_waypoints(circle, 12, [3, -2]):
             direction = np.array([math.cos(wp.yaw), math.sin(wp.yaw)])
             to_axis = np.array([3, -2]) - wp.position[:2]
@@ -162,7 +161,7 @@ class TestCircleWaypoints:
             assert cross_z == pytest.approx(0.0, abs=1e-9)
 
     def test_chord_sum_approaches_circumference(self):
-        circle = ScanCircle(center=[0, 0, 5], radius=7.0)
+        circle = ViewCircle(center=[0, 0, 5], radius=7.0)
         wps = circle_waypoints(circle, 72, [0, 0])
         chords = 0.0
         for a, b in zip(wps, wps[1:] + wps[:1]):
@@ -171,7 +170,7 @@ class TestCircleWaypoints:
 
     def test_minimum_density(self):
         with pytest.raises(ValueError):
-            circle_waypoints(ScanCircle(center=[0, 0, 5], radius=1.0), 3, [0, 0])
+            circle_waypoints(ViewCircle(center=[0, 0, 5], radius=1.0), 3, [0, 0])
 
 
 class TestCoverage:

@@ -42,6 +42,18 @@ def two_target_run(two_target_mission):
     return runner.cfg, report, out
 
 
+@pytest.fixture(scope="module")
+def failure_run(tmp_path_factory):
+    """The one-target mission with a fine gate no cloud can pass, so that every
+    fine phase fails; it ends with failed hypotheses and `final` snapshots."""
+    out = tmp_path_factory.mktemp("failure")
+    cfg = default_scenario(1, seed=3)
+    cfg.localizer = LocalizerConfig(update_noise_var=0.01, lambda_fine=1e-9)
+    runner = MissionRunner(cfg, out_dir=out, dump_particles=True)
+    report = runner.run()
+    return runner, report, out
+
+
 def mode_pairs(report):
     return [(t["from"], t["to"]) for t in report.transitions]
 
@@ -145,9 +157,9 @@ class TestTwoTargets:
             assert modes == ["fine_localize", "map"]
 
 
-# SHA-256 of the stock missions' run-directory files (numpy 2.4, x86-64). A
-# glob gets one digest over its files' sorted names and bytes. A change that
-# means to alter an output updates its digest and says why.
+# SHA-256 of the stock missions' (and the failure mission's) run-directory files
+# (numpy 2.4, x86-64). A glob gets one digest over its files' sorted names and
+# bytes. A change that means to alter an output updates its digest and says why.
 GOLDEN_DIGESTS = {
     "one_target_run": {
         "report.json": "dea2dd1118802f2dc7b8b8140f1d5b8494f8eaa4b9fe3e195582b588995eafb1",
@@ -171,6 +183,20 @@ GOLDEN_DIGESTS = {
         "particles/*.json":
             "b3628a2b71f3a295f082be385ff2fda849ef198b270ae34fab18c9def412dbf8",
     },
+    # failed hypotheses and `final` snapshots, which the stock missions lack
+    "failure_run": {
+        "report.json": "791ea5577241478c8b7a43208c6337bc1da33619ba75b1518d7c21f12de3216f",
+        "particles/*.json":
+            "8bee766ff0b6fa2d88702d61b537a2d753bfeb5ffcc3ee99f98db97706cab8f8",
+    },
+}
+
+# the one-target mission cut while it maps (80 s) and while it fine-localizes
+# (30 s), end states that no other digested mission reaches
+CUT_SHORT_REPORTS = {
+    80.0: ("map", "721fa7c55742058fbe290391c1090c2af430a5a64d4546fc3ad8896e2f9be929"),
+    30.0: ("fine_localize",
+           "c4c7869d96b5619ef7a00d55b9bd5f9790ea7065dce182d93ea95d158f0b9571"),
 }
 
 ONE_TARGET_100K_REPORT = "54f71725543a371ff32d2636dd7d1a76077872025da11ea5dfbf7624823d14be"
@@ -202,6 +228,15 @@ class TestGoldenDigests:
         text = json.dumps(run_scenario(cfg).to_dict(), indent=2, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == ONE_TARGET_100K_REPORT
 
+    @pytest.mark.parametrize("max_sim_time", sorted(CUT_SHORT_REPORTS))
+    def test_cut_short_report_digest(self, max_sim_time, tmp_path):
+        mode, digest = CUT_SHORT_REPORTS[max_sim_time]
+        cfg = default_scenario(1, seed=3)
+        cfg.mission.max_sim_time = max_sim_time
+        report = run_scenario(cfg, out_dir=tmp_path)
+        assert report.transitions[-1]["to"] == mode
+        assert _digest(tmp_path, "report.json") == digest
+
 
 class TestCloudStatistics:
     def test_one_statistics_pass_per_particle_set(self, monkeypatch):
@@ -220,7 +255,7 @@ class TestCloudStatistics:
         monkeypatch.setattr(mission, "TargetHypothesis", tracking)
         runner = MissionRunner(default_scenario(1, seed=3))
         runner.run()
-        kept = runner.hypotheses + [h for h, _ in runner.done]
+        kept = runner.hypotheses + runner.failed + [h for h, _ in runner.done]
         assert runner.done and {id(h) for h in kept} <= {id(h) for h in made}
         # every registration and every accepted update is one new particle set
         per_set = sum(len(h.history) for h in made)
@@ -430,11 +465,8 @@ class TestFlownVersusPlanned:
 
 
 class TestFailurePaths:
-    def test_impossible_convergence_gives_failed_target(self, tmp_path):
-        cfg = default_scenario(1, seed=3)
-        cfg.localizer = LocalizerConfig(update_noise_var=0.01, lambda_fine=1e-9)
-        cfg.mission.min_update_baseline = 3.0
-        report = run_scenario(cfg, out_dir=tmp_path)
+    def test_impossible_convergence_gives_failed_target(self, failure_run):
+        _, report, _ = failure_run
         assert report.exit_code == EXIT_UNCONVERGED
         assert any(t.status == "failed" for t in report.targets)
         # the fine phase gave up after the configured lap budget
@@ -443,11 +475,37 @@ class TestFailurePaths:
                 and t["to"] == "search"]
         assert fine and back
 
-    def test_mission_always_terminates(self, tmp_path):
+    def test_mission_always_terminates(self, failure_run):
+        runner, report, _ = failure_run
+        assert report.duration_s < runner.cfg.mission.max_sim_time
+
+    def test_failed_hypothesis_leaves_the_live_list(self, failure_run):
+        runner, report, _ = failure_run
+        assert runner.failed
+        for hyp in runner.failed:
+            assert hyp.status == "failed"
+            assert sum(h is hyp for h in runner.failed) == 1
+            assert not any(h is hyp for h in runner.hypotheses)
+        failed = [t.target_id for t in report.targets if t.status == "failed"]
+        assert sorted(h.target_id for h in runner.failed) == failed
+
+
+class TestRunDirectoryReuse:
+    def test_rerun_replaces_snapshots_and_drops_plots(self, tmp_path):
         cfg = default_scenario(1, seed=3)
-        cfg.localizer = LocalizerConfig(update_noise_var=0.01, lambda_fine=1e-9)
-        report = run_scenario(cfg)
-        assert report.duration_s < cfg.mission.max_sim_time
+        cfg.mission.max_sim_time = 60.0
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        run_scenario(cfg, out_dir=reused)
+        emit_plot_data(reused)
+        (reused / "notes.txt").write_text("kept")
+        first = {p.name for p in (reused / "particles").glob("*.json")}
+        run_scenario(cfg, seed=4, out_dir=reused)
+        run_scenario(cfg, seed=4, out_dir=fresh)
+        names = {p.name for p in (reused / "particles").glob("*.json")}
+        assert names == {p.name for p in (fresh / "particles").glob("*.json")}
+        assert first - names  # the seed-3 run made snapshots the seed-4 run does not
+        assert not (reused / "plots").exists()
+        assert (reused / "notes.txt").read_text() == "kept"
 
 
 class TestPlotData:
