@@ -14,10 +14,12 @@ from typing import Optional
 import numpy as np
 
 from .geometry import (
+    ROW_BLOCK,
     BBox,
     CameraRig,
     PoseSE3,
     back_project_direction,
+    blocked_matmul,
     cone_contains,
     cone_normals,
     project_points,
@@ -90,6 +92,15 @@ class ParticleSet:
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
+    @classmethod
+    def _trusted(cls, points: np.ndarray) -> "ParticleSet":
+        """Wrap a fresh (m, 3) float array of finite points, skipping the checks
+        of the public constructor; the array itself is made read-only."""
+        points.flags.writeable = False
+        ps = object.__new__(cls)
+        object.__setattr__(ps, "points", points)
+        return ps
+
     @cached_property
     def _stats(self):
         return _cloud_statistics(self.points)
@@ -118,12 +129,17 @@ class PcaSummary:
 
 
 def _cloud_statistics(points: np.ndarray):
-    """The one pass over a cloud: its Gaussian and PCA, read-only. The smallest-variance
-    axis is signed to world z >= 0 (ties on x, then y) for a stable direction."""
+    """A cloud's Gaussian and PCA, read-only, from one mean and one product of the
+    centered points. The covariance follows np.cov(points.T, ddof=1)'s arithmetic
+    bit for bit, without its second mean and its copy of the points. The
+    smallest-variance axis is signed to world z >= 0 (ties on x, then y) for a
+    stable direction."""
     if len(points) < 2:
         raise ValueError("need at least 2 points")
     mean = points.mean(axis=0)
-    cov = np.cov(points.T, ddof=1)
+    centered = points - mean
+    cov = np.dot(centered.T, centered)
+    cov *= 1.0 / (len(points) - 1)
     evals, evecs = np.linalg.eigh(cov)
     evals, evecs = evals[::-1], evecs[:, ::-1]  # eigh returns them ascending
     v = evecs[:, 2]
@@ -165,9 +181,8 @@ def generate_particles(
     coeffs = 1.0 - rng.uniform(size=(4, m))  # in (0, 1]
     coeffs /= coeffs.sum(axis=0)
     depths = max_depth * (1.0 - rng.uniform(size=m))  # in (0, max_depth]
-    pts_cam = (dirs @ coeffs) * depths
-    pts_world = cam_to_world.apply(pts_cam.T)
-    return ParticleSet(pts_world)
+    pts_cam = (blocked_matmul(dirs, coeffs) if m > ROW_BLOCK else dirs @ coeffs) * depths
+    return ParticleSet._trusted(cam_to_world.apply(pts_cam.T))
 
 
 def needs_new_particle_set(existing_sets, normals: np.ndarray, world_to_cam: PoseSE3):
@@ -259,7 +274,8 @@ def update_particles(
     if np.all(weights <= WEIGHT_FLOOR):
         return UpdateResult(ps, starved=True)
     idx = systematic_resample(weights, rng)
-    return UpdateResult(ParticleSet(perturbed[idx]), starved=False)
+    return UpdateResult(ParticleSet._trusted(np.take(perturbed, idx, axis=0)),
+                        starved=False)
 
 
 def gaussian_summary(ps: ParticleSet) -> GaussianSummary:

@@ -6,21 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conescan.geometry import (
+    ROW_BLOCK,
     BBox,
     CameraRig,
     DegenerateConeError,
     PoseSE3,
     back_project_direction,
+    blocked_matmul,
     camera_to_world_pose,
     cone_contains,
     cone_normals,
     project_points,
+    row_blocks,
     to_euclidean,
     wrap_angle,
 )
 from conescan.simulator import NoiseModel, perturb_pose
 
-from conftest import random_pose, random_rotation
+from conftest import random_pose, random_rotation, stock_camera
 
 
 def lift(box):
@@ -216,6 +219,47 @@ class TestPoseSE3:
             PoseSE3(2 * np.eye(3), np.zeros(3))
         with pytest.raises(ValueError):
             PoseSE3(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
+
+
+# Row counts around one and two blocks, and a cloud.
+BLOCKED_SIZES = (ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 17, 100_000)
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("n", (0, 1, 2, *BLOCKED_SIZES, 2 * ROW_BLOCK + 1))
+    def test_blocks_cover_the_rows_with_no_single_row_block(self, n):
+        blocks = row_blocks(n)
+        assert [i for b in blocks for i in range(n)[b]] == list(range(n))
+        sizes = [b.stop - b.start for b in blocks]
+        assert max(sizes) <= ROW_BLOCK + 1 and (n < 2 or min(sizes) > 1)
+
+    @pytest.mark.parametrize("n", BLOCKED_SIZES)
+    @settings(max_examples=3, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_blocked_products_equal_one_whole_product(self, n, seed):
+        cam = stock_camera()
+        rng = np.random.default_rng(seed)
+        pose = random_pose(rng)
+        points = rng.uniform(-50.0, 50.0, size=(n, 3))
+        whole = points @ pose.rotation.T + pose.translation
+        assert np.array_equal(pose.apply(points), whole)
+        # generate_particles hands apply the transpose of a (3, n) array
+        points_f = np.asfortranarray(points)
+        assert np.array_equal(pose.apply(points_f),
+                              points_f @ pose.rotation.T + pose.translation)
+
+        corners = np.sort(rng.uniform(0, 640, 2)), np.sort(rng.uniform(0, 480, 2))
+        normals = cone_normals(BBox(corners[0][0], corners[1][0], corners[0][1],
+                                    corners[1][1]).corners_clockwise(), cam)
+        face_products = whole @ normals.T
+        assert np.array_equal(blocked_matmul(whole, normals.T), face_products)
+        assert np.array_equal(cone_contains(normals, whole),
+                              np.all(face_products > 0.0, axis=1))
+
+        # the particle-generation product: corner rays (3, 4) times weights (4, n)
+        dirs = np.vstack([rng.uniform(-1.0, 1.0, (2, 4)), np.ones((1, 4))])
+        coeffs = 1.0 - rng.uniform(size=(4, n))
+        assert np.array_equal(blocked_matmul(dirs, coeffs), dirs @ coeffs)
 
 
 class TestCameraPose:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from conescan.geometry import (
     BBox,
-    CameraRig,
     PoseSE3,
     back_project_direction,
     camera_to_world_pose,
@@ -36,7 +35,7 @@ from conescan.localizer import (
     weight_density,
 )
 
-from conftest import random_pose
+from conftest import random_pose, stock_camera
 
 LCFG = LocalizerConfig(n_particles=1000)
 MAX_DEPTH = 24.0
@@ -110,6 +109,25 @@ class TestGenerateParticles:
         assert ps.points.shape == (LCFG.n_particles, 3)
         assert np.all(np.isfinite(ps.points))
 
+    @pytest.mark.parametrize("n", [1000, 2**14 + 1, 100_000])
+    @settings(max_examples=3, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_equals_the_whole_array_arithmetic(self, n, seed):
+        cam = stock_camera()
+        rng = np.random.default_rng(seed)
+        pose = random_pose(np.random.default_rng(seed + 1))
+        corners = BBox(150, 120, 430, 350).corners_clockwise()
+        ps = generate_particles(corners, pose, cam, LocalizerConfig(n_particles=n),
+                                rng, max_depth=MAX_DEPTH)
+        rng = np.random.default_rng(seed)
+        dirs = np.column_stack([back_project_direction(c, cam) for c in corners])
+        coeffs = 1.0 - rng.uniform(size=(4, n))
+        coeffs /= coeffs.sum(axis=0)
+        depths = MAX_DEPTH * (1.0 - rng.uniform(size=n))
+        pts_cam = ((dirs @ coeffs) * depths).T
+        assert np.array_equal(ps.points, pts_cam @ pose.rotation.T + pose.translation)
+        assert not ps.points.flags.writeable
+
     def test_degenerate_corners_rejected(self, cam):
         rng = np.random.default_rng(5)
         flat = np.array([[0, 0], [10, 0], [10, 0], [0, 0]], dtype=float)
@@ -131,8 +149,7 @@ def one_inside_sets(layouts, seed):
     """Particle sets, one per (size, place), whose points lie in the cone of a box
     sharing an edge with the test box, except one point at `place` that lies in
     the test box's cone. Returns the sets, the test cone's normals and its pose."""
-    cam = CameraRig(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480,
-                    gamma=math.radians(55.0), beta=math.radians(40.0))
+    cam = stock_camera()
     inside, beside = BBox(200, 150, 420, 330), BBox(420, 150, 600, 330)
     rng = np.random.default_rng(seed)
     cam_to_world = random_pose(rng)
@@ -378,7 +395,18 @@ class TestCachedCloudStatistics:
            scale=st.floats(1e-3, 1e3),
            shape=st.sampled_from(["general", "duplicated", "collinear"]))
     def test_bitwise_equal_to_fresh_computation(self, n, seed, scale, shape):
-        pts = shaped_cloud(n, seed, scale, shape)
+        self.check_against_reference(shaped_cloud(n, seed, scale, shape), shape)
+
+    # at cloud scale the reductions over the points run through other BLAS kernels
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3),
+           shape=st.sampled_from(["general", "duplicated", "collinear"]))
+    def test_bitwise_equal_at_cloud_scale(self, seed, scale, shape):
+        self.check_against_reference(shaped_cloud(100_000, seed, scale, shape), shape)
+
+    @staticmethod
+    def check_against_reference(pts, shape):
+        n = len(pts)
         mean, cov, evals, evecs, entropy = reference_statistics(pts.copy())
         ps = cloud(pts)
         hyp = TargetHypothesis(target_id=0, particles=ps, rng=np.random.default_rng(0))
@@ -396,6 +424,19 @@ class TestCachedCloudStatistics:
                 assert points_entropy(ps) == entropy
         if shape == "collinear" and n >= 4:
             assert points_entropy(ps) == -math.inf
+
+    def test_a_trusted_set_is_read_only_and_gives_the_same_statistics(self):
+        pts = shaped_cloud(1000, 28, 2.0, "general")
+        trusted, checked = ParticleSet._trusted(pts.copy()), cloud(pts)
+        assert not trusted.points.flags.writeable
+        with pytest.raises(ValueError):
+            trusted.points[0, 0] = 1.0
+        assert np.array_equal(trusted.points, checked.points)
+        for summary in (gaussian_summary, pca_summary):
+            for a, b in zip(vars(summary(trusted)).values(),
+                            vars(summary(checked)).values()):
+                assert np.array_equal(a, b)
+        assert points_entropy(trusted) == points_entropy(checked)
 
     def test_points_are_a_read_only_view(self):
         pts = np.random.default_rng(27).standard_normal((100, 3))
