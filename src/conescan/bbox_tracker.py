@@ -17,34 +17,8 @@ from .geometry import BBox, to_euclidean
 ACTIVE = "active"
 DEREGISTERED = "deregistered"
 
-# Lift u -> (u_min, v_min, 1, u_max, v_max, 1) and drop back.
-_HOM_LIFT = np.array(
-    [
-        [1, 0, 0, 0],
-        [0, 1, 0, 0],
-        [0, 0, 0, 0],
-        [0, 0, 1, 0],
-        [0, 0, 0, 1],
-        [0, 0, 0, 0],
-    ],
-    dtype=float,
-)
-_HOM_OFFSET = np.array([0, 0, 1, 0, 0, 1], dtype=float)
 _EYE4 = np.eye(4)
 _EYE4.flags.writeable = False
-# Where the process noise enters the lifted covariance: the four box
-# coordinates, not the homogeneous entries.
-_PROCESS_MASK = np.diag([1.0, 1.0, 0.0, 1.0, 1.0, 0.0])
-_PROCESS_MASK.flags.writeable = False
-_HOM_DROP = np.array(
-    [
-        [1, 0, 0, 0, 0, 0],
-        [0, 1, 0, 0, 0, 0],
-        [0, 0, 0, 1, 0, 0],
-        [0, 0, 0, 0, 1, 0],
-    ],
-    dtype=float,
-)
 
 
 class SimilarityEstimationError(ValueError):
@@ -169,45 +143,48 @@ def predict(
 ) -> BoxTrack:
     """Propagate state and covariance through the per-frame image similarity.
 
-    State moves through homogeneous coordinates; the covariance is propagated
-    by congruence (lift, motion, drop) plus the process noise, which keeps it
-    symmetric PSD. noise_scale inflates the process noise when the similarity
+    The state moves in stacked homogeneous coordinates, the lifted box
+    (u_min, v_min, 1, u_max, v_max, 1) times blockdiag(M, M), as one 6-vector
+    product; a 3x3 product per corner gives other bits in a mission.
+
+    The covariance is propagated by congruence plus the process noise, which
+    keeps it symmetric PSD. Lifting sigma to 6x6, moving it by
+    blockdiag(M, M) and dropping the homogeneous rows again adds only exact
+    zeros to the 4x4 congruence A sigma A^T, A = blockdiag(M[:2, :2],
+    M[:2, :2]), so the 4x4 form gives the same bits without the 6x6, lift and
+    drop products. noise_scale inflates the process noise when the similarity
     is a fallback identity.
 
     For the shared identity every product in those congruences is by 1 or 0,
     so the box stays put and the covariance is exactly sigma plus the process
-    noise; that case skips the 6x6 products.
+    noise; that case skips the products.
     """
     e2 = cfg.predict_noise_px**2 * noise_scale
     if sim is _IDENTITY:
         sigma_pred = track.sigma + e2 * _EYE4
         return _derive(track, sigma=0.5 * (sigma_pred + sigma_pred.T))
+    m = sim.matrix
     motion = np.zeros((6, 6))
-    motion[:3, :3] = sim.matrix
-    motion[3:, 3:] = sim.matrix
-
-    x = _HOM_LIFT @ track.u.as_array() + _HOM_OFFSET
-    omega = _HOM_LIFT @ track.sigma @ _HOM_LIFT.T
-    x_pred = motion @ x
-    omega_pred = motion @ omega @ motion.T + e2 * _PROCESS_MASK
-    u_pred = to_euclidean(x_pred)
-    sigma_pred = _HOM_DROP @ omega_pred @ _HOM_DROP.T
-    sigma_pred = 0.5 * (sigma_pred + sigma_pred.T)
-    return _derive(track, u=u_pred, sigma=sigma_pred)
+    motion[:3, :3] = motion[3:, 3:] = m
+    b = track.u
+    x_pred = motion @ np.array([b.u_min, b.v_min, 1.0, b.u_max, b.v_max, 1.0])
+    a = np.zeros((4, 4))
+    a[:2, :2] = a[2:, 2:] = m[:2, :2]
+    sigma_pred = a @ track.sigma @ a.T + e2 * _EYE4
+    return _derive(track, u=to_euclidean(x_pred), sigma=0.5 * (sigma_pred + sigma_pred.T))
 
 
 def update(track: BoxTrack, z: BBox, cfg: TrackerConfig) -> BoxTrack:
     """Kalman measurement update with an identity observation model; the
     fused detection counts as one more hit."""
-    meas = z.as_array()
-    if not np.all(np.isfinite(meas)):
+    if not all(map(math.isfinite, (z.u_min, z.v_min, z.u_max, z.v_max))):
         raise ValueError("measurement must be finite")
     u = track.u.as_array()
     gain = track.sigma @ np.linalg.inv(track.sigma + cfg.measure_cov)
-    u_new = u + gain @ (meas - u)
+    u_new = u + gain @ (z.as_array() - u)
     sigma_new = (_EYE4 - gain) @ track.sigma
     sigma_new = 0.5 * (sigma_new + sigma_new.T)
-    return _derive(track, u=BBox(*u_new), sigma=sigma_new, hits=track.hits + 1)
+    return _derive(track, u=BBox(*u_new.tolist()), sigma=sigma_new, hits=track.hits + 1)
 
 
 def iou(a: BBox, b: BBox) -> float:
@@ -217,7 +194,9 @@ def iou(a: BBox, b: BBox) -> float:
     if iw <= 0 or ih <= 0:
         return 0.0
     inter = iw * ih
-    return inter / (a.area + b.area - inter)
+    # BBox.area of each box, in its order of operations
+    return inter / ((a.u_max - a.u_min) * (a.v_max - a.v_min)
+                    + (b.u_max - b.u_min) * (b.v_max - b.v_min) - inter)
 
 
 def associate_and_register(
@@ -349,20 +328,25 @@ def prune(tracks, image_size, cfg: TrackerConfig, frame: int = None):
 
 
 def estimate_similarity(prev_points, curr_points) -> SimilarityTransform2D:
-    """Least-squares similarity (scale, rotation, translation) between point sets."""
-    p = np.atleast_2d(np.asarray(prev_points, dtype=float))
-    q = np.atleast_2d(np.asarray(curr_points, dtype=float))
-    if p.shape != q.shape or p.shape[1] != 2:
+    """Least-squares similarity (scale, rotation, translation) between point sets.
+
+    The means are np.mean's own arithmetic, np.add.reduce over the rows
+    divided by the count, without its Python wrapper.
+    """
+    p = np.asarray(prev_points, dtype=float)
+    q = np.asarray(curr_points, dtype=float)
+    if p.ndim != 2 or p.shape != q.shape or p.shape[1] != 2:
         raise SimilarityEstimationError("correspondence lists must be equal (n, 2)")
-    if len(p) < 2:
+    n = len(p)
+    if n < 2:
         raise SimilarityEstimationError("need at least 2 correspondences")
-    p_mean, q_mean = p.mean(axis=0), q.mean(axis=0)
+    p_mean, q_mean = np.add.reduce(p, axis=0) / n, np.add.reduce(q, axis=0) / n
     pc, qc = p - p_mean, q - q_mean
-    spread = float(np.sum(pc**2))
+    spread = float((pc * pc).sum())
     if spread < 1e-12:
         raise SimilarityEstimationError("previous points are coincident")
-    dot = float(np.sum(pc * qc))
-    cross = float(np.sum(pc[:, 0] * qc[:, 1] - pc[:, 1] * qc[:, 0]))
+    dot = float((pc * qc).sum())
+    cross = float((pc[:, 0] * qc[:, 1] - pc[:, 1] * qc[:, 0]).sum())
     scale = math.hypot(dot, cross) / spread
     if scale < 1e-12:
         raise SimilarityEstimationError("degenerate fit with zero scale")

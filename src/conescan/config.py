@@ -97,9 +97,10 @@ _FINITE = (lambda v: -math.inf < v < math.inf, "must be finite")
 _UNIT = (lambda v: 0 <= v <= 1, "must lie in [0, 1]")
 
 # The one range check of every scenario value. A value out of its row's range
-# either makes its use site raise, some only mid-mission, or runs a mission
-# that cannot find anything; each rule is written so that NaN and non-numbers
-# fail it. Only mission.suppression_scale and mission.fine_max_laps have no row.
+# either makes its use site raise, some only mid-mission, runs a mission that
+# cannot find anything, or silently switches off a mission rule (a NaN lap
+# limit never abandons a fine phase, a NaN suppression scale suppresses
+# nothing); each rule is written so that NaN and non-numbers fail it.
 _RANGES = (
     ("region", lambda r: len(r) == 4 and -math.inf < r[0] < r[2] < math.inf
      and -math.inf < r[1] < r[3] < math.inf,
@@ -145,6 +146,8 @@ _RANGES = (
     ("mission.confirm_hits", lambda v: v >= 1, "must be at least 1"),
     ("mission.min_update_baseline", *_NON_NEGATIVE),
     ("mission.fine_replan_distance", *_NON_NEGATIVE),
+    ("mission.fine_max_laps", *_POSITIVE),
+    ("mission.suppression_scale", *_POSITIVE_FINITE),
     ("mission.found_radius", *_NON_NEGATIVE),
     ("mission.max_sim_time", *_POSITIVE),
 )

@@ -178,10 +178,10 @@ class BBox:
 
 def to_euclidean(x) -> BBox:
     """Drop the homogeneous entries of a stacked 6-vector back to a box."""
-    x = np.asarray(x, dtype=float).reshape(6)
-    if abs(x[2] - 1.0) > 1e-6 or abs(x[5] - 1.0) > 1e-6:
+    u_min, v_min, w0, u_max, v_max, w1 = np.asarray(x, dtype=float).reshape(6).tolist()
+    if abs(w0 - 1.0) > 1e-6 or abs(w1 - 1.0) > 1e-6:
         raise ValueError("homogeneous entries must equal 1")
-    return BBox(x[0], x[1], x[3], x[4])
+    return BBox(u_min, v_min, u_max, v_max)
 
 
 def project_points(points, world_to_cam: PoseSE3, cam: CameraRig):

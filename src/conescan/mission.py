@@ -291,10 +291,8 @@ class MissionRunner:
                     best_id, best_iou = tid, score
             if best_id is None:
                 continue
-            pair = simulate_klt(
-                self._prev_truth[best_id], truth[best_id],
-                self.cam, self.noise, self.klt_rng,
-            )
+            pair = simulate_klt(self._prev_truth[best_id], truth[best_id],
+                                self.noise, self.klt_rng)
             if pair is None:
                 continue
             try:
@@ -530,7 +528,8 @@ class MissionRunner:
         est_w2c = est_c2w.inverse()
 
         # all ground truth projected once; the next frame's KLT reuses it
-        truth = self.truth.split(*project_points(self.truth.points, true_w2c, self.cam))
+        truth = self.truth.split(*project_points(self.truth.points, true_w2c, self.cam),
+                                 self.cam)
         detections = self.detection_delay.push(simulate_detector(
             truth, self.cam, self.noise, self.det_rng))
         sims = self._similarities(truth)

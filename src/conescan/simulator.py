@@ -4,8 +4,10 @@ Everything the estimation stack would get from real hardware is generated
 here from ground truth plus explicit, seeded noise. Targets are axis-aligned
 boxes carrying surface feature points so the detector sees an exact projected
 bounding box and the feature tracker sees real correspondences. Each frame
-projects all ground truth once (`TruthPoints`); the detector reads the
-frame's projection and the feature tracker this frame's and the last one's.
+projects all ground truth once (`TruthPoints`) and computes, once, which of
+those rows are visible (in front of the camera and inside the image) and each
+target's corner box; the detector reads the frame's projection, and the
+feature tracker this frame's and the last one's, visibility masks included.
 """
 
 import hashlib
@@ -59,33 +61,39 @@ class TargetTruth:
         return self._corners
 
 
-def corner_box(pix: np.ndarray, depth: np.ndarray):
-    """(u_min, v_min, u_max, v_max) of a target's projected corners, rows 1-8
-    of its `TargetProjection`, or None when a corner lies behind the camera."""
-    if (depth[1:9] <= 0).any():
-        return None
-    corners = pix[1:9]
-    return (corners[:, 0].min(), corners[:, 1].min(),
-            corners[:, 0].max(), corners[:, 1].max())
+def corner_boxes(pix: np.ndarray, depth: np.ndarray, corner_rows: np.ndarray) -> list:
+    """Each target's (u_min, v_min, u_max, v_max) over its projected corners,
+    or None when a corner lies behind the camera. Row t of the (targets, 8)
+    index array `corner_rows` holds target t's corner rows of the frame's
+    projection; one gather serves every target."""
+    corners = pix[corner_rows]
+    lows, highs = corners.min(axis=1).tolist(), corners.max(axis=1).tolist()
+    behind = (depth[corner_rows] <= 0).any(axis=1).tolist()
+    return [None if back else (*lo, *hi) for lo, hi, back in zip(lows, highs, behind)]
 
 
 class TargetProjection(NamedTuple):
     """One target's ground truth projected at one pose, rows in `TruthPoints`
     order: center, 8 corners, features. Rows with depth <= 0 carry
-    meaningless pixels. `box` is the frame's one `corner_box`, which the
-    detector and the KLT matcher share."""
+    meaningless pixels. `box` is the target's entry of the frame's one
+    `corner_boxes` call, which the detector and the KLT matcher share.
+    `visible` marks the rows in front of the camera and inside the image; it
+    is a slice of the frame's one mask over all truth rows, so the detector
+    reads the center's entry, and the KLT matcher the features' entries of
+    this frame and the last, without recomputing them."""
 
     pix: np.ndarray  # (9 + k, 2)
     depth: np.ndarray  # (9 + k,)
-    box: tuple  # corner_box(pix, depth)
+    box: tuple  # or None, see corner_boxes
+    visible: np.ndarray  # (9 + k,) bool
 
     @property
     def feature_pix(self) -> np.ndarray:
         return self.pix[9:]
 
     @property
-    def feature_depth(self) -> np.ndarray:
-        return self.depth[9:]
+    def feature_visible(self) -> np.ndarray:
+        return self.visible[9:]
 
 
 class TruthPoints:
@@ -101,13 +109,17 @@ class TruthPoints:
         self.points.flags.writeable = False
         ends = np.cumsum([len(b) for b in blocks], dtype=int).tolist()
         self._bounds = list(zip([0] + ends[:-1], ends))
+        self._corner_rows = np.array([range(a + 1, a + 9) for a, _ in self._bounds],
+                                     dtype=np.intp).reshape(-1, 8)
 
-    def split(self, pix: np.ndarray, depth: np.ndarray) -> list:
-        out = []
-        for a, b in self._bounds:
-            p, d = pix[a:b], depth[a:b]
-            out.append(TargetProjection(p, d, corner_box(p, d)))
-        return out
+    def split(self, pix: np.ndarray, depth: np.ndarray, cam: CameraRig) -> list:
+        """One `TargetProjection` per target of the frame's projection, with
+        the visibility mask of every row and every corner box made once."""
+        u, v = pix.T
+        visible = (depth > 0) & (u >= 0) & (u < cam.width) & (v >= 0) & (v < cam.height)
+        boxes = corner_boxes(pix, depth, self._corner_rows)
+        return [TargetProjection(pix[a:b], depth[a:b], box, visible[a:b])
+                for (a, b), box in zip(self._bounds, boxes)]
 
 
 def make_target(
@@ -299,21 +311,19 @@ def simulate_detector(projections, cam: CameraRig, noise: NoiseModel,
 
     `projections` holds one `TargetProjection` per target, from the frame's
     single projection of `TruthPoints` at the true pose. A target is detectable
-    when its center projects in front of the camera and inside the image and
-    all 8 corners lie in front.
+    when its center is visible (in front of the camera and inside the image)
+    and all 8 corners lie in front.
     """
     detections = []
     for proj in projections:
-        if proj.depth[0] <= 0:
-            continue
-        u, v = proj.pix[0]
-        if not (0 <= u < cam.width and 0 <= v < cam.height):
+        if not proj.visible[0]:
             continue
         if rng.uniform() >= noise.detect_prob:
             continue
         if proj.box is None:
             continue
-        coords = np.array(proj.box) + noise.detector_pixel_sigma * rng.standard_normal(4)
+        coords = (np.array(proj.box)
+                  + noise.detector_pixel_sigma * rng.standard_normal(4)).tolist()
         u_min = _clamp(coords[0], cam.width)
         v_min = _clamp(coords[1], cam.height)
         u_max = _clamp(coords[2], cam.width)
@@ -335,31 +345,23 @@ def simulate_detector(projections, cam: CameraRig, noise: NoiseModel,
     return detections
 
 
-def simulate_klt(prev: TargetProjection, curr: TargetProjection, cam: CameraRig,
-                 noise: NoiseModel, rng: np.random.Generator):
+def simulate_klt(prev: TargetProjection, curr: TargetProjection, noise: NoiseModel,
+                 rng: np.random.Generator):
     """Noisy pixel correspondences of one target's surface features.
 
     `prev` and `curr` are the target's projections at the previous and the
-    current frame's true pose; a runner keeps the previous frame's projection
-    rather than projecting again. Returns (prev_pixels, curr_pixels) for
-    features visible at both poses, or None when fewer than 4 are covisible.
+    current frame's true pose; a runner keeps the previous frame's projection,
+    and its visibility mask, rather than projecting again. Returns
+    (prev_pixels, curr_pixels) for features visible at both poses, or None
+    when fewer than 4 are covisible. Both noise draws come from one
+    (2, n, 2) call, the same stream as two (n, 2) calls.
     """
-
-    def visible(pix, depth):
-        return (
-            (depth > 0)
-            & (pix[:, 0] >= 0) & (pix[:, 0] < cam.width)
-            & (pix[:, 1] >= 0) & (pix[:, 1] < cam.height)
-        )
-
-    prev_pix, curr_pix = prev.feature_pix, curr.feature_pix
-    keep = visible(prev_pix, prev.feature_depth) & visible(curr_pix, curr.feature_depth)
-    n = int(keep.sum())
+    keep = prev.feature_visible & curr.feature_visible
+    n = np.count_nonzero(keep)
     if n < 4:
         return None
-    noisy_prev = prev_pix[keep] + noise.klt_pixel_sigma * rng.standard_normal((n, 2))
-    noisy_curr = curr_pix[keep] + noise.klt_pixel_sigma * rng.standard_normal((n, 2))
-    return noisy_prev, noisy_curr
+    jitter = noise.klt_pixel_sigma * rng.standard_normal((2, n, 2))
+    return prev.feature_pix[keep] + jitter[0], curr.feature_pix[keep] + jitter[1]
 
 
 def perturb_pose(pose: PoseSE3, noise: NoiseModel, rng: np.random.Generator) -> PoseSE3:

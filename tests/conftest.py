@@ -25,7 +25,7 @@ def project_truth(targets, world_to_cam: PoseSE3, cam: CameraRig) -> list:
     """Each target's TargetProjection at one pose, made as MissionRunner makes
     them: one project_points call over TruthPoints, cut by split."""
     truth = TruthPoints(targets)
-    return truth.split(*project_points(truth.points, world_to_cam, cam))
+    return truth.split(*project_points(truth.points, world_to_cam, cam), cam)
 
 
 def stock_camera() -> CameraRig:

@@ -235,7 +235,7 @@ def test_criterion_4_filter_benefit():
             for track in tracker.active():
                 if iou(track.u, prev_truth) < 0.1:
                     continue
-                pair = simulate_klt(prev_proj, proj, CAM, noise, klt_rng)
+                pair = simulate_klt(prev_proj, proj, noise, klt_rng)
                 if pair is None:
                     continue
                 try:

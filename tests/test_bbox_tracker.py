@@ -72,6 +72,32 @@ def reference_update(track, z, cfg):
                                hits=track.hits + 1)
 
 
+def reference_similarity(prev_points, curr_points):
+    """The least-squares similarity with np.mean and np.sum(pc**2), as first
+    written."""
+    p, q = np.asarray(prev_points, dtype=float), np.asarray(curr_points, dtype=float)
+    p_mean, q_mean = p.mean(axis=0), q.mean(axis=0)
+    pc, qc = p - p_mean, q - q_mean
+    spread = float(np.sum(pc**2))
+    dot = float(np.sum(pc * qc))
+    cross = float(np.sum(pc[:, 0] * qc[:, 1] - pc[:, 1] * qc[:, 0]))
+    scale = math.hypot(dot, cross) / spread
+    theta = math.atan2(cross, dot)
+    c, s = math.cos(theta), math.sin(theta)
+    t = q_mean - scale * np.array([[c, -s], [s, c]]) @ p_mean
+    return SimilarityTransform2D.from_params(scale, theta, t[0], t[1])
+
+
+def reference_iou(a, b):
+    """Intersection-over-union through the BBox.area property."""
+    iw = min(a.u_max, b.u_max) - max(a.u_min, b.u_min)
+    ih = min(a.v_max, b.v_max) - max(a.v_min, b.v_min)
+    if iw <= 0 or ih <= 0:
+        return 0.0
+    inter = iw * ih
+    return inter / (a.area + b.area - inter)
+
+
 def reference_dereg(sigma, threshold) -> bool:
     """The entropy gate with the log-determinant alone."""
     sign, logdet = np.linalg.slogdet(sigma)
@@ -263,6 +289,30 @@ class TestPredict:
             return
         assert_same_track(predict(track, sim, cfg, noise_scale=noise_scale), ref)
 
+    @pytest.mark.parametrize("prior", ["random", "initial"])
+    def test_congruence_equals_the_reference_at_any_rotation(self, prior):
+        # the 4x4 congruence gives the lifted 6x6 path's bits for rotations
+        # across +-pi and scales 0.5-2, on random covariances and on the
+        # diagonal initial one, whose exact zeros keep their signs
+        rng = np.random.default_rng(13 if prior == "random" else 14)
+        cfg = TrackerConfig()
+        compared = 0
+        for _ in range(1500):
+            sigma = random_spd(rng) if prior == "random" else cfg.initial_sigma.copy()
+            track = random_track(rng, sigma)
+            sim = SimilarityTransform2D.from_params(
+                rng.uniform(0.5, 2.0), rng.uniform(-math.pi, math.pi),
+                rng.uniform(-50, 50), rng.uniform(-50, 50))
+            try:
+                ref = reference_predict(track, sim, cfg)
+            except ValueError:  # turned past a right angle: the box flips
+                with pytest.raises(ValueError):
+                    predict(track, sim, cfg)
+                continue
+            assert_same_track(predict(track, sim, cfg), ref)
+            compared += 1
+        assert compared > 200
+
     def test_identity_shortcut_on_the_initial_sigma(self):
         track = make_track((3, 4, 50, 60), sigma=CFG.initial_sigma)
         for scale in (1.0, 4.0):
@@ -371,6 +421,18 @@ class TestIoU:
             inter = np.logical_and(in1, in2).sum()
             expected = 0.0 if union == 0 else inter / union
             assert iou(box1, box2) == pytest.approx(expected)
+
+    def test_equals_the_area_form(self):
+        # the inlined areas keep BBox.area's order of operations
+        rng = np.random.default_rng(11)
+        boxes = []
+        for _ in range(300):
+            u0, v0 = rng.uniform(-50, 700, size=2)
+            w, h = rng.uniform(1e-3, 300, size=2)
+            boxes.append(BBox(u0, v0, u0 + w, v0 + h))
+        for a in boxes[:60]:
+            for b in boxes:
+                assert iou(a, b) == reference_iou(a, b)
 
     @given(st.floats(-100, 100), st.floats(-100, 100),
            st.floats(1, 50), st.floats(1, 50),
@@ -592,6 +654,21 @@ class TestEstimateSimilarity:
         angular_bound = 3 * sigma / (r_rms * math.sqrt(n))
         assert abs(est.theta - 0.05) < angular_bound
         assert abs(est.scale - 1.1) < 3 * angular_bound
+
+    def test_equals_the_reference_arithmetic(self):
+        # np.add.reduce over the rows divided by the count is np.mean's own
+        # arithmetic, and pc * pc sums as pc**2 does, at every KLT pair size
+        rng = np.random.default_rng(12)
+        for n in range(2, 201):
+            for _ in range(3):
+                prev = rng.uniform(-50, 700, size=(n, 2))
+                truth = SimilarityTransform2D.from_params(
+                    rng.uniform(0.5, 2.0), rng.uniform(-math.pi, math.pi),
+                    rng.uniform(-50, 50), rng.uniform(-50, 50))
+                curr = prev @ truth.matrix[:2, :2].T + truth.matrix[:2, 2]
+                curr += rng.standard_normal((n, 2))
+                out = estimate_similarity(prev, curr)
+                assert out.matrix.tobytes() == reference_similarity(prev, curr).matrix.tobytes()
 
     def test_too_few_points(self):
         with pytest.raises(SimilarityEstimationError):

@@ -220,6 +220,25 @@ class TestValidation:
         with pytest.raises(ConfigError, match=rf"^mission\.{name}: "):
             from_dict(data)
 
+    @pytest.mark.parametrize("bad", ["two", math.nan, 0.0, -1.0])
+    def test_fine_max_laps_rejected_at_load(self, bad):
+        # a string raised a TypeError when the first fine arc ended, NaN never
+        # abandoned a fine phase, and zero or less abandoned it after one arc
+        data = to_dict(default_scenario(1))
+        data["mission"]["fine_max_laps"] = bad
+        with pytest.raises(ConfigError, match=r"^mission\.fine_max_laps: must be positive"):
+            from_dict(data)
+
+    @pytest.mark.parametrize("bad", ["wide", math.nan, math.inf, 0.0, -2.0])
+    def test_suppression_scale_rejected_at_load(self, bad):
+        # NaN silently switched target suppression off, and a negative or
+        # infinite suppression radius has no meaning
+        data = to_dict(default_scenario(1))
+        data["mission"]["suppression_scale"] = bad
+        with pytest.raises(ConfigError,
+                           match=r"^mission\.suppression_scale: must be positive and finite"):
+            from_dict(data)
+
     def test_mission_value_edges_accepted(self):
         data = to_dict(default_scenario(1))
         data["mission"].update(min_update_baseline=0.0, fine_replan_distance=0,
@@ -278,10 +297,7 @@ class TestValidation:
 
 
 # Fields that no range row checks, each with the reason.
-UNRANGED = {
-    "mission.suppression_scale": "its range is left to the stress matrix of ROADMAP item 5",
-    "mission.fine_max_laps": "its range is left to the stress matrix of ROADMAP item 5",
-}
+UNRANGED = {}
 
 
 def scenario_fields():

@@ -54,6 +54,20 @@ def failure_run(tmp_path_factory):
     return runner, report, out
 
 
+@pytest.fixture(scope="module")
+def fp_heavy_run(tmp_path_factory):
+    """One target under a false-positive storm for 60 s: about 45 live tracks a
+    frame, so fallback predicts, many-track association and prune all run hard."""
+    out = tmp_path_factory.mktemp("fp_heavy")
+    cfg = default_scenario(1, seed=5)
+    cfg.noise.false_positive_rate = 1.0
+    cfg.noise.detect_prob = 0.6
+    cfg.mission.max_sim_time = 60.0
+    runner = MissionRunner(cfg, out_dir=out)
+    report = runner.run()
+    return runner, report, out
+
+
 def mode_pairs(report):
     return [(t["from"], t["to"]) for t in report.transitions]
 
@@ -157,9 +171,10 @@ class TestTwoTargets:
             assert modes == ["fine_localize", "map"]
 
 
-# SHA-256 of the stock missions' (and the failure mission's) run-directory files
-# (numpy 2.4, x86-64). A glob gets one digest over its files' sorted names and
-# bytes. A change that means to alter an output updates its digest and says why.
+# SHA-256 of the run-directory files of the stock missions, the failure mission
+# and the false-positive mission (numpy 2.4, x86-64). A glob gets one digest over
+# its files' sorted names and bytes. A change that means to alter an output
+# updates its digest and says why.
 GOLDEN_DIGESTS = {
     "one_target_run": {
         "report.json": "dea2dd1118802f2dc7b8b8140f1d5b8494f8eaa4b9fe3e195582b588995eafb1",
@@ -188,6 +203,11 @@ GOLDEN_DIGESTS = {
         "report.json": "791ea5577241478c8b7a43208c6337bc1da33619ba75b1518d7c21f12de3216f",
         "particles/*.json":
             "8bee766ff0b6fa2d88702d61b537a2d753bfeb5ffcc3ee99f98db97706cab8f8",
+    },
+    # a bank of tens of tracks fed mostly by false positives
+    "fp_heavy_run": {
+        "report.json": "4b675b3b83e08f229d1854b1265dcf0fa21e16da45d8804bccff357142f9a7a8",
+        "tracks.csv": "a85dbb7da2dc8fa70db22ac353de4ce3898552a4d7c91f2e7ada88583c001cc0",
     },
 }
 
@@ -283,12 +303,21 @@ class TestDepthPrior:
 
 class TestTruthProjection:
     def test_one_projection_per_frame(self, monkeypatch):
-        projected, klt_inputs = [], []
+        projected, masks, klt_inputs = [], [], []
         project, klt = mission.project_points, mission.simulate_klt
+        split = simulator.TruthPoints.split
 
         def counting(points, world_to_cam, cam):
             projected.append(project(points, world_to_cam, cam))
             return projected[-1]
+
+        def recording_split(self, pix, depth, cam):
+            out = split(self, pix, depth, cam)
+            # every target's mask is a slice of the frame's one mask
+            frame_masks = {id(proj.visible.base) for proj in out}
+            assert len(frame_masks) == 1
+            masks.append(out[0].visible.base)
+            return out
 
         def recording(prev, curr, *args):
             klt_inputs.append((runner.frame, prev, curr))
@@ -296,15 +325,19 @@ class TestTruthProjection:
 
         for module in (mission, simulator):
             monkeypatch.setattr(module, "project_points", counting, raising=False)
+        monkeypatch.setattr(simulator.TruthPoints, "split", recording_split)
         monkeypatch.setattr(mission, "simulate_klt", recording)
         runner = MissionRunner(default_scenario(2, seed=7))
         runner.run()
-        assert runner.frame > 0 and len(projected) == runner.frame
-        # KLT reads the previous frame's projection, not a new one of its pose
+        assert runner.frame > 0 and len(projected) == len(masks) == runner.frame
+        # KLT reads the previous frame's projection and visibility mask, not a
+        # new projection of its pose or a new mask
         assert klt_inputs
         for frame, prev, curr in klt_inputs:
             assert np.shares_memory(prev.pix, projected[frame - 2][0])
             assert np.shares_memory(curr.pix, projected[frame - 1][0])
+            assert np.shares_memory(prev.visible, masks[frame - 2])
+            assert np.shares_memory(curr.visible, masks[frame - 1])
 
 
 @pytest.fixture(scope="class")
@@ -312,12 +345,13 @@ def lean_path_mission():
     """The stock two-target mission, counting per frame the corner boxes made,
     the log-determinants the tracker takes and the order of the live bank."""
     counts = {"corner_box": [], "entropy": 0, "unordered_frames": []}
-    corner_box, entropy, step = (simulator.corner_box, bbox_tracker._entropy,
-                                 bbox_tracker.TrackerState.step)
+    corner_boxes, entropy, step = (simulator.corner_boxes, bbox_tracker._entropy,
+                                   bbox_tracker.TrackerState.step)
 
-    def counting_corner_box(pix, depth):
-        counts["corner_box"].append(runner.frame)
-        return corner_box(pix, depth)
+    def counting_corner_boxes(pix, depth, corner_rows):
+        boxes = corner_boxes(pix, depth, corner_rows)
+        counts["corner_box"] += [runner.frame] * len(boxes)  # one entry per box made
+        return boxes
 
     def counting_entropy(sigma):
         counts["entropy"] += 1
@@ -331,7 +365,7 @@ def lean_path_mission():
         return out
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulator, "corner_box", counting_corner_box)
+        mp.setattr(simulator, "corner_boxes", counting_corner_boxes)
         mp.setattr(bbox_tracker, "_entropy", counting_entropy)
         mp.setattr(bbox_tracker.TrackerState, "step", checking_step)
         runner = MissionRunner(default_scenario(2, seed=7))

@@ -23,6 +23,27 @@ from conescan.view_planner import Waypoint
 from conftest import project_truth, random_pose
 
 
+def reference_visible(pix, depth, cam):
+    """Rows in front of the camera and inside the image, as simulate_klt
+    first computed them for each projection it was given."""
+    return ((depth > 0)
+            & (pix[:, 0] >= 0) & (pix[:, 0] < cam.width)
+            & (pix[:, 1] >= 0) & (pix[:, 1] < cam.height))
+
+
+def reference_klt(prev, curr, cam, noise, rng):
+    """simulate_klt with two visibility passes per call and two (n, 2) draws."""
+    prev_pix, curr_pix = prev.pix[9:], curr.pix[9:]
+    keep = (reference_visible(prev_pix, prev.depth[9:], cam)
+            & reference_visible(curr_pix, curr.depth[9:], cam))
+    n = int(keep.sum())
+    if n < 4:
+        return None
+    noisy_prev = prev_pix[keep] + noise.klt_pixel_sigma * rng.standard_normal((n, 2))
+    noisy_curr = curr_pix[keep] + noise.klt_pixel_sigma * rng.standard_normal((n, 2))
+    return noisy_prev, noisy_curr
+
+
 def overhead_world_to_cam(position):
     """World->camera for a camera at `position` looking straight down."""
     rot = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
@@ -190,8 +211,8 @@ class TestTruthPoints:
         prev_w2c = perturb_pose(c2w, NoiseModel(), rng).inverse()
         w2c = c2w.inverse()
         truth = TruthPoints(targets)
-        prev = truth.split(*project_points(truth.points, prev_w2c, cam))
-        curr = truth.split(*project_points(truth.points, w2c, cam))
+        prev = truth.split(*project_points(truth.points, prev_w2c, cam), cam)
+        curr = truth.split(*project_points(truth.points, w2c, cam), cam)
         assert len(prev) == len(curr) == len(targets)
         # the kept previous frame still equals a fresh projection at its pose
         for pose, frame in ((prev_w2c, prev), (w2c, curr)):
@@ -200,16 +221,35 @@ class TestTruthPoints:
                 parts = [(proj.pix, proj.depth, block),
                          (proj.pix[:1], proj.depth[:1], tg.center),
                          (proj.pix[1:9], proj.depth[1:9], tg.corners()),
-                         (proj.feature_pix, proj.feature_depth, tg.features)]
+                         (proj.feature_pix, proj.depth[9:], tg.features)]
                 for pix, depth, points in parts:
                     fresh_pix, fresh_depth = project_points(points, pose, cam)
                     assert np.array_equal(pix, fresh_pix)
                     assert np.array_equal(depth, fresh_depth)
+                # the frame's one mask gives each target visible() of its rows
+                assert np.array_equal(proj.visible,
+                                      reference_visible(proj.pix, proj.depth, cam))
+        # one box per target, the min / max of its corners, from one gather
+        for tg, proj in zip(targets, curr):
+            corners, depth = proj.pix[1:9], proj.depth[1:9]
+            expected = None if (depth <= 0).any() else (
+                corners[:, 0].min(), corners[:, 1].min(),
+                corners[:, 0].max(), corners[:, 1].max())
+            assert proj.box == expected
+        # and with every other target, the KLT pair of the reference arithmetic
+        for a, b in zip(prev, curr):
+            seed_rng = int(rng.integers(0, 2**32))
+            got = simulate_klt(a, b, NoiseModel(), np.random.default_rng(seed_rng))
+            ref = reference_klt(a, b, cam, NoiseModel(), np.random.default_rng(seed_rng))
+            if ref is None:
+                assert got is None
+            else:
+                assert [x.tobytes() for x in got] == [x.tobytes() for x in ref]
 
     def test_no_targets_project_no_rows(self, cam):
         truth = TruthPoints([])
         assert truth.points.shape == (0, 3)
-        assert truth.split(*project_points(truth.points, PoseSE3.identity(), cam)) == []
+        assert truth.split(*project_points(truth.points, PoseSE3.identity(), cam), cam) == []
 
     def test_points_and_corners_are_read_only(self):
         tg = make_target(0, [1.0, 2.0, 0.5], [0.5, 0.4, 0.5], 6, np.random.default_rng(0))
@@ -312,7 +352,7 @@ class TestSimulateKlt:
         tg = make_target(0, [0, 0, 0.4], [0.5, 0.5, 0.4], 30, rng)
         noise = NoiseModel(klt_pixel_sigma=0.0)
         (proj,) = project_truth([tg], overhead_world_to_cam([0, 0, 10]), cam)
-        prev, curr = simulate_klt(proj, proj, cam, noise, rng)
+        prev, curr = simulate_klt(proj, proj, noise, rng)
         assert np.array_equal(prev, curr)
         assert len(prev) >= 4
 
@@ -331,18 +371,47 @@ class TestSimulateKlt:
         w2c_curr = PoseSE3(rz, np.zeros(3)).compose(w2c_prev)
         (prev,) = project_truth([tg], w2c_prev, cam)
         (curr,) = project_truth([tg], w2c_curr, cam)
-        pair = simulate_klt(prev, curr, cam, noise, rng)
+        pair = simulate_klt(prev, curr, noise, rng)
         assert pair is not None
         sim = estimate_similarity(pair[0], pair[1])
         assert abs(sim.theta) == pytest.approx(roll, abs=math.radians(0.5))
         assert sim.scale == pytest.approx(1.0, abs=0.02)
+
+    @pytest.mark.parametrize("n_features", [4, 5, 30, 200])
+    def test_one_draw_equals_two_draws(self, cam, n_features):
+        # one (2, n, 2) draw is the stream of two (n, 2) draws, in order
+        rng = np.random.default_rng(n_features)
+        tg = make_target(0, [0, 0, 0.4], [1.0, 1.0, 0.4], n_features, rng)
+        w2c = overhead_world_to_cam([0, 0, 10])
+        (prev,) = project_truth([tg], w2c, cam)
+        (curr,) = project_truth([tg], PoseSE3(np.eye(3), [0.3, -0.2, 0.1]).compose(w2c), cam)
+        noise = NoiseModel(klt_pixel_sigma=1.7)
+        for seed in range(20):
+            got = simulate_klt(prev, curr, noise, np.random.default_rng(seed))
+            ref = reference_klt(prev, curr, cam, noise, np.random.default_rng(seed))
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in ref]
+
+    def test_reads_the_given_masks(self, cam):
+        # the KLT matcher drops what the frame's masks drop, with no mask of
+        # its own: a feature marked hidden at either frame is left out
+        rng = np.random.default_rng(15)
+        tg = make_target(0, [0, 0, 0.4], [1.0, 1.0, 0.4], 30, rng)
+        (proj,) = project_truth([tg], overhead_world_to_cam([0, 0, 10]), cam)
+        noise = NoiseModel(klt_pixel_sigma=0.0)
+        prev_pix, _ = simulate_klt(proj, proj, noise, rng)
+        hidden = proj.visible.copy()
+        hidden[9:][np.flatnonzero(hidden[9:])[:3]] = False
+        prev = proj._replace(visible=hidden)
+        for pair in (simulate_klt(prev, proj, noise, rng), simulate_klt(proj, prev, noise, rng)):
+            assert np.array_equal(pair[0], proj.feature_pix[hidden[9:]])
+            assert len(pair[0]) == len(prev_pix) - 3
 
     def test_out_of_frame_unavailable(self, cam):
         rng = np.random.default_rng(9)
         tg = make_target(0, [100, 0, 0.4], [0.5, 0.5, 0.4], 30, rng)
         noise = NoiseModel()
         (proj,) = project_truth([tg], overhead_world_to_cam([0, 0, 10]), cam)
-        assert simulate_klt(proj, proj, cam, noise, rng) is None
+        assert simulate_klt(proj, proj, noise, rng) is None
 
 
 class TestPerturbPose:
