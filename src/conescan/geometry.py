@@ -98,7 +98,8 @@ class PoseSE3:
         pts = np.asarray(points, dtype=float)
         if len(pts) > ROW_BLOCK:
             out = blocked_matmul(pts, self.rotation.T)
-            out += self.translation
+            for k in range(3):  # column by column: an (n, 3) + (3,) broadcast loops per row
+                out[:, k] += self.translation[k]
             return out
         return pts @ self.rotation.T + self.translation
 

@@ -137,7 +137,9 @@ def _cloud_statistics(points: np.ndarray):
     if len(points) < 2:
         raise ValueError("need at least 2 points")
     mean = points.mean(axis=0)
-    centered = points - mean
+    centered = np.empty_like(points)
+    for k in range(3):  # column by column: an (n, 3) - (3,) broadcast loops per row
+        np.subtract(points[:, k], mean[k], out=centered[:, k])
     cov = np.dot(centered.T, centered)
     cov *= 1.0 / (len(points) - 1)
     evals, evecs = np.linalg.eigh(cov)
@@ -212,7 +214,8 @@ def weight_density(pixels, box: BBox, cfg: LocalizerConfig):
 
     The Gaussian sits at the box center with per-axis std of half the box
     extent; the uniform term is supported on the enlarged box. Values are
-    floored at WEIGHT_FLOOR. Accepts one (2,) pixel or an (n, 2) array.
+    floored at WEIGHT_FLOOR. Accepts one (2,) pixel or an (n, 2) array; the
+    array result is a fresh array the caller may write to.
     """
     pix = np.asarray(pixels, dtype=float)
     single = pix.ndim == 1
@@ -221,7 +224,9 @@ def weight_density(pixels, box: BBox, cfg: LocalizerConfig):
     su, sv = box.width / 2.0, box.height / 2.0
     norm = 1.0 / (2.0 * math.pi * su * sv)
     quad = ((pix[:, 0] - cu) / su) ** 2 + ((pix[:, 1] - cv) / sv) ** 2
-    gauss = norm * np.exp(-0.5 * quad)
+    f = np.exp(-0.5 * quad)
+    f *= norm
+    f *= cfg.gauss_weight
 
     support = enlarge(box, cfg.enlarge_factor)
     inside = (
@@ -230,20 +235,49 @@ def weight_density(pixels, box: BBox, cfg: LocalizerConfig):
         & (pix[:, 1] >= support.v_min)
         & (pix[:, 1] <= support.v_max)
     )
-    uniform = np.where(inside, 1.0 / support.area, 0.0)
-
-    f = np.maximum(cfg.gauss_weight * gauss + cfg.uniform_weight * uniform, WEIGHT_FLOOR)
+    np.add(f, cfg.uniform_weight * (1.0 / support.area), out=f, where=inside)
+    np.maximum(f, WEIGHT_FLOOR, out=f)
     return float(f[0]) if single else f
 
 
 def systematic_resample(weights, rng: np.random.Generator) -> np.ndarray:
-    """Low-variance systematic resampling; returns chosen indices."""
+    """Low-variance systematic resampling; returns chosen indices.
+
+    Position j picks the number of cumulative weights at or below it, clipped
+    to n - 1, exactly as np.searchsorted(cs, positions, side="right") would.
+    The count is taken the other way round, in linear time: each cumulative
+    weight counts the positions strictly below it, estimated from the position
+    formula and corrected against the positions array itself, which never
+    decreases.
+    """
     w = np.asarray(weights, dtype=float)
     w = w / w.sum()
     n = len(w)
-    positions = (np.arange(n) + rng.uniform()) / n
-    idx = np.searchsorted(np.cumsum(w), positions, side="right")
-    return np.minimum(idx, n - 1)
+    u = rng.uniform()
+    padded = np.empty(n + 2)  # the positions between -inf and +inf
+    padded[0], padded[-1] = -np.inf, np.inf
+    positions = padded[1:-1]
+    np.add(np.arange(n), u, out=positions)
+    positions /= n
+    cs = np.cumsum(w)
+    est = cs * n
+    est -= u
+    np.ceil(est, out=est)
+    np.maximum(est, 0, out=est)
+    np.minimum(est, n, out=est)
+    below = est.astype(np.intp)
+    lower, upper = padded[:-1], padded[1:]  # position below - 1, position below
+    while True:
+        too_many = lower[below] >= cs
+        too_few = upper[below] < cs
+        if not (too_many.any() or too_few.any()):
+            break
+        below -= too_many
+        below += too_few
+    idx = np.bincount(below, minlength=n + 1)[:n]
+    np.cumsum(idx, out=idx)
+    np.minimum(idx, n - 1, out=idx)
+    return idx
 
 
 @dataclass(frozen=True)
@@ -266,11 +300,12 @@ def update_particles(
     sits at the floor the box carries no information about this cloud: the
     update is skipped and the starved flag raised.
     """
-    noise = math.sqrt(cfg.update_noise_var) * rng.standard_normal(ps.points.shape)
-    perturbed = ps.points + noise
+    perturbed = rng.standard_normal(ps.points.shape)  # scaled and shifted in place
+    perturbed *= math.sqrt(cfg.update_noise_var)
+    perturbed += ps.points
     pix, depth = project_points(perturbed, world_to_cam, cam)
     weights = weight_density(pix, box, cfg)
-    weights = np.where(depth > 0, weights, WEIGHT_FLOOR)
+    np.copyto(weights, WEIGHT_FLOOR, where=~(depth > 0))
     if np.all(weights <= WEIGHT_FLOOR):
         return UpdateResult(ps, starved=True)
     idx = systematic_resample(weights, rng)

@@ -115,7 +115,8 @@ class RunReport:
 
 
 class _RunLog:
-    """Streaming CSV/JSON writers for one run directory (no-ops when disabled).
+    """Streaming CSV/JSON writers for one run directory. Without one, every
+    writer is None and snapshot and write_json do nothing.
 
     A run directory that already exists loses its previous run's particle
     snapshots and plot series; the other files are rewritten.
@@ -152,8 +153,8 @@ class _RunLog:
         return writer
 
     def row(self, writer, values):
-        if writer is not None:
-            writer.writerow(values)
+        """Write one row; callers build rows only when their writer exists."""
+        writer.writerow(values)
 
     def snapshot(self, hyp: TargetHypothesis, frame: int, tag: str):
         if not self.dir:
@@ -239,6 +240,8 @@ class MissionRunner:
     # ------------------------------------------------------------------ utils
 
     def _log_plan(self, phase, waypoints):
+        if self.log.planned is None:
+            return
         for seq, wp in enumerate(waypoints):
             self.log.row(
                 self.log.planned,
@@ -318,28 +321,39 @@ class MissionRunner:
             for done_center, radius in self.suppression
         )
 
+    def _has_baseline(self, hyp, cam_pos) -> bool:
+        """The view is far enough from the last accepted one to add parallax."""
+        return (hyp.last_update_camera is None
+                or np.linalg.norm(cam_pos - hyp.last_update_camera)
+                >= self.cfg.mission.min_update_baseline)
+
     def _localize_from_track(self, track, est_c2w, est_w2c):
         lcfg = self.cfg.localizer
+        cam_pos = est_c2w.translation
+        if self.mode == FINE_LOCALIZE:
+            # while circling, a box can only update the circled target's cloud,
+            # so no other cloud is tested and a view without parallax builds no cone
+            candidates = [h for h in self.hypotheses
+                          if h is self.active and self._has_baseline(h, cam_pos)]
+            if not candidates:
+                return
+        else:
+            # registration depends on whether any cloud matches
+            candidates = self.hypotheses
         corners = enlarge(track.u, lcfg.enlarge_factor).corners_clockwise()
         try:
             normals = cone_normals(corners, self.cam)
         except DegenerateConeError:
             return
         matched_sets = needs_new_particle_set(
-            [h.particles for h in self.hypotheses], normals, est_w2c)
+            [h.particles for h in candidates], normals, est_w2c)
         matched_ids = {id(ps) for ps in matched_sets}
-        matched = [h for h in self.hypotheses if id(h.particles) in matched_ids]
+        matched = [h for h in candidates if id(h.particles) in matched_ids]
 
         if matched:
-            cam_pos = est_c2w.translation
             for hyp in matched:
-                if self.mode == FINE_LOCALIZE and hyp is not self.active:
-                    continue  # only the active target updates off-search
-                if (hyp.last_update_camera is not None
-                        and np.linalg.norm(cam_pos - hyp.last_update_camera)
-                        < self.cfg.mission.min_update_baseline):
-                    continue  # no parallax since the last accepted view
-                self._update_hypothesis(hyp, track.u, est_w2c, cam_pos)
+                if self._has_baseline(hyp, cam_pos):
+                    self._update_hypothesis(hyp, track.u, est_w2c, cam_pos)
             return
 
         if self.mode == FINE_LOCALIZE:
@@ -382,6 +396,8 @@ class MissionRunner:
             self.log.snapshot(hyp, self.frame, hyp.status)
 
     def _metrics_row(self, hyp):
+        if self.log.metrics is None:
+            return
         rec = hyp.history[-1]
         pca = pca_summary(hyp.particles)
         self.log.row(
@@ -563,11 +579,12 @@ class MissionRunner:
         finished = self._step_modes()
 
         self._prev_truth = truth
-        self.log.row(
-            self.log.path,
-            [_fmt(self.t), _fmt(pos[0]), _fmt(pos[1]), _fmt(pos[2]), _fmt(yaw),
-             self.mode],
-        )
+        if self.log.path is not None:
+            self.log.row(
+                self.log.path,
+                [_fmt(self.t), _fmt(pos[0]), _fmt(pos[1]), _fmt(pos[2]), _fmt(yaw),
+                 self.mode],
+            )
         return finished
 
     def run(self) -> RunReport:

@@ -223,8 +223,38 @@ class TestNeedsNewParticleSet:
         assert counting.rows == 100_000
 
 
+def reference_weight_density(pix, box, cfg):
+    """The box likelihood with each term an out-of-place array expression."""
+    cu, cv = box.center
+    su, sv = box.width / 2.0, box.height / 2.0
+    norm = 1.0 / (2.0 * math.pi * su * sv)
+    quad = ((pix[:, 0] - cu) / su) ** 2 + ((pix[:, 1] - cv) / sv) ** 2
+    gauss = norm * np.exp(-0.5 * quad)
+    support = enlarge(box, cfg.enlarge_factor)
+    inside = ((pix[:, 0] >= support.u_min) & (pix[:, 0] <= support.u_max)
+              & (pix[:, 1] >= support.v_min) & (pix[:, 1] <= support.v_max))
+    uniform = np.where(inside, 1.0 / support.area, 0.0)
+    return np.maximum(cfg.gauss_weight * gauss + cfg.uniform_weight * uniform,
+                      WEIGHT_FLOOR)
+
+
 class TestWeightDensity:
     BOX = BBox(100, 100, 200, 180)
+
+    @pytest.mark.parametrize("uniform_weight", [0.0, 0.1, 1.0])
+    def test_bitwise_equal_to_the_out_of_place_terms(self, uniform_weight):
+        rng = np.random.default_rng(40)
+        cfg = LocalizerConfig(uniform_weight=uniform_weight)
+        support = enlarge(self.BOX, cfg.enlarge_factor)
+        pixels = np.concatenate([
+            rng.uniform([-500, -500], [1100, 1000], size=(5000, 2)),
+            [[support.u_min, support.v_min], [support.u_max, support.v_max],
+             [support.u_min - 1e-9, 140.0], [5000.0, 5000.0]],
+        ])
+        got = weight_density(pixels, self.BOX, cfg)
+        expected = reference_weight_density(pixels, self.BOX, cfg)
+        assert np.array_equal(got, expected)
+        assert weight_density(pixels[0], self.BOX, cfg) == expected[0]
 
     def test_center_is_max(self):
         rng = np.random.default_rng(8)
@@ -286,6 +316,41 @@ class TestSystematicResample:
         idx = systematic_resample(weights, rng)
         assert np.all(idx == 42)
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([1, 2, 7, 1000, 100_000]),
+           kind=st.sampled_from(["random", "tied", "dominant", "floor"]),
+           seed=st.integers(0, 2**32 - 1),
+           u=st.one_of(st.none(), st.sampled_from([0.0, 0.5]),
+                       st.floats(0.0, 1.0, exclude_max=True)))
+    def test_bitwise_equal_to_searchsorted(self, n, kind, seed, u):
+        # u=None draws from a generator; a fixed u puts positions exactly on the
+        # cumulative weights of tied ones (u=0 and 0.5 at n=2 give 0.5 == 0.5)
+        g = np.random.default_rng(seed)
+        weights = {
+            "random": lambda: g.uniform(size=n),
+            "tied": lambda: np.full(n, 1.0 / n),
+            "dominant": lambda: np.where(np.arange(n) == g.integers(n), 1.0, 1e-9),
+            "floor": lambda: np.where(g.uniform(size=n) < 0.9, WEIGHT_FLOOR,
+                                      g.uniform(size=n)),
+        }[kind]()
+        got = systematic_resample(weights, _FixedUniform(u) if u is not None
+                                  else np.random.default_rng(seed))
+        rng = _FixedUniform(u) if u is not None else np.random.default_rng(seed)
+        w = weights / weights.sum()
+        positions = (np.arange(n) + rng.uniform()) / n
+        expected = np.minimum(np.searchsorted(np.cumsum(w), positions, side="right"), n - 1)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+class _FixedUniform:
+    """A generator whose one uniform draw is a given value."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def uniform(self):
+        return self.u
+
 
 def overhead_pose(position):
     """Camera at `position` looking straight down, north up in the image."""
@@ -301,6 +366,27 @@ def exact_box(points_or_target, world_to_cam, cam, pad=0.0):
 
 
 class TestUpdateParticles:
+    @pytest.mark.parametrize("n", [1000, 100_000])
+    def test_bitwise_equal_to_the_out_of_place_round(self, cam, n):
+        # a cloud straddling the camera plane, so the depth mask acts
+        rng = np.random.default_rng(41)
+        ps = cloud(rng.normal([0.0, 0.0, 5.0], 3.0, size=(n, 3)))
+        world_to_cam = overhead_pose([0.0, 0.0, 10.0]).inverse()
+        box = BBox(280.0, 200.0, 360.0, 290.0)
+        res = update_particles(ps, box, world_to_cam, cam, LCFG, np.random.default_rng(5))
+
+        ref_rng = np.random.default_rng(5)
+        noise = math.sqrt(LCFG.update_noise_var) * ref_rng.standard_normal(ps.points.shape)
+        perturbed = ps.points + noise
+        pix, depth = project_points(perturbed, world_to_cam, cam)
+        assert (depth <= 0).any() and (depth > 0).any()
+        weights = np.where(depth > 0, reference_weight_density(pix, box, LCFG), WEIGHT_FLOOR)
+        w = weights / weights.sum()
+        positions = (np.arange(n) + ref_rng.uniform()) / n
+        idx = np.minimum(np.searchsorted(np.cumsum(w), positions, side="right"), n - 1)
+        assert not res.starved
+        assert np.array_equal(res.particles.points, perturbed[idx])
+
     def test_two_views_contract_covariance(self, cam):
         # noiseless two-view oracle: generate from one pose, update from two
         # well-separated poses with exact boxes around the true target

@@ -3,13 +3,15 @@ import dataclasses
 import hashlib
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conescan import bbox_tracker, localizer, mission, simulator
 from conescan.config import default_scenario
-from conescan.localizer import LocalizerConfig
+from conescan.geometry import BBox, camera_to_world_pose
+from conescan.localizer import LocalizerConfig, TargetHypothesis, enlarge, generate_particles
 from conescan.mission import (
     EXIT_OK,
     EXIT_UNCONVERGED,
@@ -52,6 +54,24 @@ def failure_run(tmp_path_factory):
     runner = MissionRunner(cfg, out_dir=out, dump_particles=True)
     report = runner.run()
     return runner, report, out
+
+
+@pytest.fixture(scope="module")
+def crowded_fine_run(tmp_path_factory):
+    """The two-target mission at seed 2, whose fine phases run while another
+    hypothesis is live; returns the frames of those fine-phase localizations."""
+    out = tmp_path_factory.mktemp("crowded_fine")
+    crowded = []
+
+    class Counting(MissionRunner):
+        def _localize_from_track(self, *args):
+            if (self.mode == mission.FINE_LOCALIZE
+                    and any(h is not self.active for h in self.hypotheses)):
+                crowded.append(self.frame)
+            return super()._localize_from_track(*args)
+
+    report = Counting(default_scenario(2, seed=2), out_dir=out).run()
+    return crowded, report, out
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +224,16 @@ GOLDEN_DIGESTS = {
         "particles/*.json":
             "8bee766ff0b6fa2d88702d61b537a2d753bfeb5ffcc3ee99f98db97706cab8f8",
     },
+    # fine phases with a second live hypothesis, which no other digested
+    # mission has; recorded while every fine-phase box still tested every cloud
+    "crowded_fine_run": {
+        "report.json": "114bdc8fc719666cdbe910c4116bde2e761e0b1fbd0f4f30867c07079e0e035a",
+        "path.csv": "4ad054e7ed261cc3ac13b8f7ebde91d64701e0ada0d727d7b09aea5dc5178b59",
+        "planned_path.csv":
+            "29e3527a832f6d1a0f59eba5a3f764ab398a42ad050b89b7b44a2d0c29a61010",
+        "metrics.csv": "f15b6c4fa984b0f72c1b488f751478c6893b2c32a33b7898609efab025b9d703",
+        "tracks.csv": "cc1471bcadfdd113092c6962087909cdef8fec6d6fa1b14721c69bbc00d6d175",
+    },
     # a bank of tens of tracks fed mostly by false positives
     "fp_heavy_run": {
         "report.json": "4b675b3b83e08f229d1854b1265dcf0fa21e16da45d8804bccff357142f9a7a8",
@@ -256,6 +286,97 @@ class TestGoldenDigests:
         report = run_scenario(cfg, out_dir=tmp_path)
         assert report.transitions[-1]["to"] == mode
         assert _digest(tmp_path, "report.json") == digest
+
+
+class TestCrowdedFinePhase:
+    def test_fine_phases_run_beside_another_hypothesis(self, crowded_fine_run):
+        crowded, report, _ = crowded_fine_run
+        assert len(crowded) == 456
+        assert report.targets_found == report.targets_total == 2
+
+
+class TestFineLocalizeCandidates:
+    """`_localize_from_track` while circling the active hypothesis."""
+
+    BOX = BBox(280.0, 200.0, 360.0, 290.0)
+
+    @pytest.fixture
+    def scene(self):
+        runner = MissionRunner(default_scenario(2, seed=7))
+        cam, lcfg = runner.cam, runner.cfg.localizer
+        est_c2w = camera_to_world_pose(np.array([0.0, -12.0, 12.0]), math.pi / 2,
+                                       cam.gamma)
+        away = est_c2w.translation + [5.0, 0.0, 0.0]  # past the 3 m baseline
+
+        def hypothesis(target_id, last_update_camera):
+            # seeded inside the unenlarged box's cone, so inside the matching cone
+            rng = np.random.default_rng(target_id)
+            particles = generate_particles(self.BOX.corners_clockwise(), est_c2w, cam,
+                                           lcfg, rng, max_depth=24.0)
+            return TargetHypothesis(target_id=target_id, particles=particles, rng=rng,
+                                    last_update_camera=last_update_camera)
+
+        active, other = hypothesis(0, away), hypothesis(1, None)
+        runner.hypotheses = [active, other]
+        runner.mode, runner.active = mission.FINE_LOCALIZE, active
+        track = SimpleNamespace(u=self.BOX)
+        return runner, active, other, track, est_c2w
+
+    @staticmethod
+    def localize(runner, track, est_c2w):
+        runner._localize_from_track(track, est_c2w, est_c2w.inverse())
+
+    def test_below_the_baseline_no_cone_is_built(self, scene, monkeypatch):
+        runner, active, other, track, est_c2w = scene
+        active.last_update_camera = est_c2w.translation + [1.0, 0.0, 0.0]
+
+        def refuse(*args):
+            raise AssertionError("cone work below the baseline")
+
+        monkeypatch.setattr(mission, "cone_normals", refuse)
+        monkeypatch.setattr(mission, "needs_new_particle_set", refuse)
+        self.localize(runner, track, est_c2w)
+        assert active.updates == other.updates == 0
+        assert runner.hypotheses == [active, other]
+
+    def test_another_cloud_in_the_cone_is_not_tested(self, scene, monkeypatch):
+        runner, active, other, track, est_c2w = scene
+        tested, match = [], mission.needs_new_particle_set
+
+        def recording(sets, normals, world_to_cam):
+            tested.extend(sets)
+            return match(sets, normals, world_to_cam)
+
+        monkeypatch.setattr(mission, "needs_new_particle_set", recording)
+        active_particles, other_particles = active.particles, other.particles
+        # the other cloud lies inside the cone: searching, it would match
+        normals = mission.cone_normals(
+            enlarge(self.BOX, runner.cfg.localizer.enlarge_factor).corners_clockwise(),
+            runner.cam)
+        assert match([other_particles], normals, est_c2w.inverse())
+        self.localize(runner, track, est_c2w)
+        assert len(tested) == 1 and tested[0] is active_particles
+        assert active.updates == 1
+        assert other.updates == 0 and other.particles is other_particles
+
+    def test_an_active_hypothesis_no_longer_live_is_not_updated(self, scene, monkeypatch):
+        runner, active, other, track, est_c2w = scene
+        runner.hypotheses = [other]  # as if dropped as a duplicate this frame
+        particles = active.particles
+        self.localize(runner, track, est_c2w)
+        assert active.updates == other.updates == 0
+        assert active.particles is particles
+        assert runner.hypotheses == [other]
+
+    def test_search_counts_a_match_without_baseline(self, scene):
+        # while searching, a cloud in the cone without parallax takes no update
+        # but still stops a new registration
+        runner, active, other, track, est_c2w = scene
+        runner.mode, runner.active = mission.SEARCH, None
+        active.last_update_camera = other.last_update_camera = est_c2w.translation.copy()
+        self.localize(runner, track, est_c2w)
+        assert active.updates == other.updates == 0
+        assert runner.hypotheses == [active, other] and runner.next_hypothesis_id == 0
 
 
 class TestCloudStatistics:
@@ -428,6 +549,20 @@ class TestTrackLog:
         runner.run()
         assert runner.tracker.next_id > 0
         with pytest.raises(RuntimeError, match="track row built"):
+            MissionRunner(cfg, out_dir=tmp_path).run()
+
+
+    def test_no_rows_formatted_without_a_run_directory(self, monkeypatch, tmp_path):
+        # path, planned-path and metrics rows: their values are built only to be written
+        def refuse(value):
+            raise RuntimeError("row formatted")
+
+        monkeypatch.setattr(mission, "_fmt", refuse)
+        cfg = default_scenario(1, seed=3)
+        cfg.mission.max_sim_time = 40.0  # registers, updates and starts a fine arc
+        report = MissionRunner(cfg).run()
+        assert report.transitions[-1]["to"] == "fine_localize"
+        with pytest.raises(RuntimeError, match="row formatted"):
             MissionRunner(cfg, out_dir=tmp_path).run()
 
 
