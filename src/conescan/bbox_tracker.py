@@ -212,7 +212,8 @@ def associate_and_register(
     detection index. A detection overlapping some active track above the
     registration threshold but losing the greedy competition is dropped for
     this frame. Registration is sequential, so a detection is also checked
-    against tracks registered earlier in the same frame.
+    against tracks registered earlier in the same frame. Each track-detection
+    IoU is computed once (``iou`` is symmetric bit for bit).
     """
     active = [t for t in tracks if t.status == ACTIVE]
     pairs = []
@@ -231,13 +232,13 @@ def associate_and_register(
         assignments[tid] = j
         taken_dets.add(j)
 
+    paired = {j for _, _, j in pairs}  # matched, or lost the competition
     new_tracks = []
-    boxes = [t.u for t in active]
     for j, det in enumerate(detections):
-        if j in taken_dets:
+        if j in paired:
             continue
-        if any(iou(det, b) >= cfg.iou_register_threshold for b in boxes):
-            continue  # overlapped an existing track but lost the competition
+        if any(iou(det, t.u) >= cfg.iou_register_threshold for t in new_tracks):
+            continue
         new_tracks.append(
             BoxTrack(
                 id=next_id + len(new_tracks),
@@ -247,7 +248,6 @@ def associate_and_register(
                 hits=1,
             )
         )
-        boxes.append(det)
     return assignments, new_tracks
 
 

@@ -383,7 +383,6 @@ class TargetHypothesis:
     history: list = field(default_factory=list)
     status: str = STATUS_ROUGH
     updates: int = 0
-    starved_updates: int = 0
     last_update_camera: np.ndarray = None  # where the last accepted view was taken
 
     @property

@@ -74,11 +74,6 @@ SEARCH = "search"
 FINE_LOCALIZE = "fine_localize"
 MAP = "map"
 
-def _fmt(value) -> str:
-    """Shortest round-trip decimal form; numpy scalars print as plain floats."""
-    return repr(float(value))
-
-
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_UNCONVERGED = 2
@@ -114,9 +109,15 @@ class RunReport:
         return asdict(self)
 
 
+def _fmt(value) -> str:
+    """Shortest round-trip decimal form; numpy scalars print as plain floats."""
+    return repr(float(value))
+
+
 class _RunLog:
-    """Streaming CSV/JSON writers for one run directory. Without one, every
-    writer is None and snapshot and write_json do nothing.
+    """Streaming CSV/JSON writers for one run directory; each file's columns
+    are set here and nowhere else. Without a run directory every writer is
+    None and each row method, snapshot and write_json do nothing.
 
     A run directory that already exists loses its previous run's particle
     snapshots and plot series; the other files are rewritten.
@@ -153,20 +154,54 @@ class _RunLog:
         return writer
 
     def row(self, writer, values):
-        """Write one row; callers build rows only when their writer exists."""
+        """Write one row; the row methods build rows only when their writer exists."""
         writer.writerow(values)
+
+    def plan(self, phase, waypoints):
+        if self.planned is None:
+            return
+        for seq, wp in enumerate(waypoints):
+            self.row(self.planned,
+                     [phase, seq, _fmt(wp.position[0]), _fmt(wp.position[1]),
+                      _fmt(wp.position[2]), _fmt(wp.yaw)])
+
+    def pose(self, t, pos, yaw, mode):
+        if self.path is None:
+            return
+        self.row(self.path,
+                 [_fmt(t), _fmt(pos[0]), _fmt(pos[1]), _fmt(pos[2]), _fmt(yaw), mode])
+
+    def track_rows(self, frame, tracks):
+        """One row per track, in id order; callers check ``self.tracks`` first,
+        so that an unlogged frame does not even gather its tracks."""
+        for track in sorted(tracks, key=lambda t: t.id):
+            self.row(self.tracks,
+                     [frame, track.id, _fmt(track.u.u_min), _fmt(track.u.v_min),
+                      _fmt(track.u.u_max), _fmt(track.u.v_max),
+                      _fmt(np.trace(track.sigma)),
+                      _fmt(bbox_entropy(track.sigma)), track.status])
+
+    def metrics_row(self, frame, hyp):
+        if self.metrics is None:
+            return
+        rec = hyp.history[-1]
+        pca = pca_summary(hyp.particles)
+        self.row(self.metrics,
+                 [frame, hyp.target_id, _fmt(pca.eigenvalues[0]),
+                  _fmt(pca.eigenvalues[1]), _fmt(pca.eigenvalues[2]),
+                  _fmt(rec.entropy), "" if rec.kl is None else _fmt(rec.kl), hyp.status])
 
     def snapshot(self, hyp: TargetHypothesis, frame: int, tag: str):
         if not self.dir:
             return
-        rec = hyp.history[-1] if hyp.history else None
+        rec = hyp.history[-1]  # recorded at registration, before any snapshot
         data = {
             "target_id": hyp.target_id,
             "frame": frame,
             "points": hyp.particles.points.tolist(),
             "eigenvalues": pca_summary(hyp.particles).eigenvalues.tolist(),
-            "entropy": rec.entropy if rec else None,
-            "kl": rec.kl if rec else None,
+            "entropy": rec.entropy,
+            "kl": rec.kl,
             "status": hyp.status,
         }
         name = f"target{hyp.target_id:03d}_frame{frame:06d}_{tag}.json"
@@ -183,6 +218,57 @@ class _RunLog:
         for fh in self._files:
             fh.close()
         self._files = []
+
+
+def emit_plot_data(run_dir) -> list:
+    """Derive plot-ready CSV series from a completed run directory."""
+    run_dir = Path(run_dir)
+    plots = run_dir / "plots"
+    plots.mkdir(exist_ok=True)
+    written = []
+
+    def read(name):
+        """The rows of one of the run log's CSV files, or None without it."""
+        src = run_dir / name
+        if not src.exists():
+            return None
+        with open(src) as fh:
+            return list(csv.DictReader(fh))
+
+    def write(name, header, rows):
+        out = plots / name
+        with open(out, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows(rows)
+        written.append(out)
+
+    path = read("path.csv")
+    if path is not None:
+        write("uav_path.csv", ["t", "x", "y", "z"],
+              ([r["t"], r["x"], r["y"], r["z"]] for r in path))
+
+    metrics = read("metrics.csv")
+    if metrics is not None:
+        by_target = {}
+        for r in metrics:
+            by_target.setdefault(r["target_id"], []).append(r)
+        for tid, series in sorted(by_target.items()):
+            write(f"convergence_target{int(tid):03d}.csv",
+                  ["frame", "lambda_max", "entropy", "kl"],
+                  ([r["frame"], r["lambda1"], r["entropy"], r["kl"]] for r in series))
+
+    planned = read("planned_path.csv")
+    if planned is not None and path is not None:
+        write("planned_vs_flown.csv", ["source", "phase_or_t", "x", "y", "z"],
+              [["planned", r["phase"], r["x"], r["y"], r["z"]] for r in planned]
+              + [["flown", r["t"], r["x"], r["y"], r["z"]] for r in path])
+
+    for snap in sorted((run_dir / "particles").glob("*.json")):
+        with open(snap) as fh:
+            points = json.load(fh)["points"]
+        write(snap.stem + ".csv", ["x", "y", "z"], points)
+    return written
 
 
 class MissionRunner:
@@ -235,19 +321,9 @@ class MissionRunner:
         self._mapping = None  # (coverage payload, suppression radius), read in MAP
 
         self.log = _RunLog(out_dir)
-        self._log_plan(SEARCH, self.search_path)
+        self.log.plan(SEARCH, self.search_path)
 
     # ------------------------------------------------------------------ utils
-
-    def _log_plan(self, phase, waypoints):
-        if self.log.planned is None:
-            return
-        for seq, wp in enumerate(waypoints):
-            self.log.row(
-                self.log.planned,
-                [phase, seq, _fmt(wp.position[0]), _fmt(wp.position[1]),
-                 _fmt(wp.position[2]), _fmt(wp.yaw)],
-            )
 
     def _transition(self, new_mode, hyp=None, **extra):
         entry = {
@@ -372,7 +448,7 @@ class MissionRunner:
                                last_update_camera=est_c2w.translation.copy())
         hyp.record(lcfg, kl=None)
         self.hypotheses.append(hyp)
-        self._metrics_row(hyp)
+        self.log.metrics_row(self.frame, hyp)
         self.log.snapshot(hyp, self.frame, "registered")
 
     def _update_hypothesis(self, hyp, box, est_w2c, cam_pos):
@@ -380,7 +456,6 @@ class MissionRunner:
         pre = gaussian_summary(hyp.particles)
         result = update_particles(hyp.particles, box, est_w2c, self.cam, lcfg, hyp.rng)
         if result.starved:
-            hyp.starved_updates += 1
             return
         hyp.particles = result.particles
         hyp.updates += 1
@@ -391,21 +466,9 @@ class MissionRunner:
             kl = None
         before = hyp.status
         hyp.record(lcfg, kl)
-        self._metrics_row(hyp)
+        self.log.metrics_row(self.frame, hyp)
         if hyp.status != before:
             self.log.snapshot(hyp, self.frame, hyp.status)
-
-    def _metrics_row(self, hyp):
-        if self.log.metrics is None:
-            return
-        rec = hyp.history[-1]
-        pca = pca_summary(hyp.particles)
-        self.log.row(
-            self.log.metrics,
-            [self.frame, hyp.target_id, _fmt(pca.eigenvalues[0]),
-             _fmt(pca.eigenvalues[1]), _fmt(pca.eigenvalues[2]),
-             _fmt(rec.entropy), "" if rec.kl is None else _fmt(rec.kl), hyp.status],
-        )
 
     # ------------------------------------------------------------- mode logic
 
@@ -438,7 +501,7 @@ class MissionRunner:
             "planned_angle": sweep,
         }
         self.follower.set_path(path[1:])
-        self._log_plan(FINE_LOCALIZE, path)
+        self.log.plan(FINE_LOCALIZE, path)
 
     def _fine_progress_angle(self) -> float:
         frac = min(self.follower.waypoints_reached / self._fine["path_len"], 1.0)
@@ -472,7 +535,7 @@ class MissionRunner:
         self._mapping = (payload, self.cfg.mission.suppression_scale * cylinder.radius)
         self._transition(MAP, hyp, arc_fraction=arc_fraction)
         self.follower.set_path(path)
-        self._log_plan(MAP, [self._current_waypoint()] + path)
+        self.log.plan(MAP, [self._current_waypoint()] + path)
 
     def _finish_map(self):
         hyp, (payload, radius) = self.active, self._mapping
@@ -486,11 +549,10 @@ class MissionRunner:
         self._transition(SEARCH, resume_index=self.resume_index)
         remaining = self.search_path[self.resume_index:]
         self.follower.set_path(remaining)
-        self._log_plan(SEARCH, [self._current_waypoint()] + list(remaining))
+        self.log.plan(SEARCH, [self._current_waypoint()] + list(remaining))
 
     def _step_modes(self):
-        mode = self.mode
-        if mode == SEARCH:
+        if self.mode == SEARCH:
             candidates = [
                 h for h in self.hypotheses
                 if loc.status_rank(h.status) >= loc.status_rank(STATUS_FINE_REQUESTED)
@@ -499,7 +561,7 @@ class MissionRunner:
                 self._enter_fine(min(candidates, key=lambda h: h.target_id))
                 return False
             return self.follower.done
-        if mode == FINE_LOCALIZE:
+        if self.mode == FINE_LOCALIZE:
             hyp = self.active
             if hyp.status == STATUS_CONVERGED:
                 self._enter_map(hyp)
@@ -522,11 +584,10 @@ class MissionRunner:
                 else:
                     self._plan_fine_arc(hyp)
             return False
-        if mode == MAP:
-            if self.follower.done:
-                self._finish_map()
-            return False
-        raise RuntimeError(f"unknown mode {mode}")
+        # MAP: the mode is only ever one of the three constants
+        if self.follower.done:
+            self._finish_map()
+        return False
 
     # ------------------------------------------------------------------- loop
 
@@ -553,15 +614,8 @@ class MissionRunner:
         updated = self.tracker.step(detections, sims, self.frame)
         if self.log.tracks is not None:
             # live tracks, plus a final row for each one retired this frame
-            just_retired = self.tracker.retired[n_retired:]
-            for track in sorted(self.tracker.live + just_retired, key=lambda t: t.id):
-                self.log.row(
-                    self.log.tracks,
-                    [self.frame, track.id, _fmt(track.u.u_min), _fmt(track.u.v_min),
-                     _fmt(track.u.u_max), _fmt(track.u.v_max),
-                     _fmt(np.trace(track.sigma)),
-                     _fmt(bbox_entropy(track.sigma)), track.status],
-                )
+            self.log.track_rows(self.frame,
+                                self.tracker.live + self.tracker.retired[n_retired:])
 
         if self.mode != MAP:
             for track in self.tracker.live:  # in id order
@@ -579,12 +633,7 @@ class MissionRunner:
         finished = self._step_modes()
 
         self._prev_truth = truth
-        if self.log.path is not None:
-            self.log.row(
-                self.log.path,
-                [_fmt(self.t), _fmt(pos[0]), _fmt(pos[1]), _fmt(pos[2]), _fmt(yaw),
-                 self.mode],
-            )
+        self.log.pose(self.t, pos, yaw, self.mode)
         return finished
 
     def run(self) -> RunReport:
@@ -662,65 +711,3 @@ def run_scenario(cfg: ScenarioConfig, seed=None, out_dir=None,
         cfg = replace(cfg, seed=int(seed))
     runner = MissionRunner(cfg, out_dir=out_dir, dump_particles=dump_particles)
     return runner.run()
-
-
-def emit_plot_data(run_dir) -> list:
-    """Derive plot-ready CSV series from a completed run directory."""
-    run_dir = Path(run_dir)
-    plots = run_dir / "plots"
-    plots.mkdir(exist_ok=True)
-    written = []
-
-    path_file = run_dir / "path.csv"
-    if path_file.exists():
-        with open(path_file) as fh:
-            rows = list(csv.DictReader(fh))
-        out = plots / "uav_path.csv"
-        with open(out, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "x", "y", "z"])
-            for r in rows:
-                w.writerow([r["t"], r["x"], r["y"], r["z"]])
-        written.append(out)
-
-    metrics_file = run_dir / "metrics.csv"
-    if metrics_file.exists():
-        with open(metrics_file) as fh:
-            rows = list(csv.DictReader(fh))
-        by_target = {}
-        for r in rows:
-            by_target.setdefault(r["target_id"], []).append(r)
-        for tid, series in sorted(by_target.items()):
-            out = plots / f"convergence_target{int(tid):03d}.csv"
-            with open(out, "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["frame", "lambda_max", "entropy", "kl"])
-                for r in series:
-                    w.writerow([r["frame"], r["lambda1"], r["entropy"], r["kl"]])
-            written.append(out)
-
-    planned_file = run_dir / "planned_path.csv"
-    if planned_file.exists() and path_file.exists():
-        out = plots / "planned_vs_flown.csv"
-        with open(out, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["source", "phase_or_t", "x", "y", "z"])
-            with open(planned_file) as src:
-                for r in csv.DictReader(src):
-                    w.writerow(["planned", r["phase"], r["x"], r["y"], r["z"]])
-            with open(path_file) as src:
-                for r in csv.DictReader(src):
-                    w.writerow(["flown", r["t"], r["x"], r["y"], r["z"]])
-        written.append(out)
-
-    for snap in sorted((run_dir / "particles").glob("*.json")):
-        with open(snap) as fh:
-            data = json.load(fh)
-        out = plots / (snap.stem + ".csv")
-        with open(out, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["x", "y", "z"])
-            for p in data["points"]:
-                w.writerow(p)
-        written.append(out)
-    return written

@@ -171,7 +171,7 @@ class DetectionDelay:
 class _Leg:
     """Analytic trapezoidal move between two poses, yaw slewed at bounded rate."""
 
-    def __init__(self, p0, yaw0, p1, yaw1, v0, v_max, a_max, yaw_rate):
+    def __init__(self, p0, yaw0, p1, yaw1, v0, v_max, a_max, yaw_rate, counts_waypoint):
         self.p0 = np.asarray(p0, dtype=float)
         self.p1 = np.asarray(p1, dtype=float)
         self.yaw0 = yaw0
@@ -200,6 +200,7 @@ class _Leg:
         self.t_yaw = abs(self.dyaw) / yaw_rate if yaw_rate > 0 else 0.0
         self.duration = max(self.t_move, self.t_yaw)
         self.yaw_rate = yaw_rate
+        self.counts_waypoint = counts_waypoint  # reaching its end reaches a waypoint
 
     def sample(self, t: float):
         """Position, yaw and speed at leg time t (clamped to the duration)."""
@@ -261,22 +262,19 @@ class WaypointFollower:
         if speed > 1e-9:
             heading = self.velocity / speed
             brake = pos + heading * speed**2 / (2.0 * self.a_max)
-            leg = _Leg(pos, yaw, brake, yaw, speed, self.v_max, self.a_max, self.yaw_rate)
-            leg.counts_waypoint = False
-            self._legs.append(leg)
+            self._legs.append(_Leg(pos, yaw, brake, yaw, speed, self.v_max, self.a_max,
+                                   self.yaw_rate, counts_waypoint=False))
             pos = brake
         for wp in waypoints:
-            leg = _Leg(pos, yaw, wp.position, wp.yaw, 0.0, self.v_max, self.a_max,
-                       self.yaw_rate)
-            leg.counts_waypoint = True
-            self._legs.append(leg)
+            self._legs.append(_Leg(pos, yaw, wp.position, wp.yaw, 0.0, self.v_max,
+                                   self.a_max, self.yaw_rate, counts_waypoint=True))
             pos, yaw = wp.position, wp.yaw
         # drop zero-duration legs so `done` flips promptly
         kept = []
         for leg in self._legs:
             if leg.duration > 0:
                 kept.append(leg)
-            elif getattr(leg, "counts_waypoint", False):
+            elif leg.counts_waypoint:
                 self._reached += 1
         self._legs = kept
 
@@ -294,7 +292,7 @@ class WaypointFollower:
             if leg.duration - self._leg_t <= 1e-12:
                 self._legs.pop(0)
                 self._leg_t = 0.0
-                if getattr(leg, "counts_waypoint", False):
+                if leg.counts_waypoint:
                     self._reached += 1
                 self.velocity = np.zeros(3)
         return self.position.copy(), self.yaw, self.velocity.copy()

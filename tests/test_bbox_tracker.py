@@ -98,6 +98,38 @@ def reference_iou(a, b):
     return inter / (a.area + b.area - inter)
 
 
+def reference_associate_and_register(tracks, detections, cfg, frame=0, next_id=0):
+    """Association and registration as first written: each unmatched detection
+    is tested again against every active track's box."""
+    active = [t for t in tracks if t.status == ACTIVE]
+    pairs = []
+    for t in active:
+        for j, det in enumerate(detections):
+            score = iou(t.u, det)
+            if score >= cfg.iou_register_threshold:
+                pairs.append((score, t.id, j))
+    pairs.sort(key=lambda p: (-p[0], p[1], p[2]))
+    assignments = {}
+    taken_dets = set()
+    for score, tid, j in pairs:
+        if tid in assignments or j in taken_dets:
+            continue
+        assignments[tid] = j
+        taken_dets.add(j)
+    new_tracks = []
+    boxes = [t.u for t in active]
+    for j, det in enumerate(detections):
+        if j in taken_dets:
+            continue
+        if any(iou(det, b) >= cfg.iou_register_threshold for b in boxes):
+            continue
+        new_tracks.append(BoxTrack(id=next_id + len(new_tracks), u=det,
+                                   sigma=cfg.initial_sigma.copy(), spawn_frame=frame,
+                                   hits=1))
+        boxes.append(det)
+    return assignments, new_tracks
+
+
 def reference_dereg(sigma, threshold) -> bool:
     """The entropy gate with the log-determinant alone."""
     sign, logdet = np.linalg.slogdet(sigma)
@@ -485,6 +517,55 @@ class TestAssociation:
             [], [BBox(0, 0, 10, 10), BBox(0, 0, 10, 10)], CFG
         )
         assert len(new) == 1
+
+
+    # boxes on a coarse grid in a small image, so that overlaps, ties and
+    # coincident boxes are common
+    _corner = st.integers(0, 12).map(lambda k: 2.5 * k)
+    _side = st.integers(1, 8).map(lambda k: 2.5 * k)
+    _box = st.builds(lambda u, v, w, h: BBox(u, v, u + w, v + h),
+                     _corner, _corner, _side, _side)
+
+    @settings(max_examples=300, deadline=None)
+    @given(track_boxes=st.lists(st.tuples(_box, st.booleans()), max_size=8),
+           detections=st.lists(_box, max_size=10),
+           threshold=st.sampled_from([0.05, 0.3, 0.5, 0.9]))
+    def test_equals_the_reference_rule(self, track_boxes, detections, threshold):
+        tracks = [dataclasses.replace(make_track(track_id=i),
+                                      u=box, status=ACTIVE if active else DEREGISTERED)
+                  for i, (box, active) in enumerate(track_boxes)]
+        cfg = TrackerConfig(iou_register_threshold=threshold)
+        out = associate_and_register(tracks, detections, cfg, frame=3, next_id=20)
+        ref = reference_associate_and_register(tracks, detections, cfg, frame=3,
+                                               next_id=20)
+        assert out[0] == ref[0]
+        assert len(out[1]) == len(ref[1])
+        for got, want in zip(out[1], ref[1]):
+            assert_same_track(got, want)
+
+    def test_each_overlap_computed_once(self, monkeypatch):
+        calls = []
+
+        def counting_iou(a, b):
+            calls.append((a, b))
+            return iou(a, b)
+
+        monkeypatch.setattr("conescan.bbox_tracker.iou", counting_iou)
+        tracks = [make_track((0, 0, 10, 10), track_id=0),
+                  make_track((100, 0, 110, 10), track_id=1),
+                  make_track((200, 0, 210, 10), track_id=2),
+                  dataclasses.replace(make_track((300, 0, 310, 10), track_id=3),
+                                      status=DEREGISTERED)]
+        dets = [BBox(0, 0, 10, 9),      # matches track 0
+                BBox(0, 3, 10, 10),     # loses track 0 to the first detection
+                BBox(400, 0, 410, 10),  # registers
+                BBox(500, 0, 510, 10)]  # registers after one test against the last
+        assignments, new = associate_and_register(tracks, dets, CFG)
+        assert assignments == {0: 0}
+        assert [t.u for t in new] == dets[2:]
+        # 3 active tracks x 4 detections, then one test of the last detection
+        # against the track registered before it in this frame
+        assert len(calls) == 3 * 4 + 1
 
 
 class TestEntropy:

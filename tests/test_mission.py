@@ -566,6 +566,19 @@ class TestTrackLog:
             MissionRunner(cfg, out_dir=tmp_path).run()
 
 
+class TestRunDirectoryRows:
+    @pytest.mark.parametrize("run", ["one_target_run", "failure_run"])
+    @pytest.mark.parametrize("name", ["tracks.csv", "path.csv", "planned_path.csv",
+                                      "metrics.csv"])
+    def test_rows_as_wide_as_the_header(self, run, name, request):
+        _, _, out = request.getfixturevalue(run)
+        with open(out / name, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert rows
+        assert {len(r) for r in rows} == {len(header)}
+        assert header not in rows  # the header is written once, first
+
+
 class TestDeterminism:
     def test_same_seed_byte_identical_outputs(self, tmp_path):
         cfg = default_scenario(1, seed=12)
