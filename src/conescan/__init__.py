@@ -19,7 +19,7 @@ from .localizer import (
     points_entropy,
     update_particles,
 )
-from .mapping_planner import Cylinder, ScanPlan, coverage_check, fit_cylinder, scan_circles
+from .mapping_planner import Cylinder, ScanPlan, fit_cylinder, scan_circles
 from .mission import MissionRunner, RunReport, emit_plot_data, run_scenario
 from .simulator import NoiseModel, TargetTruth, WaypointFollower
 from .view_planner import ViewCircle, Waypoint, fine_localization_circle, next_best_view
@@ -29,7 +29,7 @@ __all__ = [
     "LocalizerConfig", "MissionRunner", "NoiseModel", "ParticleSet", "PoseSE3",
     "RunReport", "ScanPlan", "ScenarioConfig", "SimilarityTransform2D",
     "TargetTruth", "TrackerConfig", "ViewCircle", "Waypoint",
-    "WaypointFollower", "bbox_entropy", "coverage_check", "default_scenario",
+    "WaypointFollower", "bbox_entropy", "default_scenario",
     "estimate_similarity", "fine_localization_circle", "fit_cylinder",
     "generate_particles", "iou", "kl_divergence", "load", "next_best_view",
     "points_entropy", "run_scenario", "scan_circles", "update_particles",

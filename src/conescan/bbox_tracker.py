@@ -177,8 +177,6 @@ def predict(
 def update(track: BoxTrack, z: BBox, cfg: TrackerConfig) -> BoxTrack:
     """Kalman measurement update with an identity observation model; the
     fused detection counts as one more hit."""
-    if not all(map(math.isfinite, (z.u_min, z.v_min, z.u_max, z.v_max))):
-        raise ValueError("measurement must be finite")
     u = track.u.as_array()
     gain = track.sigma @ np.linalg.inv(track.sigma + cfg.measure_cov)
     u_new = u + gain @ (z.as_array() - u)

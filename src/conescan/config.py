@@ -262,11 +262,8 @@ def default_scenario(n_targets: int = 1, seed: int = 7) -> ScenarioConfig:
         TargetSpec(center=(x, y, 0.3), half_extents=(0.4, 0.4, 0.3), n_features=30)
         for x, y in spots[:n_targets]
     ]
-    region = (0.0, 0.0, max(30.0, 10.0 + 6.0 * n_targets * 2), 10.0)
-    if n_targets >= 2:
-        region = (0.0, 0.0, 36.0, 10.0)
     cfg = ScenarioConfig(
-        region=region,
+        region=(0.0, 0.0, 36.0 if n_targets >= 2 else 30.0, 10.0),
         search_altitude=12.0,
         targets=targets,
         seed=seed,

@@ -179,9 +179,7 @@ class BBox:
 
 def to_euclidean(x) -> BBox:
     """Drop the homogeneous entries of a stacked 6-vector back to a box."""
-    u_min, v_min, w0, u_max, v_max, w1 = np.asarray(x, dtype=float).reshape(6).tolist()
-    if abs(w0 - 1.0) > 1e-6 or abs(w1 - 1.0) > 1e-6:
-        raise ValueError("homogeneous entries must equal 1")
+    u_min, v_min, _, u_max, v_max, _ = np.asarray(x, dtype=float).reshape(6).tolist()
     return BBox(u_min, v_min, u_max, v_max)
 
 
@@ -213,8 +211,6 @@ def cone_normals(corners, cam: CameraRig) -> np.ndarray:
     camera origin so membership reduces to sign tests.
     """
     corners = np.asarray(corners, dtype=float)
-    if corners.shape != (4, 2):
-        raise ValueError("expected 4 pixel corners")
     # rays (x, y, 1) = K^-1 (u, v, 1), as back_project_direction gives them
     rays = [((u - cam.cx) / cam.fx, (v - cam.cy) / cam.fy)
             for u, v in corners.tolist()]

@@ -154,8 +154,6 @@ def _cloud_statistics(points: np.ndarray):
 
 def enlarge(box: BBox, factor: float) -> BBox:
     """Scale a box about its center; corners may leave the image."""
-    if factor < 1:
-        raise ValueError("factor must be >= 1")
     cu, cv = box.center
     hw, hh = factor * box.width / 2.0, factor * box.height / 2.0
     return BBox(cu - hw, cv - hh, cu + hw, cv + hh)
@@ -214,12 +212,10 @@ def weight_density(pixels, box: BBox, cfg: LocalizerConfig):
 
     The Gaussian sits at the box center with per-axis std of half the box
     extent; the uniform term is supported on the enlarged box. Values are
-    floored at WEIGHT_FLOOR. Accepts one (2,) pixel or an (n, 2) array; the
-    array result is a fresh array the caller may write to.
+    floored at WEIGHT_FLOOR. Takes an (n, 2) array of pixels; the result is a
+    fresh array the caller may write to.
     """
     pix = np.asarray(pixels, dtype=float)
-    single = pix.ndim == 1
-    pix = np.atleast_2d(pix)
     cu, cv = box.center
     su, sv = box.width / 2.0, box.height / 2.0
     norm = 1.0 / (2.0 * math.pi * su * sv)
@@ -237,7 +233,7 @@ def weight_density(pixels, box: BBox, cfg: LocalizerConfig):
     )
     np.add(f, cfg.uniform_weight * (1.0 / support.area), out=f, where=inside)
     np.maximum(f, WEIGHT_FLOOR, out=f)
-    return float(f[0]) if single else f
+    return f
 
 
 def systematic_resample(weights, rng: np.random.Generator) -> np.ndarray:
@@ -405,18 +401,15 @@ def drop_duplicates(hypotheses, radius: float = 1.0):
     """Discard hypotheses whose centers sit within radius of a more-converged one.
 
     "More converged" means strictly higher status, or equal status with a
-    smaller largest eigenvalue. Returns (kept, dropped).
+    smaller largest eigenvalue. Returns the kept ones in id order.
     """
     ranked = sorted(
         hypotheses,
         key=lambda h: (-_STATUS_ORDER[h.status], h.lambda_max, h.target_id),
     )
-    kept, dropped = [], []
+    kept = []
     for h in ranked:
-        if any(np.linalg.norm(h.center - k.center) < radius for k in kept):
-            dropped.append(h)
-        else:
+        if not any(np.linalg.norm(h.center - k.center) < radius for k in kept):
             kept.append(h)
     kept.sort(key=lambda h: h.target_id)
-    dropped.sort(key=lambda h: h.target_id)
-    return kept, dropped
+    return kept

@@ -24,7 +24,6 @@ class Cylinder:
     z_bottom: float
     z_top: float
     radius: float
-    degenerate: bool = False  # zero vertical extent
 
     def __post_init__(self):
         object.__setattr__(
@@ -65,7 +64,6 @@ def fit_cylinder(ps: ParticleSet) -> Cylinder:
         z_bottom=z_bottom,
         z_top=z_top,
         radius=max(float(radial.max()), MIN_CYLINDER_RADIUS),
-        degenerate=(z_top - z_bottom) < 1e-12,
     )
 
 
@@ -119,8 +117,6 @@ def circle_waypoints(circle: ViewCircle, n_per_circle: int, axis_xy) -> list:
     All circles start at azimuth zero so consecutive circles join at a matching
     azimuth with a straight vertical transit.
     """
-    if n_per_circle < 4:
-        raise ValueError("need at least 4 waypoints per circle")
     axis = np.asarray(axis_xy, dtype=float).reshape(2)
     wps = []
     for i in range(n_per_circle):
@@ -138,8 +134,6 @@ def coverage_samples(
     vertical scan band and the horizontal field of view, with the cylinder not
     occluding it (outward wall normal facing the waypoint).
     """
-    if n_surface_samples < 1:
-        raise ValueError("need at least one surface sample")
     height = max(cyl.height, 1e-6)
     circumference = 2.0 * math.pi * cyl.radius
     n_az = int(np.clip(round(math.sqrt(n_surface_samples * circumference / height)),
@@ -172,16 +166,6 @@ def coverage_samples(
     return samples, covered
 
 
-def coverage_check(
-    plan: ScanPlan, cam: CameraRig, cyl: Cylinder, n_surface_samples: int
-) -> float:
-    """Fraction of the cylinder wall seen by at least one planned waypoint."""
-    if not plan.all_waypoints():
-        return 0.0
-    _, covered = coverage_samples(plan, cam, cyl, n_surface_samples)
-    return float(covered.mean())
-
-
 def mapping_path(plan: ScanPlan, start_position) -> list:
     """Flyable waypoint sequence: descend onto the first circle, orbit, step up.
 
@@ -189,8 +173,6 @@ def mapping_path(plan: ScanPlan, start_position) -> list:
     vertical transit at the shared azimuth. The approach inserts a waypoint
     above the first orbit point at the start altitude.
     """
-    if not plan.circles:
-        return []
     first = plan.waypoints[0][0]
     start = np.asarray(start_position, dtype=float)
     path = []

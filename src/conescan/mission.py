@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import localizer as loc
 from .bbox_tracker import (
     SimilarityEstimationError,
     TrackerState,
@@ -35,7 +34,7 @@ from .geometry import (
 )
 from .localizer import (
     STATUS_CONVERGED,
-    STATUS_FINE_REQUESTED,
+    STATUS_ROUGH,
     TargetHypothesis,
     drop_duplicates,
     enlarge,
@@ -318,6 +317,7 @@ class MissionRunner:
         self.transitions = []
         self._prev_truth = None  # last frame's TargetProjection per target
         self._fine = None  # the current fine arc's plan, read in FINE_LOCALIZE
+        self._lap_angle = 0.0  # angle circled in the current fine phase
         self._mapping = None  # (coverage payload, suppression radius), read in MAP
 
         self.log = _RunLog(out_dir)
@@ -553,10 +553,8 @@ class MissionRunner:
 
     def _step_modes(self):
         if self.mode == SEARCH:
-            candidates = [
-                h for h in self.hypotheses
-                if loc.status_rank(h.status) >= loc.status_rank(STATUS_FINE_REQUESTED)
-            ]
+            # live hypotheses are rough, fine_requested or converged
+            candidates = [h for h in self.hypotheses if h.status != STATUS_ROUGH]
             if candidates:
                 self._enter_fine(min(candidates, key=lambda h: h.target_id))
                 return False
@@ -622,7 +620,7 @@ class MissionRunner:
                 if track.id not in updated or track.hits < self.cfg.mission.confirm_hits:
                     continue
                 self._localize_from_track(track, est_c2w, est_w2c)
-            kept, _ = drop_duplicates(self.hypotheses)
+            kept = drop_duplicates(self.hypotheses)
             # a live hypothesis converging into a finished target's zone is a
             # duplicate of that target, not a new one
             self.hypotheses = [

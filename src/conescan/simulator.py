@@ -156,8 +156,6 @@ class DetectionDelay:
     """
 
     def __init__(self, latency_frames: int):
-        if latency_frames < 0:
-            raise ValueError("latency must be non-negative")
         self.latency = int(latency_frames)
         self._queue = []
 

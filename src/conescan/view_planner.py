@@ -67,10 +67,6 @@ def lawnmower_path(region, altitude: float, cam: CameraRig, overlap: float):
     a single centered row.
     """
     x0, y0, x1, y1 = (float(v) for v in region)
-    if not (x0 < x1 and y0 < y1):
-        raise ValueError("region must be a non-empty rectangle")
-    if not 0 <= overlap < 1:
-        raise ValueError("overlap must lie in [0, 1)")
     width = ground_footprint_width(cam, altitude)
     offset = forward_view_offset(cam, altitude)
     extent = y1 - y0
@@ -142,15 +138,9 @@ def arc_path(
 ):
     """Current pose, entry onto the circle, then the shorter arc to the view.
 
-    Every on-circle waypoint keeps its yaw on the cloud center.
+    Every on-circle waypoint keeps its yaw on the cloud center. nbv must lie
+    on the circle, as next_best_view places it.
     """
-    if angular_step <= 0:
-        raise ValueError("angular_step must be positive")
-    nbv_radial = abs(
-        np.linalg.norm(nbv.position[:2] - circle.center[:2]) - circle.radius
-    )
-    if nbv_radial > 1e-6 or abs(nbv.position[2] - circle.center[2]) > 1e-6:
-        raise ValueError("next-best-view waypoint must lie on the circle")
     if np.linalg.norm(current.position - nbv.position) < 1e-9:
         return [current]
 

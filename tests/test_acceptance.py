@@ -44,7 +44,7 @@ from conescan.localizer import (
     weight_density,
     WEIGHT_FLOOR,
 )
-from conescan.mapping_planner import Cylinder, coverage_check, scan_circles
+from conescan.mapping_planner import Cylinder, coverage_samples, scan_circles
 from conescan.mission import EXIT_UNCONVERGED, MissionRunner, run_scenario
 from conescan.simulator import NoiseModel, make_target, simulate_detector, simulate_klt
 
@@ -366,7 +366,7 @@ def test_criterion_7_mapping_coverage():
         cyl = Cylinder(axis_xy=rng.uniform(-20, 20, size=2), z_bottom=z0,
                        z_top=z0 + height, radius=rng.uniform(0.3, 3.0))
         plan = scan_circles(cyl, CAM, standoff=3.0)
-        worst = min(worst, coverage_check(plan, CAM, cyl, 10_000))
+        worst = min(worst, coverage_samples(plan, CAM, cyl, 10_000)[1].mean())
         oracle = 1
         while oracle * band < height - 1e-9:
             oracle += 1
@@ -451,8 +451,8 @@ def test_criterion_9_degenerate_inputs():
     result = update_particles(far_cloud, BBox(0, 0, 4, 4), PoseSE3.identity(),
                               CAM, LocalizerConfig(), rng)
     assert result.starved and result.particles is far_cloud
-    assert weight_density([5000.0, 5000.0], BBox(0, 0, 4, 4),
-                          LocalizerConfig()) == WEIGHT_FLOOR
+    assert weight_density([[5000.0, 5000.0]], BBox(0, 0, 4, 4),
+                          LocalizerConfig())[0] == WEIGHT_FLOOR
     details.append("all-floor weights skip the update")
 
     data = to_dict(default_scenario(0))

@@ -132,7 +132,8 @@ class TestValidation:
         ("camera", "width", 0), ("camera", "height", 480.5),
         ("camera", "gamma", math.pi / 2), ("camera", "beta", math.nan),
         ("localizer", "update_noise_var", -0.01),
-        ("localizer", "enlarge_factor", math.nan), ("localizer", "kl_converged", math.nan),
+        ("localizer", "enlarge_factor", math.nan), ("localizer", "enlarge_factor", 0.5),
+        ("localizer", "kl_converged", math.nan),
         ("localizer", "lambda_rough", 0), ("localizer", "lambda_rough", -1),
         ("localizer", "lambda_fine", math.nan), ("localizer", "n_particles", 99),
         ("localizer", "n_particles", 1000.0), ("localizer", "uniform_weight", -0.1),

@@ -36,10 +36,6 @@ class TestHomogeneousConversions:
         assert to_euclidean([0, 0, 1, 10, 10, 1]) == BBox(0, 0, 10, 10)
         assert to_euclidean([5, 5, 1, 5.5, 6, 1]) == BBox(5, 5, 5.5, 6)
 
-    def test_drop_rejects_malformed(self):
-        with pytest.raises(ValueError):
-            to_euclidean([0, 0, 2, 1, 1, 1])
-
     def test_round_trip_exact(self):
         rng = np.random.default_rng(0)
         for _ in range(100):

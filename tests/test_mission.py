@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conescan import bbox_tracker, localizer, mission, simulator
-from conescan.config import default_scenario
+from conescan.config import ConfigError, default_scenario
 from conescan.geometry import BBox, camera_to_world_pose
 from conescan.localizer import LocalizerConfig, TargetHypothesis, enlarge, generate_particles
 from conescan.mission import (
@@ -189,6 +189,62 @@ class TestTwoTargets:
                 per_target.setdefault(t["target"], []).append(t["to"])
         for modes in per_target.values():
             assert modes == ["fine_localize", "map"]
+
+
+class TestConfigBoundary:
+    # the helpers below the runner trust these values, so the runner must refuse
+    # them even when a config is changed after it was built and validated
+    @pytest.mark.parametrize("path, value", [
+        ("planner.overlap", 1.0),
+        ("region", (10.0, 0.0, 10.0, 10.0)),
+        ("planner.angular_step", 0),
+        ("planner.n_per_circle", 3),
+        ("planner.n_surface_samples", 0),
+        ("localizer.enlarge_factor", 0.5),
+        ("noise.detection_latency_frames", -1),
+    ])
+    def test_runner_rejects_a_value_changed_after_build(self, path, value):
+        cfg = default_scenario(1, seed=3)
+        if path == "region":
+            cfg.region = value
+        else:  # some sections are frozen, so the section is swapped whole
+            section, name = path.split(".")
+            setattr(cfg, section, dataclasses.replace(getattr(cfg, section), **{name: value}))
+        with pytest.raises(ConfigError, match=rf"^{path}: "):
+            MissionRunner(cfg)
+
+
+class TestMultiLegSurvey:
+    """A region three survey rows deep, with the target on the middle row."""
+
+    @pytest.fixture(scope="class")
+    def multi_leg_run(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("multi_leg")
+        cfg = default_scenario(1, seed=3)
+        cfg.region = (0.0, 0.0, 36.0, 40.0)
+        cfg.targets[0].center = (15.0, 20.0, 0.3)
+        runner = MissionRunner(cfg, out_dir=out)
+        return runner, runner.run(), out
+
+    def test_three_legs_and_the_target_found(self, multi_leg_run):
+        runner, report, _ = multi_leg_run
+        assert len({float(wp.position[1]) for wp in runner.search_path}) == 3
+        assert (report.targets_found, report.targets_total) == (1, 1)
+        assert report.exit_code == EXIT_OK
+
+    def test_resume_indices_stay_on_the_survey_and_never_decrease(self, multi_leg_run):
+        runner, report, _ = multi_leg_run
+        indices = [t["resume_index"] for t in report.transitions if "resume_index" in t]
+        assert indices
+        assert indices == sorted(indices)
+        assert all(0 <= i < len(runner.search_path) for i in indices)
+
+    def test_flown_path_reaches_every_row(self, multi_leg_run):
+        runner, _, out = multi_leg_run
+        with open(out / "path.csv") as fh:
+            flown_y = np.array([float(r["y"]) for r in csv.DictReader(fh)])
+        for row_y in {float(wp.position[1]) for wp in runner.search_path}:
+            assert np.abs(flown_y - row_y).min() < 1e-6, row_y
 
 
 # SHA-256 of the run-directory files of the stock missions, the failure mission

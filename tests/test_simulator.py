@@ -168,10 +168,6 @@ class TestDetectionDelay:
         delivered = [delay.push(frame) for frame in frames]
         assert delivered == [[]] * latency + frames[:len(frames) - latency]
 
-    def test_rejects_negative_latency(self):
-        with pytest.raises(ValueError):
-            DetectionDelay(-1)
-
 
 class TestTruthPoints:
     @staticmethod

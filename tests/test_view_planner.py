@@ -70,12 +70,6 @@ class TestLawnmower:
             )
         assert covered.all()
 
-    def test_invalid_inputs(self, cam):
-        with pytest.raises(ValueError):
-            lawnmower_path((0, 0, 0, 10), 12.0, cam, overlap=0.2)
-        with pytest.raises(ValueError):
-            lawnmower_path((0, 0, 10, 10), 12.0, cam, overlap=1.0)
-
 
 class TestFineLocalizationCircle:
     def test_unit_tangent_radius(self):
@@ -225,9 +219,3 @@ class TestArcPath:
             expected = math.atan2(self.CENTER[1] - wp.position[1],
                                   self.CENTER[0] - wp.position[0])
             assert abs(wrap_angle(wp.yaw - expected)) < 1e-9
-
-    def test_nbv_off_circle_rejected(self):
-        circle = self.circle()
-        with pytest.raises(ValueError):
-            arc_path(Waypoint([0, 0, 11], 0.0), Waypoint([100, 0, 11], 0.0),
-                     circle, self.CENTER, math.radians(15))
