@@ -90,10 +90,6 @@ _IDENTITY = SimilarityTransform2D(np.eye(3))
 _IDENTITY.matrix.flags.writeable = False
 
 
-def _is_symmetric(sig: np.ndarray) -> bool:
-    return np.allclose(sig, sig.T, atol=1e-9 * max(1.0, float(np.abs(sig).max())))
-
-
 @dataclass(frozen=True)
 class TrackerConfig:
     predict_noise_px: float = 2.0
@@ -103,16 +99,11 @@ class TrackerConfig:
 
     @cached_property
     def measure_cov(self) -> np.ndarray:
-        """Covariance of one detection, isotropic in the four box coordinates;
-        read-only."""
+        """Covariance of one detection, isotropic in the four box coordinates,
+        and so of a track registered from one; read-only."""
         cov = self.measure_noise_px**2 * np.eye(4)
         cov.flags.writeable = False
         return cov
-
-    @property
-    def initial_sigma(self) -> np.ndarray:
-        """Covariance of a track registered from one detection: measure_cov."""
-        return self.measure_cov
 
 
 @dataclass(frozen=True)
@@ -206,16 +197,16 @@ def associate_and_register(
 ):
     """Greedy IoU association plus registration of unmatched detections.
 
-    Returns (assignments, new_tracks) where assignments maps track id to
-    detection index. A detection overlapping some active track above the
+    tracks is the live bank, every track active, as TrackerState.step passes
+    it. Returns (assignments, new_tracks) where assignments maps track id to
+    detection index. A detection overlapping some track above the
     registration threshold but losing the greedy competition is dropped for
     this frame. Registration is sequential, so a detection is also checked
     against tracks registered earlier in the same frame. Each track-detection
     IoU is computed once (``iou`` is symmetric bit for bit).
     """
-    active = [t for t in tracks if t.status == ACTIVE]
     pairs = []
-    for t in active:
+    for t in tracks:
         for j, det in enumerate(detections):
             score = iou(t.u, det)
             if score >= cfg.iou_register_threshold:
@@ -241,25 +232,12 @@ def associate_and_register(
             BoxTrack(
                 id=next_id + len(new_tracks),
                 u=det,
-                sigma=cfg.initial_sigma.copy(),
+                sigma=cfg.measure_cov.copy(),
                 spawn_frame=frame,
                 hits=1,
             )
         )
     return assignments, new_tracks
-
-
-def bbox_entropy(sigma) -> float:
-    """Differential entropy of the 4D box-state Gaussian, in nats.
-
-    Singular covariances return -inf as the distinguished minimal value.
-    """
-    sig = np.asarray(sigma, dtype=float)
-    if sig.shape != (4, 4):
-        raise ValueError("sigma must be 4x4")
-    if not _is_symmetric(sig):
-        raise ValueError("sigma must be symmetric")
-    return _entropy(sig)
 
 
 # Entropy of a 4D Gaussian minus half its log-determinant.
@@ -268,11 +246,14 @@ _ENTROPY_OFFSET = 2.0 + 2.0 * math.log(2.0 * math.pi)
 _GATE_MARGIN = 1e-9
 
 
-def _entropy(sig: np.ndarray) -> float:
-    """bbox_entropy without its checks, for covariances the tracker itself
-    keeps symmetric: the initial sigma, a multiple of the identity, and every
-    Kalman step's symmetrized output."""
-    sign, logdet = np.linalg.slogdet(sig)
+def bbox_entropy(sigma: np.ndarray) -> float:
+    """Differential entropy of the 4D box-state Gaussian, in nats.
+
+    sigma is a symmetric 4x4 covariance, as the tracker keeps every track's:
+    measure_cov at registration, then each Kalman step's symmetrized output.
+    Singular covariances return -inf as the distinguished minimal value.
+    """
+    sign, logdet = np.linalg.slogdet(sigma)
     if sign <= 0 or not np.isfinite(logdet):
         return -math.inf
     return _ENTROPY_OFFSET + 0.5 * logdet
@@ -294,8 +275,9 @@ def _entropy_bound_reaches(sig: np.ndarray, threshold: float) -> bool:
 def prune(tracks, image_size, cfg: TrackerConfig, frame: int = None):
     """Deregister tracks fully outside the image or grown past the entropy gate.
 
-    The gate compares the entropy, a constant plus half of log|det sigma|,
-    with cfg.entropy_dereg_threshold. Hadamard's inequality,
+    tracks are live, every one active, as TrackerState.step passes them. The
+    gate compares the entropy, a constant plus half of log|det sigma|, with
+    cfg.entropy_dereg_threshold. Hadamard's inequality,
     |det S| <= prod_i ||row_i(S)||_2, holds for any real matrix, so the row
     norms bound the entropy from above at the cost of four 4-term norms. A
     track whose bound lies more than 1e-9 below the threshold keeps its
@@ -308,16 +290,13 @@ def prune(tracks, image_size, cfg: TrackerConfig, frame: int = None):
     threshold = cfg.entropy_dereg_threshold
     out = []
     for t in tracks:
-        if t.status != ACTIVE:
-            out.append(t)
-            continue
         b = t.u
         outside = b.u_max <= 0 or b.v_max <= 0 or b.u_min >= width or b.v_min >= height
         if outside:
             out.append(_derive(t, status=DEREGISTERED, dereg_reason="bounds",
                                dereg_frame=frame))
         elif (_entropy_bound_reaches(t.sigma, threshold)
-              and _entropy(t.sigma) > threshold):
+              and bbox_entropy(t.sigma) > threshold):
             out.append(_derive(t, status=DEREGISTERED, dereg_reason="entropy",
                                dereg_frame=frame))
         else:
@@ -329,15 +308,14 @@ def estimate_similarity(prev_points, curr_points) -> SimilarityTransform2D:
     """Least-squares similarity (scale, rotation, translation) between point sets.
 
     The means are np.mean's own arithmetic, np.add.reduce over the rows
-    divided by the count, without its Python wrapper.
+    divided by the count, without its Python wrapper. The caller gives at
+    least one pair (simulate_klt gives 4 or more); one alone fails the spread check.
     """
     p = np.asarray(prev_points, dtype=float)
     q = np.asarray(curr_points, dtype=float)
     if p.ndim != 2 or p.shape != q.shape or p.shape[1] != 2:
         raise SimilarityEstimationError("correspondence lists must be equal (n, 2)")
     n = len(p)
-    if n < 2:
-        raise SimilarityEstimationError("need at least 2 correspondences")
     p_mean, q_mean = np.add.reduce(p, axis=0) / n, np.add.reduce(q, axis=0) / n
     pc, qc = p - p_mean, q - q_mean
     spread = float((pc * pc).sum())

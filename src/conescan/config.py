@@ -100,7 +100,8 @@ _UNIT = (lambda v: 0 <= v <= 1, "must lie in [0, 1]")
 # either makes its use site raise, some only mid-mission, runs a mission that
 # cannot find anything, or silently switches off a mission rule (a NaN lap
 # limit never abandons a fine phase, a NaN suppression scale suppresses
-# nothing); each rule is written so that NaN and non-numbers fail it.
+# nothing); each rule is written so that NaN and non-numbers fail it, and
+# _check refuses a bool, which Python would otherwise take as 0 or 1.
 _RANGES = (
     ("region", lambda r: len(r) == 4 and -math.inf < r[0] < r[2] < math.inf
      and -math.inf < r[1] < r[3] < math.inf,
@@ -141,9 +142,9 @@ _RANGES = (
     ("planner.angular_step", *_POSITIVE),
     ("planner.standoff", *_POSITIVE),
     ("planner.n_per_circle", *_at_least(4)),
-    ("planner.n_surface_samples", lambda v: v >= 1, "must be at least 1"),
+    ("planner.n_surface_samples", *_at_least(1)),
     ("mission.dt", *_POSITIVE),
-    ("mission.confirm_hits", lambda v: v >= 1, "must be at least 1"),
+    ("mission.confirm_hits", *_at_least(1)),
     ("mission.min_update_baseline", *_NON_NEGATIVE),
     ("mission.fine_replan_distance", *_NON_NEGATIVE),
     ("mission.fine_max_laps", *_POSITIVE),
@@ -161,8 +162,9 @@ _TARGET_RANGES = (
 
 def _check(rows, obj, prefix=""):
     for path, in_range, rule in rows:
+        value = attrgetter(path)(obj)
         try:
-            ok = bool(in_range(attrgetter(path)(obj)))
+            ok = not isinstance(value, (bool, np.bool_)) and bool(in_range(value))
         except (TypeError, ValueError):  # not a number, or not a sequence of them
             ok = False
         if not ok:

@@ -83,13 +83,6 @@ class PoseSE3:
     def identity() -> "PoseSE3":
         return PoseSE3(np.eye(3), np.zeros(3))
 
-    def compose(self, other: "PoseSE3") -> "PoseSE3":
-        """self after other: (self.compose(other)).apply(x) == self.apply(other.apply(x))."""
-        return PoseSE3(
-            self.rotation @ other.rotation,
-            self.rotation @ other.translation + self.translation,
-        )
-
     def inverse(self) -> "PoseSE3":
         return PoseSE3._trusted(self.rotation.T, -self.rotation.T @ self.translation)
 

@@ -21,7 +21,6 @@ from .geometry import (
     back_project_direction,
     blocked_matmul,
     cone_contains,
-    cone_normals,
     project_points,
 )
 
@@ -39,11 +38,6 @@ STATUS_ROUGH = "rough"
 STATUS_FINE_REQUESTED = "fine_requested"
 STATUS_CONVERGED = "converged"
 _STATUS_ORDER = {STATUS_ROUGH: 0, STATUS_FINE_REQUESTED: 1, STATUS_CONVERGED: 2}
-
-
-def status_rank(status: str) -> int:
-    """Rough < FineRequested < Converged."""
-    return _STATUS_ORDER[status]
 
 
 def gaussian_entropy_for_eigenvalue(lam: float) -> float:
@@ -170,12 +164,13 @@ def generate_particles(
 ) -> ParticleSet:
     """Seed a cloud inside the cone spanned by four enlarged box corners.
 
-    Directions are convex combinations of the corner rays with strictly
-    positive coefficients (columns normalized by their Manhattan norm), depths
-    uniform in (0, max_depth], so every point strictly satisfies the cone
-    membership inequalities of its own generating cone.
+    The corners span a proper cone: the caller has built its cone_normals
+    from them, which rejects a degenerate set. Directions are convex
+    combinations of the corner rays with strictly positive coefficients
+    (columns normalized by their Manhattan norm), depths uniform in
+    (0, max_depth], so every point strictly satisfies the cone membership
+    inequalities of its own generating cone.
     """
-    cone_normals(corners, cam)  # rejects degenerate corner sets
     dirs = np.column_stack([back_project_direction(c, cam) for c in corners])  # 3x4
     m = cfg.n_particles
     coeffs = 1.0 - rng.uniform(size=(4, m))  # in (0, 1]
@@ -393,7 +388,8 @@ class TargetHypothesis:
         rec = ConvergenceRecord(float(pca_summary(self.particles).eigenvalues[0]),
                                 points_entropy(self.particles), kl)
         self.history.append(rec)
-        self.status = max(self.status, localization_status(rec, cfg), key=status_rank)
+        self.status = max(self.status, localization_status(rec, cfg),
+                          key=_STATUS_ORDER.__getitem__)
         return rec
 
 

@@ -75,18 +75,11 @@ def scan_circles(
     Band geometry is evaluated at the near surface (horizontal distance =
     standoff), which is conservative. The first circle's band bottom sits
     exactly at the cylinder bottom; circles step up by the band height until
-    the top is reached.
+    the top is reached. cam and standoff are validated scenario values:
+    standoff > 0, and gamma > beta/2, so the shallow ray points downward.
     """
-    if standoff <= 0:
-        raise ValueError("standoff must be positive")
-    gamma, beta = cam.gamma, cam.beta
-    if gamma - beta / 2.0 <= 0:
-        raise ValueError(
-            "mapping geometry requires gamma > beta/2 so the shallow ray still "
-            "points downward"
-        )
-    tan_steep = math.tan(gamma + beta / 2.0)
-    tan_shallow = math.tan(gamma - beta / 2.0)
+    gamma_low, gamma_high = cam.gamma + cam.beta / 2.0, cam.gamma - cam.beta / 2.0
+    tan_steep, tan_shallow = math.tan(gamma_low), math.tan(gamma_high)
     band_height = standoff * (tan_steep - tan_shallow)
     height = cyl.height
     n_circles = max(1, math.ceil(height / band_height - 1e-9))
@@ -103,12 +96,8 @@ def scan_circles(
         )
         circles.append(circle)
         waypoint_lists.append(circle_waypoints(circle, n_per_circle, cyl.axis_xy))
-    return ScanPlan(
-        circles=circles,
-        waypoints=waypoint_lists,
-        gamma_low=gamma + beta / 2.0,
-        gamma_high=gamma - beta / 2.0,
-    )
+    return ScanPlan(circles=circles, waypoints=waypoint_lists,
+                    gamma_low=gamma_low, gamma_high=gamma_high)
 
 
 def circle_waypoints(circle: ViewCircle, n_per_circle: int, axis_xy) -> list:

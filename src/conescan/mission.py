@@ -320,8 +320,7 @@ class MissionRunner:
         self._lap_angle = 0.0  # angle circled in the current fine phase
         self._mapping = None  # (coverage payload, suppression radius), read in MAP
 
-        self.log = _RunLog(out_dir)
-        self.log.plan(SEARCH, self.search_path)
+        self.log = _RunLog(out_dir)  # closed by run(), which writes every row
 
     # ------------------------------------------------------------------ utils
 
@@ -636,6 +635,7 @@ class MissionRunner:
 
     def run(self) -> RunReport:
         try:
+            self.log.plan(SEARCH, self.search_path)
             while self.t < self.cfg.mission.max_sim_time:
                 if self._tick():
                     break

@@ -89,10 +89,9 @@ def lawnmower_path(region, altitude: float, cam: CameraRig, overlap: float):
 
 
 def fine_localization_circle(center, altitude: float, gamma: float) -> ViewCircle:
-    """Circle at flight altitude from which the center is seen at depression gamma."""
+    """Circle at flight altitude from which the center is seen at depression
+    gamma, the camera's, which config.validate keeps in (0, pi/2)."""
     c = np.asarray(center, dtype=float).reshape(3)
-    if not 0 < gamma < math.pi / 2:
-        raise ValueError("gamma must lie in (0, pi/2)")
     if altitude <= c[2]:
         raise ValueError("flight altitude must be above the target center")
     radius = (altitude - c[2]) / math.tan(gamma)
@@ -108,11 +107,9 @@ def next_best_view(
     projection. A purely horizontal eigenvector has its optimum at infinity, so
     the farthest circle point from the current position is used instead; a
     purely vertical one makes all azimuths equivalent and the current azimuth
-    is kept.
+    is kept. v_min has z >= 0, as PcaSummary.smallest_eigenvector is signed.
     """
     v = np.asarray(v_min, dtype=float).reshape(3)
-    if v[2] < 0:
-        raise ValueError("smallest eigenvector must have a non-negative z component")
     horiz = math.hypot(v[0], v[1])
     if horiz < 1e-9:
         azimuth = circle.azimuth_of(current.position)

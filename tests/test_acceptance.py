@@ -125,7 +125,7 @@ def test_criterion_2_kalman_algebra():
     min_eig = math.inf
     steps = 0
     for _ in range(200):
-        track = BoxTrack(id=0, u=BBox(0, 0, 30, 30), sigma=cfg.initial_sigma.copy())
+        track = BoxTrack(id=0, u=BBox(0, 0, 30, 30), sigma=cfg.measure_cov.copy())
         for _ in range(50):
             if rng.uniform() < 0.5:
                 sim = SimilarityTransform2D.from_params(

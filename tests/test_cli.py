@@ -76,6 +76,19 @@ class TestValidate:
         assert ("config error: noise.klt_pixel_sigma: must be non-negative and finite"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("section, name, value, rule", [
+        ("mission", "confirm_hits", 2.5, "must be an integer of at least 1"),
+        ("mission", "dt", True, "must be positive"),
+    ])
+    def test_fraction_or_bool_rejected(self, tmp_path, capsys, section, name, value, rule):
+        # both loaded: a count compared as a float, and true read as 1
+        data = to_dict(default_scenario(0))
+        data[section][name] = value
+        path = tmp_path / "bad_number.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err == f"config error: {section}.{name}: {rule}\n"
+
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize("key, value", [
         ("region", [0.0, "east", 30.0, 10.0]), ("search_altitude", "high"),

@@ -111,6 +111,10 @@ class TestValidation:
         ("planner", "n_per_circle", 0), ("planner", "n_per_circle", 3),
         ("planner", "n_per_circle", 36.0), ("planner", "n_surface_samples", 0),
         ("mission", "dt", 0.0), ("mission", "confirm_hits", 0),
+        ("mission", "confirm_hits", 2.5), ("planner", "n_surface_samples", 2.5),
+        ("mission", "dt", True), ("mission", "max_sim_time", True),
+        ("noise", "detect_prob", True), ("localizer", "lambda_fine", True),
+        ("mission", "confirm_hits", True), ("camera", "width", False),
         ("uav", "v_max", "fast"), ("mission", "dt", math.nan),
         ("noise", "pose_sigma_xyz", math.nan), ("noise", "yaw_sigma", math.nan),
         ("noise", "detector_pixel_sigma", math.nan),
@@ -273,7 +277,7 @@ class TestValidation:
     def test_derived_prior_and_weight_equal_the_stored_ones(self):
         # the values the stock files stored, bit for bit
         cfg = load(SCENARIOS / "one_target.json")
-        assert np.array_equal(cfg.tracker.initial_sigma, 16.0 * np.eye(4))
+        assert np.array_equal(cfg.tracker.measure_cov, 16.0 * np.eye(4))
         assert cfg.localizer.gauss_weight == 0.9
 
     def test_derived_prior_and_weight_follow_their_fields(self):
@@ -281,7 +285,7 @@ class TestValidation:
         data["tracker"]["measure_noise_px"] = 3.0
         data["localizer"]["uniform_weight"] = 0.25
         cfg = from_dict(data)
-        assert np.array_equal(cfg.tracker.initial_sigma, 9.0 * np.eye(4))
+        assert np.array_equal(cfg.tracker.measure_cov, 9.0 * np.eye(4))
         assert cfg.localizer.gauss_weight == 0.75
 
     @pytest.mark.parametrize("section, name, value", [

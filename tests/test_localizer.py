@@ -124,13 +124,6 @@ class TestGenerateParticles:
         assert np.array_equal(ps.points, pts_cam @ pose.rotation.T + pose.translation)
         assert not ps.points.flags.writeable
 
-    def test_degenerate_corners_rejected(self, cam):
-        rng = np.random.default_rng(5)
-        flat = np.array([[0, 0], [10, 0], [10, 0], [0, 0]], dtype=float)
-        with pytest.raises(ValueError):
-            generate_particles(flat, PoseSE3.identity(), cam, LCFG, rng,
-                               max_depth=MAX_DEPTH)
-
 
 # Set sizes around the first cone-membership chunk, and places for a set's only
 # inside point: the front, each side of the chunk starts at 256 and 1,280, the

@@ -126,13 +126,6 @@ class TestScanCircles:
             counts.append(len(scan_circles(cyl, rig, standoff=3.0).circles))
         assert counts == sorted(counts, reverse=True)
 
-    def test_shallow_ray_must_point_down(self):
-        rig = CameraRig(fx=500, fy=500, cx=320, cy=240, width=640, height=480,
-                        gamma=math.radians(18), beta=math.radians(40))
-        cyl = Cylinder(axis_xy=[0, 0], z_bottom=0.0, z_top=2.0, radius=1.0)
-        with pytest.raises(ValueError):
-            scan_circles(cyl, rig, standoff=3.0)
-
     def test_standoff_distance_to_surface(self, cam):
         cyl = Cylinder(axis_xy=[4, 9], z_bottom=0.0, z_top=3.0, radius=2.0)
         plan = scan_circles(cyl, cam, standoff=3.0)

@@ -202,6 +202,9 @@ class TestConfigBoundary:
         ("planner.n_surface_samples", 0),
         ("localizer.enlarge_factor", 0.5),
         ("noise.detection_latency_frames", -1),
+        ("planner.standoff", 0.0),
+        ("camera.gamma", math.pi / 2),
+        ("camera.gamma", math.radians(15.0)),  # gamma <= beta/2 at the default beta
     ])
     def test_runner_rejects_a_value_changed_after_build(self, path, value):
         cfg = default_scenario(1, seed=3)
@@ -522,7 +525,7 @@ def lean_path_mission():
     """The stock two-target mission, counting per frame the corner boxes made,
     the log-determinants the tracker takes and the order of the live bank."""
     counts = {"corner_box": [], "entropy": 0, "unordered_frames": []}
-    corner_boxes, entropy, step = (simulator.corner_boxes, bbox_tracker._entropy,
+    corner_boxes, entropy, step = (simulator.corner_boxes, bbox_tracker.bbox_entropy,
                                    bbox_tracker.TrackerState.step)
 
     def counting_corner_boxes(pix, depth, corner_rows):
@@ -543,7 +546,7 @@ def lean_path_mission():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulator, "corner_boxes", counting_corner_boxes)
-        mp.setattr(bbox_tracker, "_entropy", counting_entropy)
+        mp.setattr(bbox_tracker, "bbox_entropy", counting_entropy)
         mp.setattr(bbox_tracker.TrackerState, "step", checking_step)
         runner = MissionRunner(default_scenario(2, seed=7))
         runner.run()

@@ -364,7 +364,7 @@ class TestSimulateKlt:
         roll = math.radians(10)
         c, s = math.cos(roll), math.sin(roll)
         rz = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1.0]])
-        w2c_curr = PoseSE3(rz, np.zeros(3)).compose(w2c_prev)
+        w2c_curr = PoseSE3(rz @ w2c_prev.rotation, rz @ w2c_prev.translation)
         (prev,) = project_truth([tg], w2c_prev, cam)
         (curr,) = project_truth([tg], w2c_curr, cam)
         pair = simulate_klt(prev, curr, noise, rng)
@@ -380,7 +380,8 @@ class TestSimulateKlt:
         tg = make_target(0, [0, 0, 0.4], [1.0, 1.0, 0.4], n_features, rng)
         w2c = overhead_world_to_cam([0, 0, 10])
         (prev,) = project_truth([tg], w2c, cam)
-        (curr,) = project_truth([tg], PoseSE3(np.eye(3), [0.3, -0.2, 0.1]).compose(w2c), cam)
+        shifted = PoseSE3(w2c.rotation, w2c.translation + [0.3, -0.2, 0.1])
+        (curr,) = project_truth([tg], shifted, cam)
         noise = NoiseModel(klt_pixel_sigma=1.7)
         for seed in range(20):
             got = simulate_klt(prev, curr, noise, np.random.default_rng(seed))

@@ -132,11 +132,6 @@ class TestNextBestView:
         nbv = next_best_view(circle, np.array([0.0, 0.0, 1.0]), current, self.CENTER)
         assert circle.azimuth_of(nbv.position) == pytest.approx(0.7, abs=1e-9)
 
-    def test_negative_z_rejected(self):
-        with pytest.raises(ValueError):
-            next_best_view(self.circle(), np.array([0.0, 0.0, -1.0]),
-                           Waypoint([0, 0, 12], 0.0), self.CENTER)
-
     def test_yaw_faces_center(self):
         rng = np.random.default_rng(0)
         circle = self.circle()
