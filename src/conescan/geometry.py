@@ -220,10 +220,7 @@ def cone_normals(corners, cam: CameraRig) -> np.ndarray:
 
 def cone_contains(normals: np.ndarray, points) -> np.ndarray:
     """Strict membership mask for (n, 3) camera-frame points."""
-    pts = np.atleast_2d(points)
-    if len(pts) > ROW_BLOCK:
-        return np.all(blocked_matmul(pts, normals.T) > 0.0, axis=1)
-    return np.all(pts @ normals.T > 0.0, axis=1)
+    return np.all(blocked_matmul(np.atleast_2d(points), normals.T) > 0.0, axis=1)
 
 
 def camera_to_world_pose(position, yaw: float, depression: float) -> PoseSE3:

@@ -14,7 +14,6 @@ from typing import Optional
 import numpy as np
 
 from .geometry import (
-    ROW_BLOCK,
     BBox,
     CameraRig,
     PoseSE3,
@@ -176,7 +175,7 @@ def generate_particles(
     coeffs = 1.0 - rng.uniform(size=(4, m))  # in (0, 1]
     coeffs /= coeffs.sum(axis=0)
     depths = max_depth * (1.0 - rng.uniform(size=m))  # in (0, max_depth]
-    pts_cam = (blocked_matmul(dirs, coeffs) if m > ROW_BLOCK else dirs @ coeffs) * depths
+    pts_cam = blocked_matmul(dirs, coeffs) * depths
     return ParticleSet._trusted(cam_to_world.apply(pts_cam.T))
 
 

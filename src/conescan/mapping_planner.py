@@ -138,6 +138,7 @@ def coverage_samples(
 
     covered = np.zeros(sx.shape, dtype=bool)
     half_hfov = cam.hfov / 2.0
+    normal_x, normal_y = sx - cyl.axis_xy[0], sy - cyl.axis_xy[1]  # outward
     for wp in plan.all_waypoints():
         qx, qy, qz = wp.position
         dx, dy = sx - qx, sy - qy
@@ -147,7 +148,6 @@ def coverage_samples(
         rel_bearing = np.arctan2(dy, dx) - wp.yaw
         rel_bearing = (rel_bearing + math.pi) % (2.0 * math.pi) - math.pi
         in_fov = np.abs(rel_bearing) <= half_hfov
-        normal_x, normal_y = sx - cyl.axis_xy[0], sy - cyl.axis_xy[1]
         facing = normal_x * (qx - sx) + normal_y * (qy - sy) > 0
         covered |= in_band & in_fov & facing
         if covered.all():

@@ -26,11 +26,9 @@ from .config import ScenarioConfig, to_dict, validate
 from .geometry import (
     BBox,
     DegenerateConeError,
-    bearing,
     camera_to_world_pose,
     cone_normals,
     project_points,
-    wrap_angle,
 )
 from .localizer import (
     STATUS_CONVERGED,
@@ -118,18 +116,24 @@ class _RunLog:
     are set here and nowhere else. Without a run directory every writer is
     None and each row method, snapshot and write_json do nothing.
 
-    A run directory that already exists loses its previous run's particle
-    snapshots and plot series; the other files are rewritten.
+    Building a log touches nothing on disk. open() deletes the directory's
+    previous particle snapshots and plot series and starts the CSV files;
+    the other files are rewritten.
     """
 
     def __init__(self, out_dir):
         self.dir = Path(out_dir) if out_dir else None
         self._files = []
-        if self.dir:
-            shutil.rmtree(self.dir / "plots", ignore_errors=True)
-            for stale in (self.dir / "particles").glob("*.json"):
-                stale.unlink()
-            (self.dir / "particles").mkdir(parents=True, exist_ok=True)
+        self.tracks = self.path = self.planned = self.metrics = None
+
+    def open(self):
+        """Clear the run directory's stale outputs and start the CSV files."""
+        if not self.dir:
+            return
+        shutil.rmtree(self.dir / "plots", ignore_errors=True)
+        for stale in (self.dir / "particles").glob("*.json"):
+            stale.unlink()
+        (self.dir / "particles").mkdir(parents=True, exist_ok=True)
         self.tracks = self._csv(
             "tracks.csv",
             ["frame", "track_id", "u_min", "v_min", "u_max", "v_max",
@@ -144,8 +148,6 @@ class _RunLog:
         )
 
     def _csv(self, name, header):
-        if not self.dir:
-            return None
         fh = open(self.dir / name, "w", newline="")
         self._files.append(fh)
         writer = csv.writer(fh)
@@ -320,7 +322,7 @@ class MissionRunner:
         self._lap_angle = 0.0  # angle circled in the current fine phase
         self._mapping = None  # (coverage payload, suppression radius), read in MAP
 
-        self.log = _RunLog(out_dir)  # closed by run(), which writes every row
+        self.log = _RunLog(out_dir)  # opened and closed by run(), which writes every row
 
     # ------------------------------------------------------------------ utils
 
@@ -473,31 +475,16 @@ class MissionRunner:
 
     def _plan_fine_arc(self, hyp):
         """Arc toward the next-best view; a full lap when already there."""
-        lcfg = self.cfg.localizer
         pca = pca_summary(hyp.particles)
         center = pca.mean
         circle = fine_localization_circle(center, self.cfg.search_altitude, self.cam.gamma)
         current = self._current_waypoint()
         nbv = next_best_view(circle, pca.smallest_eigenvector, current, center)
-        path = arc_path(current, nbv, circle, center, self.cfg.planner.angular_step)
-        sweep = abs(wrap_angle(circle.azimuth_of(nbv.position)
-                               - circle.azimuth_of(current.position)))
-        on_circle = abs(np.linalg.norm(current.position[:2] - circle.center[:2])
-                        - circle.radius) < 1e-6
-        if on_circle and sweep < self.cfg.planner.angular_step:
-            # already at the best view: sweep a full lap for azimuth diversity
-            step = self.cfg.planner.angular_step
-            n = max(4, int(round(2.0 * math.pi / step)))
-            az0 = circle.azimuth_of(current.position)
-            path = [current]
-            for k in range(1, n + 1):
-                pos = circle.point_at(az0 + 2.0 * math.pi * k / n)
-                path.append(Waypoint(pos, bearing(pos, center)))
-            sweep = 2.0 * math.pi
+        path, swept = arc_path(current, nbv, circle, center, self.cfg.planner.angular_step)
         self._fine = {
             "center": center.copy(),
             "path_len": max(len(path) - 1, 1),
-            "planned_angle": sweep,
+            "planned_angle": swept,
         }
         self.follower.set_path(path[1:])
         self.log.plan(FINE_LOCALIZE, path)
@@ -568,10 +555,7 @@ class MissionRunner:
                 > self.cfg.mission.fine_replan_distance
             )
             if self.follower.done or drifted:
-                self._lap_angle += (
-                    self._fine["planned_angle"] if self.follower.done
-                    else self._fine_progress_angle()
-                )
+                self._lap_angle += self._fine_progress_angle()
                 if self._lap_angle >= self.cfg.mission.fine_max_laps * 2.0 * math.pi:
                     hyp.status = "failed"
                     self.hypotheses.remove(hyp)
@@ -635,6 +619,7 @@ class MissionRunner:
 
     def run(self) -> RunReport:
         try:
+            self.log.open()
             self.log.plan(SEARCH, self.search_path)
             while self.t < self.cfg.mission.max_sim_time:
                 if self._tick():

@@ -257,24 +257,23 @@ class WaypointFollower:
         self._reached = 0
         pos, yaw = self.position.copy(), self.yaw
         speed = float(np.linalg.norm(self.velocity))
+        # zero-duration legs are never kept, so `done` flips promptly
         if speed > 1e-9:
             heading = self.velocity / speed
             brake = pos + heading * speed**2 / (2.0 * self.a_max)
-            self._legs.append(_Leg(pos, yaw, brake, yaw, speed, self.v_max, self.a_max,
-                                   self.yaw_rate, counts_waypoint=False))
+            leg = _Leg(pos, yaw, brake, yaw, speed, self.v_max, self.a_max,
+                       self.yaw_rate, counts_waypoint=False)
+            if leg.duration > 0:
+                self._legs.append(leg)
             pos = brake
         for wp in waypoints:
-            self._legs.append(_Leg(pos, yaw, wp.position, wp.yaw, 0.0, self.v_max,
-                                   self.a_max, self.yaw_rate, counts_waypoint=True))
-            pos, yaw = wp.position, wp.yaw
-        # drop zero-duration legs so `done` flips promptly
-        kept = []
-        for leg in self._legs:
+            leg = _Leg(pos, yaw, wp.position, wp.yaw, 0.0, self.v_max,
+                       self.a_max, self.yaw_rate, counts_waypoint=True)
             if leg.duration > 0:
-                kept.append(leg)
-            elif leg.counts_waypoint:
-                self._reached += 1
-        self._legs = kept
+                self._legs.append(leg)
+            else:
+                self._reached += 1  # already there
+            pos, yaw = wp.position, wp.yaw
 
     def step(self, dt: float):
         """Advance sim time by dt; returns (position, yaw, velocity)."""
@@ -311,6 +310,14 @@ def simulate_detector(projections, cam: CameraRig, noise: NoiseModel,
     and all 8 corners lie in front.
     """
     detections = []
+
+    def add(u_min, v_min, u_max, v_max):
+        """Clip a box to the image and keep it if any area is left."""
+        u_min, u_max = _clamp(u_min, cam.width), _clamp(u_max, cam.width)
+        v_min, v_max = _clamp(v_min, cam.height), _clamp(v_max, cam.height)
+        if u_min < u_max and v_min < v_max:
+            detections.append(BBox(u_min, v_min, u_max, v_max))
+
     for proj in projections:
         if not proj.visible[0]:
             continue
@@ -318,26 +325,15 @@ def simulate_detector(projections, cam: CameraRig, noise: NoiseModel,
             continue
         if proj.box is None:
             continue
-        coords = (np.array(proj.box)
-                  + noise.detector_pixel_sigma * rng.standard_normal(4)).tolist()
-        u_min = _clamp(coords[0], cam.width)
-        v_min = _clamp(coords[1], cam.height)
-        u_max = _clamp(coords[2], cam.width)
-        v_max = _clamp(coords[3], cam.height)
-        if u_min < u_max and v_min < v_max:
-            detections.append(BBox(u_min, v_min, u_max, v_max))
+        add(*(np.array(proj.box)
+              + noise.detector_pixel_sigma * rng.standard_normal(4)).tolist())
 
     for _ in range(rng.poisson(noise.false_positive_rate)):
         cu = rng.uniform(0, cam.width)
         cv = rng.uniform(0, cam.height)
         w = rng.uniform(10, 60)
         h = rng.uniform(10, 60)
-        u_min = _clamp(cu - w / 2, cam.width)
-        v_min = _clamp(cv - h / 2, cam.height)
-        u_max = _clamp(cu + w / 2, cam.width)
-        v_max = _clamp(cv + h / 2, cam.height)
-        if u_min < u_max and v_min < v_max:
-            detections.append(BBox(u_min, v_min, u_max, v_max))
+        add(cu - w / 2, cv - h / 2, cu + w / 2, cv + h / 2)
     return detections
 
 

@@ -133,29 +133,36 @@ def arc_path(
     cloud_center,
     angular_step: float,
 ):
-    """Current pose, entry onto the circle, then the shorter arc to the view.
+    """The fine arc from the current pose, and the angle it sweeps.
 
-    Every on-circle waypoint keeps its yaw on the cloud center. nbv must lie
-    on the circle, as next_best_view places it.
+    Returns (path, swept_angle); path starts at current. On the circle and
+    less than one angular_step from the view, the arc is a full lap of at
+    least 4 waypoints for azimuth diversity, sweeping 2 pi. Otherwise it
+    enters the circle radially and takes the shorter arc to the view. Every
+    on-circle waypoint keeps its yaw on the cloud center. nbv must lie on the
+    circle, as next_best_view places it.
     """
-    if np.linalg.norm(current.position - nbv.position) < 1e-9:
-        return [current]
-
     target = np.asarray(cloud_center, dtype=float)
     rel = current.position[:2] - circle.center[:2]
-    if np.linalg.norm(rel) < 1e-12:
+    radial = np.linalg.norm(rel)
+    if radial < 1e-12:
         entry_azimuth = circle.azimuth_of(nbv.position)
     else:
         entry_azimuth = math.atan2(rel[1], rel[0])
-    end_azimuth = circle.azimuth_of(nbv.position)
-    sweep = wrap_angle(end_azimuth - entry_azimuth)
+    sweep = wrap_angle(circle.azimuth_of(nbv.position) - entry_azimuth)
 
-    azimuths = [entry_azimuth]
-    n_interior = int(math.floor(abs(sweep) / angular_step - 1e-9))
-    direction = math.copysign(1.0, sweep) if sweep != 0 else 1.0
-    for k in range(1, n_interior + 1):
-        azimuths.append(entry_azimuth + direction * k * angular_step)
-    azimuths.append(entry_azimuth + sweep)
+    if abs(radial - circle.radius) < 1e-6 and abs(sweep) < angular_step:
+        n = max(4, int(round(2.0 * math.pi / angular_step)))
+        azimuths = [entry_azimuth + 2.0 * math.pi * k / n for k in range(1, n + 1)]
+        swept = 2.0 * math.pi
+    else:
+        n_interior = int(math.floor(abs(sweep) / angular_step - 1e-9))
+        direction = math.copysign(1.0, sweep) if sweep != 0 else 1.0
+        azimuths = ([entry_azimuth]
+                    + [entry_azimuth + direction * k * angular_step
+                       for k in range(1, n_interior + 1)]
+                    + [entry_azimuth + sweep])
+        swept = abs(sweep)
 
     path = [current]
     for az in azimuths:
@@ -163,4 +170,4 @@ def arc_path(
         if np.linalg.norm(pos - path[-1].position) < 1e-9:
             continue
         path.append(Waypoint(pos, bearing(pos, target)))
-    return path
+    return path, swept

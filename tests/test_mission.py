@@ -1,8 +1,10 @@
 import csv
 import dataclasses
+import gc
 import hashlib
 import json
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -747,6 +749,20 @@ class TestRunDirectoryReuse:
         assert first - names  # the seed-3 run made snapshots the seed-4 run does not
         assert not (reused / "plots").exists()
         assert (reused / "notes.txt").read_text() == "kept"
+
+    def test_runner_never_run_leaves_the_directory_alone(self, tmp_path):
+        (tmp_path / "particles").mkdir()
+        (tmp_path / "plots").mkdir()
+        (tmp_path / "particles" / "old.json").write_text("{}")
+        (tmp_path / "plots" / "x.csv").write_text("x")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            runner = MissionRunner(default_scenario(1, seed=3), out_dir=tmp_path)
+            del runner
+            gc.collect()
+        assert caught == []
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+            "particles", "particles/old.json", "plots", "plots/x.csv"]
 
 
 class TestPlotData:

@@ -169,48 +169,89 @@ class TestArcPath:
     def circle(self):
         return fine_localization_circle(self.CENTER, 11.0, math.radians(45))
 
+    def assert_yaw_on_center(self, waypoints):
+        for wp in waypoints:
+            expected = math.atan2(self.CENTER[1] - wp.position[1],
+                                  self.CENTER[0] - wp.position[0])
+            assert abs(wrap_angle(wp.yaw - expected)) < 1e-9
+
     def test_already_at_view(self):
         circle = self.circle()
         nbv = Waypoint(circle.point_at(0.3),
                        math.atan2(-circle.point_at(0.3)[1], -circle.point_at(0.3)[0]))
-        path = arc_path(nbv, nbv, circle, self.CENTER, math.radians(15))
-        assert path == [nbv]
+        path, swept = arc_path(nbv, nbv, circle, self.CENTER, math.radians(15))
+        assert path[0] is nbv and len(path) == 1 + 24
+        assert swept == 2.0 * math.pi
+        assert np.allclose(path[-1].position, nbv.position, atol=1e-9)
 
     def test_quarter_arc_azimuths(self):
         circle = self.circle()
         current = Waypoint(circle.point_at(0.0), 0.0)
         nbv = Waypoint(circle.point_at(math.pi / 2), 0.0)
-        path = arc_path(current, nbv, circle, self.CENTER, math.radians(30))
+        path, swept = arc_path(current, nbv, circle, self.CENTER, math.radians(30))
         azimuths = [math.degrees(circle.azimuth_of(w.position)) for w in path]
         assert azimuths == pytest.approx([0, 30, 60, 90], abs=1e-9)
+        assert swept == pytest.approx(math.pi / 2, abs=1e-12)
 
     def test_shorter_arc_goes_clockwise(self):
         circle = self.circle()
         current = Waypoint(circle.point_at(0.0), 0.0)
         nbv = Waypoint(circle.point_at(-math.pi / 2), 0.0)
-        path = arc_path(current, nbv, circle, self.CENTER, math.radians(30))
+        path, swept = arc_path(current, nbv, circle, self.CENTER, math.radians(30))
         azimuths = [math.degrees(circle.azimuth_of(w.position)) for w in path]
         assert azimuths == pytest.approx([0, -30, -60, -90], abs=1e-9)
+        assert swept == pytest.approx(math.pi / 2, abs=1e-12)
 
     def test_off_circle_start_enters_radially(self):
         circle = self.circle()
         current = Waypoint([2.0, 2.0, 11.0], 0.5)
         nbv_az = math.pi / 2
         nbv = Waypoint(circle.point_at(nbv_az), 0.0)
-        path = arc_path(current, nbv, circle, self.CENTER, math.radians(15))
+        path, swept = arc_path(current, nbv, circle, self.CENTER, math.radians(15))
         assert path[0] is current
         entry = path[1]
         assert circle.azimuth_of(entry.position) == pytest.approx(math.pi / 4, abs=1e-9)
         for wp in path[1:]:
             radial = np.linalg.norm(wp.position[:2] - circle.center[:2])
             assert abs(radial - circle.radius) < 1e-9
+        assert swept == pytest.approx(math.pi / 4, abs=1e-12)
 
     def test_on_circle_yaw_points_at_center(self):
         circle = self.circle()
         current = Waypoint(circle.point_at(1.0), 0.0)
         nbv = Waypoint(circle.point_at(-2.0), 0.0)
-        path = arc_path(current, nbv, circle, self.CENTER, math.radians(10))
-        for wp in path[1:]:
-            expected = math.atan2(self.CENTER[1] - wp.position[1],
-                                  self.CENTER[0] - wp.position[0])
-            assert abs(wrap_angle(wp.yaw - expected)) < 1e-9
+        path, _ = arc_path(current, nbv, circle, self.CENTER, math.radians(10))
+        self.assert_yaw_on_center(path[1:])
+
+    @pytest.mark.parametrize("step, n", ((math.radians(20), 18), (2.0, 4)),
+                             ids=("20_degrees", "at_least_4"))
+    def test_on_circle_within_one_step_laps(self, step, n):
+        # round(2 pi / step) waypoints after current, but never fewer than 4
+        circle = self.circle()
+        current = Waypoint(circle.point_at(0.3), 0.0)
+        nbv = Waypoint(circle.point_at(0.3 + 0.5 * step), 0.0)
+        path, swept = arc_path(current, nbv, circle, self.CENTER, step)
+        assert path[0] is current and len(path) == 1 + n
+        assert swept == 2.0 * math.pi
+        azimuths = [circle.azimuth_of(w.position) for w in path]
+        for k, az in enumerate(azimuths):
+            assert wrap_angle(az - 0.3 - 2.0 * math.pi * k / n) == pytest.approx(0.0, abs=1e-9)
+        self.assert_yaw_on_center(path[1:])
+
+    def test_off_circle_within_one_step_does_not_lap(self):
+        circle = self.circle()
+        step = math.radians(20)
+        current = Waypoint(0.9 * circle.point_at(0.3) + 0.1 * circle.center, 0.0)
+        nbv = Waypoint(circle.point_at(0.3 + 0.5 * step), 0.0)
+        path, swept = arc_path(current, nbv, circle, self.CENTER, step)
+        assert len(path) == 3  # current, the radial entry, the view
+        assert np.allclose(path[-1].position, nbv.position, atol=1e-9)
+        assert swept == pytest.approx(0.5 * step, abs=1e-12)
+
+    def test_swept_angle_is_the_azimuth_gap(self):
+        circle = self.circle()
+        current = Waypoint(circle.point_at(1.0), 0.0)
+        nbv = Waypoint(circle.point_at(-2.0), 0.0)
+        _, swept = arc_path(current, nbv, circle, self.CENTER, math.radians(10))
+        assert swept == abs(wrap_angle(circle.azimuth_of(nbv.position)
+                                       - circle.azimuth_of(current.position)))
