@@ -2,7 +2,6 @@
 
 from .bbox_tracker import (
     BoxTrack,
-    SimilarityTransform2D,
     TrackerConfig,
     bbox_entropy,
     estimate_similarity,
@@ -27,11 +26,10 @@ from .view_planner import ViewCircle, Waypoint, fine_localization_circle, next_b
 __all__ = [
     "BBox", "BoxTrack", "CameraRig", "Cylinder", "GaussianSummary",
     "LocalizerConfig", "MissionRunner", "NoiseModel", "ParticleSet", "PoseSE3",
-    "RunReport", "ScanPlan", "ScenarioConfig", "SimilarityTransform2D",
-    "TargetTruth", "TrackerConfig", "ViewCircle", "Waypoint",
-    "WaypointFollower", "bbox_entropy", "default_scenario",
-    "estimate_similarity", "fine_localization_circle", "fit_cylinder",
-    "generate_particles", "iou", "kl_divergence", "load", "next_best_view",
-    "points_entropy", "run_scenario", "scan_circles", "update_particles",
-    "validate", "emit_plot_data",
+    "RunReport", "ScanPlan", "ScenarioConfig", "TargetTruth", "TrackerConfig",
+    "ViewCircle", "Waypoint", "WaypointFollower", "bbox_entropy",
+    "default_scenario", "estimate_similarity", "fine_localization_circle",
+    "fit_cylinder", "generate_particles", "iou", "kl_divergence", "load",
+    "next_best_view", "points_entropy", "run_scenario", "scan_circles",
+    "update_particles", "validate", "emit_plot_data",
 ]

@@ -26,71 +26,6 @@ class SimilarityEstimationError(ValueError):
 
 
 @dataclass(frozen=True)
-class SimilarityTransform2D:
-    """Uniform scale + rotation + translation in 2D homogeneous form."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (3, 3):
-            raise ValueError("similarity matrix must be 3x3")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("similarity matrix must be finite")
-        if not np.allclose(m[2], [0.0, 0.0, 1.0], atol=1e-9):
-            raise ValueError("bottom row must be (0, 0, 1)")
-        block = m[:2, :2]
-        if np.linalg.det(block) <= 0:
-            raise ValueError("linear block must preserve orientation")
-        gram = block.T @ block
-        s2 = gram[0, 0]
-        if not np.allclose(gram, s2 * np.eye(2), atol=1e-9 * max(1.0, s2)):
-            raise ValueError("linear block must be a uniform scale times a rotation")
-        object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def _trusted(cls, matrix: np.ndarray) -> "SimilarityTransform2D":
-        """Wrap a float 3x3 similarity matrix that is valid by construction,
-        skipping the checks of the public constructor."""
-        sim = object.__new__(cls)
-        object.__setattr__(sim, "matrix", matrix)
-        return sim
-
-    @staticmethod
-    def identity() -> "SimilarityTransform2D":
-        """The shared identity transform; its matrix is read-only."""
-        return _IDENTITY
-
-    @staticmethod
-    def from_params(scale: float, theta: float, tx: float, ty: float):
-        if scale <= 0:
-            raise ValueError("scale must be positive")
-        if not all(math.isfinite(v) for v in (scale, theta, tx, ty)):
-            raise ValueError("similarity parameters must be finite")
-        c, s = math.cos(theta), math.sin(theta)
-        m = np.array(
-            [[scale * c, -scale * s, tx], [scale * s, scale * c, ty], [0, 0, 1.0]]
-        )
-        return SimilarityTransform2D._trusted(m)
-
-    @property
-    def scale(self) -> float:
-        return float(np.linalg.norm(self.matrix[:2, 0]))
-
-    @property
-    def theta(self) -> float:
-        return float(math.atan2(self.matrix[1, 0], self.matrix[0, 0]))
-
-    @property
-    def translation(self) -> np.ndarray:
-        return self.matrix[:2, 2].copy()
-
-
-_IDENTITY = SimilarityTransform2D(np.eye(3))
-_IDENTITY.matrix.flags.writeable = False
-
-
-@dataclass(frozen=True)
 class TrackerConfig:
     predict_noise_px: float = 2.0
     measure_noise_px: float = 4.0
@@ -128,11 +63,12 @@ def _derive(track: BoxTrack, **changes) -> BoxTrack:
 
 def predict(
     track: BoxTrack,
-    sim: SimilarityTransform2D,
+    sim: np.ndarray | None,
     cfg: TrackerConfig,
     noise_scale: float = 1.0,
 ) -> BoxTrack:
-    """Propagate state and covariance through the per-frame image similarity.
+    """Propagate state and covariance through the frame's image similarity M,
+    the (3, 3) matrix of estimate_similarity, or the identity when sim is None.
 
     The state moves in stacked homogeneous coordinates, the lifted box
     (u_min, v_min, 1, u_max, v_max, 1) times blockdiag(M, M), as one 6-vector
@@ -143,24 +79,22 @@ def predict(
     blockdiag(M, M) and dropping the homogeneous rows again adds only exact
     zeros to the 4x4 congruence A sigma A^T, A = blockdiag(M[:2, :2],
     M[:2, :2]), so the 4x4 form gives the same bits without the 6x6, lift and
-    drop products. noise_scale inflates the process noise when the similarity
-    is a fallback identity.
+    drop products. noise_scale inflates the process noise of the fallback, None.
 
-    For the shared identity every product in those congruences is by 1 or 0,
-    so the box stays put and the covariance is exactly sigma plus the process
-    noise; that case skips the products.
+    For None every product in those congruences is by 1 or 0, so the box
+    stays put and the covariance is exactly sigma plus the process noise;
+    that case skips the products.
     """
     e2 = cfg.predict_noise_px**2 * noise_scale
-    if sim is _IDENTITY:
+    if sim is None:
         sigma_pred = track.sigma + e2 * _EYE4
         return _derive(track, sigma=0.5 * (sigma_pred + sigma_pred.T))
-    m = sim.matrix
     motion = np.zeros((6, 6))
-    motion[:3, :3] = motion[3:, 3:] = m
+    motion[:3, :3] = motion[3:, 3:] = sim
     b = track.u
     x_pred = motion @ np.array([b.u_min, b.v_min, 1.0, b.u_max, b.v_max, 1.0])
     a = np.zeros((4, 4))
-    a[:2, :2] = a[2:, 2:] = m[:2, :2]
+    a[:2, :2] = a[2:, 2:] = sim[:2, :2]
     sigma_pred = a @ track.sigma @ a.T + e2 * _EYE4
     return _derive(track, u=to_euclidean(x_pred), sigma=0.5 * (sigma_pred + sigma_pred.T))
 
@@ -304,12 +238,14 @@ def prune(tracks, image_size, cfg: TrackerConfig, frame: int = None):
     return out
 
 
-def estimate_similarity(prev_points, curr_points) -> SimilarityTransform2D:
-    """Least-squares similarity (scale, rotation, translation) between point sets.
+def estimate_similarity(prev_points, curr_points) -> np.ndarray:
+    """Least-squares similarity between point sets, as the (3, 3) matrix
+    [[s cos, -s sin, tx], [s sin, s cos, ty], [0, 0, 1]] that predict takes.
 
     The means are np.mean's own arithmetic, np.add.reduce over the rows
-    divided by the count, without its Python wrapper. The caller gives at
-    least one pair (simulate_klt gives 4 or more); one alone fails the spread check.
+    divided by the count, without its Python wrapper. A NaN or infinity makes
+    a mean non-finite, and raises. The caller gives at least one pair
+    (simulate_klt gives 4 or more); one alone fails the spread check.
     """
     p = np.asarray(prev_points, dtype=float)
     q = np.asarray(curr_points, dtype=float)
@@ -317,6 +253,8 @@ def estimate_similarity(prev_points, curr_points) -> SimilarityTransform2D:
         raise SimilarityEstimationError("correspondence lists must be equal (n, 2)")
     n = len(p)
     p_mean, q_mean = np.add.reduce(p, axis=0) / n, np.add.reduce(q, axis=0) / n
+    if not all(map(math.isfinite, p_mean.tolist() + q_mean.tolist())):
+        raise SimilarityEstimationError("correspondences must be finite")
     pc, qc = p - p_mean, q - q_mean
     spread = float((pc * pc).sum())
     if spread < 1e-12:
@@ -330,7 +268,8 @@ def estimate_similarity(prev_points, curr_points) -> SimilarityTransform2D:
     c, s = math.cos(theta), math.sin(theta)
     rot = np.array([[c, -s], [s, c]])
     t = q_mean - scale * rot @ p_mean
-    return SimilarityTransform2D.from_params(scale, theta, t[0], t[1])
+    return np.array([[scale * c, -scale * s, t[0]], [scale * s, scale * c, t[1]],
+                     [0, 0, 1.0]])
 
 
 @dataclass
@@ -365,10 +304,7 @@ class TrackerState:
                     continue
                 except ValueError:
                     pass  # motion too violent for the box model; discard it
-            predicted.append(
-                predict(t, SimilarityTransform2D.identity(), self.cfg,
-                        noise_scale=FALLBACK_NOISE_SCALE)
-            )
+            predicted.append(predict(t, None, self.cfg, noise_scale=FALLBACK_NOISE_SCALE))
 
         assignments, new_tracks = associate_and_register(
             predicted, detections, self.cfg, frame=frame, next_id=self.next_id

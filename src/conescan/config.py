@@ -260,6 +260,8 @@ def default_scenario(n_targets: int = 1, seed: int = 7) -> ScenarioConfig:
     fine-convergence gate.
     """
     spots = [(15.0, 5.5), (28.0, 4.5), (8.0, 6.0), (22.0, 7.0)]
+    if not 0 <= n_targets <= len(spots):
+        raise ValueError(f"n_targets must be in 0..{len(spots)}, got {n_targets}")
     targets = [
         TargetSpec(center=(x, y, 0.3), half_extents=(0.4, 0.4, 0.3), n_features=30)
         for x, y in spots[:n_targets]

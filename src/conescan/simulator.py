@@ -195,7 +195,7 @@ class _Leg:
         else:
             self.v_peak = 0.0
             self.t_acc = self.t_cruise = self.t_dec = self.t_move = 0.0
-        self.t_yaw = abs(self.dyaw) / yaw_rate if yaw_rate > 0 else 0.0
+        self.t_yaw = abs(self.dyaw) / yaw_rate
         self.duration = max(self.t_move, self.t_yaw)
         self.yaw_rate = yaw_rate
         self.counts_waypoint = counts_waypoint  # reaching its end reaches a waypoint

@@ -21,6 +21,17 @@ def random_pose(rng: np.random.Generator, translation_scale: float = 10.0) -> Po
                    translation_scale * rng.standard_normal(3))
 
 
+def similarity_matrix(scale, theta, tx, ty) -> np.ndarray:
+    """The (3, 3) image similarity, by the formula estimate_similarity returns."""
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[scale * c, -scale * s, tx], [scale * s, scale * c, ty], [0, 0, 1.0]])
+
+
+def scale_and_angle(m: np.ndarray) -> tuple:
+    """The uniform scale and rotation angle of a similarity matrix."""
+    return float(np.linalg.norm(m[:2, 0])), math.atan2(m[1, 0], m[0, 0])
+
+
 def project_truth(targets, world_to_cam: PoseSE3, cam: CameraRig) -> list:
     """Each target's TargetProjection at one pose, made as MissionRunner makes
     them: one project_points call over TruthPoints, cut by split."""

@@ -14,7 +14,6 @@ import pytest
 
 from conescan.bbox_tracker import (
     DEREGISTERED,
-    SimilarityTransform2D,
     TrackerConfig,
     TrackerState,
     bbox_entropy,
@@ -48,7 +47,7 @@ from conescan.mapping_planner import Cylinder, coverage_samples, scan_circles
 from conescan.mission import EXIT_UNCONVERGED, MissionRunner, run_scenario
 from conescan.simulator import NoiseModel, make_target, simulate_detector, simulate_klt
 
-from conftest import project_truth
+from conftest import project_truth, similarity_matrix
 from conescan.view_planner import (
     Waypoint,
     fine_localization_circle,
@@ -106,12 +105,12 @@ def test_criterion_2_kalman_algebra():
     details = []
 
     track = BoxTrack(id=0, u=BBox(0, 0, 10, 10), sigma=np.diag([1.0, 2.0, 3.0, 4.0]))
-    out = predict(track, SimilarityTransform2D.from_params(1, 0, 5, 3), cfg)
+    out = predict(track, similarity_matrix(1, 0, 5, 3), cfg)
     ok &= bool(np.max(np.abs(out.u.as_array() - [5, 3, 15, 13])) < 1e-9)
     ok &= bool(np.max(np.abs(out.sigma - (track.sigma + e2 * np.eye(4)))) < 1e-9)
 
     track = BoxTrack(id=0, u=BBox(1, 2, 3, 4), sigma=np.eye(4))
-    out = predict(track, SimilarityTransform2D.from_params(2, 0, 0, 0), cfg)
+    out = predict(track, similarity_matrix(2, 0, 0, 0), cfg)
     ok &= bool(np.max(np.abs(out.u.as_array() - [2, 4, 6, 8])) < 1e-9)
     ok &= bool(np.max(np.abs(out.sigma - (4 + e2) * np.eye(4))) < 1e-9)
 
@@ -128,15 +127,14 @@ def test_criterion_2_kalman_algebra():
         track = BoxTrack(id=0, u=BBox(0, 0, 30, 30), sigma=cfg.measure_cov.copy())
         for _ in range(50):
             if rng.uniform() < 0.5:
-                sim = SimilarityTransform2D.from_params(
+                sim = similarity_matrix(
                     rng.uniform(0.9, 1.1), rng.uniform(-0.15, 0.15),
                     rng.uniform(-4, 4), rng.uniform(-4, 4))
                 try:
                     track = predict(track, sim, cfg)
                 except ValueError:
                     # motion inverted the box; production falls back the same way
-                    track = predict(track, SimilarityTransform2D.identity(), cfg,
-                                    noise_scale=4.0)
+                    track = predict(track, None, cfg, noise_scale=4.0)
             else:
                 shift = rng.uniform(-3, 3, size=2)
                 arr = track.u.as_array() + np.concatenate([shift, shift])

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from conescan.bbox_tracker import (
     DEREGISTERED,
     BoxTrack,
     SimilarityEstimationError,
-    SimilarityTransform2D,
     TrackerConfig,
     TrackerState,
     associate_and_register,
@@ -23,6 +23,8 @@ from conescan.bbox_tracker import (
     update,
 )
 from conescan.geometry import BBox, to_euclidean
+
+from conftest import scale_and_angle, similarity_matrix
 
 
 def make_track(box=(0, 0, 10, 10), sigma=None, track_id=0):
@@ -43,12 +45,12 @@ _REF_DROP[[0, 1, 2, 3], [0, 1, 3, 4]] = 1.0
 
 def reference_predict(track, sim, cfg, noise_scale=1.0):
     e2 = cfg.predict_noise_px**2 * noise_scale
-    if sim is SimilarityTransform2D.identity():
+    if sim is None:
         sigma_pred = track.sigma + e2 * np.eye(4)
         return dataclasses.replace(track, sigma=0.5 * (sigma_pred + sigma_pred.T))
     motion = np.zeros((6, 6))
-    motion[:3, :3] = sim.matrix
-    motion[3:, 3:] = sim.matrix
+    motion[:3, :3] = sim
+    motion[3:, 3:] = sim
     process_cov = np.diag([e2, e2, 0.0, e2, e2, 0.0])
     x = _REF_LIFT @ track.u.as_array() + _REF_OFFSET
     omega = _REF_LIFT @ track.sigma @ _REF_LIFT.T
@@ -84,7 +86,7 @@ def reference_similarity(prev_points, curr_points):
     theta = math.atan2(cross, dot)
     c, s = math.cos(theta), math.sin(theta)
     t = q_mean - scale * np.array([[c, -s], [s, c]]) @ p_mean
-    return SimilarityTransform2D.from_params(scale, theta, t[0], t[1])
+    return similarity_matrix(scale, theta, t[0], t[1])
 
 
 def reference_iou(a, b):
@@ -161,60 +163,11 @@ def random_track(rng, sigma):
                     hits=int(rng.integers(1, 20)))
 
 
-class TestSimilarityTransform:
-    def test_identity(self):
-        s = SimilarityTransform2D.identity()
-        assert s.scale == pytest.approx(1.0)
-        assert s.theta == pytest.approx(0.0)
-
-    def test_from_params_round_trip(self):
-        s = SimilarityTransform2D.from_params(1.5, 0.3, 4.0, -2.0)
-        assert s.scale == pytest.approx(1.5)
-        assert s.theta == pytest.approx(0.3)
-        assert s.translation == pytest.approx([4.0, -2.0])
-
-    def test_rejects_shear(self):
-        m = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        with pytest.raises(ValueError):
-            SimilarityTransform2D(m)
-
-    def test_rejects_bad_bottom_row(self):
-        m = np.eye(3)
-        m[2, 0] = 1.0
-        with pytest.raises(ValueError):
-            SimilarityTransform2D(m)
-
-    def test_identity_is_shared_and_read_only(self):
-        s = SimilarityTransform2D.identity()
-        assert s is SimilarityTransform2D.identity()
-        with pytest.raises(ValueError):
-            s.matrix[0, 2] = 5.0
-        assert np.array_equal(s.matrix, np.eye(3))
-
-    @pytest.mark.parametrize("params", [
-        (0.0, 0.1, 1.0, 2.0), (-1.0, 0.1, 1.0, 2.0), (math.nan, 0.1, 1.0, 2.0),
-        (1.0, 0.1, math.nan, 2.0), (1.0, 0.1, 1.0, math.inf),
-        (1.0, 0.1, -math.inf, 2.0), (1.0, math.nan, 1.0, 2.0),
-    ])
-    def test_from_params_rejects_invalid(self, params):
-        with pytest.raises(ValueError):
-            SimilarityTransform2D.from_params(*params)
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.floats(1e-12, 1e6), st.floats(-10, 10),
-           st.floats(-1e4, 1e4), st.floats(-1e4, 1e4))
-    def test_from_params_passes_public_checks(self, scale, theta, tx, ty):
-        # from_params skips the matrix checks of SimilarityTransform2D(...);
-        # what it builds must still satisfy them
-        sim = SimilarityTransform2D.from_params(scale, theta, tx, ty)
-        assert np.array_equal(SimilarityTransform2D(sim.matrix).matrix, sim.matrix)
-
-
 class TestPredict:
     def test_identity_zero_noise_is_noop(self):
         cfg = TrackerConfig(predict_noise_px=1e-12)
         track = make_track(sigma=np.diag([1.0, 2.0, 3.0, 4.0]))
-        out = predict(track, SimilarityTransform2D.identity(), cfg)
+        out = predict(track, None, cfg)
         assert out.u.as_array() == pytest.approx(track.u.as_array())
         assert out.sigma == pytest.approx(track.sigma, abs=1e-20)
 
@@ -222,7 +175,7 @@ class TestPredict:
         # hand-applied homogeneous motion: every coordinate shifts, covariance
         # grows by the process noise only
         track = make_track((0, 0, 10, 10), sigma=np.diag([1.0, 2.0, 3.0, 4.0]))
-        sim = SimilarityTransform2D.from_params(1.0, 0.0, 5.0, 3.0)
+        sim = similarity_matrix(1.0, 0.0, 5.0, 3.0)
         out = predict(track, sim, CFG)
         assert out.u.as_array() == pytest.approx([5, 3, 15, 13], abs=1e-9)
         e2 = CFG.predict_noise_px**2
@@ -230,7 +183,7 @@ class TestPredict:
 
     def test_uniform_scale_about_origin(self):
         track = make_track((1, 2, 3, 4), sigma=np.eye(4))
-        sim = SimilarityTransform2D.from_params(2.0, 0.0, 0.0, 0.0)
+        sim = similarity_matrix(2.0, 0.0, 0.0, 0.0)
         out = predict(track, sim, CFG)
         assert out.u.as_array() == pytest.approx([2, 4, 6, 8], abs=1e-9)
         e2 = CFG.predict_noise_px**2
@@ -249,13 +202,13 @@ class TestPredict:
                 (0, 0, 10 + rng.uniform(1, 5), 10 + rng.uniform(1, 5)),
                 sigma=np.diag(rng.uniform(0.5, 4, size=4)),
             )
-            sim = SimilarityTransform2D.from_params(
+            sim = similarity_matrix(
                 rng.uniform(0.8, 1.2), rng.uniform(-0.2, 0.2),
                 rng.uniform(-5, 5), rng.uniform(-5, 5),
             )
             motion = np.zeros((6, 6))
-            motion[:3, :3] = sim.matrix
-            motion[3:, 3:] = sim.matrix
+            motion[:3, :3] = sim
+            motion[3:, 3:] = sim
             e2 = CFG.predict_noise_px**2
             noise = np.diag([e2, e2, 0, e2, e2, 0])
             x = lift @ track.u.as_array() + offset
@@ -271,8 +224,8 @@ class TestPredict:
     @given(seed=st.integers(0, 2**32 - 1), noise_scale=st.sampled_from([1.0, 4.0]),
            skewed=st.booleans())
     def test_identity_shortcut_equals_full_path(self, seed, noise_scale, skewed):
-        # the shared identity skips the 6x6 congruence; a fresh identity
-        # matrix is not shared, so it takes the full homogeneous path
+        # None skips the congruences; np.eye(3) takes the full homogeneous
+        # path, and both must give the same bits
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((4, 4)) * rng.uniform(0.1, 30.0)
         sigma = a @ a.T + rng.uniform(1e-3, 10.0) * np.eye(4)
@@ -283,11 +236,8 @@ class TestPredict:
         w, h = rng.uniform(1, 200, size=2)
         track = BoxTrack(id=5, u=BBox(u0, v0, u0 + w, v0 + h), sigma=sigma,
                          spawn_frame=2, hits=3)
-        fresh = SimilarityTransform2D(np.eye(3))
-        assert fresh is not SimilarityTransform2D.identity()
-        shared = SimilarityTransform2D.identity()
-        fast = predict(track, shared, CFG, noise_scale=noise_scale)
-        full = predict(track, fresh, CFG, noise_scale=noise_scale)
+        fast = predict(track, None, CFG, noise_scale=noise_scale)
+        full = predict(track, np.eye(3), CFG, noise_scale=noise_scale)
         assert fast.sigma.tobytes() == full.sigma.tobytes()
         assert fast.u.as_array().tobytes() == full.u.as_array().tobytes()
         assert fast.u == track.u
@@ -297,7 +247,7 @@ class TestPredict:
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
            noise_scale=st.sampled_from([1.0, 4.0, 0.5]),
-           kind=st.sampled_from(["shared_identity", "similarity", "violent"]),
+           kind=st.sampled_from(["none", "similarity", "violent"]),
            skewed=st.booleans())
     def test_equals_the_reference_formulas(self, seed, noise_scale, kind, skewed):
         # the process noise as e2 times a constant mask, and the field-copy
@@ -305,11 +255,11 @@ class TestPredict:
         rng = np.random.default_rng(seed)
         cfg = TrackerConfig(predict_noise_px=float(rng.uniform(0.1, 10.0)))
         track = random_track(rng, random_spd(rng, skewed))
-        if kind == "shared_identity":
-            sim = SimilarityTransform2D.identity()
+        if kind == "none":
+            sim = None
         else:
             turn = math.pi if kind == "violent" else 0.3  # pi flips the box
-            sim = SimilarityTransform2D.from_params(
+            sim = similarity_matrix(
                 rng.uniform(0.5, 2.0), rng.uniform(-turn, turn),
                 rng.uniform(-50, 50), rng.uniform(-50, 50))
         try:
@@ -331,7 +281,7 @@ class TestPredict:
         for _ in range(1500):
             sigma = random_spd(rng) if prior == "random" else cfg.measure_cov.copy()
             track = random_track(rng, sigma)
-            sim = SimilarityTransform2D.from_params(
+            sim = similarity_matrix(
                 rng.uniform(0.5, 2.0), rng.uniform(-math.pi, math.pi),
                 rng.uniform(-50, 50), rng.uniform(-50, 50))
             try:
@@ -347,8 +297,8 @@ class TestPredict:
     def test_identity_shortcut_on_the_initial_sigma(self):
         track = make_track((3, 4, 50, 60), sigma=CFG.measure_cov)
         for scale in (1.0, 4.0):
-            fast = predict(track, SimilarityTransform2D.identity(), CFG, noise_scale=scale)
-            full = predict(track, SimilarityTransform2D(np.eye(3)), CFG, noise_scale=scale)
+            fast = predict(track, None, CFG, noise_scale=scale)
+            full = predict(track, np.eye(3), CFG, noise_scale=scale)
             assert fast.sigma.tobytes() == full.sigma.tobytes()
 
     def test_shared_identity_skips_the_homogeneous_path(self, monkeypatch):
@@ -356,15 +306,9 @@ class TestPredict:
             raise AssertionError("identity predict went through homogeneous coordinates")
 
         monkeypatch.setattr("conescan.bbox_tracker.to_euclidean", refuse)
-        out = predict(make_track(), SimilarityTransform2D.identity(), CFG, noise_scale=4.0)
+        out = predict(make_track(), None, CFG, noise_scale=4.0)
         e2 = 4.0 * CFG.predict_noise_px**2
         assert np.array_equal(out.sigma, np.eye(4) + e2 * np.eye(4))
-
-    def test_rejects_non_finite(self):
-        m = np.eye(3)
-        m[0, 2] = np.nan
-        with pytest.raises(ValueError):
-            SimilarityTransform2D(m)
 
 
 class TestUpdate:
@@ -607,10 +551,9 @@ class TestPrune:
         cfg = TrackerConfig()
         scale = 4.0
         track = make_track(sigma=cfg.measure_cov.copy())
-        ident = SimilarityTransform2D.identity()
         steps = 0
         while bbox_entropy(track.sigma) <= cfg.entropy_dereg_threshold:
-            track = predict(track, ident, cfg, noise_scale=scale)
+            track = predict(track, None, cfg, noise_scale=scale)
             steps += 1
             assert steps < 500
 
@@ -684,48 +627,50 @@ class TestEstimateSimilarity:
     def test_pure_translation(self):
         prev = np.array([[0, 0], [10, 0], [0, 10], [10, 10.0]])
         curr = prev + [3, -2]
-        s = estimate_similarity(prev, curr)
-        assert s.scale == pytest.approx(1.0, abs=1e-12)
-        assert s.theta == pytest.approx(0.0, abs=1e-12)
-        assert s.translation == pytest.approx([3, -2], abs=1e-12)
+        m = estimate_similarity(prev, curr)
+        scale, theta = scale_and_angle(m)
+        assert scale == pytest.approx(1.0, abs=1e-12)
+        assert theta == pytest.approx(0.0, abs=1e-12)
+        assert m[:2, 2] == pytest.approx([3, -2], abs=1e-12)
 
     def test_pure_scale(self):
         prev = np.array([[1, 1], [-1, 1], [1, -1], [-1, -1.0]])
-        s = estimate_similarity(prev, 1.5 * prev)
-        assert s.scale == pytest.approx(1.5, abs=1e-12)
-        assert s.theta == pytest.approx(0.0, abs=1e-12)
+        scale, theta = scale_and_angle(estimate_similarity(prev, 1.5 * prev))
+        assert scale == pytest.approx(1.5, abs=1e-12)
+        assert theta == pytest.approx(0.0, abs=1e-12)
 
     def test_exact_recovery(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
-            truth = SimilarityTransform2D.from_params(
+            truth = similarity_matrix(
                 rng.uniform(0.5, 2.0), rng.uniform(-math.pi, math.pi),
                 rng.uniform(-20, 20), rng.uniform(-20, 20),
             )
             prev = rng.uniform(-30, 30, size=(10, 2))
             hom = np.column_stack([prev, np.ones(10)])
-            curr = (truth.matrix @ hom.T).T[:, :2]
+            curr = (truth @ hom.T).T[:, :2]
             est = estimate_similarity(prev, curr)
-            assert est.matrix == pytest.approx(truth.matrix, abs=1e-9)
+            assert est == pytest.approx(truth, abs=1e-9)
 
     def test_noisy_recovery_within_standard_error(self):
         rng = np.random.default_rng(5)
         sigma, n = 0.5, 200
-        truth = SimilarityTransform2D.from_params(1.1, 0.05, 4.0, -7.0)
+        truth = similarity_matrix(1.1, 0.05, 4.0, -7.0)
         spread = 40.0
         prev = rng.uniform(-spread, spread, size=(n, 2))
         prev -= prev.mean(axis=0)  # centered: translation error decouples
         hom = np.column_stack([prev, np.ones(n)])
-        curr = (truth.matrix @ hom.T).T[:, :2]
+        curr = (truth @ hom.T).T[:, :2]
         curr += sigma * rng.standard_normal((n, 2))
         est = estimate_similarity(prev, curr)
         bound = 3 * sigma / math.sqrt(n)
-        assert abs(est.translation[0] - 4.0) < bound
-        assert abs(est.translation[1] + 7.0) < bound
+        assert abs(est[0, 2] - 4.0) < bound
+        assert abs(est[1, 2] + 7.0) < bound
         r_rms = math.sqrt(np.mean(np.sum(prev**2, axis=1)))
         angular_bound = 3 * sigma / (r_rms * math.sqrt(n))
-        assert abs(est.theta - 0.05) < angular_bound
-        assert abs(est.scale - 1.1) < 3 * angular_bound
+        scale, theta = scale_and_angle(est)
+        assert abs(theta - 0.05) < angular_bound
+        assert abs(scale - 1.1) < 3 * angular_bound
 
     def test_equals_the_reference_arithmetic(self):
         # np.add.reduce over the rows divided by the count is np.mean's own
@@ -734,13 +679,47 @@ class TestEstimateSimilarity:
         for n in range(2, 201):
             for _ in range(3):
                 prev = rng.uniform(-50, 700, size=(n, 2))
-                truth = SimilarityTransform2D.from_params(
+                truth = similarity_matrix(
                     rng.uniform(0.5, 2.0), rng.uniform(-math.pi, math.pi),
                     rng.uniform(-50, 50), rng.uniform(-50, 50))
-                curr = prev @ truth.matrix[:2, :2].T + truth.matrix[:2, 2]
+                curr = prev @ truth[:2, :2].T + truth[:2, 2]
                 curr += rng.standard_normal((n, 2))
                 out = estimate_similarity(prev, curr)
-                assert out.matrix.tobytes() == reference_similarity(prev, curr).matrix.tobytes()
+                assert out.tobytes() == reference_similarity(prev, curr).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 60),
+           related=st.booleans())
+    def test_result_is_an_exact_similarity(self, seed, n, related):
+        # the matrix is the formula of the old similarity type's from_params
+        # on the fitted scale, angle and translation, exact to the bit
+        rng = np.random.default_rng(seed)
+        prev = rng.uniform(-50, 700, size=(n, 2))
+        if related:
+            truth = similarity_matrix(
+                rng.uniform(0.5, 2.0), rng.uniform(-math.pi, math.pi),
+                rng.uniform(-50, 50), rng.uniform(-50, 50))
+            curr = prev @ truth[:2, :2].T + truth[:2, 2] + rng.standard_normal((n, 2))
+        else:
+            curr = rng.uniform(-50, 700, size=(n, 2))
+        m = estimate_similarity(prev, curr)
+        assert m.shape == (3, 3) and m.dtype == np.float64
+        assert m[2].tolist() == [0.0, 0.0, 1.0]
+        assert m[0, 0] == m[1, 1]
+        assert m[0, 1] == -m[1, 0]
+        assert m.tobytes() == reference_similarity(prev, curr).tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", ["prev", "curr"])
+    def test_non_finite_correspondences_raise(self, bad, side):
+        prev = np.array([[0, 0], [10, 0], [0, 10], [10, 10.0]])
+        curr = prev + [3, -2]
+        (prev if side == "prev" else curr)[2, 1] = bad
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(SimilarityEstimationError):
+                estimate_similarity(prev, curr)
+        assert caught == []
 
     def test_too_few_points(self):
         with pytest.raises(SimilarityEstimationError):
@@ -755,12 +734,11 @@ class TestEstimateSimilarity:
 class TestFilterProperties:
     def test_covariance_stays_psd_through_sequences(self):
         rng = np.random.default_rng(6)
-        ident = SimilarityTransform2D.identity()
         for _ in range(100):
             track = make_track((0, 0, 20, 20), sigma=CFG.measure_cov.copy())
             for _ in range(30):
                 if rng.uniform() < 0.5:
-                    sim = SimilarityTransform2D.from_params(
+                    sim = similarity_matrix(
                         rng.uniform(0.9, 1.1), rng.uniform(-0.1, 0.1),
                         rng.uniform(-3, 3), rng.uniform(-3, 3))
                     track = predict(track, sim, CFG)
@@ -784,9 +762,8 @@ class TestFilterProperties:
 
     def test_entropy_monotone_under_predict_and_update(self):
         track = make_track((0, 0, 10, 10), sigma=CFG.measure_cov.copy())
-        ident = SimilarityTransform2D.identity()
         h0 = bbox_entropy(track.sigma)
-        predicted = predict(track, ident, CFG)
+        predicted = predict(track, None, CFG)
         assert bbox_entropy(predicted.sigma) >= h0
         updated = update(predicted, BBox(1, 1, 11, 11), CFG)
         assert bbox_entropy(updated.sigma) <= bbox_entropy(predicted.sigma)

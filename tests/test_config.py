@@ -55,6 +55,12 @@ class TestStockScenarios:
         path = SCENARIOS / name
         assert path.read_text() == to_json(default_scenario(n_targets, seed=seed)) + "\n"
 
+    @pytest.mark.parametrize("n_targets", [-1, 5])
+    def test_target_count_outside_the_stock_spots_raises(self, n_targets):
+        # four stock spots: a slice would quietly return 4 targets, or 3 for -1
+        with pytest.raises(ValueError, match=r"0\.\.4"):
+            default_scenario(n_targets)
+
 
 class TestValidation:
     def test_mapping_geometry_constraint_named(self):
