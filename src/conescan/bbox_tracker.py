@@ -243,15 +243,17 @@ def estimate_similarity(prev_points, curr_points) -> np.ndarray:
     [[s cos, -s sin, tx], [s sin, s cos, ty], [0, 0, 1]] that predict takes.
 
     The means are np.mean's own arithmetic, np.add.reduce over the rows
-    divided by the count, without its Python wrapper. A NaN or infinity makes
-    a mean non-finite, and raises. The caller gives at least one pair
-    (simulate_klt gives 4 or more); one alone fails the spread check.
+    divided by the count, without its Python wrapper. Fewer than 2 pairs
+    raise before any mean is taken (simulate_klt gives 4 or more). A NaN or
+    infinity makes a mean non-finite, and raises.
     """
     p = np.asarray(prev_points, dtype=float)
     q = np.asarray(curr_points, dtype=float)
     if p.ndim != 2 or p.shape != q.shape or p.shape[1] != 2:
         raise SimilarityEstimationError("correspondence lists must be equal (n, 2)")
     n = len(p)
+    if n < 2:
+        raise SimilarityEstimationError(f"need at least 2 correspondences, got {n}")
     p_mean, q_mean = np.add.reduce(p, axis=0) / n, np.add.reduce(q, axis=0) / n
     if not all(map(math.isfinite, p_mean.tolist() + q_mean.tolist())):
         raise SimilarityEstimationError("correspondences must be finite")

@@ -5,6 +5,7 @@ import concurrent.futures
 import os
 import statistics
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import config as cfg_mod
@@ -19,16 +20,21 @@ def _default_out(config_path, seed) -> Path:
     return base / f"{stem}-seed{seed}"
 
 
-def _load(path):
+def _load(path, seeds=()):
+    """The scenario at `path`, also checked with each of `seeds` as its seed;
+    None, once the reason is printed, when either is invalid."""
     try:
-        return cfg_mod.load(path)
+        cfg = cfg_mod.load(path)
+        for seed in seeds:
+            cfg_mod.validate(replace(cfg, seed=seed))
+        return cfg
     except cfg_mod.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return None
 
 
 def cmd_run(args) -> int:
-    cfg = _load(args.config)
+    cfg = _load(args.config, [] if args.seed is None else [args.seed])
     if cfg is None:
         return EXIT_INVALID
     seed = cfg.seed if args.seed is None else args.seed
@@ -66,9 +72,6 @@ def _sweep_one(payload):
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load(args.config)
-    if cfg is None:
-        return EXIT_INVALID
     try:
         lo, hi = (int(v) for v in args.seeds.split(".."))
     except ValueError:
@@ -80,6 +83,8 @@ def cmd_sweep(args) -> int:
         return EXIT_INVALID
     if args.jobs is not None and args.jobs < 1:
         print("jobs must be at least 1", file=sys.stderr)
+        return EXIT_INVALID
+    if _load(args.config, (lo, hi)) is None:  # every seed is valid when both ends are
         return EXIT_INVALID
     out_base = args.out or (Path(os.environ.get(OUT_ENV, "runs")) /
                             f"{Path(args.config).stem}-sweep")

@@ -107,7 +107,7 @@ _RANGES = (
      and -math.inf < r[1] < r[3] < math.inf,
      "must be finite [x_min, y_min, x_max, y_max] with x_min < x_max and y_min < y_max"),
     ("search_altitude", *_POSITIVE_FINITE),
-    ("seed", _integer, "must be an integer"),
+    ("seed", lambda v: _integer(v) and 0 <= v < 2**32, "must be an integer in [0, 2**32)"),
     ("camera.fx", *_POSITIVE_FINITE),
     ("camera.fy", *_POSITIVE_FINITE),
     ("camera.cx", *_FINITE),

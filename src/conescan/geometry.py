@@ -79,10 +79,6 @@ class PoseSE3:
         object.__setattr__(pose, "translation", translation)
         return pose
 
-    @staticmethod
-    def identity() -> "PoseSE3":
-        return PoseSE3(np.eye(3), np.zeros(3))
-
     def inverse(self) -> "PoseSE3":
         return PoseSE3._trusted(self.rotation.T, -self.rotation.T @ self.translation)
 

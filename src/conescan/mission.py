@@ -24,7 +24,6 @@ from .bbox_tracker import (
 )
 from .config import ScenarioConfig, to_dict, validate
 from .geometry import (
-    BBox,
     DegenerateConeError,
     camera_to_world_pose,
     cone_normals,
@@ -308,10 +307,10 @@ class MissionRunner:
         self.active = None  # the hypothesis being fine-localized or mapped
         self.resume_index = 0  # survey waypoint the search path starts at
         self.hypotheses = []  # live ones only
-        self.failed = []  # hypotheses whose fine phase ran out of laps
+        self.finished = []  # (hypothesis, TargetReport) of each done or failed one
+        self.coverage = []  # each done target's coverage payload, in finishing order
         self.next_hypothesis_id = 0
         self.suppression = []  # (center, radius) of finished targets
-        self.done = []  # (hypothesis, coverage_payload)
 
         self.frame = 0
         self.t = 0.0
@@ -320,7 +319,7 @@ class MissionRunner:
         self._prev_truth = None  # last frame's TargetProjection per target
         self._fine = None  # the current fine arc's plan, read in FINE_LOCALIZE
         self._lap_angle = 0.0  # angle circled in the current fine phase
-        self._mapping = None  # (coverage payload, suppression radius), read in MAP
+        self._mapping = None  # (coverage payload, suppression radius, arc fraction)
 
         self.log = _RunLog(out_dir)  # opened and closed by run(), which writes every row
 
@@ -344,29 +343,18 @@ class MissionRunner:
 
     # ------------------------------------------------------------- perception
 
-    def _true_target_boxes(self, truth):
-        """Exact projected AABB per fully-in-front target (for the KLT matcher)."""
-        boxes = {}
-        for tg, proj in zip(self.targets, truth):
-            if proj.box is None:
-                continue
-            u0, v0, u1, v1 = proj.box
-            if u1 <= 0 or v1 <= 0 or u0 >= self.cam.width or v0 >= self.cam.height:
-                continue
-            if u0 < u1 and v0 < v1:
-                boxes[tg.id] = BBox(u0, v0, u1, v1)
-        return boxes
-
     def _similarities(self, truth):
-        """Per-track image similarity from simulated feature correspondences."""
+        """Per-track image similarity from simulated feature correspondences,
+        matched to the target whose true box it overlapped last frame."""
         sims = {}
         if self._prev_truth is None:
             return sims
-        prev_boxes = self._true_target_boxes(self._prev_truth)
         for track in self.tracker.live:  # in id order
             best_id, best_iou = None, 0.1
-            for tid, box in prev_boxes.items():
-                score = iou(track.u, box)
+            for tid, prev in enumerate(self._prev_truth):
+                if prev.box is None:
+                    continue
+                score = iou(track.u, prev.box)
                 if score > best_iou:
                     best_id, best_iou = tid, score
             if best_id is None:
@@ -518,17 +506,19 @@ class MissionRunner:
             "covered_fraction": float(covered.mean()),
             "uncovered_samples": samples[~covered][:200].tolist(),
         }
-        self._mapping = (payload, self.cfg.mission.suppression_scale * cylinder.radius)
+        self._mapping = (payload, self.cfg.mission.suppression_scale * cylinder.radius,
+                         arc_fraction)
         self._transition(MAP, hyp, arc_fraction=arc_fraction)
         self.follower.set_path(path)
         self.log.plan(MAP, [self._current_waypoint()] + path)
 
-    def _finish_map(self):
-        hyp, (payload, radius) = self.active, self._mapping
-        self.done.append((hyp, payload))
+    def _retire(self, status, coverage=None, arc_fraction=None):
+        """Take the active hypothesis out of the live list as done or failed,
+        with its report entry, snapshot it and resume the search."""
+        hyp = self.active
         self.hypotheses.remove(hyp)
-        self.suppression.append((hyp.center, radius))
-        self.log.snapshot(hyp, self.frame, "done")
+        self.finished.append((hyp, self._entry(hyp, status, coverage, arc_fraction)))
+        self.log.snapshot(hyp, self.frame, status)
         self._resume_search()
 
     def _resume_search(self):
@@ -558,16 +548,16 @@ class MissionRunner:
                 self._lap_angle += self._fine_progress_angle()
                 if self._lap_angle >= self.cfg.mission.fine_max_laps * 2.0 * math.pi:
                     hyp.status = "failed"
-                    self.hypotheses.remove(hyp)
-                    self.failed.append(hyp)
-                    self.log.snapshot(hyp, self.frame, "failed")
-                    self._resume_search()
+                    self._retire("failed")
                 else:
                     self._plan_fine_arc(hyp)
             return False
         # MAP: the mode is only ever one of the three constants
         if self.follower.done:
-            self._finish_map()
+            payload, radius, arc_fraction = self._mapping
+            self.coverage.append(payload)
+            self.suppression.append((self.active.center, radius))
+            self._retire("done", payload["covered_fraction"], arc_fraction)
         return False
 
     # ------------------------------------------------------------------- loop
@@ -626,11 +616,10 @@ class MissionRunner:
                     break
             report = self._report()
             if self.dump_particles:
-                for hyp in self.hypotheses + self.failed:
+                for hyp in self.hypotheses + [h for h, _ in self.finished
+                                              if h.status == "failed"]:
                     self.log.snapshot(hyp, self.frame, "final")
-            self.log.write_json(
-                "coverage.json", [payload for _, payload in self.done]
-            )
+            self.log.write_json("coverage.json", self.coverage)
             self.log.write_json("report.json", report.to_dict())
             self.log.write_json("config.json", to_dict(self.cfg))
             return report
@@ -639,43 +628,32 @@ class MissionRunner:
 
     # ----------------------------------------------------------------- report
 
+    def _entry(self, hyp, status, coverage=None, arc_fraction=None) -> TargetReport:
+        """A hypothesis's report entry; its error is to the nearest true target."""
+        center = hyp.center
+        errors = [np.linalg.norm(center - tg.center) for tg in self.targets]
+        return TargetReport(
+            target_id=hyp.target_id,
+            status=status,
+            center=[float(v) for v in center],
+            eigenvalues=[float(v) for v in pca_summary(hyp.particles).eigenvalues],
+            updates=hyp.updates,
+            localization_error=float(min(errors)) if errors else None,
+            coverage=coverage,
+            arc_fraction=arc_fraction,
+        )
+
     def _report(self) -> RunReport:
-        true_centers = [tg.center for tg in self.targets]
-
-        def nearest_error(center):
-            if not true_centers:
-                return None
-            return float(min(np.linalg.norm(center - c) for c in true_centers))
-
-        # coverage and arc fraction belong to finished targets only
-        arc_fractions = {t["target"]: t["arc_fraction"] for t in self.transitions
-                         if t["to"] == MAP}
-        rows = [(hyp, "done", payload["covered_fraction"], arc_fractions[hyp.target_id])
-                for hyp, payload in self.done]
-        rows += [(hyp, hyp.status, None, None) for hyp in self.hypotheses + self.failed]
-        entries = []
-        for hyp, status, coverage, arc_fraction in rows:
-            center = hyp.center
-            entries.append(TargetReport(
-                target_id=hyp.target_id,
-                status=status,
-                center=[float(v) for v in center],
-                eigenvalues=[float(v) for v in
-                             pca_summary(hyp.particles).eigenvalues],
-                updates=hyp.updates,
-                localization_error=nearest_error(center),
-                coverage=coverage,
-                arc_fraction=arc_fraction,
-            ))
+        """The finished entries as retired, plus one per live hypothesis."""
+        entries = [entry for _, entry in self.finished]
+        entries += [self._entry(hyp, hyp.status) for hyp in self.hypotheses]
         entries.sort(key=lambda e: e.target_id)
-
-        found = 0
-        for tg in self.targets:
-            for hyp, _ in self.done:
-                err = np.linalg.norm(hyp.center - tg.center)
-                if err <= self.cfg.mission.found_radius:
-                    found += 1
-                    break
+        done = [hyp for hyp, entry in self.finished if entry.status == "done"]
+        found = sum(
+            any(np.linalg.norm(hyp.center - tg.center) <= self.cfg.mission.found_radius
+                for hyp in done)
+            for tg in self.targets
+        )
         return RunReport(
             targets=entries,
             duration_s=round(self.t, 9),

@@ -6,7 +6,7 @@ boxes carrying surface feature points so the detector sees an exact projected
 bounding box and the feature tracker sees real correspondences. Each frame
 projects all ground truth once (`TruthPoints`) and computes, once, which of
 those rows are visible (in front of the camera and inside the image) and each
-target's corner box; the detector reads the frame's projection, and the
+target's true box; the detector reads the frame's projection, and the
 feature tracker this frame's and the last one's, visibility masks included.
 """
 
@@ -21,7 +21,7 @@ from .geometry import BBox, CameraRig, PoseSE3, wrap_angle
 
 def substream(seed: int, *key) -> np.random.Generator:
     """Named, order-independent RNG substream of one scenario seed."""
-    parts = [int(seed) & 0xFFFFFFFF]
+    parts = [int(seed)]  # config.validate keeps a scenario seed in [0, 2**32)
     for item in key:
         if isinstance(item, str):
             digest = hashlib.sha256(item.encode()).digest()
@@ -61,22 +61,28 @@ class TargetTruth:
         return self._corners
 
 
-def corner_boxes(pix: np.ndarray, depth: np.ndarray, corner_rows: np.ndarray) -> list:
-    """Each target's (u_min, v_min, u_max, v_max) over its projected corners,
-    or None when a corner lies behind the camera. Row t of the (targets, 8)
-    index array `corner_rows` holds target t's corner rows of the frame's
-    projection; one gather serves every target."""
+def corner_boxes(pix: np.ndarray, depth: np.ndarray, corner_rows: np.ndarray,
+                 cam: CameraRig) -> list:
+    """Each target's true `BBox` over its projected corners, or None when a
+    corner lies behind the camera, the box misses the image or it has no
+    area. Row t of the (targets, 8) index array `corner_rows` holds target
+    t's corner rows of the frame's projection; one gather serves every target."""
     corners = pix[corner_rows]
     lows, highs = corners.min(axis=1).tolist(), corners.max(axis=1).tolist()
     behind = (depth[corner_rows] <= 0).any(axis=1).tolist()
-    return [None if back else (*lo, *hi) for lo, hi, back in zip(lows, highs, behind)]
+    boxes = []
+    for (u0, v0), (u1, v1), back in zip(lows, highs, behind):
+        seen = not back and u1 > 0 and v1 > 0 and u0 < cam.width and v0 < cam.height
+        boxes.append(BBox(u0, v0, u1, v1) if seen and u0 < u1 and v0 < v1 else None)
+    return boxes
 
 
 class TargetProjection(NamedTuple):
     """One target's ground truth projected at one pose, rows in `TruthPoints`
     order: center, 8 corners, features. Rows with depth <= 0 carry
-    meaningless pixels. `box` is the target's entry of the frame's one
-    `corner_boxes` call, which the detector and the KLT matcher share.
+    meaningless pixels. `box` is the target's true box, or None, from the
+    frame's one `corner_boxes` call; the detector and the KLT matcher both
+    read it.
     `visible` marks the rows in front of the camera and inside the image; it
     is a slice of the frame's one mask over all truth rows, so the detector
     reads the center's entry, and the KLT matcher the features' entries of
@@ -84,7 +90,7 @@ class TargetProjection(NamedTuple):
 
     pix: np.ndarray  # (9 + k, 2)
     depth: np.ndarray  # (9 + k,)
-    box: tuple  # or None, see corner_boxes
+    box: BBox  # or None, see corner_boxes
     visible: np.ndarray  # (9 + k,) bool
 
     @property
@@ -117,7 +123,7 @@ class TruthPoints:
         the visibility mask of every row and every corner box made once."""
         u, v = pix.T
         visible = (depth > 0) & (u >= 0) & (u < cam.width) & (v >= 0) & (v < cam.height)
-        boxes = corner_boxes(pix, depth, self._corner_rows)
+        boxes = corner_boxes(pix, depth, self._corner_rows, cam)
         return [TargetProjection(pix[a:b], depth[a:b], box, visible[a:b])
                 for (a, b), box in zip(self._bounds, boxes)]
 
@@ -307,7 +313,7 @@ def simulate_detector(projections, cam: CameraRig, noise: NoiseModel,
     `projections` holds one `TargetProjection` per target, from the frame's
     single projection of `TruthPoints` at the true pose. A target is detectable
     when its center is visible (in front of the camera and inside the image)
-    and all 8 corners lie in front.
+    and it has a true box (see `corner_boxes`).
     """
     detections = []
 
@@ -325,7 +331,7 @@ def simulate_detector(projections, cam: CameraRig, noise: NoiseModel,
             continue
         if proj.box is None:
             continue
-        add(*(np.array(proj.box)
+        add(*(proj.box.as_array()
               + noise.detector_pixel_sigma * rng.standard_normal(4)).tolist())
 
     for _ in range(rng.poisson(noise.false_positive_rate)):

@@ -21,6 +21,11 @@ def random_pose(rng: np.random.Generator, translation_scale: float = 10.0) -> Po
                    translation_scale * rng.standard_normal(3))
 
 
+def identity_pose() -> PoseSE3:
+    """The identity rigid transform: the camera frame is the world frame."""
+    return PoseSE3(np.eye(3), np.zeros(3))
+
+
 def similarity_matrix(scale, theta, tx, ty) -> np.ndarray:
     """The (3, 3) image similarity, by the formula estimate_similarity returns."""
     c, s = math.cos(theta), math.sin(theta)

@@ -47,7 +47,7 @@ from conescan.mapping_planner import Cylinder, coverage_samples, scan_circles
 from conescan.mission import EXIT_UNCONVERGED, MissionRunner, run_scenario
 from conescan.simulator import NoiseModel, make_target, simulate_detector, simulate_klt
 
-from conftest import project_truth, similarity_matrix
+from conftest import identity_pose, project_truth, similarity_matrix
 from conescan.view_planner import (
     Waypoint,
     fine_localization_circle,
@@ -288,7 +288,9 @@ def _convergence_worker(seed: int):
     runner = MissionRunner(cfg)
     report = runner.run()
     truth = np.asarray(cfg.targets[0].center, dtype=float)
-    hyps = [h for h, _ in runner.done] + runner.hypotheses + runner.failed
+    done = [h for h, entry in runner.finished if entry.status == "done"]
+    failed = [h for h, entry in runner.finished if entry.status == "failed"]
+    hyps = done + runner.hypotheses + failed
     best = max(hyps, key=lambda h: h.updates)
     error = float(np.linalg.norm(best.particles.points.mean(axis=0) - truth))
     return error, best.history[0].lambda_max, best.history[-1].lambda_max
@@ -421,7 +423,6 @@ def test_criterion_9_degenerate_inputs():
     """Zero targets, vertical eigenvector, singular covariances, starved
     weights, and bad mapping geometry all take their documented paths."""
     from conescan.config import ConfigError, to_dict, from_dict
-    from conescan.geometry import PoseSE3
 
     details = []
 
@@ -446,7 +447,7 @@ def test_criterion_9_degenerate_inputs():
 
     rng = np.random.default_rng(109)
     far_cloud = ParticleSet(rng.normal([0, 0, 5], 0.1, size=(500, 3)))
-    result = update_particles(far_cloud, BBox(0, 0, 4, 4), PoseSE3.identity(),
+    result = update_particles(far_cloud, BBox(0, 0, 4, 4), identity_pose(),
                               CAM, LocalizerConfig(), rng)
     assert result.starved and result.particles is far_cloud
     assert weight_density([[5000.0, 5000.0]], BBox(0, 0, 4, 4),

@@ -722,8 +722,15 @@ class TestEstimateSimilarity:
         assert caught == []
 
     def test_too_few_points(self):
-        with pytest.raises(SimilarityEstimationError):
-            estimate_similarity([[0, 0]], [[1, 1]])
+        # empty lists divided 0 by 0 for the means: two RuntimeWarnings, then
+        # a misleading "must be finite"; the count is checked before the means
+        for prev, curr in ((np.empty((0, 2)), np.empty((0, 2))), ([[0, 0]], [[1, 1]])):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(SimilarityEstimationError,
+                                   match=rf"got {len(prev)}$"):
+                    estimate_similarity(prev, curr)
+            assert caught == []
 
     def test_coincident_points(self):
         prev = np.zeros((5, 2))

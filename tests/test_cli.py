@@ -92,7 +92,8 @@ class TestValidate:
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize("key, value", [
         ("region", [0.0, "east", 30.0, 10.0]), ("search_altitude", "high"),
-        ("search_altitude", math.nan), ("seed", 1.5), ("seed", "x"),
+        ("search_altitude", math.nan), ("seed", 1.5), ("seed", "x"), ("seed", -1),
+        ("seed", 2**32),
     ])
     def test_bad_top_level_value(self, tmp_path, capsys, command, key, value):
         # these raised a traceback from from_dict, validate or mid-run, or ran
@@ -138,6 +139,15 @@ class TestRun:
         main(["run", str(empty_scenario), "--seed", "99", "--out", str(out)])
         report = json.loads((out / "report.json").read_text())
         assert report["seed"] == 99
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**32)])
+    def test_seed_override_out_of_range(self, empty_scenario, tmp_path, capsys, seed):
+        # such a seed raised a traceback from MissionRunner
+        out = tmp_path / "seeded"
+        assert main(["run", str(empty_scenario), "--seed", seed, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "config error: seed: must be an integer in [0, 2**32)\n"
+        assert not captured.out and not out.exists()
 
     def test_env_var_default_out(self, empty_scenario, tmp_path, monkeypatch):
         monkeypatch.setenv("CONESCAN_OUT", str(tmp_path / "env_runs"))
@@ -192,6 +202,10 @@ class TestSweep:
         pytest.param(["--seeds", "3..2"], "seeds 3..2: empty range", id="empty_range"),
         pytest.param(["--seeds", "1..2", "--jobs", "0"], "jobs must be at least 1",
                      id="zero_jobs"),
+        pytest.param(["--seeds=-1..2"], "config error: seed: must be an integer in [0, 2**32)",
+                     id="negative_seed"),
+        pytest.param([f"--seeds={2**32 - 1}..{2**32}"],
+                     "config error: seed: must be an integer in [0, 2**32)", id="seed_too_big"),
     ])
     def test_sweep_bad_range(self, empty_scenario, tmp_path, capsys, args, message):
         out = tmp_path / "sweep"

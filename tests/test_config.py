@@ -162,9 +162,11 @@ class TestValidation:
         ("search_altitude", math.inf), ("seed", 1.5), ("seed", "x"), ("seed", True),
         ("region", [0.0, 0.0, math.nan, 10.0]), ("region", [0.0, 0.0, math.inf, 10.0]),
         ("region", [0.0, "x", 30.0, 10.0]), ("region", [0.0, 0.0, 30.0]),
+        ("seed", -1), ("seed", 2**32),
     ])
     def test_top_level_value_rejected_at_load(self, key, value):
-        # a fractional seed ran the truncated seed's streams under the given name;
+        # a fractional seed ran the truncated seed's streams under the given name,
+        # and a seed outside [0, 2**32) those of the seed it equals modulo 2**32;
         # with no localizer section, a string altitude died computing the depth prior
         data = to_dict(default_scenario(1))
         del data["localizer"]
@@ -211,7 +213,9 @@ class TestValidation:
         data["localizer"].update(n_particles=100, enlarge_factor=1, update_noise_var=0.0,
                                  uniform_weight=0.0, lambda_fine=1e-12,
                                  kl_converged=math.inf)
-        data["seed"] = -1
+        for seed in (0, 2**32 - 1):
+            data["seed"] = seed
+            assert from_dict(data).seed == seed
         cfg = from_dict(data)
         assert (cfg.planner.overlap, cfg.planner.n_per_circle) == (0.0, 4)
         assert (cfg.camera.cy, cfg.camera.width) == (-1e6, 1)

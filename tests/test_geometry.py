@@ -23,7 +23,7 @@ from conescan.geometry import (
 )
 from conescan.simulator import NoiseModel, perturb_pose
 
-from conftest import random_pose, random_rotation, stock_camera
+from conftest import identity_pose, random_pose, random_rotation, stock_camera
 
 
 def lift(box):
@@ -65,20 +65,20 @@ class TestBBox:
 
 class TestProjection:
     def test_principal_point(self, cam):
-        pose = PoseSE3.identity()
+        pose = identity_pose()
         pix, depth = project_points([0, 0, 5], pose, cam)
         assert pix[0] == pytest.approx([320, 240])
         assert depth == pytest.approx([5.0])
 
     def test_lateral_offset(self, cam):
         # u = cx + fx * x / z = 320 + 500 * (1 / 5)
-        pix, _ = project_points([1, 0, 5], PoseSE3.identity(), cam)
+        pix, _ = project_points([1, 0, 5], identity_pose(), cam)
         assert pix[0] == pytest.approx([420, 240], abs=1e-12)
 
     def test_behind_camera_has_negative_depth(self, cam):
         # callers mask on depth; a point behind the camera must not pass
         _, depth = project_points([[0, 0, -1], [0, 0, 0], [0, 0, 2]],
-                                  PoseSE3.identity(), cam)
+                                  identity_pose(), cam)
         assert depth.tolist() == [-1.0, 0.0, 2.0]
 
 
@@ -93,7 +93,7 @@ class TestBackProjection:
 
     def test_inverse_pair(self, cam):
         rng = np.random.default_rng(2)
-        pose = PoseSE3.identity()
+        pose = identity_pose()
         for _ in range(100):
             pixel = rng.uniform([0, 0], [cam.width, cam.height])
             direction = back_project_direction(pixel, cam)

@@ -35,7 +35,7 @@ from conescan.localizer import (
     weight_density,
 )
 
-from conftest import random_pose, stock_camera
+from conftest import identity_pose, random_pose, stock_camera
 
 LCFG = LocalizerConfig(n_particles=1000)
 MAX_DEPTH = 24.0
@@ -80,7 +80,7 @@ class TestGenerateParticles:
     def test_camera_depth_in_range(self, cam):
         rng = np.random.default_rng(2)
         corners = BBox(100, 100, 500, 380).corners_clockwise()
-        ps = generate_particles(corners, PoseSE3.identity(), cam, LCFG, rng,
+        ps = generate_particles(corners, identity_pose(), cam, LCFG, rng,
                                 max_depth=MAX_DEPTH)
         z = ps.points[:, 2]  # identity pose: world frame is the camera frame
         assert np.all(z > 0)
@@ -91,7 +91,7 @@ class TestGenerateParticles:
         rng = np.random.default_rng(3)
         cfg = LocalizerConfig(n_particles=100_000)
         corners = BBox(0, 0, cam.width, cam.height).corners_clockwise()
-        ps = generate_particles(corners, PoseSE3.identity(), cam, cfg, rng, max_depth=10.0)
+        ps = generate_particles(corners, identity_pose(), cam, cfg, rng, max_depth=10.0)
         dirs = np.stack([back_project_direction(c, cam) for c in corners])
         expected = 0.5 * 10.0 * dirs.mean(axis=0)
         se = ps.points.std(axis=0, ddof=1) / math.sqrt(cfg.n_particles)
@@ -169,25 +169,25 @@ class _RowCountingPose:
 class TestNeedsNewParticleSet:
     def test_no_sets_means_register(self, cam):
         normals = cone_normals(BBox(10, 10, 50, 50).corners_clockwise(), cam)
-        assert needs_new_particle_set([], normals, PoseSE3.identity()) == []
+        assert needs_new_particle_set([], normals, identity_pose()) == []
 
     def test_same_cone_static_camera_matches(self, cam):
         rng = np.random.default_rng(6)
         corners = BBox(200, 150, 420, 330).corners_clockwise()
-        ps = generate_particles(corners, PoseSE3.identity(), cam, LCFG, rng,
+        ps = generate_particles(corners, identity_pose(), cam, LCFG, rng,
                                 max_depth=MAX_DEPTH)
         normals = cone_normals(corners, cam)
-        matched = needs_new_particle_set([ps], normals, PoseSE3.identity())
+        matched = needs_new_particle_set([ps], normals, identity_pose())
         assert matched == [ps]
 
     def test_behind_camera_set_not_matched(self, cam):
         rng = np.random.default_rng(7)
         corners = BBox(200, 150, 420, 330).corners_clockwise()
-        front = generate_particles(corners, PoseSE3.identity(), cam, LCFG, rng,
+        front = generate_particles(corners, identity_pose(), cam, LCFG, rng,
                                    max_depth=MAX_DEPTH)
         behind = cloud(-front.points)
         normals = cone_normals(corners, cam)
-        matched = needs_new_particle_set([front, behind], normals, PoseSE3.identity())
+        matched = needs_new_particle_set([front, behind], normals, identity_pose())
         assert matched == [front]
 
     @settings(max_examples=20, deadline=None)
@@ -400,7 +400,7 @@ class TestUpdateParticles:
         rng = np.random.default_rng(13)
         ps = cloud(rng.normal([0, 0, 5], 0.1, size=(500, 3)))
         far_box = BBox(0, 0, 4, 4)  # projected cloud is at the principal point
-        res = update_particles(ps, far_box, PoseSE3.identity(), cam, LCFG, rng)
+        res = update_particles(ps, far_box, identity_pose(), cam, LCFG, rng)
         assert res.starved
         assert res.particles is ps
 
@@ -408,7 +408,7 @@ class TestUpdateParticles:
         rng = np.random.default_rng(14)
         ps = cloud(rng.normal([0, 0, -5], 0.1, size=(500, 3)))
         box = BBox(300, 220, 340, 260)
-        res = update_particles(ps, box, PoseSE3.identity(), cam, LCFG, rng)
+        res = update_particles(ps, box, identity_pose(), cam, LCFG, rng)
         assert res.starved
 
     def test_zero_noise_whole_image_uniform_is_permutation(self, cam):
@@ -420,19 +420,19 @@ class TestUpdateParticles:
         pts = rng.normal([0, 0, 10], 0.5, size=(500, 3))
         ps = cloud(pts)
         box = BBox(1.0, 1.0, cam.width - 1.0, cam.height - 1.0)
-        res = update_particles(ps, box, PoseSE3.identity(), cam, cfg, rng)
+        res = update_particles(ps, box, identity_pose(), cam, cfg, rng)
         assert not res.starved
         assert np.abs(res.particles.points.mean(axis=0) - pts.mean(axis=0)).max() < 1e-9
 
     def test_count_and_finiteness_preserved(self, cam):
         rng = np.random.default_rng(16)
         corners = BBox(250, 190, 390, 290).corners_clockwise()
-        ps = generate_particles(corners, PoseSE3.identity(), cam, LCFG, rng,
+        ps = generate_particles(corners, identity_pose(), cam, LCFG, rng,
                                 max_depth=MAX_DEPTH)
         for _ in range(10):
             box = BBox(250 + rng.uniform(-20, 20), 190 + rng.uniform(-20, 20),
                        390 + rng.uniform(-20, 20), 290 + rng.uniform(-20, 20))
-            res = update_particles(ps, box, PoseSE3.identity(), cam, LCFG, rng)
+            res = update_particles(ps, box, identity_pose(), cam, LCFG, rng)
             ps = res.particles
             assert ps.points.shape == (LCFG.n_particles, 3)
             assert np.all(np.isfinite(ps.points))

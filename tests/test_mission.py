@@ -312,6 +312,15 @@ CUT_SHORT_REPORTS = {
 
 ONE_TARGET_100K_REPORT = "54f71725543a371ff32d2636dd7d1a76077872025da11ea5dfbf7624823d14be"
 
+# the one-target mission cut at 80 s with particle dumps: its target is still
+# in MAP, so it has no coverage entry yet and a `final` snapshot of a live cloud
+CUT_SHORT_RUN_DIRECTORY = {
+    "report.json": "721fa7c55742058fbe290391c1090c2af430a5a64d4546fc3ad8896e2f9be929",
+    "coverage.json": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    "particles/*.json":
+        "ceb179f32d7e50920bcf289f833453435fc44e1d5ed27997c91530c31cd2cc81",
+}
+
 
 def _digest(out, pattern):
     sha = hashlib.sha256()
@@ -347,6 +356,42 @@ class TestGoldenDigests:
         report = run_scenario(cfg, out_dir=tmp_path)
         assert report.transitions[-1]["to"] == mode
         assert _digest(tmp_path, "report.json") == digest
+
+    def test_cut_short_run_directory_digest(self, tmp_path):
+        cfg = default_scenario(1, seed=3)
+        cfg.mission.max_sim_time = 80.0
+        report = MissionRunner(cfg, out_dir=tmp_path, dump_particles=True).run()
+        assert report.transitions[-1]["to"] == "map"
+        digests = {name: _digest(tmp_path, name) for name in CUT_SHORT_RUN_DIRECTORY}
+        assert digests == CUT_SHORT_RUN_DIRECTORY
+
+
+class TestReportAgreesWithLogs:
+    @pytest.mark.parametrize("run", ["two_target_run", "failure_run"])
+    def test_each_finished_target_has_one_snapshot_and_one_entry(self, run, request):
+        _, report, out = request.getfixturevalue(run)
+        ids = [t.target_id for t in report.targets]
+        assert len(ids) == len(set(ids))
+        finished = {t.target_id: t.status for t in report.targets
+                    if t.status in ("done", "failed")}
+        assert finished
+        snapshots = {}  # target id -> [(frame, tag, recorded status)]
+        for path in out.glob("particles/*.json"):
+            tag = path.stem.split("_", 2)[2]
+            if tag in ("done", "failed"):
+                data = json.loads(path.read_text())
+                snapshots.setdefault(data["target_id"], []).append(
+                    (data["frame"], tag, data["status"]))
+        assert sorted(snapshots) == sorted(finished)
+        for target_id, status in finished.items():
+            [(_, tag, recorded)] = snapshots[target_id]
+            assert tag == status
+            # a done cloud is snapshot as it converged; a failed one as failed
+            assert recorded == {"done": "converged", "failed": "failed"}[status]
+        done_in_order = sorted((snapshots[i][0][0], i)
+                               for i, status in finished.items() if status == "done")
+        coverage = json.loads((out / "coverage.json").read_text())
+        assert [c["target_id"] for c in coverage] == [i for _, i in done_in_order]
 
 
 class TestCrowdedFinePhase:
@@ -457,8 +502,9 @@ class TestCloudStatistics:
         monkeypatch.setattr(mission, "TargetHypothesis", tracking)
         runner = MissionRunner(default_scenario(1, seed=3))
         runner.run()
-        kept = runner.hypotheses + runner.failed + [h for h, _ in runner.done]
-        assert runner.done and {id(h) for h in kept} <= {id(h) for h in made}
+        kept = runner.hypotheses + [h for h, _ in runner.finished]
+        assert any(entry.status == "done" for _, entry in runner.finished)
+        assert {id(h) for h in kept} <= {id(h) for h in made}
         # every registration and every accepted update is one new particle set
         per_set = sum(len(h.history) for h in made)
         assert per_set == len(made) + sum(h.updates for h in made)
@@ -530,8 +576,8 @@ def lean_path_mission():
     corner_boxes, entropy, step = (simulator.corner_boxes, bbox_tracker.bbox_entropy,
                                    bbox_tracker.TrackerState.step)
 
-    def counting_corner_boxes(pix, depth, corner_rows):
-        boxes = corner_boxes(pix, depth, corner_rows)
+    def counting_corner_boxes(pix, depth, corner_rows, cam):
+        boxes = corner_boxes(pix, depth, corner_rows, cam)
         counts["corner_box"] += [runner.frame] * len(boxes)  # one entry per box made
         return boxes
 
@@ -724,13 +770,14 @@ class TestFailurePaths:
 
     def test_failed_hypothesis_leaves_the_live_list(self, failure_run):
         runner, report, _ = failure_run
-        assert runner.failed
-        for hyp in runner.failed:
+        retired = [h for h, entry in runner.finished if entry.status == "failed"]
+        assert retired
+        for hyp in retired:
             assert hyp.status == "failed"
-            assert sum(h is hyp for h in runner.failed) == 1
+            assert sum(h is hyp for h, _ in runner.finished) == 1
             assert not any(h is hyp for h in runner.hypotheses)
         failed = [t.target_id for t in report.targets if t.status == "failed"]
-        assert sorted(h.target_id for h in runner.failed) == failed
+        assert sorted(h.target_id for h in retired) == failed
 
 
 class TestRunDirectoryReuse:

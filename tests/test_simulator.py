@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conescan.geometry import PoseSE3, camera_to_world_pose, project_points, wrap_angle
+from conescan.geometry import BBox, PoseSE3, camera_to_world_pose, project_points, wrap_angle
 from conescan.simulator import (
     DetectionDelay,
     NoiseModel,
@@ -20,7 +20,7 @@ from conescan.simulator import (
 )
 from conescan.view_planner import Waypoint
 
-from conftest import project_truth, random_pose, scale_and_angle
+from conftest import identity_pose, project_truth, random_pose, scale_and_angle
 
 
 def reference_visible(pix, depth, cam):
@@ -225,12 +225,15 @@ class TestTruthPoints:
                 # the frame's one mask gives each target visible() of its rows
                 assert np.array_equal(proj.visible,
                                       reference_visible(proj.pix, proj.depth, cam))
-        # one box per target, the min / max of its corners, from one gather
+        # one box per target, the min / max of its corners, from one gather;
+        # none when a corner is behind, the box misses the image or has no area
         for tg, proj in zip(targets, curr):
             corners, depth = proj.pix[1:9], proj.depth[1:9]
-            expected = None if (depth <= 0).any() else (
-                corners[:, 0].min(), corners[:, 1].min(),
-                corners[:, 0].max(), corners[:, 1].max())
+            u0, v0, u1, v1 = (corners[:, 0].min(), corners[:, 1].min(),
+                              corners[:, 0].max(), corners[:, 1].max())
+            seen = (not (depth <= 0).any() and u1 > 0 and v1 > 0
+                    and u0 < cam.width and v0 < cam.height and u0 < u1 and v0 < v1)
+            expected = BBox(u0, v0, u1, v1) if seen else None
             assert proj.box == expected
         # and with every other target, the KLT pair of the reference arithmetic
         for a, b in zip(prev, curr):
@@ -245,7 +248,7 @@ class TestTruthPoints:
     def test_no_targets_project_no_rows(self, cam):
         truth = TruthPoints([])
         assert truth.points.shape == (0, 3)
-        assert truth.split(*project_points(truth.points, PoseSE3.identity(), cam), cam) == []
+        assert truth.split(*project_points(truth.points, identity_pose(), cam), cam) == []
 
     def test_points_and_corners_are_read_only(self):
         tg = make_target(0, [1.0, 2.0, 0.5], [0.5, 0.4, 0.5], 6, np.random.default_rng(0))
