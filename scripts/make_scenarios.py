@@ -14,6 +14,9 @@ SCENARIOS = {
     "one_target.json": default_scenario(1, seed=3),
     "two_targets.json": default_scenario(2, seed=7),
     "empty.json": default_scenario(0, seed=1),
+    # the multi-target profile: conescan sweep scenarios/four_targets.json --seeds 1..6
+    "three_targets.json": default_scenario(3, seed=3),
+    "four_targets.json": default_scenario(4, seed=3),
 }
 
 

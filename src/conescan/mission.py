@@ -339,7 +339,8 @@ class MissionRunner:
         self.active = hyp
 
     def _current_waypoint(self) -> Waypoint:
-        return Waypoint(self.follower.position.copy(), self.follower.yaw)
+        """Where a path planned now starts: the follower first brakes to rest."""
+        return Waypoint(self.follower.rest_position, self.follower.yaw)
 
     # ------------------------------------------------------------- perception
 
@@ -498,7 +499,8 @@ class MissionRunner:
         plan = scan_circles(cylinder, self.cam, pcfg.standoff, pcfg.n_per_circle)
         samples, covered = coverage_samples(plan, self.cam, cylinder,
                                             pcfg.n_surface_samples)
-        path = mapping_path(plan, self.follower.position)
+        start = self._current_waypoint()
+        path = mapping_path(plan, start.position)
         payload = {
             "target_id": hyp.target_id,
             "circle_altitudes": [float(c.center[2]) for c in plan.circles],
@@ -510,7 +512,7 @@ class MissionRunner:
                          arc_fraction)
         self._transition(MAP, hyp, arc_fraction=arc_fraction)
         self.follower.set_path(path)
-        self.log.plan(MAP, [self._current_waypoint()] + path)
+        self.log.plan(MAP, [start] + path)
 
     def _retire(self, status, coverage=None, arc_fraction=None):
         """Take the active hypothesis out of the live list as done or failed,
@@ -524,8 +526,8 @@ class MissionRunner:
     def _resume_search(self):
         self._transition(SEARCH, resume_index=self.resume_index)
         remaining = self.search_path[self.resume_index:]
-        self.follower.set_path(remaining)
         self.log.plan(SEARCH, [self._current_waypoint()] + list(remaining))
+        self.follower.set_path(remaining)
 
     def _step_modes(self):
         if self.mode == SEARCH:

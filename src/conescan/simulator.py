@@ -172,10 +172,20 @@ class DetectionDelay:
         return []
 
 
-class _Leg:
-    """Analytic trapezoidal move between two poses, yaw slewed at bounded rate."""
+# A waypoint where the path turns by less than this is passed at speed: a fine
+# arc turns 15 degrees per waypoint and an orbit 10, a survey corner 90.
+PASS_THROUGH_TURN = math.radians(30.0)
 
-    def __init__(self, p0, yaw0, p1, yaw1, v0, v_max, a_max, yaw_rate, counts_waypoint):
+
+class _Leg:
+    """Analytic trapezoidal move between two poses, yaw slewed at bounded rate.
+
+    `profile` sets the speeds: the move starts at v0 and ends at v1, each
+    capped at v_max, and v1 is lowered to what accelerating over the whole
+    leg reaches, so the next leg can start at this leg's v1.
+    """
+
+    def __init__(self, p0, yaw0, p1, yaw1, yaw_rate, counts_waypoint):
         self.p0 = np.asarray(p0, dtype=float)
         self.p1 = np.asarray(p1, dtype=float)
         self.yaw0 = yaw0
@@ -184,27 +194,33 @@ class _Leg:
         self.direction = (
             (self.p1 - self.p0) / self.length if self.length > 0 else np.zeros(3)
         )
+        self.t_yaw = abs(self.dyaw) / yaw_rate
+        self.yaw_rate = yaw_rate
+        self.counts_waypoint = counts_waypoint  # reaching its end reaches a waypoint
+
+    def profile(self, v0, v1, v_max, a_max):
+        """Time the move from speed v0 to speed v1; returns the leg."""
         self.a = a_max
         self.v0 = min(v0, v_max)
         if self.length > 0:
-            # accelerate from v0, cruise at v_peak, decelerate to rest
-            v_peak = min(v_max, math.sqrt(self.a * self.length + 0.5 * self.v0**2))
-            v_peak = max(v_peak, self.v0)
+            self.v1 = min(v1, v_max, math.sqrt(self.v0**2 + 2.0 * self.a * self.length))
+            # accelerate from v0, cruise at v_peak, decelerate to v1
+            v_peak = min(v_max, math.sqrt(self.a * self.length
+                                          + 0.5 * (self.v0**2 + self.v1**2)))
+            v_peak = max(v_peak, self.v0, self.v1)
             self.t_acc = (v_peak - self.v0) / self.a
             d_acc = self.v0 * self.t_acc + 0.5 * self.a * self.t_acc**2
-            self.t_dec = v_peak / self.a
-            d_dec = 0.5 * self.a * self.t_dec**2
+            self.t_dec = (v_peak - self.v1) / self.a
+            d_dec = self.v1 * self.t_dec + 0.5 * self.a * self.t_dec**2
             d_cruise = max(0.0, self.length - d_acc - d_dec)
             self.t_cruise = d_cruise / v_peak
             self.v_peak = v_peak
             self.t_move = self.t_acc + self.t_cruise + self.t_dec
         else:
-            self.v_peak = 0.0
+            self.v1 = self.v_peak = 0.0
             self.t_acc = self.t_cruise = self.t_dec = self.t_move = 0.0
-        self.t_yaw = abs(self.dyaw) / yaw_rate
         self.duration = max(self.t_move, self.t_yaw)
-        self.yaw_rate = yaw_rate
-        self.counts_waypoint = counts_waypoint  # reaching its end reaches a waypoint
+        return self
 
     def sample(self, t: float):
         """Position, yaw and speed at leg time t (clamped to the duration)."""
@@ -221,10 +237,10 @@ class _Leg:
             speed = self.v_peak
         else:
             remaining = self.t_move - tm
-            dist = self.length - 0.5 * self.a * remaining**2
-            speed = self.a * remaining
+            dist = self.length - (self.v1 * remaining + 0.5 * self.a * remaining**2)
+            speed = self.v1 + self.a * remaining
         if tm >= self.t_move:
-            dist, speed = self.length, 0.0
+            dist, speed = self.length, self.v1
         ty = min(t, self.t_yaw)
         yaw = self.yaw0 + math.copysign(self.yaw_rate * ty, self.dyaw)
         if ty >= self.t_yaw:
@@ -233,7 +249,13 @@ class _Leg:
 
 
 class WaypointFollower:
-    """Deterministic waypoint playback under velocity/acceleration limits."""
+    """Deterministic waypoint playback under velocity/acceleration limits.
+
+    A waypoint where the path turns by less than `PASS_THROUGH_TURN` is passed
+    at up to cruise speed, and the next leg starts at that speed. Corners, a
+    path's last waypoint and both ends of a yaw-bound leg, one whose yaw slew
+    outlasts its length flown at v_max, are reached at rest.
+    """
 
     def __init__(self, position, yaw, v_max: float, a_max: float, yaw_rate: float = 1.5):
         if v_max <= 0 or a_max <= 0 or yaw_rate <= 0:
@@ -256,30 +278,72 @@ class WaypointFollower:
     def waypoints_reached(self) -> int:
         return self._reached
 
+    @property
+    def rest_position(self) -> np.ndarray:
+        """Where braking along the legs being flown comes to rest, which is
+        where a path set now starts."""
+        return self._brake()[1].copy()
+
+    def _brake(self):
+        """The legs that brake from the current speed to rest along the legs
+        being flown, at the current yaw, and the point where they stop; no
+        legs at rest. No pass-through is faster than the legs after it can
+        brake from, so the stop comes before their end."""
+        speed = float(np.linalg.norm(self.velocity))
+        pos, brake = self.position, []
+        for leg in self._legs:
+            if speed <= 1e-9:
+                break
+            left = float(np.linalg.norm(leg.p1 - pos))
+            need = speed**2 / (2.0 * self.a_max)
+            if need < left or leg.v1 == 0:
+                end, v_end = pos + leg.direction * min(need, left), 0.0
+            else:  # through the waypoint that ends this leg
+                end, v_end = leg.p1, math.sqrt(speed**2 - 2.0 * self.a_max * left)
+            part = _Leg(pos, self.yaw, end, self.yaw, self.yaw_rate,
+                        counts_waypoint=False)
+            if part.length > 0:
+                brake.append(part.profile(speed, v_end, self.v_max, self.a_max))
+            pos, speed = end, v_end
+        return brake, pos
+
     def set_path(self, waypoints):
-        """Replace the goal queue; a moving vehicle first brakes to rest."""
-        self._legs = []
+        """Replace the goal queue; a moving vehicle first brakes to rest along
+        the legs it is flying, and the new path starts from rest there."""
+        self._legs, pos = self._brake()
         self._leg_t = 0.0
         self._reached = 0
-        pos, yaw = self.position.copy(), self.yaw
-        speed = float(np.linalg.norm(self.velocity))
+        yaw = self.yaw
         # zero-duration legs are never kept, so `done` flips promptly
-        if speed > 1e-9:
-            heading = self.velocity / speed
-            brake = pos + heading * speed**2 / (2.0 * self.a_max)
-            leg = _Leg(pos, yaw, brake, yaw, speed, self.v_max, self.a_max,
-                       self.yaw_rate, counts_waypoint=False)
-            if leg.duration > 0:
-                self._legs.append(leg)
-            pos = brake
+        legs = []
         for wp in waypoints:
-            leg = _Leg(pos, yaw, wp.position, wp.yaw, 0.0, self.v_max,
-                       self.a_max, self.yaw_rate, counts_waypoint=True)
-            if leg.duration > 0:
-                self._legs.append(leg)
+            leg = _Leg(pos, yaw, wp.position, wp.yaw, self.yaw_rate, counts_waypoint=True)
+            if leg.length > 0 or leg.t_yaw > 0:
+                legs.append(leg)
             else:
                 self._reached += 1  # already there
             pos, yaw = wp.position, wp.yaw
+        v0 = 0.0
+        for leg, v1 in zip(legs, self._end_speeds(legs)):
+            v0 = leg.profile(v0, v1, self.v_max, self.a_max).v1
+        self._legs += legs
+
+    def _end_speeds(self, legs) -> list:
+        """Each leg's end speed: v_max where the path turns by less than
+        PASS_THROUGH_TURN and neither leg meeting there is yaw-bound, else 0;
+        then lowered, from the last leg back, to what the next leg can brake
+        from over its length."""
+        def yaw_bound(leg):
+            return leg.t_yaw > leg.length / self.v_max
+
+        cos_cutoff = math.cos(PASS_THROUGH_TURN)
+        ends = [self.v_max if (float(leg.direction @ nxt.direction) > cos_cutoff
+                               and not yaw_bound(leg) and not yaw_bound(nxt)) else 0.0
+                for leg, nxt in zip(legs, legs[1:])] + [0.0]
+        for k in range(len(legs) - 2, -1, -1):
+            ends[k] = min(ends[k], math.sqrt(ends[k + 1]**2
+                                             + 2.0 * self.a_max * legs[k + 1].length))
+        return ends
 
     def step(self, dt: float):
         """Advance sim time by dt; returns (position, yaw, velocity)."""
@@ -297,7 +361,6 @@ class WaypointFollower:
                 self._leg_t = 0.0
                 if leg.counts_waypoint:
                     self._reached += 1
-                self.velocity = np.zeros(3)
         return self.position.copy(), self.yaw, self.velocity.copy()
 
 

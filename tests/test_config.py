@@ -49,6 +49,7 @@ class TestRoundTrip:
 class TestStockScenarios:
     @pytest.mark.parametrize("name, n_targets, seed", [
         ("one_target.json", 1, 3), ("two_targets.json", 2, 7), ("empty.json", 0, 1),
+        ("three_targets.json", 3, 3), ("four_targets.json", 4, 3),
     ])
     def test_file_matches_generator(self, name, n_targets, seed):
         # scripts/make_scenarios.py writes these; a config change regenerates them

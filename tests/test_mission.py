@@ -258,67 +258,67 @@ class TestMultiLegSurvey:
 # updates its digest and says why.
 GOLDEN_DIGESTS = {
     "one_target_run": {
-        "report.json": "dea2dd1118802f2dc7b8b8140f1d5b8494f8eaa4b9fe3e195582b588995eafb1",
-        "path.csv": "ddca79ab9520dae772583349016c26158bbd972f4e8ea71cf6a22559cb4da3fc",
+        "report.json": "669a6a13cd4ec73d6f293036e350f8aa023afa6938486be56a382d6b8d678e48",
+        "path.csv": "3946ca763ba15c88501b1b43c7fba5bfd904e8034755b49137aaa4cd4dfd19fa",
         "planned_path.csv":
-            "0864710a9ad3be5842ad52b5392ced7568e73462d5f7fd1bb7d8bf49ece97c1c",
-        "metrics.csv": "c6c7bdefd737b3702cad699610bfda7572727067504ff8bc1af66937070ef6de",
-        "coverage.json": "63006bdefdf803eb977b68bb6f685d143d8b34850f811e50723d6f2cb92e0896",
-        "tracks.csv": "8d5e97863b0801cba910bf8e40dc10c98124b3f9e90dbc50ee5b82abad959685",
+            "0c12ed7b1ea959a3202520da9072d9a14eb03629064779b8fd0cfcf8f5a2c7ca",
+        "metrics.csv": "fb8a57ca45290a4b9c5b9df767da15ccbf085cecda761cd3daf21f4cf43e119c",
+        "coverage.json": "bea0cd7c73db7e5e5a5c00f2160e7bdb10d99bde7adeed05ea94d6a303f4f16f",
+        "tracks.csv": "ce21e23344b1fa5e67559c6aeff026bdc79d50ba842cc8953256b492067cbea1",
         "particles/*.json":
-            "0aa998e085fc87fd8253e89a120f6cbf21b9f96525f7b5f8af99a84ca67591d2",
+            "293411cd34e401318b3b3e00ed305ba93c65d8b2370ce9f5892368cbcebf5eb7",
     },
     "two_target_run": {
-        "report.json": "1478525f1eec31ea17e3628708e3c4f97c20f7c8aac19140ac3260df648ce6a8",
-        "path.csv": "903640f7403554a0c5f34b99dcfdb9736f321031dbfd592816c5101eec86c5d7",
+        "report.json": "3d97c24d4f4e5c4c882271f8eb3f3c9ed9271d0049a33baecbb170ac62cc2ac6",
+        "path.csv": "3e39699cb948456562526342193a66ee6fa95a6f6debb077bc9a729a739e802c",
         "planned_path.csv":
-            "5fad3e5115e1daa66a68ff0c3b6ef8bc7f66007cce970fe340b253fbec052365",
-        "metrics.csv": "6bcb73721c0c46ff2a7237359439c6d46040dce5ac5517a249e5c4a2ba5bb26e",
-        "coverage.json": "c0cba163c975eaac36298ce85e6b4d7eabdb5cc899283b2999909f7d036e3a61",
-        "tracks.csv": "3afedfbbca79b98a97f37934748dd1eeed25d3bb8c9c5cf74f0e9be83c091af4",
+            "fab2832735e75ae888179e8e4805a7ada9bd72d3868768d5b054fab30f12d8bc",
+        "metrics.csv": "f4c155e647efa6f978ca6e2c1ed9e174f3b0fb637be281c0804bd88ecbd95562",
+        "coverage.json": "bfbb438867600e0bf7f7d5ca8eea6fe757d00370261b5402a8656c39b102d8d7",
+        "tracks.csv": "8b862fb20ed384de860ba87651e6764f5924c25ea82d557659894b07d1992555",
         "particles/*.json":
-            "b3628a2b71f3a295f082be385ff2fda849ef198b270ae34fab18c9def412dbf8",
+            "d56efdda92533dcfa3958b21955922875adcb6d9353823178983c29206e6bbfb",
     },
     # failed hypotheses and `final` snapshots, which the stock missions lack
     "failure_run": {
-        "report.json": "791ea5577241478c8b7a43208c6337bc1da33619ba75b1518d7c21f12de3216f",
+        "report.json": "c9ac781eb8e1ee38ca36e613671ff8405186f66dfae5f414db84a8267208ea97",
         "particles/*.json":
-            "8bee766ff0b6fa2d88702d61b537a2d753bfeb5ffcc3ee99f98db97706cab8f8",
+            "f49678d0f2f6c8419aee7fcdcf57cac69ce89e8b74142644d3f544f92bf9e02d",
     },
     # fine phases with a second live hypothesis, which no other digested
     # mission has; recorded while every fine-phase box still tested every cloud
     "crowded_fine_run": {
-        "report.json": "114bdc8fc719666cdbe910c4116bde2e761e0b1fbd0f4f30867c07079e0e035a",
-        "path.csv": "4ad054e7ed261cc3ac13b8f7ebde91d64701e0ada0d727d7b09aea5dc5178b59",
+        "report.json": "3c9394af3cc6e6c0e628cb160a770d5c0050f62e23a45392f3b1a77707f1a07f",
+        "path.csv": "05fe35bbfcd1594f2c6a6258b09d37985f1d8bd049ed582a5d4e36f6f803c81b",
         "planned_path.csv":
-            "29e3527a832f6d1a0f59eba5a3f764ab398a42ad050b89b7b44a2d0c29a61010",
-        "metrics.csv": "f15b6c4fa984b0f72c1b488f751478c6893b2c32a33b7898609efab025b9d703",
-        "tracks.csv": "cc1471bcadfdd113092c6962087909cdef8fec6d6fa1b14721c69bbc00d6d175",
+            "fe669d4e105ed717383264f67f374ff1607eca4cfd4c7230da138dd08b8566b8",
+        "metrics.csv": "ae850397033a0d7592a5d46648fdad45390b3af67b57c839bac0fc08e0fc30bd",
+        "tracks.csv": "81f225f6cea875fefa76779eeca60965615b3c540c5f2eebb1cc47f9c0fe8ae1",
     },
     # a bank of tens of tracks fed mostly by false positives
     "fp_heavy_run": {
-        "report.json": "4b675b3b83e08f229d1854b1265dcf0fa21e16da45d8804bccff357142f9a7a8",
-        "tracks.csv": "a85dbb7da2dc8fa70db22ac353de4ce3898552a4d7c91f2e7ada88583c001cc0",
+        "report.json": "b2d9a41dca11944eef37313135900f3ddc57871883d362bd2692207f49aec62e",
+        "tracks.csv": "195df4fc3d0096bce210805763f11904a4d8443614b3d3cc938fddc8f1f3fddf",
     },
 }
 
-# the one-target mission cut while it maps (80 s) and while it fine-localizes
+# the one-target mission cut while it maps (60 s) and while it fine-localizes
 # (30 s), end states that no other digested mission reaches
 CUT_SHORT_REPORTS = {
-    80.0: ("map", "721fa7c55742058fbe290391c1090c2af430a5a64d4546fc3ad8896e2f9be929"),
+    60.0: ("map", "1e72bc75b69f39059791da735d586e3f0f28592f8fd71c13b64dda12335470d5"),
     30.0: ("fine_localize",
-           "c4c7869d96b5619ef7a00d55b9bd5f9790ea7065dce182d93ea95d158f0b9571"),
+           "942f50b1b76288066b33c670de968dac701631a2f0327ed7d79ee1a1adb25a4b"),
 }
 
-ONE_TARGET_100K_REPORT = "54f71725543a371ff32d2636dd7d1a76077872025da11ea5dfbf7624823d14be"
+ONE_TARGET_100K_REPORT = "1814f64dbdd3be7ad0683539564597354845aa59ef008d856d02571fcc882a59"
 
-# the one-target mission cut at 80 s with particle dumps: its target is still
+# the one-target mission cut at 60 s with particle dumps: its target is still
 # in MAP, so it has no coverage entry yet and a `final` snapshot of a live cloud
 CUT_SHORT_RUN_DIRECTORY = {
-    "report.json": "721fa7c55742058fbe290391c1090c2af430a5a64d4546fc3ad8896e2f9be929",
+    "report.json": "1e72bc75b69f39059791da735d586e3f0f28592f8fd71c13b64dda12335470d5",
     "coverage.json": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
     "particles/*.json":
-        "ceb179f32d7e50920bcf289f833453435fc44e1d5ed27997c91530c31cd2cc81",
+        "6ba3a946cecdd1562d3bc2305f59eda4a94abd0799a1a1ade445471a220a30b2",
 }
 
 
@@ -359,7 +359,7 @@ class TestGoldenDigests:
 
     def test_cut_short_run_directory_digest(self, tmp_path):
         cfg = default_scenario(1, seed=3)
-        cfg.mission.max_sim_time = 80.0
+        cfg.mission.max_sim_time = 60.0
         report = MissionRunner(cfg, out_dir=tmp_path, dump_particles=True).run()
         assert report.transitions[-1]["to"] == "map"
         digests = {name: _digest(tmp_path, name) for name in CUT_SHORT_RUN_DIRECTORY}
@@ -397,7 +397,7 @@ class TestReportAgreesWithLogs:
 class TestCrowdedFinePhase:
     def test_fine_phases_run_beside_another_hypothesis(self, crowded_fine_run):
         crowded, report, _ = crowded_fine_run
-        assert len(crowded) == 456
+        assert len(crowded) == 331
         assert report.targets_found == report.targets_total == 2
 
 
@@ -604,7 +604,7 @@ def lean_path_mission():
 class TestLeanTrackerPath:
     def test_live_tracks_in_id_order_every_frame(self, lean_path_mission):
         runner, counts = lean_path_mission
-        assert runner.frame == 2671
+        assert runner.frame == 1734
         assert counts["unordered_frames"] == []
 
     def test_one_corner_box_per_target_per_frame(self, lean_path_mission):
@@ -666,7 +666,7 @@ class TestTrackLog:
 
         monkeypatch.setattr(mission, "_fmt", refuse)
         cfg = default_scenario(1, seed=3)
-        cfg.mission.max_sim_time = 40.0  # registers, updates and starts a fine arc
+        cfg.mission.max_sim_time = 30.0  # registers, updates and starts a fine arc
         report = MissionRunner(cfg).run()
         assert report.transitions[-1]["to"] == "fine_localize"
         with pytest.raises(RuntimeError, match="row formatted"):

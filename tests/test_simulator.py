@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conescan.geometry import BBox, PoseSE3, camera_to_world_pose, project_points, wrap_angle
 from conescan.simulator import (
+    PASS_THROUGH_TURN,
     DetectionDelay,
     NoiseModel,
     TargetTruth,
@@ -95,6 +96,40 @@ def fly(waypoints, v_max=1.0, a_max=1.0, dt=0.1, yaw_rate=1.5):
     return ticks
 
 
+def turning_path(turn, n=6, side=1.0):
+    """n legs of `side` metres from the origin along +x, turning left by `turn`
+    at each waypoint; each waypoint's yaw is the heading of the leg to it."""
+    pos, heading, wps = np.zeros(3), 0.0, []
+    for _ in range(n):
+        pos = pos + side * np.array([math.cos(heading), math.sin(heading), 0.0])
+        wps.append(Waypoint(pos, heading))
+        heading += turn
+    return wps
+
+
+def speeds_on_reaching(waypoints, dt=0.1):
+    """Speed at the end of each tick in which a waypoint is reached, flying
+    from rest at the origin with v_max = a_max = 1."""
+    follower = WaypointFollower(np.zeros(3), 0.0, 1.0, 1.0)
+    follower.set_path(waypoints)
+    speeds = []
+    while not follower.done:
+        seen = follower.waypoints_reached
+        _, _, velocity = follower.step(dt)
+        speeds += [float(np.linalg.norm(velocity))] * (follower.waypoints_reached - seen)
+    assert follower.waypoints_reached == len(waypoints)
+    return speeds
+
+
+def distance_to_polyline(p, points) -> float:
+    best = math.inf
+    for a, b in zip(points, points[1:]):
+        ab = b - a
+        t = float(np.clip((p - a) @ ab / (ab @ ab), 0.0, 1.0))
+        best = min(best, float(np.linalg.norm(p - (a + t * ab))))
+    return best
+
+
 class TestWaypointFollower:
     def test_ten_meter_trapezoid_takes_eleven_seconds(self):
         # 1 s accelerate + 9 s cruise + 1 s decelerate
@@ -153,6 +188,78 @@ class TestWaypointFollower:
             assert np.linalg.norm(v - prev_v) <= 1.0 * 0.1 + 1e-9
             assert np.linalg.norm(v) <= 1.0 + 1e-9
             prev_v = v
+
+    @pytest.mark.parametrize("turn_deg", [10.0, 15.0, 29.0])
+    def test_shallow_turn_waypoints_passed_at_speed(self, turn_deg):
+        # an orbit turns 10 degrees per waypoint and a fine arc 15
+        speeds = speeds_on_reaching(turning_path(math.radians(turn_deg)))
+        assert min(speeds[:-1]) > 0.5
+        assert speeds[-1] == 0.0
+
+    @pytest.mark.parametrize("waypoints, passed", [
+        # a 90 degree corner, then the last waypoint
+        ([Waypoint([3, 0, 0], 0.0), Waypoint([3, 3, 0], 0.0)], []),
+        # the middle leg slews yaw by 3 rad (2 s) over 1 m (1 s at v_max):
+        # both of its ends are stops, though the path turns by under 6 degrees
+        ([Waypoint([2, 0, 0], 0.0), Waypoint([3, 0.1, 0], 3.0),
+          Waypoint([5, 0.2, 0], 3.0)], []),
+        # the same path without the slew is flown through
+        ([Waypoint([2, 0, 0], 0.0), Waypoint([3, 0.1, 0], 0.0),
+          Waypoint([5, 0.2, 0], 0.0)], [0, 1]),
+    ])
+    def test_corners_last_waypoint_and_yaw_bound_legs_end_at_rest(self, waypoints, passed):
+        # a leg ending at rest leaves a tick at most a_max * dt of acceleration
+        for i, speed in enumerate(speeds_on_reaching(waypoints)):
+            if i in passed:
+                assert speed > 0.5, i
+            else:
+                assert speed <= 0.1 + 1e-9, i
+
+    def test_end_speed_lowered_to_what_a_short_next_leg_brakes_from(self):
+        # a 5.7 degree turn onto a 0.2 m leg that ends at a corner: the
+        # waypoint is passed no faster than sqrt(2 a_max 0.2), not at cruise
+        short = math.hypot(0.2, 0.02)
+        wps = [Waypoint([5, 0, 0], 0.0), Waypoint([5.2, 0.02, 0], 0.0),
+               Waypoint([5.2, 3, 0], 0.0)]
+        speeds = speeds_on_reaching(wps)
+        assert 0.3 < speeds[0] <= math.sqrt(2.0 * short) + 1e-9
+        prev = np.zeros(3)
+        for position, _, _ in fly(wps):
+            assert np.linalg.norm(position - prev) <= 1.0 * 0.1 + 1e-9
+            prev = position
+
+    @pytest.mark.parametrize("turn_deg", [10.0, 15.0, 29.0])
+    def test_velocity_jump_at_a_pass_through_is_bounded(self, turn_deg):
+        # turning by theta at speed v changes the velocity by 2 v sin(theta / 2)
+        bound = 1.0 * 0.1 + 2.0 * 1.0 * math.sin(PASS_THROUGH_TURN / 2.0)
+        velocities = [np.zeros(3)] + [v for _, _, v in fly(turning_path(math.radians(turn_deg)))]
+        jumps = [np.linalg.norm(b - a) for a, b in zip(velocities, velocities[1:])]
+        assert 0.1 + 1e-9 < max(jumps) <= bound + 1e-9
+
+    def test_replan_while_passing_brakes_along_the_old_legs(self):
+        follower = WaypointFollower(np.zeros(3), 0.0, 1.0, 1.0)
+        old = turning_path(math.radians(15.0), n=8)
+        follower.set_path(old)
+        # at cruise 0.3 m before the third waypoint, so the 0.5 m stop lies past it
+        while not (follower.waypoints_reached == 2
+                   and np.linalg.norm(old[2].position - follower.position) < 0.3):
+            _, _, prev_v = follower.step(0.1)
+        assert np.linalg.norm(prev_v) == pytest.approx(1.0)
+        rest = follower.rest_position
+        new = [Waypoint([0, 5, 0], 0.0)]
+        follower.set_path(new)
+        assert distance_to_polyline(rest, [old[2].position, old[3].position]) < 1e-12
+        assert np.linalg.norm(rest - old[2].position) > 0.1
+        old_line = [np.zeros(3)] + [wp.position for wp in old]
+        new_line = [rest] + [wp.position for wp in new]
+        bound = 1.0 * 0.1 + 2.0 * 1.0 * math.sin(PASS_THROUGH_TURN / 2.0)
+        while not follower.done:
+            position, _, v = follower.step(0.1)
+            assert min(distance_to_polyline(position, old_line),
+                       distance_to_polyline(position, new_line)) < 1e-12
+            assert np.linalg.norm(v - prev_v) <= bound + 1e-9
+            prev_v = v
+        assert np.linalg.norm(follower.position - new[0].position) < 1e-9
 
 
 class TestDetectionDelay:
