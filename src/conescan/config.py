@@ -21,7 +21,7 @@ class ConfigError(ValueError):
 @dataclass
 class TargetSpec:
     center: tuple
-    half_extents: tuple = (0.5, 0.5, 0.4)
+    half_extents: tuple = (0.4, 0.4, 0.3)
     n_features: int = 30
 
 
@@ -48,7 +48,7 @@ class MissionConfig:
     # minimum camera motion between two resampling rounds of one hypothesis;
     # back-to-back updates from one viewpoint carry no depth information and
     # only bleed particle diversity
-    min_update_baseline: float = 0.75
+    min_update_baseline: float = 3.0
     fine_replan_distance: float = 1.0  # replan the circle when the center moves
     fine_max_laps: float = 2.0
     suppression_scale: float = 2.0  # times the fitted cylinder radius
@@ -252,33 +252,13 @@ def load(path) -> ScenarioConfig:
 
 
 def default_scenario(n_targets: int = 1, seed: int = 7) -> ScenarioConfig:
-    """Compact survey scenario used by the CLI examples and acceptance runs.
-
-    The localizer runs with a 0.1 m update-noise std here: at a 55 degree
-    camera depression the isotropic re-injected noise is the binding floor on
-    the vertical eigenvalue, and 0.2 m would keep the equilibrium above the
-    fine-convergence gate.
-    """
+    """The stock mission with its first n_targets stock targets: every other
+    value is its dataclass default; two or more targets widen the region."""
     spots = [(15.0, 5.5), (28.0, 4.5), (8.0, 6.0), (22.0, 7.0)]
     if not 0 <= n_targets <= len(spots):
         raise ValueError(f"n_targets must be in 0..{len(spots)}, got {n_targets}")
-    targets = [
-        TargetSpec(center=(x, y, 0.3), half_extents=(0.4, 0.4, 0.3), n_features=30)
-        for x, y in spots[:n_targets]
-    ]
-    cfg = ScenarioConfig(
+    return validate(ScenarioConfig(
         region=(0.0, 0.0, 36.0 if n_targets >= 2 else 30.0, 10.0),
-        search_altitude=12.0,
-        targets=targets,
+        targets=[TargetSpec(center=(x, y, 0.3)) for x, y in spots[:n_targets]],
         seed=seed,
-        localizer=LocalizerConfig(
-            update_noise_var=0.01,
-            lambda_fine=0.15,
-            # updates are taken 3 m apart, so each one genuinely moves a
-            # converged cloud; the per-update information gain settles around
-            # 0.02-0.05 nats rather than the near-zero of frame-rate updates
-            kl_converged=0.06,
-        ),
-    )
-    cfg.mission.min_update_baseline = 3.0
-    return validate(cfg)
+    ))

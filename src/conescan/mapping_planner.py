@@ -67,9 +67,7 @@ def fit_cylinder(ps: ParticleSet) -> Cylinder:
     )
 
 
-def scan_circles(
-    cyl: Cylinder, cam: CameraRig, standoff: float, n_per_circle: int = 36
-) -> ScanPlan:
+def scan_circles(cyl: Cylinder, cam: CameraRig, standoff: float, n_per_circle: int) -> ScanPlan:
     """Stack orbit circles so the scan bands tile the cylinder wall.
 
     Band geometry is evaluated at the near surface (horizontal distance =

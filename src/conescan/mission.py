@@ -115,9 +115,9 @@ class _RunLog:
     are set here and nowhere else. Without a run directory every writer is
     None and each row method, snapshot and write_json do nothing.
 
-    Building a log touches nothing on disk. open() deletes the directory's
-    previous particle snapshots and plot series and starts the CSV files;
-    the other files are rewritten.
+    Building a log touches nothing on disk. open() deletes what an earlier
+    run left in the directory, its particle snapshots, plot series and the
+    files it wrote at its end, and starts the CSV files.
     """
 
     def __init__(self, out_dir):
@@ -130,6 +130,9 @@ class _RunLog:
         if not self.dir:
             return
         shutil.rmtree(self.dir / "plots", ignore_errors=True)
+        # written at a run's end: a cut-short rerun must not leave the old ones
+        for name in ("coverage.json", "report.json", "config.json"):
+            (self.dir / name).unlink(missing_ok=True)
         for stale in (self.dir / "particles").glob("*.json"):
             stale.unlink()
         (self.dir / "particles").mkdir(parents=True, exist_ok=True)
@@ -397,12 +400,11 @@ class MissionRunner:
         lcfg = self.cfg.localizer
         cam_pos = est_c2w.translation
         if self.mode == FINE_LOCALIZE:
-            # while circling, a box can only update the circled target's cloud,
-            # so no other cloud is tested and a view without parallax builds no cone
-            candidates = [h for h in self.hypotheses
-                          if h is self.active and self._has_baseline(h, cam_pos)]
-            if not candidates:
+            # while circling, a box can only update the circled (always live)
+            # cloud, so no other is tested and a view without parallax builds no cone
+            if not self._has_baseline(self.active, cam_pos):
                 return
+            candidates = [self.active]
         else:
             # registration depends on whether any cloud matches
             candidates = self.hypotheses
@@ -595,9 +597,9 @@ class MissionRunner:
                 if track.id not in updated or track.hits < self.cfg.mission.confirm_hits:
                     continue
                 self._localize_from_track(track, est_c2w, est_w2c)
-            kept = drop_duplicates(self.hypotheses)
-            # a live hypothesis converging into a finished target's zone is a
-            # duplicate of that target, not a new one
+            # the circled hypothesis stays live until _retire; another one in a
+            # finished target's zone is a duplicate of that target, not a new one
+            kept = drop_duplicates(self.hypotheses, keep=self.active)
             self.hypotheses = [
                 h for h in kept
                 if h is self.active or not self._near_done_target(h.center)

@@ -257,7 +257,7 @@ class WaypointFollower:
     outlasts its length flown at v_max, are reached at rest.
     """
 
-    def __init__(self, position, yaw, v_max: float, a_max: float, yaw_rate: float = 1.5):
+    def __init__(self, position, yaw, v_max: float, a_max: float, yaw_rate: float):
         if v_max <= 0 or a_max <= 0 or yaw_rate <= 0:
             raise ValueError("kinematic limits must be positive")
         self.position = np.asarray(position, dtype=float)

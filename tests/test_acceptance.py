@@ -365,7 +365,7 @@ def test_criterion_7_mapping_coverage():
         z0 = rng.uniform(-2, 2)
         cyl = Cylinder(axis_xy=rng.uniform(-20, 20, size=2), z_bottom=z0,
                        z_top=z0 + height, radius=rng.uniform(0.3, 3.0))
-        plan = scan_circles(cyl, CAM, standoff=3.0)
+        plan = scan_circles(cyl, CAM, standoff=3.0, n_per_circle=36)
         worst = min(worst, coverage_samples(plan, CAM, cyl, 10_000)[1].mean())
         oracle = 1
         while oracle * band < height - 1e-9:

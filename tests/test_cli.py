@@ -6,6 +6,7 @@ import pytest
 
 from conescan.cli import main
 from conescan.config import default_scenario, to_dict, to_json
+from conescan.mission import MissionRunner
 
 
 @pytest.fixture
@@ -149,6 +150,14 @@ class TestRun:
         assert captured.err == "config error: seed: must be an integer in [0, 2**32)\n"
         assert not captured.out and not out.exists()
 
+    def test_seed_and_targets_alone_run_the_stock_mission(self, tmp_path, capsys):
+        # every left-out field takes its dataclass default, the stock value;
+        # the old defaults ran this to 0/1 found after 178.5 sim s
+        path = tmp_path / "partial.json"
+        path.write_text('{"seed": 3, "targets": [{"center": [15, 5.5, 0.3]}]}')
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert "run complete: 1/1 targets" in capsys.readouterr().out
+
     def test_env_var_default_out(self, empty_scenario, tmp_path, monkeypatch):
         monkeypatch.setenv("CONESCAN_OUT", str(tmp_path / "env_runs"))
         main(["run", str(empty_scenario)])
@@ -164,6 +173,30 @@ class TestPlot:
 
     def test_plot_rejects_non_run_dir(self, tmp_path, capsys):
         assert main(["plot", str(tmp_path)]) == 1
+
+    def test_plot_rejects_an_interrupted_rerun(self, tmp_path, capsys, monkeypatch):
+        # the rerun's partial logs must not pass for a run beside the old report
+        cfg = default_scenario(1, seed=3)
+        cfg.mission.max_sim_time = 10.0
+        path, out = tmp_path / "short.json", tmp_path / "run"
+        path.write_text(to_json(cfg))
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        tick = MissionRunner._tick
+
+        def interrupted(runner):
+            if runner.frame == 50:
+                raise KeyboardInterrupt
+            return tick(runner)
+
+        monkeypatch.setattr(MissionRunner, "_tick", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["run", str(path), "--out", str(out)])
+        assert len((out / "path.csv").read_text().splitlines()) == 1 + 50
+        assert not [n for n in ("report.json", "coverage.json", "config.json")
+                    if (out / n).exists()]
+        capsys.readouterr()
+        assert main(["plot", str(out)]) == 1
+        assert capsys.readouterr().err == f"{out}: not a completed run directory\n"
 
 
 class TestSweep:

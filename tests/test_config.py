@@ -56,6 +56,17 @@ class TestStockScenarios:
         path = SCENARIOS / name
         assert path.read_text() == to_json(default_scenario(n_targets, seed=seed)) + "\n"
 
+    @pytest.mark.parametrize("name, partial", [
+        ("one_target.json", {"seed": 3, "targets": [{"center": [15.0, 5.5, 0.3]}]}),
+        ("empty.json", {"seed": 1, "targets": []}),
+    ])
+    def test_left_out_fields_take_the_stock_values(self, tmp_path, name, partial):
+        # the dataclass defaults are the stock mission, so a file says only
+        # what differs from it
+        path = tmp_path / name
+        path.write_text(json.dumps(partial))
+        assert to_json(load(path)) + "\n" == (SCENARIOS / name).read_text()
+
     @pytest.mark.parametrize("n_targets", [-1, 5])
     def test_target_count_outside_the_stock_spots_raises(self, n_targets):
         # four stock spots: a slice would quietly return 4 targets, or 3 for -1

@@ -37,7 +37,7 @@ from conescan.localizer import (
 
 from conftest import identity_pose, random_pose, stock_camera
 
-LCFG = LocalizerConfig(n_particles=1000)
+LCFG = LocalizerConfig(n_particles=1000, update_noise_var=0.04)
 MAX_DEPTH = 24.0
 
 
@@ -725,3 +725,9 @@ class TestDropDuplicates:
         a = self._hyp(0, [0, 0, 0], "rough", 5.0)
         b = self._hyp(1, [0.2, 0, 0], "rough", 1.0)
         assert [h.target_id for h in drop_duplicates([a, b])] == [1]
+
+    def test_kept_hypothesis_outranks_every_other(self):
+        a = self._hyp(0, [0, 0, 0], "fine_requested", 1.0)
+        b = self._hyp(1, [0.3, 0, 0], "converged", 0.1)
+        assert [h.target_id for h in drop_duplicates([a, b])] == [1]
+        assert [h.target_id for h in drop_duplicates([a, b], keep=a)] == [0]

@@ -71,7 +71,7 @@ class TestScanCircles:
     def test_default_angles_single_circle(self, cam):
         # band height 3 (tan 75 - tan 35) ~ 9.10 m covers the 4 m body at once
         cyl = Cylinder(axis_xy=[5, 5], z_bottom=0.0, z_top=4.0, radius=1.0)
-        plan = scan_circles(cyl, cam, standoff=3.0)
+        plan = scan_circles(cyl, cam, standoff=3.0, n_per_circle=36)
         band = 3.0 * (math.tan(math.radians(75)) - math.tan(math.radians(35)))
         assert band == pytest.approx(9.0955, abs=1e-3)
         assert len(plan.circles) == 1
@@ -81,13 +81,13 @@ class TestScanCircles:
     def test_height_just_above_band_needs_two(self, cam):
         band = 3.0 * (math.tan(math.radians(75)) - math.tan(math.radians(35)))
         cyl = Cylinder(axis_xy=[0, 0], z_bottom=0.0, z_top=band + 0.05, radius=1.0)
-        plan = scan_circles(cyl, cam, standoff=3.0)
+        plan = scan_circles(cyl, cam, standoff=3.0, n_per_circle=36)
         assert len(plan.circles) == 2
         assert plan.circles[1].center[2] - plan.circles[0].center[2] == pytest.approx(band)
 
     def test_orbit_radius_is_cylinder_plus_standoff(self, cam):
         cyl = Cylinder(axis_xy=[2, -1], z_bottom=0.0, z_top=2.0, radius=1.7)
-        plan = scan_circles(cyl, cam, standoff=3.0)
+        plan = scan_circles(cyl, cam, standoff=3.0, n_per_circle=36)
         for circle in plan.circles:
             assert circle.radius == pytest.approx(1.7 + 3.0)
 
@@ -97,7 +97,7 @@ class TestScanCircles:
         for _ in range(200):
             height = rng.uniform(0.2, 40.0)
             cyl = Cylinder(axis_xy=[0, 0], z_bottom=0.0, z_top=height, radius=1.0)
-            plan = scan_circles(cyl, cam, standoff=3.0)
+            plan = scan_circles(cyl, cam, standoff=3.0, n_per_circle=36)
             assert len(plan.circles) == band_oracle(height, band)
 
     def test_band_union_covers_body(self, cam):
@@ -106,7 +106,7 @@ class TestScanCircles:
             height = rng.uniform(0.2, 30.0)
             cyl = Cylinder(axis_xy=[0, 0], z_bottom=-2.0, z_top=-2.0 + height,
                            radius=1.0)
-            plan = scan_circles(cyl, cam, standoff=3.0)
+            plan = scan_circles(cyl, cam, standoff=3.0, n_per_circle=36)
             lo = plan.circles[0].center[2] - 3.0 * math.tan(plan.gamma_low)
             hi = plan.circles[-1].center[2] - 3.0 * math.tan(plan.gamma_high)
             assert lo <= cyl.z_bottom + 1e-9
@@ -123,12 +123,13 @@ class TestScanCircles:
         for beta_deg in (20, 30, 40, 50):
             rig = CameraRig(fx=500, fy=500, cx=320, cy=240, width=640, height=480,
                             gamma=math.radians(55), beta=math.radians(beta_deg))
-            counts.append(len(scan_circles(cyl, rig, standoff=3.0).circles))
+            plan = scan_circles(cyl, rig, standoff=3.0, n_per_circle=36)
+            counts.append(len(plan.circles))
         assert counts == sorted(counts, reverse=True)
 
     def test_standoff_distance_to_surface(self, cam):
         cyl = Cylinder(axis_xy=[4, 9], z_bottom=0.0, z_top=3.0, radius=2.0)
-        plan = scan_circles(cyl, cam, standoff=3.0)
+        plan = scan_circles(cyl, cam, standoff=3.0, n_per_circle=36)
         for wp in plan.all_waypoints():
             to_axis = np.linalg.norm(wp.position[:2] - cyl.axis_xy)
             assert abs(to_axis - cyl.radius - 3.0) < 1e-9
@@ -169,7 +170,7 @@ class TestCoverage:
 
     def test_empty_plan_is_zero(self, cam):
         cyl = Cylinder(axis_xy=[0, 0], z_bottom=0.0, z_top=4.0, radius=1.5)
-        empty = scan_circles(cyl, cam, standoff=3.0)
+        empty = scan_circles(cyl, cam, standoff=3.0, n_per_circle=36)
         empty = type(empty)(circles=[], waypoints=[], gamma_low=empty.gamma_low,
                             gamma_high=empty.gamma_high)
         assert coverage_samples(empty, cam, cyl, 1000)[1].mean() == 0.0

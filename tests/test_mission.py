@@ -13,7 +13,13 @@ import pytest
 from conescan import bbox_tracker, localizer, mission, simulator
 from conescan.config import ConfigError, default_scenario
 from conescan.geometry import BBox, camera_to_world_pose
-from conescan.localizer import LocalizerConfig, TargetHypothesis, enlarge, generate_particles
+from conescan.localizer import (
+    LocalizerConfig,
+    ParticleSet,
+    TargetHypothesis,
+    enlarge,
+    generate_particles,
+)
 from conescan.mission import (
     EXIT_OK,
     EXIT_UNCONVERGED,
@@ -465,14 +471,28 @@ class TestFineLocalizeCandidates:
         assert active.updates == 1
         assert other.updates == 0 and other.particles is other_particles
 
-    def test_an_active_hypothesis_no_longer_live_is_not_updated(self, scene, monkeypatch):
-        runner, active, other, track, est_c2w = scene
-        runner.hypotheses = [other]  # as if dropped as a duplicate this frame
-        particles = active.particles
-        self.localize(runner, track, est_c2w)
-        assert active.updates == other.updates == 0
-        assert active.particles is particles
-        assert runner.hypotheses == [other]
+    def test_the_circled_hypothesis_outlives_a_duplicate(self):
+        # a converged cloud 0.5 m from the circled one outranks it; when it was
+        # the circled one that was dropped, _retire raised ValueError at 139.8 s
+        runner = MissionRunner(default_scenario(1, seed=3))
+        while runner.mode != mission.FINE_LOCALIZE:
+            runner._tick()
+        active = runner.active
+        twin = TargetHypothesis(
+            target_id=runner.next_hypothesis_id,
+            particles=ParticleSet(active.particles.points + [0.5, 0.0, 0.0]),
+            rng=np.random.default_rng(0))
+        twin.record(runner.cfg.localizer, kl=None)
+        twin.status = localizer.STATUS_CONVERGED
+        runner.next_hypothesis_id += 1
+        runner.hypotheses.append(twin)
+        runner._tick()
+        assert runner.active is active and runner.mode == mission.FINE_LOCALIZE
+        live = [h.target_id for h in runner.hypotheses]
+        assert active.target_id in live and twin.target_id not in live
+        report = runner.run()
+        assert report.targets_found == report.targets_total == 1
+        assert runner.mode == mission.SEARCH and report.duration_s < 100.0
 
     def test_search_counts_a_match_without_baseline(self, scene):
         # while searching, a cloud in the cone without parallax takes no update

@@ -110,7 +110,7 @@ def turning_path(turn, n=6, side=1.0):
 def speeds_on_reaching(waypoints, dt=0.1):
     """Speed at the end of each tick in which a waypoint is reached, flying
     from rest at the origin with v_max = a_max = 1."""
-    follower = WaypointFollower(np.zeros(3), 0.0, 1.0, 1.0)
+    follower = WaypointFollower(np.zeros(3), 0.0, 1.0, 1.0, 1.5)
     follower.set_path(waypoints)
     speeds = []
     while not follower.done:
@@ -161,7 +161,7 @@ class TestWaypointFollower:
         assert prev_yaw == pytest.approx(3.0, abs=1e-9)
 
     def test_waypoints_reached_in_order(self):
-        follower = WaypointFollower(np.zeros(3), 0.0, 1.0, 1.0)
+        follower = WaypointFollower(np.zeros(3), 0.0, 1.0, 1.0, 1.5)
         wps = [Waypoint([2, 0, 0], 0.0), Waypoint([2, 2, 0], 0.0)]
         follower.set_path(wps)
         seen = 0
@@ -176,7 +176,7 @@ class TestWaypointFollower:
         assert abs(wrap_angle(follower.yaw - wps[-1].yaw)) < 0.05
 
     def test_replan_mid_motion_brakes_first(self):
-        follower = WaypointFollower(np.zeros(3), 0.0, 1.0, 1.0)
+        follower = WaypointFollower(np.zeros(3), 0.0, 1.0, 1.0, 1.5)
         follower.set_path([Waypoint([10, 0, 0], 0.0)])
         prev_v = np.zeros(3)
         for _ in range(30):  # cruise at full speed
@@ -237,7 +237,7 @@ class TestWaypointFollower:
         assert 0.1 + 1e-9 < max(jumps) <= bound + 1e-9
 
     def test_replan_while_passing_brakes_along_the_old_legs(self):
-        follower = WaypointFollower(np.zeros(3), 0.0, 1.0, 1.0)
+        follower = WaypointFollower(np.zeros(3), 0.0, 1.0, 1.0, 1.5)
         old = turning_path(math.radians(15.0), n=8)
         follower.set_path(old)
         # at cruise 0.3 m before the third waypoint, so the 0.5 m stop lies past it
