@@ -61,12 +61,7 @@ class ScenarioConfig:
     region: tuple = (0.0, 0.0, 30.0, 10.0)
     search_altitude: float = 12.0
     seed: int = 0
-    camera: CameraRig = field(
-        default_factory=lambda: CameraRig(
-            fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480,
-            gamma=math.radians(55.0), beta=math.radians(40.0),
-        )
-    )
+    camera: CameraRig = field(default_factory=CameraRig)
     targets: list = field(default_factory=list)
     noise: NoiseModel = field(default_factory=NoiseModel)
     uav: UavConfig = field(default_factory=UavConfig)
@@ -208,10 +203,11 @@ def _build(cls, data, path):
     unknown = set(data) - known
     if unknown:
         raise ConfigError(f"{path}: unknown field(s) {sorted(unknown)}")
-    try:
-        return cls(**data)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    for f in dataclasses.fields(cls):
+        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        if required and f.name not in data:
+            raise ConfigError(f"{path}.{f.name}: must be given")
+    return cls(**data)
 
 
 _SECTIONS = {"camera": CameraRig, "noise": NoiseModel, "uav": UavConfig,
@@ -237,7 +233,14 @@ def from_dict(data: dict) -> ScenarioConfig:
             parts["region"] = tuple(float(v) for v in data.pop("region"))
         except (TypeError, ValueError):
             raise ConfigError("region: expected [x_min, y_min, x_max, y_max]") from None
-    return validate(_build(ScenarioConfig, {**data, **parts}, "top level"))
+    cfg = validate(_build(ScenarioConfig, {**data, **parts}, "top level"))
+    # validate found each to be 3 numbers; as tuples of floats, as region is, a
+    # file's [15, 5.5, 0.3] loads equal to the stock center and config.json
+    # records it as 15.0
+    for t in cfg.targets:
+        t.center = tuple(float(v) for v in t.center)
+        t.half_extents = tuple(float(v) for v in t.half_extents)
+    return cfg
 
 
 def load(path) -> ScenarioConfig:

@@ -99,17 +99,17 @@ class CameraRig:
 
     gamma is the depression of the optical axis below horizontal; beta is the
     vertical scanning angle used by the mapping planner and must fit strictly
-    inside the vertical field of view.
+    inside the vertical field of view. The defaults are the stock camera.
     """
 
-    fx: float
-    fy: float
-    cx: float
-    cy: float
-    width: int
-    height: int
-    gamma: float
-    beta: float
+    fx: float = 500.0
+    fy: float = 500.0
+    cx: float = 320.0
+    cy: float = 240.0
+    width: int = 640
+    height: int = 480
+    gamma: float = math.radians(55.0)
+    beta: float = math.radians(40.0)
 
     @property
     def vfov(self) -> float:

@@ -44,11 +44,6 @@ def project_truth(targets, world_to_cam: PoseSE3, cam: CameraRig) -> list:
     return truth.split(*project_points(truth.points, world_to_cam, cam), cam)
 
 
-def stock_camera() -> CameraRig:
-    return CameraRig(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480,
-                     gamma=math.radians(55.0), beta=math.radians(40.0))
-
-
 @pytest.fixture
 def cam() -> CameraRig:
-    return stock_camera()
+    return CameraRig()

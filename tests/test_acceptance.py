@@ -54,8 +54,7 @@ from conescan.view_planner import (
     next_best_view,
 )
 
-CAM = CameraRig(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480,
-                gamma=math.radians(55.0), beta=math.radians(40.0))
+CAM = CameraRig()
 
 
 def _report(criterion: str, ok: bool, detail: str):

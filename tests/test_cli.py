@@ -111,14 +111,18 @@ class TestValidate:
         assert not out.exists()
 
     def test_bad_target_field(self, tmp_path, capsys):
-        # a fractional feature count validated, then died at mission start
-        data = to_dict(default_scenario(1))
-        data["targets"][0]["n_features"] = 30.5
-        path = tmp_path / "bad_target.json"
-        path.write_text(json.dumps(data))
-        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
-        assert capsys.readouterr().err == (
-            "config error: targets[0].n_features: must be an integer of at least 4\n")
+        # a fractional feature count validated, then died at mission start; a
+        # target without a center printed TargetSpec's constructor error
+        cases = [({"center": [15, 5.5, 0.3], "n_features": 30.5},
+                  "targets[0].n_features: must be an integer of at least 4"),
+                 ({"n_features": 30}, "targets[0].center: must be given")]
+        for target, message in cases:
+            path = tmp_path / "bad_target.json"
+            path.write_text(json.dumps({"targets": [target]}))
+            out = tmp_path / "out"
+            assert main(["run", str(path), "--out", str(out)]) == 1
+            assert capsys.readouterr().err == f"config error: {message}\n"
+            assert not out.exists()
 
     def test_unparseable_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -18,6 +19,7 @@ from conescan.config import (
     to_json,
     validate,
 )
+from conescan.geometry import CameraRig
 from conescan.localizer import gaussian_entropy_for_eigenvalue
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -45,27 +47,63 @@ class TestRoundTrip:
         with pytest.raises(ConfigError):
             load(tmp_path / "nope.json")
 
+    def test_target_values_load_as_tuples_of_floats(self):
+        # as written, [15, 5.5, 0.3] went into config.json as 15 and loaded
+        # unequal to the stock target
+        cfg = from_dict({"targets": [{"center": [15, 5.5, 0.3], "half_extents": [1, 1, 1]}]})
+        tg = cfg.targets[0]
+        assert type(tg.center) is type(tg.half_extents) is tuple
+        assert [type(v) for v in tg.center + tg.half_extents] == [float] * 6
+        assert cfg.targets == [TargetSpec(center=(15.0, 5.5, 0.3), half_extents=(1.0, 1.0, 1.0))]
+
+    def test_left_out_camera_fields_take_their_defaults(self):
+        # failed with CameraRig's constructor error naming 7 missing arguments
+        cfg = from_dict({"camera": {"gamma": 1.0}})
+        assert cfg.camera == dataclasses.replace(CameraRig(), gamma=1.0)
+
+
+# SHA-256 of each stock file as it was when it listed every value: the text
+# to_json writes for the mission the file loads, which is also the config.json
+# of each run directory, less its final newline
+STOCK_FILE_DIGESTS = {
+    "one_target.json": "a01131124264af985abbb1f73cd9854f9973330e99b2127f3c7af900af2af9aa",
+    "two_targets.json": "ae37ca46117d3a8da3ae73cb2249d2c7fb38e7911abfd602e47ac8a11e47bc5e",
+    "empty.json": "72f24bc143cf6276bf61ddb075b0e9837447eea4669f1ca4e87edb7d13723d96",
+    "three_targets.json": "d810b13161bd3c605bd91895a7a3adff0e132eccb8687a61bfdae55f85ba4d61",
+    "four_targets.json": "46b2995efde58cee2b250dfa6b80000b918082197fe9676ca43305d63f0ab709",
+}
+
+
+# a target's defaults as JSON writes them, lists in place of tuples
+TARGET_DEFAULTS = json.loads(json.dumps(to_dict(TargetSpec(center=None))))
+
+
+def stock_values(data, defaults, prefix=""):
+    """Dotted paths of the values in data that equal their dataclass default."""
+    for key, value in data.items():
+        if value == defaults[key]:
+            yield prefix + key
+        elif key == "targets":
+            for i, t in enumerate(value):
+                yield from stock_values(t, TARGET_DEFAULTS, f"targets[{i}].")
+        elif isinstance(value, dict):
+            yield from stock_values(value, defaults[key], f"{prefix}{key}.")
+
 
 class TestStockScenarios:
     @pytest.mark.parametrize("name, n_targets, seed", [
         ("one_target.json", 1, 3), ("two_targets.json", 2, 7), ("empty.json", 0, 1),
         ("three_targets.json", 3, 3), ("four_targets.json", 4, 3),
     ])
-    def test_file_matches_generator(self, name, n_targets, seed):
-        # scripts/make_scenarios.py writes these; a config change regenerates them
+    def test_file_lists_only_what_differs(self, name, n_targets, seed):
         path = SCENARIOS / name
-        assert path.read_text() == to_json(default_scenario(n_targets, seed=seed)) + "\n"
-
-    @pytest.mark.parametrize("name, partial", [
-        ("one_target.json", {"seed": 3, "targets": [{"center": [15.0, 5.5, 0.3]}]}),
-        ("empty.json", {"seed": 1, "targets": []}),
-    ])
-    def test_left_out_fields_take_the_stock_values(self, tmp_path, name, partial):
-        # the dataclass defaults are the stock mission, so a file says only
-        # what differs from it
-        path = tmp_path / name
-        path.write_text(json.dumps(partial))
-        assert to_json(load(path)) + "\n" == (SCENARIOS / name).read_text()
+        cfg = load(path)
+        assert cfg == default_scenario(n_targets, seed=seed)
+        text = to_json(cfg) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == STOCK_FILE_DIGESTS[name]
+        # a file that restates a default would drift when that default moves
+        defaults = json.loads(to_json(ScenarioConfig()))
+        assert list(stock_values(json.loads(path.read_text()), defaults)) == []
 
     @pytest.mark.parametrize("n_targets", [-1, 5])
     def test_target_count_outside_the_stock_spots_raises(self, n_targets):
@@ -278,7 +316,7 @@ class TestValidation:
         # the gates were stored in every scenario file, so an edited lambda_rough
         # left the rough entropy gate at the value for 4.0
         data = json.loads((SCENARIOS / "one_target.json").read_text())
-        data["localizer"].update(lambda_rough=1.0, lambda_fine=0.05)
+        data.setdefault("localizer", {}).update(lambda_rough=1.0, lambda_fine=0.05)
         loc = from_dict(data).localizer
         assert loc.entropy_rough == gaussian_entropy_for_eigenvalue(1.0)
         assert loc.entropy_converged == gaussian_entropy_for_eigenvalue(0.05)

@@ -23,7 +23,7 @@ from conescan.geometry import (
 )
 from conescan.simulator import NoiseModel, perturb_pose
 
-from conftest import identity_pose, random_pose, random_rotation, stock_camera
+from conftest import identity_pose, random_pose, random_rotation
 
 
 def lift(box):
@@ -218,7 +218,7 @@ class TestRowBlocks:
     @settings(max_examples=3, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_blocked_products_equal_one_whole_product(self, n, seed):
-        cam = stock_camera()
+        cam = CameraRig()
         rng = np.random.default_rng(seed)
         pose = random_pose(rng)
         points = rng.uniform(-50.0, 50.0, size=(n, 3))

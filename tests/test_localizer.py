@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conescan.geometry import (
     BBox,
+    CameraRig,
     PoseSE3,
     back_project_direction,
     camera_to_world_pose,
@@ -35,7 +36,7 @@ from conescan.localizer import (
     weight_density,
 )
 
-from conftest import identity_pose, random_pose, stock_camera
+from conftest import identity_pose, random_pose
 
 LCFG = LocalizerConfig(n_particles=1000, update_noise_var=0.04)
 MAX_DEPTH = 24.0
@@ -109,7 +110,7 @@ class TestGenerateParticles:
     @settings(max_examples=3, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_equals_the_whole_array_arithmetic(self, n, seed):
-        cam = stock_camera()
+        cam = CameraRig()
         rng = np.random.default_rng(seed)
         pose = random_pose(np.random.default_rng(seed + 1))
         corners = BBox(150, 120, 430, 350).corners_clockwise()
@@ -138,7 +139,7 @@ def one_inside_sets(layouts, seed):
     """Particle sets, one per (size, place), whose points lie in the cone of a box
     sharing an edge with the test box, except one point at `place` that lies in
     the test box's cone. Returns the sets, the test cone's normals and its pose."""
-    cam = stock_camera()
+    cam = CameraRig()
     inside, beside = BBox(200, 150, 420, 330), BBox(420, 150, 600, 330)
     rng = np.random.default_rng(seed)
     cam_to_world = random_pose(rng)
