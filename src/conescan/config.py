@@ -79,9 +79,16 @@ def _at_least(low):
     return lambda v: _integer(v) and v >= low, f"must be an integer of at least {low}"
 
 
+def _numbers(v) -> bool:
+    """A list, tuple or 1-D array of ints and floats: no bool, and no string
+    that float() would parse."""
+    return ((isinstance(v, (list, tuple)) or isinstance(v, np.ndarray) and v.ndim == 1)
+            and all(isinstance(x, (int, float, np.integer, np.floating))
+                    and not isinstance(x, (bool, np.bool_)) for x in v))
+
+
 def _three_finite(v, low=-math.inf) -> bool:
-    a = np.asarray(v, dtype=float)
-    return a.shape == (3,) and bool(np.all((a > low) & (a < math.inf)))
+    return _numbers(v) and len(v) == 3 and all(low < x < math.inf for x in v)
 
 
 _POSITIVE = (lambda v: v > 0, "must be positive")
@@ -98,7 +105,7 @@ _UNIT = (lambda v: 0 <= v <= 1, "must lie in [0, 1]")
 # nothing); each rule is written so that NaN and non-numbers fail it, and
 # _check refuses a bool, which Python would otherwise take as 0 or 1.
 _RANGES = (
-    ("region", lambda r: len(r) == 4 and -math.inf < r[0] < r[2] < math.inf
+    ("region", lambda r: _numbers(r) and len(r) == 4 and -math.inf < r[0] < r[2] < math.inf
      and -math.inf < r[1] < r[3] < math.inf,
      "must be finite [x_min, y_min, x_max, y_max] with x_min < x_max and y_min < y_max"),
     ("search_altitude", *_POSITIVE_FINITE),
@@ -228,15 +235,11 @@ def from_dict(data: dict) -> ScenarioConfig:
         parts["targets"] = [
             _build(TargetSpec, t, f"targets[{i}]") for i, t in enumerate(raw)
         ]
-    if "region" in data:
-        try:
-            parts["region"] = tuple(float(v) for v in data.pop("region"))
-        except (TypeError, ValueError):
-            raise ConfigError("region: expected [x_min, y_min, x_max, y_max]") from None
     cfg = validate(_build(ScenarioConfig, {**data, **parts}, "top level"))
-    # validate found each to be 3 numbers; as tuples of floats, as region is, a
-    # file's [15, 5.5, 0.3] loads equal to the stock center and config.json
-    # records it as 15.0
+    # validate found each to be numbers; as tuples of floats, a file's
+    # [15, 5.5, 0.3] loads equal to the stock center and config.json records
+    # it as 15.0
+    cfg.region = tuple(float(v) for v in cfg.region)
     for t in cfg.targets:
         t.center = tuple(float(v) for v in t.center)
         t.half_extents = tuple(float(v) for v in t.half_extents)

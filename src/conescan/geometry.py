@@ -215,8 +215,13 @@ def cone_normals(corners, cam: CameraRig) -> np.ndarray:
 
 
 def cone_contains(normals: np.ndarray, points) -> np.ndarray:
-    """Strict membership mask for (n, 3) camera-frame points."""
-    return np.all(blocked_matmul(np.atleast_2d(points), normals.T) > 0.0, axis=1)
+    """Strict membership mask for (n, 3) camera-frame points: every face's
+    product is > 0, tested one face column at a time (NaN is outside)."""
+    side = blocked_matmul(np.atleast_2d(points), normals.T)
+    inside = side[:, 0] > 0.0
+    for k in range(1, side.shape[1]):
+        inside &= side[:, k] > 0.0
+    return inside
 
 
 def camera_to_world_pose(position, yaw: float, depression: float) -> PoseSE3:

@@ -132,11 +132,19 @@ def _cloud_statistics(points: np.ndarray):
     centered points. The covariance follows np.cov(points.T, ddof=1)'s arithmetic
     bit for bit, without its second mean and its copy of the points. The
     smallest-variance axis is signed to world z >= 0 (ties on x, then y) for a
-    stable direction."""
+    stable direction.
+
+    numpy sums the rows of a C-ordered (n, 3) array one after another from +0.0,
+    three columns at a time; the running sum of np.cumsum adds them in the same
+    order along each column, in any memory layout, so its last row plus 0.0
+    (which turns only a -0.0 sum into numpy's +0.0), over n, is
+    points.mean(axis=0) of the C-ordered cloud bit for bit. The running sum is
+    written into the centering buffer, so it costs no array."""
     if len(points) < 2:
         raise ValueError("need at least 2 points")
-    mean = points.mean(axis=0)
     centered = np.empty_like(points)
+    mean = np.cumsum(points, axis=0, out=centered)[-1] + 0.0
+    mean /= len(points)
     for k in range(3):  # column by column: an (n, 3) - (3,) broadcast loops per row
         np.subtract(points[:, k], mean[k], out=centered[:, k])
     cov = np.dot(centered.T, centered)

@@ -51,19 +51,28 @@ class ScanPlan:
 
 
 def fit_cylinder(ps: ParticleSet) -> Cylinder:
-    """Smallest vertical cylinder containing the cloud, axis through the mean."""
+    """Smallest vertical cylinder containing the cloud, axis through the mean.
+
+    The radius is the largest sqrt(dx*dx + dy*dy), np.linalg.norm's arithmetic
+    on each row's offset (dx, dy), worked one offset column at a time; sqrt is
+    correctly rounded and never decreasing, so the root of the largest sum is
+    the largest root."""
     pts = ps.points
     axis = gaussian_summary(ps).mean[:2]  # raises below 2 points
-    radial = np.linalg.norm(pts[:, :2] - axis, axis=1)
+    squares = pts[:, 0] - axis[0]
+    squares *= squares
+    dy = pts[:, 1] - axis[1]
+    squares += dy * dy
+    radius = math.sqrt(squares.max())
     z_bottom, z_top = float(pts[:, 2].min()), float(pts[:, 2].max())
-    spread = float(radial.max()) + (z_top - z_bottom)
+    spread = radius + (z_top - z_bottom)
     if spread < 1e-12:
         raise ValueError("points are all coincident")
     return Cylinder(
         axis_xy=axis,
         z_bottom=z_bottom,
         z_top=z_top,
-        radius=max(float(radial.max()), MIN_CYLINDER_RADIUS),
+        radius=max(radius, MIN_CYLINDER_RADIUS),
     )
 
 

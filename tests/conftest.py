@@ -21,6 +21,13 @@ def random_pose(rng: np.random.Generator, translation_scale: float = 10.0) -> Po
                    translation_scale * rng.standard_normal(3))
 
 
+def same_bits(a, b) -> bool:
+    """Equal dtype, shape and bytes: unlike np.array_equal, -0.0 differs from 0.0
+    and a NaN equals the same NaN."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def identity_pose() -> PoseSE3:
     """The identity rigid transform: the camera frame is the world frame."""
     return PoseSE3(np.eye(3), np.zeros(3))

@@ -94,11 +94,11 @@ class TestValidate:
     @pytest.mark.parametrize("key, value", [
         ("region", [0.0, "east", 30.0, 10.0]), ("search_altitude", "high"),
         ("search_altitude", math.nan), ("seed", 1.5), ("seed", "x"), ("seed", -1),
-        ("seed", 2**32),
+        ("seed", 2**32), ("region", "0139"),
     ])
     def test_bad_top_level_value(self, tmp_path, capsys, command, key, value):
-        # these raised a traceback from from_dict, validate or mid-run, or ran
-        # the streams of a truncated seed
+        # these raised a traceback from from_dict, validate or mid-run, ran
+        # the streams of a truncated seed, or read "0139" as region (0, 1, 3, 9)
         data = to_dict(default_scenario(0))
         data[key] = value
         path = tmp_path / "bad.json"

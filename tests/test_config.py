@@ -49,12 +49,20 @@ class TestRoundTrip:
 
     def test_target_values_load_as_tuples_of_floats(self):
         # as written, [15, 5.5, 0.3] went into config.json as 15 and loaded
-        # unequal to the stock target
-        cfg = from_dict({"targets": [{"center": [15, 5.5, 0.3], "half_extents": [1, 1, 1]}]})
-        tg = cfg.targets[0]
-        assert type(tg.center) is type(tg.half_extents) is tuple
-        assert [type(v) for v in tg.center + tg.half_extents] == [float] * 6
-        assert cfg.targets == [TargetSpec(center=(15.0, 5.5, 0.3), half_extents=(1.0, 1.0, 1.0))]
+        # unequal to the stock target; numpy numbers load the same way
+        for center, half_extents, region in [
+            ([15, 5.5, 0.3], [1, 1, 1], [0, 0, 30, 10]),
+            (np.array([15, 5.5, 0.3]), (np.int64(1), 1.0, np.float32(1.0)),
+             (0, 0, np.int64(30), 10.0)),
+        ]:
+            cfg = from_dict({"region": region,
+                             "targets": [{"center": center, "half_extents": half_extents}]})
+            tg = cfg.targets[0]
+            assert type(tg.center) is type(tg.half_extents) is tuple
+            assert [type(v) for v in tg.center + tg.half_extents + cfg.region] == [float] * 10
+            assert cfg.targets == [TargetSpec(center=(15.0, 5.5, 0.3),
+                                              half_extents=(1.0, 1.0, 1.0))]
+            assert cfg.region == (0.0, 0.0, 30.0, 10.0)
 
     def test_left_out_camera_fields_take_their_defaults(self):
         # failed with CameraRig's constructor error naming 7 missing arguments
@@ -124,6 +132,17 @@ class TestValidation:
         cfg = default_scenario(1)
         cfg.targets = [TargetSpec(center=(5, 5, 20.0))]
         with pytest.raises(ConfigError, match="search altitude"):
+            validate(cfg)
+
+    @pytest.mark.parametrize("region", [
+        (True, 0.0, 30.0, 10.0), ("0", "0", "30", "10"), "0139",
+    ])
+    def test_validate_refuses_a_region_of_non_numbers(self, region):
+        # a config built in code reaches MissionRunner through validate alone;
+        # True < 30 made (True, 0, 30, 10) a valid region
+        cfg = default_scenario(1)
+        cfg.region = region
+        with pytest.raises(ConfigError, match=r"^region: "):
             validate(cfg)
 
     def test_empty_region(self):
@@ -212,12 +231,14 @@ class TestValidation:
         ("search_altitude", math.inf), ("seed", 1.5), ("seed", "x"), ("seed", True),
         ("region", [0.0, 0.0, math.nan, 10.0]), ("region", [0.0, 0.0, math.inf, 10.0]),
         ("region", [0.0, "x", 30.0, 10.0]), ("region", [0.0, 0.0, 30.0]),
-        ("seed", -1), ("seed", 2**32),
+        ("seed", -1), ("seed", 2**32), ("region", "0139"),
+        ("region", ["0", "0", "30", "10"]), ("region", [True, 0.0, 30.0, 10.0]),
     ])
     def test_top_level_value_rejected_at_load(self, key, value):
         # a fractional seed ran the truncated seed's streams under the given name,
         # and a seed outside [0, 2**32) those of the seed it equals modulo 2**32;
-        # with no localizer section, a string altitude died computing the depth prior
+        # with no localizer section, a string altitude died computing the depth
+        # prior; a string region loaded digit by digit, numeric strings as numbers
         data = to_dict(default_scenario(1))
         del data["localizer"]
         data[key] = value
@@ -228,7 +249,9 @@ class TestValidation:
         ("n_features", math.nan), ("n_features", 30.5), ("n_features", 3),
         ("center", [15.0, math.nan, 0.3]), ("center", [15.0, 5.5]),
         ("center", "middle"), ("half_extents", [0.4, 0.0, 0.3]),
-        ("half_extents", [0.4, math.inf, 0.3]),
+        ("half_extents", [0.4, math.inf, 0.3]), ("center", ["15", "5.5", "0.3"]),
+        ("center", [True, 5.5, 0.3]), ("half_extents", ["0.4", "0.4", "0.3"]),
+        ("half_extents", [0.4, True, 0.3]),
     ])
     def test_target_value_rejected_at_load(self, name, value):
         data = to_dict(default_scenario(1))

@@ -23,7 +23,7 @@ from conescan.geometry import (
 )
 from conescan.simulator import NoiseModel, perturb_pose
 
-from conftest import identity_pose, random_pose, random_rotation
+from conftest import identity_pose, random_pose, random_rotation, same_bits
 
 
 def lift(box):
@@ -241,6 +241,49 @@ class TestRowBlocks:
         dirs = np.vstack([rng.uniform(-1.0, 1.0, (2, 4)), np.ones((1, 4))])
         coeffs = 1.0 - rng.uniform(size=(4, n))
         assert np.array_equal(blocked_matmul(dirs, coeffs), dirs @ coeffs)
+
+
+# Row counts of one point, a few, around one and two blocks, and a cloud.
+COLUMN_SIZES = (1, 2, 5, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1, 100_000)
+
+
+class TestConeColumns:
+    """cone_contains tests one face column at a time along the points; it must
+    give the mask of the row-wise np.all it replaced."""
+
+    @pytest.mark.parametrize("n", COLUMN_SIZES)
+    @settings(max_examples=4, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_cone_test_bitwise_equal_to_all_faces(self, n, seed):
+        # dyadic rays (x0, x1, y0, y1) = (-0.25, 0.5, -0.25, 0.25), so a point on
+        # the top face at dyadic depth has a product of exactly 0 there
+        cam = CameraRig()
+        normals = cone_normals(BBox(195.0, 115.0, 570.0, 365.0).corners_clockwise(), cam)
+        rng = np.random.default_rng(seed)
+        pixels = rng.uniform([-100.0, -100.0], [740.0, 580.0], size=(n, 2))
+        rays = np.column_stack([(pixels[:, 0] - cam.cx) / cam.fx,
+                                (pixels[:, 1] - cam.cy) / cam.fy, np.ones(n)])
+        points = rays * rng.uniform(-5.0, 30.0, size=(n, 1))
+        special = np.array([
+            [0.125, -0.5, 2.0],  # on the top face, inside the other three
+            [1.0, 0.125, 2.0],  # on the right face
+            [0.25, 0.5, 2.0],  # on the bottom face
+            [-0.5, -0.125, 2.0],  # on the left face
+            [-0.75, -0.75, 3.0],  # on the top and left faces
+            [0.0, 0.0, 0.0],  # the apex, on every face
+            [math.nan, 0.0, 1.0],
+            [0.0, 0.0, math.nan],
+        ])
+        rows = rng.permutation(n)[: len(special)]
+        points[rows] = special[: len(rows)]
+
+        face_products = blocked_matmul(points, normals.T)
+        for row, on_faces in zip(rows, (1, 1, 1, 1, 2, 4)):  # zero there, positive elsewhere
+            assert (face_products[row] == 0.0).sum() == on_faces
+            assert (face_products[row] > 0.0).sum() == 4 - on_faces
+        inside = cone_contains(normals, points)
+        assert same_bits(inside, np.all(face_products > 0.0, axis=1))
+        assert not inside[rows].any()
 
 
 class TestCameraPose:

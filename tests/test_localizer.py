@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,9 +35,10 @@ from conescan.localizer import (
     systematic_resample,
     update_particles,
     weight_density,
+    _cloud_statistics,
 )
 
-from conftest import identity_pose, random_pose
+from conftest import identity_pose, random_pose, same_bits
 
 LCFG = LocalizerConfig(n_particles=1000, update_noise_var=0.04)
 MAX_DEPTH = 24.0
@@ -531,6 +533,49 @@ class TestCachedCloudStatistics:
     def test_fewer_than_two_points_rejected(self, summary):
         with pytest.raises(ValueError, match="at least 2 points"):
             summary(cloud(np.zeros((1, 3))))
+
+
+class TestCloudMean:
+    """_cloud_statistics takes the mean from a running sum along the points; it
+    must keep the bits of points.mean(axis=0) on the C-ordered cloud, whatever
+    the cloud's layout, and of the covariance of the points centered on it."""
+
+    @pytest.mark.parametrize("n", (2, 3, 9, 1_000, 16_384, 16_385, 100_000))
+    @pytest.mark.parametrize("zeros", (None, "column", "leading"))
+    @settings(max_examples=3, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3),
+           order=st.sampled_from("CF"),
+           shape=st.sampled_from(["general", "duplicated", "collinear"]))
+    def test_bitwise_equal_to_the_c_ordered_mean(self, n, zeros, seed, scale, order, shape):
+        pts = shaped_cloud(n, seed, scale, shape)
+        if zeros == "column":  # numpy's sum starts from +0.0, so it reads +0.0
+            pts[:, seed % 3] = -0.0
+        elif zeros == "leading":
+            pts[: n // 2 + 1, seed % 3] = -0.0
+        ps = cloud(np.asarray(pts, order=order))
+        assert ps.points.flags.c_contiguous == (order == "C")
+
+        pts = np.ascontiguousarray(pts)  # numpy sums an F-ordered column pairwise
+        mean = pts.mean(axis=0)
+        centered = pts - mean
+        cov = np.dot(centered.T, centered)
+        cov *= 1.0 / (n - 1)
+        gauss = gaussian_summary(ps)
+        assert same_bits(gauss.mean, mean) and same_bits(gauss.cov, cov)
+        assert same_bits(pca_summary(ps).mean, mean)
+
+    def test_running_sum_allocates_no_second_cloud(self):
+        # the sum is written into the centering buffer, the one (n, 3) array the
+        # statistics need, so it cannot raise a mission's peak memory
+        pts = shaped_cloud(100_000, 3, 1.0, "general")
+        _cloud_statistics(pts[:10].copy())  # first-call allocations out of the count
+        tracemalloc.start()
+        try:
+            _cloud_statistics(pts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * pts.nbytes
 
 
 class TestPcaSummary:

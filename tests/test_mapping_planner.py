@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conescan.geometry import CameraRig, wrap_angle
 from conescan.localizer import ParticleSet
@@ -15,6 +17,8 @@ from conescan.mapping_planner import (
     scan_circles,
 )
 from conescan.view_planner import ViewCircle
+
+from conftest import same_bits
 
 
 def cloud(points):
@@ -57,6 +61,19 @@ class TestFitCylinder:
             assert np.all(radial <= cyl.radius + 1e-9)
             assert np.all(pts[:, 2] >= cyl.z_bottom - 1e-9)
             assert np.all(pts[:, 2] <= cyl.z_top + 1e-9)
+
+    @pytest.mark.parametrize("n", (2, 3, 60, 1_000, 100_000))
+    @settings(max_examples=4, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3))
+    def test_bitwise_equal_to_the_row_norms(self, n, seed, scale):
+        rng = np.random.default_rng(seed)
+        pts = scale * rng.standard_normal((n, 3)) + rng.uniform(-50, 50, 3)
+        axis = pts.mean(axis=0)[:2]
+        radial = np.linalg.norm(pts[:, :2] - axis, axis=1)
+        cyl = fit_cylinder(cloud(pts))
+        assert same_bits(cyl.axis_xy, axis)
+        assert cyl.z_bottom == pts[:, 2].min() and cyl.z_top == pts[:, 2].max()
+        assert cyl.radius.hex() == max(float(radial.max()), MIN_CYLINDER_RADIUS).hex()
 
     def test_radius_floor(self):
         pts = np.array([[0, 0, 0], [0, 0, 1.0], [0, 0, 2.0]])
