@@ -33,13 +33,23 @@ def _load(path, seeds=()):
         return None
 
 
+def _not_a_directory(out) -> bool:
+    """Whether `out`, or its nearest existing parent, is no directory; says so on stderr."""
+    if next(p for p in (out, *out.parents) if p.exists()).is_dir():
+        return False
+    print(f"--out {out}: not a directory", file=sys.stderr)
+    return True
+
+
 def cmd_run(args) -> int:
     cfg = _load(args.config, [] if args.seed is None else [args.seed])
     if cfg is None:
         return EXIT_INVALID
     seed = cfg.seed if args.seed is None else args.seed
     out = Path(args.out) if args.out else _default_out(args.config, seed)
-    report = run_scenario(cfg, seed=seed, out_dir=out,
+    if _not_a_directory(out):
+        return EXIT_INVALID
+    report = run_scenario(replace(cfg, seed=seed), out_dir=out,
                           dump_particles=args.dump_particles)
     print(f"run complete: {report.targets_found}/{report.targets_total} targets, "
           f"{report.duration_s:.1f} sim s, {report.distance_m:.1f} m flown")
@@ -62,8 +72,8 @@ def _sweep_one(payload):
     seconds and exit code."""
     config_path, seed, out_base = payload
     cfg = cfg_mod.load(config_path)
-    out = Path(out_base) / f"seed{seed:04d}" if out_base else None
-    report = run_scenario(cfg, seed=seed, out_dir=out)
+    out = Path(out_base) / f"seed{seed:04d}"
+    report = run_scenario(replace(cfg, seed=seed), out_dir=out)
     done = [t for t in report.targets if t.status == "done"]
     errors = [t.localization_error for t in done if t.localization_error is not None]
     lam = max((t.eigenvalues[0] for t in done), default=None)
@@ -86,8 +96,10 @@ def cmd_sweep(args) -> int:
         return EXIT_INVALID
     if _load(args.config, (lo, hi)) is None:  # every seed is valid when both ends are
         return EXIT_INVALID
-    out_base = args.out or (Path(os.environ.get(OUT_ENV, "runs")) /
-                            f"{Path(args.config).stem}-sweep")
+    out_base = Path(args.out or Path(os.environ.get(OUT_ENV, "runs")) /
+                    f"{Path(args.config).stem}-sweep")
+    if _not_a_directory(out_base):
+        return EXIT_INVALID
     jobs = [(args.config, s, str(out_base)) for s in seeds]
     worst_exit = EXIT_OK
     with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:

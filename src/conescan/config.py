@@ -217,9 +217,8 @@ def _build(cls, data, path):
     return cls(**data)
 
 
-_SECTIONS = {"camera": CameraRig, "noise": NoiseModel, "uav": UavConfig,
-             "tracker": TrackerConfig, "localizer": LocalizerConfig,
-             "planner": PlannerConfig, "mission": MissionConfig}
+_SECTIONS = {f.name: f.default_factory for f in dataclasses.fields(ScenarioConfig)
+             if dataclasses.is_dataclass(f.default_factory)}
 
 
 def from_dict(data: dict) -> ScenarioConfig:

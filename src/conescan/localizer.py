@@ -194,7 +194,7 @@ def generate_particles(
 
 
 def needs_new_particle_set(existing_sets, normals: np.ndarray, world_to_cam: PoseSE3):
-    """Sets with at least one point inside the cone; empty means register fresh.
+    """Positions of the sets with a point inside the cone; empty means register fresh.
 
     Each set is tested in chunks of 256, 1,024, 4,096, ... points, in order, and
     its test stops at the first chunk holding a point strictly inside the cone,
@@ -204,12 +204,12 @@ def needs_new_particle_set(existing_sets, normals: np.ndarray, world_to_cam: Pos
     whole-set test.
     """
     matched = []
-    for ps in existing_sets:
+    for i, ps in enumerate(existing_sets):
         start, size = 0, _FIRST_CHUNK
         while start < len(ps.points):
             pts_cam = world_to_cam.apply(ps.points[start:start + size])
             if cone_contains(normals, pts_cam).any():
-                matched.append(ps)
+                matched.append(i)
                 break
             start, size = start + size, size * _CHUNK_GROWTH
     return matched

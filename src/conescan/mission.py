@@ -10,7 +10,7 @@ import csv
 import json
 import math
 import shutil
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -175,8 +175,9 @@ class _RunLog:
                  [_fmt(t), _fmt(pos[0]), _fmt(pos[1]), _fmt(pos[2]), _fmt(yaw), mode])
 
     def track_rows(self, frame, tracks):
-        """One row per track, in id order; callers check ``self.tracks`` first,
-        so that an unlogged frame does not even gather its tracks."""
+        """One row per track, in id order."""
+        if self.tracks is None:
+            return
         for track in sorted(tracks, key=lambda t: t.id):
             self.row(self.tracks,
                      [frame, track.id, _fmt(track.u.u_min), _fmt(track.u.v_min),
@@ -311,9 +312,8 @@ class MissionRunner:
         self.resume_index = 0  # survey waypoint the search path starts at
         self.hypotheses = []  # live ones only
         self.finished = []  # (hypothesis, TargetReport) of each done or failed one
-        self.coverage = []  # each done target's coverage payload, in finishing order
+        self.mapped = []  # (center, suppression radius, coverage payload) per done target
         self.next_hypothesis_id = 0
-        self.suppression = []  # (center, radius) of finished targets
 
         self.frame = 0
         self.t = 0.0
@@ -378,7 +378,7 @@ class MissionRunner:
     def _suppressed(self, normals, world_to_cam) -> bool:
         """Cone points at a finished target (within its suppression radius)."""
         unit = normals / np.linalg.norm(normals, axis=1, keepdims=True)
-        for center, radius in self.suppression:
+        for center, radius, _ in self.mapped:
             c_cam = world_to_cam.apply(center)
             if c_cam[2] > -radius and np.all(unit @ c_cam > -radius):
                 return True
@@ -387,7 +387,7 @@ class MissionRunner:
     def _near_done_target(self, center) -> bool:
         return any(
             np.linalg.norm(center - done_center) <= radius
-            for done_center, radius in self.suppression
+            for done_center, radius, _ in self.mapped
         )
 
     def _has_baseline(self, hyp, cam_pos) -> bool:
@@ -413,20 +413,13 @@ class MissionRunner:
             normals = cone_normals(corners, self.cam)
         except DegenerateConeError:
             return
-        matched_sets = needs_new_particle_set(
+        matched = needs_new_particle_set(
             [h.particles for h in candidates], normals, est_w2c)
-        matched_ids = {id(ps) for ps in matched_sets}
-        matched = [h for h in candidates if id(h.particles) in matched_ids]
-
-        if matched:
-            for hyp in matched:
-                if self._has_baseline(hyp, cam_pos):
-                    self._update_hypothesis(hyp, track.u, est_w2c, cam_pos)
-            return
-
-        if self.mode == FINE_LOCALIZE:
-            return  # no fresh registrations while circling one target
-        if self._suppressed(normals, est_w2c):
+        for i in matched:
+            if self._has_baseline(candidates[i], cam_pos):
+                self._update_hypothesis(candidates[i], track.u, est_w2c, cam_pos)
+        circling = self.mode == FINE_LOCALIZE  # no fresh registrations while circling
+        if matched or circling or self._suppressed(normals, est_w2c):
             return
         hyp_id = self.next_hypothesis_id
         self.next_hypothesis_id += 1
@@ -559,8 +552,7 @@ class MissionRunner:
         # MAP: the mode is only ever one of the three constants
         if self.follower.done:
             payload, radius, arc_fraction = self._mapping
-            self.coverage.append(payload)
-            self.suppression.append((self.active.center, radius))
+            self.mapped.append((self.active.center, radius, payload))
             self._retire("done", payload["covered_fraction"], arc_fraction)
         return False
 
@@ -587,10 +579,8 @@ class MissionRunner:
         sims = self._similarities(truth)
         n_retired = len(self.tracker.retired)
         updated = self.tracker.step(detections, sims, self.frame)
-        if self.log.tracks is not None:
-            # live tracks, plus a final row for each one retired this frame
-            self.log.track_rows(self.frame,
-                                self.tracker.live + self.tracker.retired[n_retired:])
+        # live tracks, plus a final row for each one retired this frame
+        self.log.track_rows(self.frame, self.tracker.live + self.tracker.retired[n_retired:])
 
         if self.mode != MAP:
             for track in self.tracker.live:  # in id order
@@ -623,7 +613,7 @@ class MissionRunner:
                 for hyp in self.hypotheses + [h for h, _ in self.finished
                                               if h.status == "failed"]:
                     self.log.snapshot(hyp, self.frame, "final")
-            self.log.write_json("coverage.json", self.coverage)
+            self.log.write_json("coverage.json", [payload for *_, payload in self.mapped])
             self.log.write_json("report.json", report.to_dict())
             self.log.write_json("config.json", to_dict(self.cfg))
             return report
@@ -669,10 +659,7 @@ class MissionRunner:
         )
 
 
-def run_scenario(cfg: ScenarioConfig, seed=None, out_dir=None,
-                 dump_particles=False) -> RunReport:
+def run_scenario(cfg: ScenarioConfig, out_dir=None, dump_particles=False) -> RunReport:
     """Run one mission; returns the report (exit code via report.exit_code)."""
-    if seed is not None:
-        cfg = replace(cfg, seed=int(seed))
     runner = MissionRunner(cfg, out_dir=out_dir, dump_particles=dump_particles)
     return runner.run()

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from conescan import cli
 from conescan.cli import main
 from conescan.config import default_scenario, to_dict, to_json
 from conescan.mission import MissionRunner
@@ -162,6 +163,21 @@ class TestRun:
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
         assert "run complete: 1/1 targets" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("name", ["taken", "taken/run"])
+    def test_out_that_is_no_directory(self, empty_scenario, tmp_path, capsys, monkeypatch,
+                                      name):
+        # the run log raised NotADirectoryError from the mission
+        def refuse(*args, **kwargs):
+            raise AssertionError("mission started")
+
+        monkeypatch.setattr(cli, "run_scenario", refuse)
+        (tmp_path / "taken").write_text("kept")
+        out = tmp_path / name
+        assert main(["run", str(empty_scenario), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"--out {out}: not a directory\n" and not captured.out
+        assert (tmp_path / "taken").read_text() == "kept"
+
     def test_env_var_default_out(self, empty_scenario, tmp_path, monkeypatch):
         monkeypatch.setenv("CONESCAN_OUT", str(tmp_path / "env_runs"))
         main(["run", str(empty_scenario)])
@@ -233,6 +249,16 @@ class TestSweep:
             f"{report['duration_s']:.1f}", "0"]
         assert summary == (f"found 1/1 targets, median error {error:.3f} m, "
                            f"worst {error:.3f} m")
+
+    def test_out_that_is_a_file(self, empty_scenario, tmp_path, capsys):
+        # a pool worker raised NotADirectoryError from the run log
+        out = tmp_path / "taken"
+        out.write_text("kept")
+        assert main(["sweep", str(empty_scenario), "--seeds", "0..1", "--out", str(out),
+                     "--jobs", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"--out {out}: not a directory\n" and not captured.out
+        assert out.read_text() == "kept"
 
     @pytest.mark.parametrize("args, message", [
         pytest.param(["--seeds", "nope"], "seeds must look like A..B", id="not_a_range"),

@@ -408,7 +408,8 @@ class TestCrowdedFinePhase:
 
 
 class TestFineLocalizeCandidates:
-    """`_localize_from_track` while circling the active hypothesis."""
+    """`_localize_from_track` on its candidate list: the circled hypothesis while
+    circling, every live one while searching."""
 
     BOX = BBox(280.0, 200.0, 360.0, 290.0)
 
@@ -503,6 +504,20 @@ class TestFineLocalizeCandidates:
         self.localize(runner, track, est_c2w)
         assert active.updates == other.updates == 0
         assert runner.hypotheses == [active, other] and runner.next_hypothesis_id == 0
+
+    def test_search_updates_only_the_cloud_in_the_cone(self, scene):
+        # the matched positions index the candidate list: the first cloud sits in
+        # the cone of a box whose enlarged cone does not meet the track's
+        runner, first, second, track, est_c2w = scene
+        far = BBox(10.0, 10.0, 60.0, 60.0)
+        first.particles = generate_particles(far.corners_clockwise(), est_c2w, runner.cam,
+                                             runner.cfg.localizer, first.rng, max_depth=24.0)
+        first_particles = first.particles
+        runner.mode, runner.active = mission.SEARCH, None
+        self.localize(runner, track, est_c2w)
+        assert first.updates == 0 and first.particles is first_particles
+        assert second.updates == 1
+        assert runner.hypotheses == [first, second] and runner.next_hypothesis_id == 0
 
 
 class TestCloudStatistics:
@@ -809,8 +824,9 @@ class TestRunDirectoryReuse:
         emit_plot_data(reused)
         (reused / "notes.txt").write_text("kept")
         first = {p.name for p in (reused / "particles").glob("*.json")}
-        run_scenario(cfg, seed=4, out_dir=reused)
-        run_scenario(cfg, seed=4, out_dir=fresh)
+        cfg = dataclasses.replace(cfg, seed=4)
+        run_scenario(cfg, out_dir=reused)
+        run_scenario(cfg, out_dir=fresh)
         names = {p.name for p in (reused / "particles").glob("*.json")}
         assert names == {p.name for p in (fresh / "particles").glob("*.json")}
         assert first - names  # the seed-3 run made snapshots the seed-4 run does not
