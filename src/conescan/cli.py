@@ -9,7 +9,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import config as cfg_mod
-from .mission import EXIT_INVALID, EXIT_OK, emit_plot_data, run_scenario
+from .mission import EXIT_INVALID, EXIT_OK, MissionRunner, emit_plot_data
 
 OUT_ENV = "CONESCAN_OUT"
 
@@ -49,8 +49,8 @@ def cmd_run(args) -> int:
     out = Path(args.out) if args.out else _default_out(args.config, seed)
     if _not_a_directory(out):
         return EXIT_INVALID
-    report = run_scenario(replace(cfg, seed=seed), out_dir=out,
-                          dump_particles=args.dump_particles)
+    report = MissionRunner(replace(cfg, seed=seed), out_dir=out,
+                           dump_particles=args.dump_particles).run()
     print(f"run complete: {report.targets_found}/{report.targets_total} targets, "
           f"{report.duration_s:.1f} sim s, {report.distance_m:.1f} m flown")
     print(f"logs: {out}")
@@ -70,14 +70,12 @@ def _sweep_one(payload):
     """One seed's row: found and total targets, then over the done targets their
     localization errors, largest eigenvalue and accepted updates, then sim
     seconds and exit code."""
-    config_path, seed, out_base = payload
-    cfg = cfg_mod.load(config_path)
-    out = Path(out_base) / f"seed{seed:04d}"
-    report = run_scenario(replace(cfg, seed=seed), out_dir=out)
+    cfg, out = payload
+    report = MissionRunner(cfg, out_dir=out).run()
     done = [t for t in report.targets if t.status == "done"]
     errors = [t.localization_error for t in done if t.localization_error is not None]
     lam = max((t.eigenvalues[0] for t in done), default=None)
-    return (seed, report.targets_found, report.targets_total, errors, lam,
+    return (cfg.seed, report.targets_found, report.targets_total, errors, lam,
             sum(t.updates for t in done), report.duration_s, report.exit_code)
 
 
@@ -94,13 +92,14 @@ def cmd_sweep(args) -> int:
     if args.jobs is not None and args.jobs < 1:
         print("jobs must be at least 1", file=sys.stderr)
         return EXIT_INVALID
-    if _load(args.config, (lo, hi)) is None:  # every seed is valid when both ends are
+    cfg = _load(args.config, (lo, hi))  # every seed is valid when both ends are
+    if cfg is None:
         return EXIT_INVALID
     out_base = Path(args.out or Path(os.environ.get(OUT_ENV, "runs")) /
                     f"{Path(args.config).stem}-sweep")
-    if _not_a_directory(out_base):
+    jobs = [(replace(cfg, seed=s), out_base / f"seed{s:04d}") for s in seeds]
+    if _not_a_directory(out_base) or any(_not_a_directory(out) for _, out in jobs):
         return EXIT_INVALID
-    jobs = [(args.config, s, str(out_base)) for s in seeds]
     worst_exit = EXIT_OK
     with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
         results = sorted(pool.map(_sweep_one, jobs))

@@ -38,10 +38,13 @@ STATUS_FINE_REQUESTED = "fine_requested"
 STATUS_CONVERGED = "converged"
 _STATUS_ORDER = {STATUS_ROUGH: 0, STATUS_FINE_REQUESTED: 1, STATUS_CONVERGED: 2}
 
+# Entropy of a 3D Gaussian minus half its log-determinant.
+_ENTROPY_OFFSET = 1.5 + 1.5 * math.log(2.0 * math.pi)
+
 
 def gaussian_entropy_for_eigenvalue(lam: float) -> float:
     """Entropy of an isotropic 3D Gaussian whose variances all equal lam."""
-    return 1.5 * (1.0 + math.log(2.0 * math.pi)) + 1.5 * math.log(lam)
+    return _ENTROPY_OFFSET + 1.5 * math.log(lam)
 
 
 @dataclass(frozen=True)
@@ -350,7 +353,7 @@ def points_entropy(ps: ParticleSet) -> float:
         raise ValueError("need at least 4 points")
     sign, logdet = gaussian_summary(ps).slogdet
     degenerate = sign <= 0 or not np.isfinite(logdet)
-    return -math.inf if degenerate else 1.5 + 1.5 * math.log(2.0 * math.pi) + 0.5 * logdet
+    return -math.inf if degenerate else _ENTROPY_OFFSET + 0.5 * logdet
 
 
 @dataclass(frozen=True)

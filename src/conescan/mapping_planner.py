@@ -29,10 +29,6 @@ class Cylinder:
         object.__setattr__(
             self, "axis_xy", np.asarray(self.axis_xy, dtype=float).reshape(2)
         )
-        if self.z_bottom > self.z_top:
-            raise ValueError("z_bottom must not exceed z_top")
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
 
     @property
     def height(self) -> float:

@@ -657,9 +657,3 @@ class MissionRunner:
             transitions=self.transitions,
             seed=self.cfg.seed,
         )
-
-
-def run_scenario(cfg: ScenarioConfig, out_dir=None, dump_particles=False) -> RunReport:
-    """Run one mission; returns the report (exit code via report.exit_code)."""
-    runner = MissionRunner(cfg, out_dir=out_dir, dump_particles=dump_particles)
-    return runner.run()

@@ -50,8 +50,6 @@ class TargetTruth:
             self, "half_extents", np.asarray(self.half_extents, dtype=float)
         )
         object.__setattr__(self, "features", np.asarray(self.features, dtype=float))
-        if np.any(self.half_extents <= 0):
-            raise ValueError("half_extents must be positive")
         corners = self.center + _CORNER_SIGNS * self.half_extents
         corners.flags.writeable = False
         object.__setattr__(self, "_corners", corners)
@@ -258,8 +256,6 @@ class WaypointFollower:
     """
 
     def __init__(self, position, yaw, v_max: float, a_max: float, yaw_rate: float):
-        if v_max <= 0 or a_max <= 0 or yaw_rate <= 0:
-            raise ValueError("kinematic limits must be positive")
         self.position = np.asarray(position, dtype=float)
         self.yaw = wrap_angle(yaw)
         self.velocity = np.zeros(3)

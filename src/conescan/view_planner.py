@@ -31,8 +31,6 @@ class ViewCircle:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
         object.__setattr__(
             self, "center", np.asarray(self.center, dtype=float).reshape(3)
         )

@@ -44,7 +44,7 @@ from conescan.localizer import (
     WEIGHT_FLOOR,
 )
 from conescan.mapping_planner import Cylinder, coverage_samples, scan_circles
-from conescan.mission import EXIT_UNCONVERGED, MissionRunner, run_scenario
+from conescan.mission import EXIT_UNCONVERGED, MissionRunner
 from conescan.simulator import NoiseModel, make_target, simulate_detector, simulate_klt
 
 from conftest import identity_pose, project_truth, similarity_matrix
@@ -385,8 +385,8 @@ def test_criterion_8_end_to_end_mission(tmp_path):
     bytes across same-seed reruns, < 60 s wall."""
     t0 = time.time()
     out_a, out_b = tmp_path / "a", tmp_path / "b"
-    report = run_scenario(default_scenario(2, seed=7), out_dir=out_a)
-    run_scenario(default_scenario(2, seed=7), out_dir=out_b)
+    report = MissionRunner(default_scenario(2, seed=7), out_dir=out_a).run()
+    MissionRunner(default_scenario(2, seed=7), out_dir=out_b).run()
     elapsed = time.time() - t0
 
     cycles = [(t["from"], t["to"]) for t in report.transitions]
@@ -425,7 +425,7 @@ def test_criterion_9_degenerate_inputs():
 
     details = []
 
-    report = run_scenario(default_scenario(0, seed=1))
+    report = MissionRunner(default_scenario(0, seed=1)).run()
     assert report.targets_total == 0 and report.exit_code == 0
     details.append("zero-target mission clean")
 

@@ -170,7 +170,7 @@ class TestRun:
         def refuse(*args, **kwargs):
             raise AssertionError("mission started")
 
-        monkeypatch.setattr(cli, "run_scenario", refuse)
+        monkeypatch.setattr(cli, "MissionRunner", refuse)
         (tmp_path / "taken").write_text("kept")
         out = tmp_path / name
         assert main(["run", str(empty_scenario), "--out", str(out)]) == 1
@@ -259,6 +259,18 @@ class TestSweep:
         captured = capsys.readouterr()
         assert captured.err == f"--out {out}: not a directory\n" and not captured.out
         assert out.read_text() == "kept"
+
+    def test_run_directory_that_is_a_file(self, empty_scenario, tmp_path, capsys):
+        # a pool worker raised NotADirectoryError from the run log
+        out = tmp_path / "sweep"
+        out.mkdir()
+        (out / "seed0001").write_text("kept")
+        assert main(["sweep", str(empty_scenario), "--seeds", "0..1", "--out", str(out),
+                     "--jobs", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"--out {out / 'seed0001'}: not a directory\n"
+        assert not captured.out and not (out / "seed0000").exists()
+        assert (out / "seed0001").read_text() == "kept"
 
     @pytest.mark.parametrize("args, message", [
         pytest.param(["--seeds", "nope"], "seeds must look like A..B", id="not_a_range"),

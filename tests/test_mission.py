@@ -25,7 +25,6 @@ from conescan.mission import (
     EXIT_UNCONVERGED,
     MissionRunner,
     emit_plot_data,
-    run_scenario,
 )
 from conescan.view_planner import lawnmower_path
 
@@ -34,7 +33,7 @@ from conescan.view_planner import lawnmower_path
 def one_target_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("one_target")
     cfg = default_scenario(1, seed=3)
-    report = run_scenario(cfg, out_dir=out)
+    report = MissionRunner(cfg, out_dir=out).run()
     return cfg, report, out
 
 
@@ -103,7 +102,7 @@ def mode_pairs(report):
 class TestZeroTargets:
     def test_pure_lawnmower_traversal(self, tmp_path):
         cfg = default_scenario(0, seed=1)
-        report = run_scenario(cfg, out_dir=tmp_path)
+        report = MissionRunner(cfg, out_dir=tmp_path).run()
         assert report.targets_total == 0 and report.targets_found == 0
         assert report.exit_code == EXIT_OK
         assert report.transitions == []
@@ -351,7 +350,7 @@ class TestGoldenDigests:
         # dominates, run without a run directory as the benchmark runs it
         cfg = default_scenario(1, seed=3)
         cfg.localizer = dataclasses.replace(cfg.localizer, n_particles=100_000)
-        text = json.dumps(run_scenario(cfg).to_dict(), indent=2, sort_keys=True)
+        text = json.dumps(MissionRunner(cfg).run().to_dict(), indent=2, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == ONE_TARGET_100K_REPORT
 
     @pytest.mark.parametrize("max_sim_time", sorted(CUT_SHORT_REPORTS))
@@ -359,7 +358,7 @@ class TestGoldenDigests:
         mode, digest = CUT_SHORT_REPORTS[max_sim_time]
         cfg = default_scenario(1, seed=3)
         cfg.mission.max_sim_time = max_sim_time
-        report = run_scenario(cfg, out_dir=tmp_path)
+        report = MissionRunner(cfg, out_dir=tmp_path).run()
         assert report.transitions[-1]["to"] == mode
         assert _digest(tmp_path, "report.json") == digest
 
@@ -725,15 +724,15 @@ class TestDeterminism:
     def test_same_seed_byte_identical_outputs(self, tmp_path):
         cfg = default_scenario(1, seed=12)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
-        run_scenario(cfg, out_dir=out_a)
-        run_scenario(default_scenario(1, seed=12), out_dir=out_b)
+        MissionRunner(cfg, out_dir=out_a).run()
+        MissionRunner(default_scenario(1, seed=12), out_dir=out_b).run()
         for name in ("report.json", "tracks.csv", "path.csv", "metrics.csv",
                      "planned_path.csv", "coverage.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
     def test_different_seed_differs(self, tmp_path):
-        rep_a = run_scenario(default_scenario(1, seed=1))
-        rep_b = run_scenario(default_scenario(1, seed=2))
+        rep_a = MissionRunner(default_scenario(1, seed=1)).run()
+        rep_b = MissionRunner(default_scenario(1, seed=2)).run()
         assert rep_a.to_dict() != rep_b.to_dict()
 
 
@@ -742,7 +741,7 @@ class TestDetectionLatency:
         cfg = default_scenario(1, seed=3)
         cfg.noise.detection_latency_frames = 8
         cfg.mission.max_sim_time = 40.0
-        late = run_scenario(cfg, out_dir=tmp_path)
+        late = MissionRunner(cfg, out_dir=tmp_path).run()
         _, prompt, prompt_out = one_target_run
         prompt_transitions = [t for t in prompt.transitions if t["t"] <= 40.0]
         assert late.transitions and prompt_transitions
@@ -757,7 +756,7 @@ class TestFlownVersusPlanned:
         cfg = default_scenario(1, seed=4)
         cfg.noise.pose_sigma_xyz = 0.0
         cfg.noise.yaw_sigma = 0.0
-        run_scenario(cfg, out_dir=tmp_path)
+        MissionRunner(cfg, out_dir=tmp_path).run()
 
         with open(tmp_path / "planned_path.csv") as fh:
             planned_rows = list(csv.DictReader(fh))
@@ -820,13 +819,13 @@ class TestRunDirectoryReuse:
         cfg = default_scenario(1, seed=3)
         cfg.mission.max_sim_time = 60.0
         reused, fresh = tmp_path / "reused", tmp_path / "fresh"
-        run_scenario(cfg, out_dir=reused)
+        MissionRunner(cfg, out_dir=reused).run()
         emit_plot_data(reused)
         (reused / "notes.txt").write_text("kept")
         first = {p.name for p in (reused / "particles").glob("*.json")}
         cfg = dataclasses.replace(cfg, seed=4)
-        run_scenario(cfg, out_dir=reused)
-        run_scenario(cfg, out_dir=fresh)
+        MissionRunner(cfg, out_dir=reused).run()
+        MissionRunner(cfg, out_dir=fresh).run()
         names = {p.name for p in (reused / "particles").glob("*.json")}
         assert names == {p.name for p in (fresh / "particles").glob("*.json")}
         assert first - names  # the seed-3 run made snapshots the seed-4 run does not

@@ -10,7 +10,6 @@ from conescan.simulator import (
     PASS_THROUGH_TURN,
     DetectionDelay,
     NoiseModel,
-    TargetTruth,
     TruthPoints,
     WaypointFollower,
     make_target,
@@ -79,10 +78,6 @@ class TestMakeTarget:
         assert np.all(np.abs(rel) <= 1 + 1e-12)
         on_face = np.isclose(np.abs(rel), 1.0).any(axis=1)
         assert on_face.all()
-
-    def test_rejects_flat_target(self):
-        with pytest.raises(ValueError):
-            TargetTruth(0, [0, 0, 0], [1.0, 1.0, 0.0], np.zeros((4, 3)))
 
 
 def fly(waypoints, v_max=1.0, a_max=1.0, dt=0.1, yaw_rate=1.5):
