@@ -1,14 +1,15 @@
 """Kalman bounding-box tracking fusing similarity-transform prediction with detections.
 
-The filter state is the four box coordinates; prediction happens in stacked
-2D-homogeneous coordinates so a single image similarity moves both corners,
-while updates happen in Euclidean coordinates where the covariance is
-invertible.
+The filter state is the four box coordinates. Prediction moves both corners
+by one image similarity in stacked 2D-homogeneous coordinates; the update
+fuses a detection with an identity observation model. The covariance starts
+at measure_noise_px^2 I, a similarity's linear part sR maps v I to s^2 v I,
+and both noises are isotropic, so the covariance stays var * I and a track
+carries only the variance var.
 """
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -16,9 +17,6 @@ from .geometry import BBox, to_euclidean
 
 ACTIVE = "active"
 DEREGISTERED = "deregistered"
-
-_EYE4 = np.eye(4)
-_EYE4.flags.writeable = False
 
 
 class SimilarityEstimationError(ValueError):
@@ -32,20 +30,12 @@ class TrackerConfig:
     iou_register_threshold: float = 0.3
     entropy_dereg_threshold: float = 19.0
 
-    @cached_property
-    def measure_cov(self) -> np.ndarray:
-        """Covariance of one detection, isotropic in the four box coordinates,
-        and so of a track registered from one; read-only."""
-        cov = self.measure_noise_px**2 * np.eye(4)
-        cov.flags.writeable = False
-        return cov
-
 
 @dataclass(frozen=True)
 class BoxTrack:
     id: int
     u: BBox
-    sigma: np.ndarray
+    var: float  # the box covariance is var * I
     status: str = ACTIVE
     spawn_frame: int = 0
     hits: int = 0  # detections fused: the registering one, then one per update
@@ -67,47 +57,35 @@ def predict(
     cfg: TrackerConfig,
     noise_scale: float = 1.0,
 ) -> BoxTrack:
-    """Propagate state and covariance through the frame's image similarity M,
+    """Propagate state and variance through the frame's image similarity M,
     the (3, 3) matrix of estimate_similarity, or the identity when sim is None.
 
     The state moves in stacked homogeneous coordinates, the lifted box
     (u_min, v_min, 1, u_max, v_max, 1) times blockdiag(M, M), as one 6-vector
-    product; a 3x3 product per corner gives other bits in a mission.
-
-    The covariance is propagated by congruence plus the process noise, which
-    keeps it symmetric PSD. Lifting sigma to 6x6, moving it by
-    blockdiag(M, M) and dropping the homogeneous rows again adds only exact
-    zeros to the 4x4 congruence A sigma A^T, A = blockdiag(M[:2, :2],
-    M[:2, :2]), so the 4x4 form gives the same bits without the 6x6, lift and
-    drop products. noise_scale inflates the process noise of the fallback, None.
-
-    For None every product in those congruences is by 1 or 0, so the box
-    stays put and the covariance is exactly sigma plus the process noise;
-    that case skips the products.
+    product; a 3x3 product per corner gives other bits in a mission. The
+    variance scales by s^2, the squared norm of M's first column, and gains
+    the process noise, which noise_scale inflates for the fallback, None, where
+    the box stays put.
     """
     e2 = cfg.predict_noise_px**2 * noise_scale
     if sim is None:
-        sigma_pred = track.sigma + e2 * _EYE4
-        return _derive(track, sigma=0.5 * (sigma_pred + sigma_pred.T))
+        return _derive(track, var=track.var + e2)
     motion = np.zeros((6, 6))
     motion[:3, :3] = motion[3:, 3:] = sim
     b = track.u
     x_pred = motion @ np.array([b.u_min, b.v_min, 1.0, b.u_max, b.v_max, 1.0])
-    a = np.zeros((4, 4))
-    a[:2, :2] = a[2:, 2:] = sim[:2, :2]
-    sigma_pred = a @ track.sigma @ a.T + e2 * _EYE4
-    return _derive(track, u=to_euclidean(x_pred), sigma=0.5 * (sigma_pred + sigma_pred.T))
+    s2 = sim[0, 0] ** 2 + sim[1, 0] ** 2
+    return _derive(track, u=to_euclidean(x_pred), var=float(s2 * track.var + e2))
 
 
 def update(track: BoxTrack, z: BBox, cfg: TrackerConfig) -> BoxTrack:
-    """Kalman measurement update with an identity observation model; the
-    fused detection counts as one more hit."""
+    """Kalman measurement update with an identity observation model and gain
+    k = var / (var + r^2); the fused detection counts as one more hit."""
+    k = track.var / (track.var + cfg.measure_noise_px**2)
     u = track.u.as_array()
-    gain = track.sigma @ np.linalg.inv(track.sigma + cfg.measure_cov)
-    u_new = u + gain @ (z.as_array() - u)
-    sigma_new = (_EYE4 - gain) @ track.sigma
-    sigma_new = 0.5 * (sigma_new + sigma_new.T)
-    return _derive(track, u=BBox(*u_new.tolist()), sigma=sigma_new, hits=track.hits + 1)
+    u_new = u + k * (z.as_array() - u)
+    return _derive(track, u=BBox(*u_new.tolist()), var=(1.0 - k) * track.var,
+                   hits=track.hits + 1)
 
 
 def iou(a: BBox, b: BBox) -> float:
@@ -166,7 +144,7 @@ def associate_and_register(
             BoxTrack(
                 id=next_id + len(new_tracks),
                 u=det,
-                sigma=cfg.measure_cov.copy(),
+                var=cfg.measure_noise_px**2,
                 spawn_frame=frame,
                 hits=1,
             )
@@ -176,49 +154,22 @@ def associate_and_register(
 
 # Entropy of a 4D Gaussian minus half its log-determinant.
 _ENTROPY_OFFSET = 2.0 + 2.0 * math.log(2.0 * math.pi)
-# Below the entropy gate by more than this, Hadamard's bound settles the gate.
-_GATE_MARGIN = 1e-9
 
 
-def bbox_entropy(sigma: np.ndarray) -> float:
-    """Differential entropy of the 4D box-state Gaussian, in nats.
-
-    sigma is a symmetric 4x4 covariance, as the tracker keeps every track's:
-    measure_cov at registration, then each Kalman step's symmetrized output.
-    Singular covariances return -inf as the distinguished minimal value.
-    """
-    sign, logdet = np.linalg.slogdet(sigma)
-    if sign <= 0 or not np.isfinite(logdet):
+def bbox_entropy(var: float) -> float:
+    """Differential entropy of the 4D box-state Gaussian var * I, in nats:
+    the offset plus half of log det(var I) = 4 log var. A variance of 0 or
+    less returns -inf as the distinguished minimal value."""
+    if var <= 0.0:
         return -math.inf
-    return _ENTROPY_OFFSET + 0.5 * logdet
-
-
-def _entropy_bound_reaches(sig: np.ndarray, threshold: float) -> bool:
-    """False when Hadamard's bound puts the entropy of sig more than
-    _GATE_MARGIN below threshold; True when it cannot tell (or sig is not
-    finite)."""
-    log_bound = 0.0  # log of the product of the row norms
-    for row in sig.tolist():
-        norm = math.hypot(*row)
-        if norm == 0.0:
-            return False  # a zero row: det is 0, the entropy -inf
-        log_bound += math.log(norm)
-    return not _ENTROPY_OFFSET + 0.5 * log_bound < threshold - _GATE_MARGIN
+    return _ENTROPY_OFFSET + 2.0 * math.log(var)
 
 
 def prune(tracks, image_size, cfg: TrackerConfig, frame: int = None):
-    """Deregister tracks fully outside the image or grown past the entropy gate.
+    """Deregister tracks fully outside the image or whose entropy exceeds
+    cfg.entropy_dereg_threshold.
 
-    tracks are live, every one active, as TrackerState.step passes them. The
-    gate compares the entropy, a constant plus half of log|det sigma|, with
-    cfg.entropy_dereg_threshold. Hadamard's inequality,
-    |det S| <= prod_i ||row_i(S)||_2, holds for any real matrix, so the row
-    norms bound the entropy from above at the cost of four 4-term norms. A
-    track whose bound lies more than 1e-9 below the threshold keeps its
-    status without the log-determinant. The margin stands far above the
-    rounding of slogdet and of the bound, which on the tracker's covariances
-    is below 1e-14 nats at entropies near 20, so the gate deregisters exactly
-    the tracks that the log-determinant alone would.
+    tracks are live, every one active, as TrackerState.step passes them.
     """
     width, height = image_size
     threshold = cfg.entropy_dereg_threshold
@@ -229,8 +180,7 @@ def prune(tracks, image_size, cfg: TrackerConfig, frame: int = None):
         if outside:
             out.append(_derive(t, status=DEREGISTERED, dereg_reason="bounds",
                                dereg_frame=frame))
-        elif (_entropy_bound_reaches(t.sigma, threshold)
-              and bbox_entropy(t.sigma) > threshold):
+        elif bbox_entropy(t.var) > threshold:
             out.append(_derive(t, status=DEREGISTERED, dereg_reason="entropy",
                                dereg_frame=frame))
         else:

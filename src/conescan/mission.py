@@ -182,8 +182,8 @@ class _RunLog:
             self.row(self.tracks,
                      [frame, track.id, _fmt(track.u.u_min), _fmt(track.u.v_min),
                       _fmt(track.u.u_max), _fmt(track.u.v_max),
-                      _fmt(np.trace(track.sigma)),
-                      _fmt(bbox_entropy(track.sigma)), track.status])
+                      _fmt(4.0 * track.var),
+                      _fmt(bbox_entropy(track.var)), track.status])
 
     def metrics_row(self, frame, hyp):
         if self.metrics is None:

@@ -19,7 +19,8 @@ from conescan.config import (
     to_json,
     validate,
 )
-from conescan.geometry import CameraRig
+from conescan.bbox_tracker import associate_and_register
+from conescan.geometry import BBox, CameraRig
 from conescan.localizer import gaussian_entropy_for_eigenvalue
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -357,10 +358,16 @@ class TestValidation:
         with pytest.raises(ConfigError, match=rf"^localizer: unknown field\(s\) \['{name}'\]"):
             from_dict(data)
 
+    @staticmethod
+    def registered_var(tracker_cfg):
+        """The variance of a track registered from one detection."""
+        _, (track,) = associate_and_register([], [BBox(0, 0, 10, 10)], tracker_cfg)
+        return track.var
+
     def test_derived_prior_and_weight_equal_the_stored_ones(self):
-        # the values the stock files stored, bit for bit
+        # the values the stock files stored, bit for bit: the prior was 16 I
         cfg = load(SCENARIOS / "one_target.json")
-        assert np.array_equal(cfg.tracker.measure_cov, 16.0 * np.eye(4))
+        assert self.registered_var(cfg.tracker) == 16.0
         assert cfg.localizer.gauss_weight == 0.9
 
     def test_derived_prior_and_weight_follow_their_fields(self):
@@ -368,7 +375,7 @@ class TestValidation:
         data["tracker"]["measure_noise_px"] = 3.0
         data["localizer"]["uniform_weight"] = 0.25
         cfg = from_dict(data)
-        assert np.array_equal(cfg.tracker.measure_cov, 9.0 * np.eye(4))
+        assert self.registered_var(cfg.tracker) == 9.0
         assert cfg.localizer.gauss_weight == 0.75
 
     @pytest.mark.parametrize("section, name, value", [
