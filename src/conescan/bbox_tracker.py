@@ -203,7 +203,7 @@ def estimate_similarity(prev_points, curr_points) -> np.ndarray:
         raise SimilarityEstimationError("correspondence lists must be equal (n, 2)")
     n = len(p)
     if n < 2:
-        raise SimilarityEstimationError(f"need at least 2 correspondences, got {n}")
+        raise SimilarityEstimationError(f"2 or more correspondences are needed, got {n}")
     p_mean, q_mean = np.add.reduce(p, axis=0) / n, np.add.reduce(q, axis=0) / n
     if not all(map(math.isfinite, p_mean.tolist() + q_mean.tolist())):
         raise SimilarityEstimationError("correspondences must be finite")

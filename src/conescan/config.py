@@ -198,10 +198,6 @@ def to_dict(cfg: ScenarioConfig) -> dict:
     return dataclasses.asdict(cfg)
 
 
-def to_json(cfg: ScenarioConfig) -> str:
-    return json.dumps(to_dict(cfg), indent=2, sort_keys=True)
-
-
 def _build(cls, data, path):
     """Construct a dataclass from a dict, naming unknown/invalid fields."""
     if not isinstance(data, dict):
@@ -255,15 +251,3 @@ def load(path) -> ScenarioConfig:
         raise ConfigError(f"{path}: {exc.strerror}") from None
     return from_dict(data)
 
-
-def default_scenario(n_targets: int = 1, seed: int = 7) -> ScenarioConfig:
-    """The stock mission with its first n_targets stock targets: every other
-    value is its dataclass default; two or more targets widen the region."""
-    spots = [(15.0, 5.5), (28.0, 4.5), (8.0, 6.0), (22.0, 7.0)]
-    if not 0 <= n_targets <= len(spots):
-        raise ValueError(f"n_targets must be in 0..{len(spots)}, got {n_targets}")
-    return validate(ScenarioConfig(
-        region=(0.0, 0.0, 36.0 if n_targets >= 2 else 30.0, 10.0),
-        targets=[TargetSpec(center=(x, y, 0.3)) for x, y in spots[:n_targets]],
-        seed=seed,
-    ))

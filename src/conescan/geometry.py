@@ -53,34 +53,14 @@ def wrap_angle(a: float) -> float:
 
 @dataclass(frozen=True)
 class PoseSE3:
-    """Rigid transform x_out = rotation @ x_in + translation."""
+    """Rigid transform x_out = rotation @ x_in + translation, from a float (3, 3)
+    rotation matrix and a float (3,) translation, taken as given."""
 
     rotation: np.ndarray
     translation: np.ndarray
 
-    def __post_init__(self):
-        rot = np.asarray(self.rotation, dtype=float)
-        tra = np.asarray(self.translation, dtype=float).reshape(3)
-        if rot.shape != (3, 3):
-            raise ValueError("rotation must be a 3x3 matrix")
-        if not np.allclose(rot @ rot.T, np.eye(3), atol=1e-9):
-            raise ValueError("rotation must be orthonormal")
-        if abs(np.linalg.det(rot) - 1.0) > 1e-9:
-            raise ValueError("rotation must have determinant +1")
-        object.__setattr__(self, "rotation", rot)
-        object.__setattr__(self, "translation", tra)
-
-    @classmethod
-    def _trusted(cls, rotation: np.ndarray, translation: np.ndarray) -> "PoseSE3":
-        """Wrap a float rotation that is orthonormal by construction and a (3,)
-        float translation, skipping the checks of the public constructor."""
-        pose = object.__new__(cls)
-        object.__setattr__(pose, "rotation", rotation)
-        object.__setattr__(pose, "translation", translation)
-        return pose
-
     def inverse(self) -> "PoseSE3":
-        return PoseSE3._trusted(self.rotation.T, -self.rotation.T @ self.translation)
+        return PoseSE3(self.rotation.T, -self.rotation.T @ self.translation)
 
     def apply(self, points):
         """Transform a (3,) point or an (n, 3) array of points."""
@@ -239,7 +219,7 @@ def camera_to_world_pose(position, yaw: float, depression: float) -> PoseSE3:
         [x1, z2 * x0 - z0 * x2, z1],
         [x2, z0 * x1 - z1 * x0, z2],
     ])
-    return PoseSE3._trusted(rot, np.asarray(position, dtype=float).reshape(3))
+    return PoseSE3(rot, np.asarray(position, dtype=float).reshape(3))
 
 
 def bearing(from_xy, to_xy) -> float:

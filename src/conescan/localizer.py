@@ -82,26 +82,12 @@ class LocalizerConfig:
 
 @dataclass(frozen=True)
 class ParticleSet:
-    points: np.ndarray  # (n_particles, 3) world frame, read-only
+    points: np.ndarray  # (m, 3) float world points from the maker, kept as a read-only view
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise ValueError("points must be (m, 3)")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("points must be finite")
-        pts = pts.view()  # no copy; read-only so the cached statistics stay valid
+        pts = self.points.view()  # no copy; read-only so the cached statistics stay valid
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
-
-    @classmethod
-    def _trusted(cls, points: np.ndarray) -> "ParticleSet":
-        """Wrap a fresh (m, 3) float array of finite points, skipping the checks
-        of the public constructor; the array itself is made read-only."""
-        points.flags.writeable = False
-        ps = object.__new__(cls)
-        object.__setattr__(ps, "points", points)
-        return ps
 
     @cached_property
     def _stats(self):
@@ -143,8 +129,6 @@ def _cloud_statistics(points: np.ndarray):
     (which turns only a -0.0 sum into numpy's +0.0), over n, is
     points.mean(axis=0) of the C-ordered cloud bit for bit. The running sum is
     written into the centering buffer, so it costs no array."""
-    if len(points) < 2:
-        raise ValueError("need at least 2 points")
     centered = np.empty_like(points)
     mean = np.cumsum(points, axis=0, out=centered)[-1] + 0.0
     mean /= len(points)
@@ -193,7 +177,7 @@ def generate_particles(
     coeffs /= coeffs.sum(axis=0)
     depths = max_depth * (1.0 - rng.uniform(size=m))  # in (0, max_depth]
     pts_cam = blocked_matmul(dirs, coeffs) * depths
-    return ParticleSet._trusted(cam_to_world.apply(pts_cam.T))
+    return ParticleSet(cam_to_world.apply(pts_cam.T))
 
 
 def needs_new_particle_set(existing_sets, normals: np.ndarray, world_to_cam: PoseSE3):
@@ -316,7 +300,7 @@ def update_particles(
     if np.all(weights <= WEIGHT_FLOOR):
         return UpdateResult(ps, starved=True)
     idx = systematic_resample(weights, rng)
-    return UpdateResult(ParticleSet._trusted(np.take(perturbed, idx, axis=0)),
+    return UpdateResult(ParticleSet(np.take(perturbed, idx, axis=0)),
                         starved=False)
 
 
@@ -349,8 +333,6 @@ def kl_divergence(n0: GaussianSummary, n1: GaussianSummary) -> float:
 
 def points_entropy(ps: ParticleSet) -> float:
     """Differential entropy of the cloud's Gaussian approximation, in nats."""
-    if len(ps.points) < 4:
-        raise ValueError("need at least 4 points")
     sign, logdet = gaussian_summary(ps).slogdet
     degenerate = sign <= 0 or not np.isfinite(logdet)
     return -math.inf if degenerate else _ENTROPY_OFFSET + 0.5 * logdet

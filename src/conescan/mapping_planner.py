@@ -54,7 +54,7 @@ def fit_cylinder(ps: ParticleSet) -> Cylinder:
     correctly rounded and never decreasing, so the root of the largest sum is
     the largest root."""
     pts = ps.points
-    axis = gaussian_summary(ps).mean[:2]  # raises below 2 points
+    axis = gaussian_summary(ps).mean[:2]  # the cached mean of the cloud
     squares = pts[:, 0] - axis[0]
     squares *= squares
     dy = pts[:, 1] - axis[1]

@@ -427,4 +427,4 @@ def perturb_pose(pose: PoseSE3, noise: NoiseModel, rng: np.random.Generator) -> 
     dyaw = noise.yaw_sigma * rng.standard_normal()
     c, s = math.cos(dyaw), math.sin(dyaw)
     rz = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    return PoseSE3._trusted(rz @ pose.rotation, t)
+    return PoseSE3(rz @ pose.rotation, t)

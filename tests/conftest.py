@@ -1,10 +1,30 @@
+import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conescan.config import ScenarioConfig, load, to_dict
 from conescan.geometry import CameraRig, PoseSE3, project_points
 from conescan.simulator import TruthPoints
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+# the stock scenario files by target count
+STOCK_FILES = ("empty.json", "one_target.json", "two_targets.json",
+               "three_targets.json", "four_targets.json")
+
+
+def stock_scenario(n_targets: int, seed: int = 7) -> ScenarioConfig:
+    """The stock scenario file with n_targets targets, run at seed."""
+    return dataclasses.replace(load(SCENARIOS / STOCK_FILES[n_targets]), seed=seed)
+
+
+def to_json(cfg: ScenarioConfig) -> str:
+    """A config as scenario-file JSON, as config.json records it."""
+    return json.dumps(to_dict(cfg), indent=2, sort_keys=True)
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

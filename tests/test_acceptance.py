@@ -22,7 +22,6 @@ from conescan.bbox_tracker import (
     predict,
     update,
 )
-from conescan.config import default_scenario
 from conescan.geometry import (
     BBox,
     CameraRig,
@@ -47,7 +46,7 @@ from conescan.mapping_planner import Cylinder, coverage_samples, scan_circles
 from conescan.mission import EXIT_UNCONVERGED, MissionRunner
 from conescan.simulator import NoiseModel, make_target, simulate_detector, simulate_klt
 
-from conftest import identity_pose, project_truth, similarity_matrix
+from conftest import identity_pose, project_truth, similarity_matrix, stock_scenario
 from conescan.view_planner import (
     Waypoint,
     fine_localization_circle,
@@ -283,7 +282,7 @@ def test_criterion_4_filter_benefit():
 # --------------------------------------------------------------- criterion 5
 
 def _convergence_worker(seed: int):
-    cfg = default_scenario(1, seed=seed)
+    cfg = stock_scenario(1, seed=seed)
     runner = MissionRunner(cfg)
     report = runner.run()
     truth = np.asarray(cfg.targets[0].center, dtype=float)
@@ -385,8 +384,8 @@ def test_criterion_8_end_to_end_mission(tmp_path):
     bytes across same-seed reruns, < 60 s wall."""
     t0 = time.time()
     out_a, out_b = tmp_path / "a", tmp_path / "b"
-    report = MissionRunner(default_scenario(2, seed=7), out_dir=out_a).run()
-    MissionRunner(default_scenario(2, seed=7), out_dir=out_b).run()
+    report = MissionRunner(stock_scenario(2, seed=7), out_dir=out_a).run()
+    MissionRunner(stock_scenario(2, seed=7), out_dir=out_b).run()
     elapsed = time.time() - t0
 
     cycles = [(t["from"], t["to"]) for t in report.transitions]
@@ -425,7 +424,7 @@ def test_criterion_9_degenerate_inputs():
 
     details = []
 
-    report = MissionRunner(default_scenario(0, seed=1)).run()
+    report = MissionRunner(stock_scenario(0, seed=1)).run()
     assert report.targets_total == 0 and report.exit_code == 0
     details.append("zero-target mission clean")
 
@@ -453,7 +452,7 @@ def test_criterion_9_degenerate_inputs():
                           LocalizerConfig())[0] == WEIGHT_FLOOR
     details.append("all-floor weights skip the update")
 
-    data = to_dict(default_scenario(0))
+    data = to_dict(stock_scenario(0))
     data["camera"]["gamma"] = math.radians(15.0)
     with pytest.raises(ConfigError, match="gamma > beta/2"):
         from_dict(data)

@@ -6,14 +6,15 @@ import pytest
 
 from conescan import cli
 from conescan.cli import main
-from conescan.config import default_scenario, to_dict, to_json
+from conescan.config import to_dict
 from conescan.mission import MissionRunner
+from conftest import stock_scenario, to_json
 
 
 @pytest.fixture
 def empty_scenario(tmp_path):
     path = tmp_path / "empty.json"
-    path.write_text(to_json(default_scenario(0, seed=1)))
+    path.write_text(to_json(stock_scenario(0, seed=1)))
     return path
 
 
@@ -23,7 +24,7 @@ class TestValidate:
         assert "valid" in capsys.readouterr().out
 
     def test_mapping_geometry_error(self, tmp_path, capsys):
-        data = to_dict(default_scenario(0))
+        data = to_dict(stock_scenario(0))
         data["camera"]["gamma"] = math.radians(15.0)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
@@ -31,7 +32,7 @@ class TestValidate:
         assert "gamma > beta/2" in capsys.readouterr().err
 
     def test_removed_field_rejected(self, tmp_path, capsys):
-        data = to_dict(default_scenario(0))
+        data = to_dict(stock_scenario(0))
         data["noise"]["seed"] = 0
         path = tmp_path / "old.json"
         path.write_text(json.dumps(data))
@@ -40,7 +41,7 @@ class TestValidate:
 
     def test_asymmetric_initial_sigma_rejected(self, tmp_path, capsys):
         # the prior is derived from measure_noise_px, so any stored one is refused
-        data = to_dict(default_scenario(0))
+        data = to_dict(stock_scenario(0))
         data["tracker"]["initial_sigma"] = [
             [16, 1, 0, 0], [0, 16, 0, 0], [0, 0, 16, 0], [0, 0, 0, 16]]
         path = tmp_path / "asym.json"
@@ -50,7 +51,7 @@ class TestValidate:
             "config error: tracker: unknown field(s) ['initial_sigma']\n")
 
     def test_range_that_run_would_reject(self, tmp_path, capsys):
-        data = to_dict(default_scenario(0))
+        data = to_dict(stock_scenario(0))
         data["uav"]["v_max"] = 0
         path = tmp_path / "zero_speed.json"
         path.write_text(json.dumps(data))
@@ -59,7 +60,7 @@ class TestValidate:
 
     def test_mission_that_could_find_nothing(self, tmp_path, capsys):
         # a negative found radius ran to the end and exited 2 with 0 found
-        data = to_dict(default_scenario(0))
+        data = to_dict(stock_scenario(0))
         data["mission"]["found_radius"] = -1.0
         path = tmp_path / "negative_radius.json"
         path.write_text(json.dumps(data))
@@ -69,7 +70,7 @@ class TestValidate:
 
     def test_nan_noise_rejected(self, tmp_path, capsys):
         # NaN passed the old `< 0` check and the mission died mid-run
-        data = to_dict(default_scenario(0))
+        data = to_dict(stock_scenario(0))
         data["noise"]["klt_pixel_sigma"] = math.nan
         path = tmp_path / "nan_noise.json"
         path.write_text(json.dumps(data))
@@ -84,7 +85,7 @@ class TestValidate:
     ])
     def test_fraction_or_bool_rejected(self, tmp_path, capsys, section, name, value, rule):
         # both loaded: a count compared as a float, and true read as 1
-        data = to_dict(default_scenario(0))
+        data = to_dict(stock_scenario(0))
         data[section][name] = value
         path = tmp_path / "bad_number.json"
         path.write_text(json.dumps(data))
@@ -100,7 +101,7 @@ class TestValidate:
     def test_bad_top_level_value(self, tmp_path, capsys, command, key, value):
         # these raised a traceback from from_dict, validate or mid-run, ran
         # the streams of a truncated seed, or read "0139" as region (0, 1, 3, 9)
-        data = to_dict(default_scenario(0))
+        data = to_dict(stock_scenario(0))
         data[key] = value
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
@@ -196,7 +197,7 @@ class TestPlot:
 
     def test_plot_rejects_an_interrupted_rerun(self, tmp_path, capsys, monkeypatch):
         # the rerun's partial logs must not pass for a run beside the old report
-        cfg = default_scenario(1, seed=3)
+        cfg = stock_scenario(1, seed=3)
         cfg.mission.max_sim_time = 10.0
         path, out = tmp_path / "short.json", tmp_path / "run"
         path.write_text(to_json(cfg))

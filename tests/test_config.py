@@ -2,7 +2,6 @@ import dataclasses
 import hashlib
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,29 +11,26 @@ from conescan.config import (
     ConfigError,
     ScenarioConfig,
     TargetSpec,
-    default_scenario,
     from_dict,
     load,
     to_dict,
-    to_json,
     validate,
 )
 from conescan.bbox_tracker import associate_and_register
 from conescan.geometry import BBox, CameraRig
 from conescan.localizer import gaussian_entropy_for_eigenvalue
-
-SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+from conftest import SCENARIOS, stock_scenario, to_json
 
 
 class TestRoundTrip:
     def test_default_scenario_survives_json(self):
-        cfg = default_scenario(2, seed=5)
+        cfg = stock_scenario(2, seed=5)
         clone = from_dict(json.loads(to_json(cfg)))
         assert to_json(clone) == to_json(cfg)
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "scenario.json"
-        path.write_text(to_json(default_scenario(1)))
+        path.write_text(to_json(stock_scenario(1)))
         cfg = load(path)
         assert len(cfg.targets) == 1
 
@@ -107,30 +103,24 @@ class TestStockScenarios:
     def test_file_lists_only_what_differs(self, name, n_targets, seed):
         path = SCENARIOS / name
         cfg = load(path)
-        assert cfg == default_scenario(n_targets, seed=seed)
+        assert (len(cfg.targets), cfg.seed) == (n_targets, seed)
         text = to_json(cfg) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == STOCK_FILE_DIGESTS[name]
         # a file that restates a default would drift when that default moves
         defaults = json.loads(to_json(ScenarioConfig()))
         assert list(stock_values(json.loads(path.read_text()), defaults)) == []
 
-    @pytest.mark.parametrize("n_targets", [-1, 5])
-    def test_target_count_outside_the_stock_spots_raises(self, n_targets):
-        # four stock spots: a slice would quietly return 4 targets, or 3 for -1
-        with pytest.raises(ValueError, match=r"0\.\.4"):
-            default_scenario(n_targets)
-
 
 class TestValidation:
     def test_mapping_geometry_constraint_named(self):
-        data = to_dict(default_scenario(1))
+        data = to_dict(stock_scenario(1))
         data["camera"]["gamma"] = math.radians(15.0)
         data["camera"]["beta"] = math.radians(40.0)
         with pytest.raises(ConfigError, match="gamma > beta/2"):
             from_dict(data)
 
     def test_target_above_search_altitude(self):
-        cfg = default_scenario(1)
+        cfg = stock_scenario(1)
         cfg.targets = [TargetSpec(center=(5, 5, 20.0))]
         with pytest.raises(ConfigError, match="search altitude"):
             validate(cfg)
@@ -141,25 +131,25 @@ class TestValidation:
     def test_validate_refuses_a_region_of_non_numbers(self, region):
         # a config built in code reaches MissionRunner through validate alone;
         # True < 30 made (True, 0, 30, 10) a valid region
-        cfg = default_scenario(1)
+        cfg = stock_scenario(1)
         cfg.region = region
         with pytest.raises(ConfigError, match=r"^region: "):
             validate(cfg)
 
     def test_empty_region(self):
-        data = to_dict(default_scenario(1))
+        data = to_dict(stock_scenario(1))
         data["region"] = [10, 0, 10, 10]
         with pytest.raises(ConfigError, match="region"):
             from_dict(data)
 
     def test_unknown_field_named(self):
-        data = to_dict(default_scenario(1))
+        data = to_dict(stock_scenario(1))
         data["localizer"]["particle_count"] = 5
         with pytest.raises(ConfigError, match="particle_count"):
             from_dict(data)
 
     def test_bad_noise_value_scoped(self):
-        data = to_dict(default_scenario(1))
+        data = to_dict(stock_scenario(1))
         data["noise"]["detect_prob"] = 1.5
         with pytest.raises(ConfigError, match="noise"):
             from_dict(data)
@@ -174,7 +164,7 @@ class TestValidation:
     def test_bad_initial_sigma_rejected(self, sigma, message):
         # the prior is measure_noise_px**2 * I, not a field: a stored matrix is
         # refused whatever is wrong with it, before any check of its content
-        data = to_dict(default_scenario(1))
+        data = to_dict(stock_scenario(1))
         data["tracker"]["initial_sigma"] = sigma
         with pytest.raises(ConfigError,
                            match=r"^tracker: unknown field\(s\) \['initial_sigma'\]$"):
@@ -222,7 +212,7 @@ class TestValidation:
     def test_range_rejected_at_load(self, section, name, value):
         # each value makes its use site raise, at start, mid-mission or at mapping,
         # runs a mission that finds nothing, or is not a number at all
-        data = to_dict(default_scenario(1))
+        data = to_dict(stock_scenario(1))
         data[section][name] = value
         with pytest.raises(ConfigError, match=rf"^{section}\.{name}: "):
             from_dict(data)
@@ -240,7 +230,7 @@ class TestValidation:
         # and a seed outside [0, 2**32) those of the seed it equals modulo 2**32;
         # with no localizer section, a string altitude died computing the depth
         # prior; a string region loaded digit by digit, numeric strings as numbers
-        data = to_dict(default_scenario(1))
+        data = to_dict(stock_scenario(1))
         del data["localizer"]
         data[key] = value
         with pytest.raises(ConfigError, match=rf"^{key}: "):
@@ -255,7 +245,7 @@ class TestValidation:
         ("half_extents", [0.4, True, 0.3]),
     ])
     def test_target_value_rejected_at_load(self, name, value):
-        data = to_dict(default_scenario(1))
+        data = to_dict(stock_scenario(1))
         data["targets"][0][name] = value
         with pytest.raises(ConfigError, match=rf"^targets\[0\]\.{name}: "):
             from_dict(data)
@@ -264,13 +254,13 @@ class TestValidation:
         ("camera", {"beta": 1.0, "gamma": 1.5}, r"^camera\.beta: .*vertical field of view"),
     ])
     def test_cross_field_rejected_at_load(self, section, values, message):
-        data = to_dict(default_scenario(1))
+        data = to_dict(stock_scenario(1))
         data[section].update(values)
         with pytest.raises(ConfigError, match=message):
             from_dict(data)
 
     def test_noise_and_tracker_edges_accepted(self):
-        data = to_dict(default_scenario(1))
+        data = to_dict(stock_scenario(1))
         data["noise"].update(pose_sigma_xyz=0.0, yaw_sigma=0.0, detector_pixel_sigma=0.0,
                              klt_pixel_sigma=0.0, false_positive_rate=0.0,
                              detection_latency_frames=0)
@@ -280,7 +270,7 @@ class TestValidation:
         assert cfg.tracker.entropy_dereg_threshold == math.inf
 
     def test_range_edges_accepted(self):
-        data = to_dict(default_scenario(1))
+        data = to_dict(stock_scenario(1))
         data["planner"].update(overlap=0.0, n_per_circle=4, n_surface_samples=1)
         data["mission"]["confirm_hits"] = 1
         data["camera"].update(cx=0.0, cy=-1e6, width=1, beta=1e-9, gamma=1e-9)
@@ -304,7 +294,7 @@ class TestValidation:
     def test_useless_mission_value_rejected_at_load(self, name, bad, kind):
         # each value runs a mission that finds nothing, so validate rejects it
         value = {"out_of_range": bad, "nan": math.nan, "string": "far"}[kind]
-        data = to_dict(default_scenario(1))
+        data = to_dict(stock_scenario(1))
         data["mission"][name] = value
         with pytest.raises(ConfigError, match=rf"^mission\.{name}: "):
             from_dict(data)
@@ -313,7 +303,7 @@ class TestValidation:
     def test_fine_max_laps_rejected_at_load(self, bad):
         # a string raised a TypeError when the first fine arc ended, NaN never
         # abandoned a fine phase, and zero or less abandoned it after one arc
-        data = to_dict(default_scenario(1))
+        data = to_dict(stock_scenario(1))
         data["mission"]["fine_max_laps"] = bad
         with pytest.raises(ConfigError, match=r"^mission\.fine_max_laps: must be positive"):
             from_dict(data)
@@ -322,14 +312,14 @@ class TestValidation:
     def test_suppression_scale_rejected_at_load(self, bad):
         # NaN silently switched target suppression off, and a negative or
         # infinite suppression radius has no meaning
-        data = to_dict(default_scenario(1))
+        data = to_dict(stock_scenario(1))
         data["mission"]["suppression_scale"] = bad
         with pytest.raises(ConfigError,
                            match=r"^mission\.suppression_scale: must be positive and finite"):
             from_dict(data)
 
     def test_mission_value_edges_accepted(self):
-        data = to_dict(default_scenario(1))
+        data = to_dict(stock_scenario(1))
         data["mission"].update(min_update_baseline=0.0, fine_replan_distance=0,
                                found_radius=0.0, max_sim_time=1e-9)
         m = from_dict(data).mission
@@ -353,7 +343,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("name", ["entropy_rough", "entropy_converged"])
     def test_stored_entropy_gate_rejected(self, name):
-        data = to_dict(default_scenario(1))
+        data = to_dict(stock_scenario(1))
         data["localizer"][name] = 6.3
         with pytest.raises(ConfigError, match=rf"^localizer: unknown field\(s\) \['{name}'\]"):
             from_dict(data)
@@ -371,7 +361,7 @@ class TestValidation:
         assert cfg.localizer.gauss_weight == 0.9
 
     def test_derived_prior_and_weight_follow_their_fields(self):
-        data = to_dict(default_scenario(1))
+        data = to_dict(stock_scenario(1))
         data["tracker"]["measure_noise_px"] = 3.0
         data["localizer"]["uniform_weight"] = 0.25
         cfg = from_dict(data)
@@ -384,7 +374,7 @@ class TestValidation:
     ])
     def test_stored_derived_value_rejected(self, section, name, value):
         # the values the stock files stored before these became derived
-        data = to_dict(default_scenario(1))
+        data = to_dict(stock_scenario(1))
         data[section][name] = value
         with pytest.raises(ConfigError,
                            match=rf"^{section}: unknown field\(s\) \['{name}'\]$"):
@@ -397,7 +387,7 @@ UNRANGED = {}
 
 def scenario_fields():
     """Dotted path of every scalar scenario field; targets[i] stands for each target."""
-    cfg = default_scenario(1)
+    cfg = stock_scenario(1)
     for f in dataclasses.fields(cfg):
         value = getattr(cfg, f.name)
         if dataclasses.is_dataclass(value):

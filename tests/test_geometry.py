@@ -10,7 +10,6 @@ from conescan.geometry import (
     BBox,
     CameraRig,
     DegenerateConeError,
-    PoseSE3,
     back_project_direction,
     blocked_matmul,
     camera_to_world_pose,
@@ -194,12 +193,6 @@ class TestPoseSE3:
             pts = rng.standard_normal((10, 3))
             assert np.allclose(pose.inverse().apply(pose.apply(pts)), pts, atol=1e-9)
 
-    def test_rejects_non_rotation(self):
-        with pytest.raises(ValueError):
-            PoseSE3(2 * np.eye(3), np.zeros(3))
-        with pytest.raises(ValueError):
-            PoseSE3(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
-
 
 # Row counts around one and two blocks, and a cloud.
 BLOCKED_SIZES = (ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 17, 100_000)
@@ -319,14 +312,16 @@ class TestCameraPose:
        st.floats(0, 1), st.floats(0, 1), st.integers(0, 2**32 - 1))
 def test_built_poses_pass_public_checks(position, yaw, depression,
                                         pose_sigma, yaw_sigma, seed):
-    # camera_to_world_pose, inverse and perturb_pose skip the checks of
-    # PoseSE3(...); what they build must still satisfy them
+    # PoseSE3 takes its rotation as given: camera_to_world_pose, inverse and
+    # perturb_pose are its makers, and each must hand it a proper rotation
     c2w = camera_to_world_pose(position, yaw, depression)
     noise = NoiseModel(pose_sigma_xyz=pose_sigma, yaw_sigma=yaw_sigma)
     noisy = perturb_pose(c2w, noise, np.random.default_rng(seed))
     for pose in (c2w, c2w.inverse(), noisy, noisy.inverse()):
-        PoseSE3(pose.rotation, pose.translation)
-        assert pose.translation.shape == (3,)
+        rot = pose.rotation
+        assert rot.shape == (3, 3) and pose.translation.shape == (3,)
+        assert np.allclose(rot @ rot.T, np.eye(3), rtol=0.0, atol=1e-9)
+        assert abs(np.linalg.det(rot) - 1.0) <= 1e-9
         assert pose.rotation.dtype == pose.translation.dtype == np.float64
 
 

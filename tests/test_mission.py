@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conescan import bbox_tracker, localizer, mission, simulator
-from conescan.config import ConfigError, default_scenario
+from conescan.config import ConfigError
 from conescan.geometry import BBox, camera_to_world_pose
 from conescan.localizer import (
     LocalizerConfig,
@@ -27,12 +27,13 @@ from conescan.mission import (
     emit_plot_data,
 )
 from conescan.view_planner import lawnmower_path
+from conftest import stock_scenario
 
 
 @pytest.fixture(scope="module")
 def one_target_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("one_target")
-    cfg = default_scenario(1, seed=3)
+    cfg = stock_scenario(1, seed=3)
     report = MissionRunner(cfg, out_dir=out).run()
     return cfg, report, out
 
@@ -40,7 +41,7 @@ def one_target_run(tmp_path_factory):
 @pytest.fixture(scope="module")
 def two_target_mission(tmp_path_factory):
     out = tmp_path_factory.mktemp("two_target")
-    runner = MissionRunner(default_scenario(2, seed=7), out_dir=out)
+    runner = MissionRunner(stock_scenario(2, seed=7), out_dir=out)
     report = runner.run()
     return runner, report, out
 
@@ -56,7 +57,7 @@ def failure_run(tmp_path_factory):
     """The one-target mission with a fine gate no cloud can pass, so that every
     fine phase fails; it ends with failed hypotheses and `final` snapshots."""
     out = tmp_path_factory.mktemp("failure")
-    cfg = default_scenario(1, seed=3)
+    cfg = stock_scenario(1, seed=3)
     cfg.localizer = LocalizerConfig(update_noise_var=0.01, lambda_fine=1e-9)
     runner = MissionRunner(cfg, out_dir=out, dump_particles=True)
     report = runner.run()
@@ -77,7 +78,7 @@ def crowded_fine_run(tmp_path_factory):
                 crowded.append(self.frame)
             return super()._localize_from_track(*args)
 
-    report = Counting(default_scenario(2, seed=2), out_dir=out).run()
+    report = Counting(stock_scenario(2, seed=2), out_dir=out).run()
     return crowded, report, out
 
 
@@ -86,7 +87,7 @@ def fp_heavy_run(tmp_path_factory):
     """One target under a false-positive storm for 60 s: about 45 live tracks a
     frame, so fallback predicts, many-track association and prune all run hard."""
     out = tmp_path_factory.mktemp("fp_heavy")
-    cfg = default_scenario(1, seed=5)
+    cfg = stock_scenario(1, seed=5)
     cfg.noise.false_positive_rate = 1.0
     cfg.noise.detect_prob = 0.6
     cfg.mission.max_sim_time = 60.0
@@ -101,7 +102,7 @@ def mode_pairs(report):
 
 class TestZeroTargets:
     def test_pure_lawnmower_traversal(self, tmp_path):
-        cfg = default_scenario(0, seed=1)
+        cfg = stock_scenario(0, seed=1)
         report = MissionRunner(cfg, out_dir=tmp_path).run()
         assert report.targets_total == 0 and report.targets_found == 0
         assert report.exit_code == EXIT_OK
@@ -214,7 +215,7 @@ class TestConfigBoundary:
         ("camera.gamma", math.radians(15.0)),  # gamma <= beta/2 at the default beta
     ])
     def test_runner_rejects_a_value_changed_after_build(self, path, value):
-        cfg = default_scenario(1, seed=3)
+        cfg = stock_scenario(1, seed=3)
         if path == "region":
             cfg.region = value
         else:  # some sections are frozen, so the section is swapped whole
@@ -230,7 +231,7 @@ class TestMultiLegSurvey:
     @pytest.fixture(scope="class")
     def multi_leg_run(self, tmp_path_factory):
         out = tmp_path_factory.mktemp("multi_leg")
-        cfg = default_scenario(1, seed=3)
+        cfg = stock_scenario(1, seed=3)
         cfg.region = (0.0, 0.0, 36.0, 40.0)
         cfg.targets[0].center = (15.0, 20.0, 0.3)
         runner = MissionRunner(cfg, out_dir=out)
@@ -348,7 +349,7 @@ class TestGoldenDigests:
     def test_one_target_100k_report_digest(self):
         # the stock one-target mission at the particle count where the localizer
         # dominates, run without a run directory as the benchmark runs it
-        cfg = default_scenario(1, seed=3)
+        cfg = stock_scenario(1, seed=3)
         cfg.localizer = dataclasses.replace(cfg.localizer, n_particles=100_000)
         text = json.dumps(MissionRunner(cfg).run().to_dict(), indent=2, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == ONE_TARGET_100K_REPORT
@@ -356,14 +357,14 @@ class TestGoldenDigests:
     @pytest.mark.parametrize("max_sim_time", sorted(CUT_SHORT_REPORTS))
     def test_cut_short_report_digest(self, max_sim_time, tmp_path):
         mode, digest = CUT_SHORT_REPORTS[max_sim_time]
-        cfg = default_scenario(1, seed=3)
+        cfg = stock_scenario(1, seed=3)
         cfg.mission.max_sim_time = max_sim_time
         report = MissionRunner(cfg, out_dir=tmp_path).run()
         assert report.transitions[-1]["to"] == mode
         assert _digest(tmp_path, "report.json") == digest
 
     def test_cut_short_run_directory_digest(self, tmp_path):
-        cfg = default_scenario(1, seed=3)
+        cfg = stock_scenario(1, seed=3)
         cfg.mission.max_sim_time = 60.0
         report = MissionRunner(cfg, out_dir=tmp_path, dump_particles=True).run()
         assert report.transitions[-1]["to"] == "map"
@@ -414,7 +415,7 @@ class TestFineLocalizeCandidates:
 
     @pytest.fixture
     def scene(self):
-        runner = MissionRunner(default_scenario(2, seed=7))
+        runner = MissionRunner(stock_scenario(2, seed=7))
         cam, lcfg = runner.cam, runner.cfg.localizer
         est_c2w = camera_to_world_pose(np.array([0.0, -12.0, 12.0]), math.pi / 2,
                                        cam.gamma)
@@ -474,7 +475,7 @@ class TestFineLocalizeCandidates:
     def test_the_circled_hypothesis_outlives_a_duplicate(self):
         # a converged cloud 0.5 m from the circled one outranks it; when it was
         # the circled one that was dropped, _retire raised ValueError at 139.8 s
-        runner = MissionRunner(default_scenario(1, seed=3))
+        runner = MissionRunner(stock_scenario(1, seed=3))
         while runner.mode != mission.FINE_LOCALIZE:
             runner._tick()
         active = runner.active
@@ -534,7 +535,7 @@ class TestCloudStatistics:
 
         monkeypatch.setattr(localizer, "_cloud_statistics", counting)
         monkeypatch.setattr(mission, "TargetHypothesis", tracking)
-        runner = MissionRunner(default_scenario(1, seed=3))
+        runner = MissionRunner(stock_scenario(1, seed=3))
         runner.run()
         kept = runner.hypotheses + [h for h, _ in runner.finished]
         assert any(entry.status == "done" for _, entry in runner.finished)
@@ -557,7 +558,7 @@ class TestDepthPrior:
             return generate(*args, max_depth=max_depth, **kwargs)
 
         monkeypatch.setattr(mission, "generate_particles", recording)
-        cfg = dataclasses.replace(default_scenario(1, seed=3), search_altitude=9.0)
+        cfg = dataclasses.replace(stock_scenario(1, seed=3), search_altitude=9.0)
         cfg.mission.max_sim_time = 60.0
         MissionRunner(cfg).run()
         assert depths and set(depths) == {18.0}
@@ -589,7 +590,7 @@ class TestTruthProjection:
             monkeypatch.setattr(module, "project_points", counting, raising=False)
         monkeypatch.setattr(simulator.TruthPoints, "split", recording_split)
         monkeypatch.setattr(mission, "simulate_klt", recording)
-        runner = MissionRunner(default_scenario(2, seed=7))
+        runner = MissionRunner(stock_scenario(2, seed=7))
         runner.run()
         assert runner.frame > 0 and len(projected) == len(masks) == runner.frame
         # KLT reads the previous frame's projection and visibility mask, not a
@@ -624,7 +625,7 @@ def lean_path_mission():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulator, "corner_boxes", counting_corner_boxes)
         mp.setattr(bbox_tracker.TrackerState, "step", checking_step)
-        runner = MissionRunner(default_scenario(2, seed=7))
+        runner = MissionRunner(stock_scenario(2, seed=7))
         runner.run()
     return runner, counts
 
@@ -690,7 +691,7 @@ class TestTrackLog:
             raise RuntimeError("track row built")
 
         monkeypatch.setattr("conescan.mission.bbox_entropy", refuse)
-        cfg = default_scenario(1, seed=3)
+        cfg = stock_scenario(1, seed=3)
         cfg.mission.max_sim_time = 20.0
         runner = MissionRunner(cfg)
         runner.run()
@@ -705,7 +706,7 @@ class TestTrackLog:
             raise RuntimeError("row formatted")
 
         monkeypatch.setattr(mission, "_fmt", refuse)
-        cfg = default_scenario(1, seed=3)
+        cfg = stock_scenario(1, seed=3)
         cfg.mission.max_sim_time = 30.0  # registers, updates and starts a fine arc
         report = MissionRunner(cfg).run()
         assert report.transitions[-1]["to"] == "fine_localize"
@@ -728,23 +729,23 @@ class TestRunDirectoryRows:
 
 class TestDeterminism:
     def test_same_seed_byte_identical_outputs(self, tmp_path):
-        cfg = default_scenario(1, seed=12)
+        cfg = stock_scenario(1, seed=12)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         MissionRunner(cfg, out_dir=out_a).run()
-        MissionRunner(default_scenario(1, seed=12), out_dir=out_b).run()
+        MissionRunner(stock_scenario(1, seed=12), out_dir=out_b).run()
         for name in ("report.json", "tracks.csv", "path.csv", "metrics.csv",
                      "planned_path.csv", "coverage.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
     def test_different_seed_differs(self, tmp_path):
-        rep_a = MissionRunner(default_scenario(1, seed=1)).run()
-        rep_b = MissionRunner(default_scenario(1, seed=2)).run()
+        rep_a = MissionRunner(stock_scenario(1, seed=1)).run()
+        rep_b = MissionRunner(stock_scenario(1, seed=2)).run()
         assert rep_a.to_dict() != rep_b.to_dict()
 
 
 class TestDetectionLatency:
     def test_late_detections_change_the_mission(self, one_target_run, tmp_path):
-        cfg = default_scenario(1, seed=3)
+        cfg = stock_scenario(1, seed=3)
         cfg.noise.detection_latency_frames = 8
         cfg.mission.max_sim_time = 40.0
         late = MissionRunner(cfg, out_dir=tmp_path).run()
@@ -759,7 +760,7 @@ class TestDetectionLatency:
 
 class TestFlownVersusPlanned:
     def test_follower_stays_on_planned_segments(self, tmp_path):
-        cfg = default_scenario(1, seed=4)
+        cfg = stock_scenario(1, seed=4)
         cfg.noise.pose_sigma_xyz = 0.0
         cfg.noise.yaw_sigma = 0.0
         MissionRunner(cfg, out_dir=tmp_path).run()
@@ -822,7 +823,7 @@ class TestFailurePaths:
 
 class TestRunDirectoryReuse:
     def test_rerun_replaces_snapshots_and_drops_plots(self, tmp_path):
-        cfg = default_scenario(1, seed=3)
+        cfg = stock_scenario(1, seed=3)
         cfg.mission.max_sim_time = 60.0
         reused, fresh = tmp_path / "reused", tmp_path / "fresh"
         MissionRunner(cfg, out_dir=reused).run()
@@ -845,7 +846,7 @@ class TestRunDirectoryReuse:
         (tmp_path / "plots" / "x.csv").write_text("x")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            runner = MissionRunner(default_scenario(1, seed=3), out_dir=tmp_path)
+            runner = MissionRunner(stock_scenario(1, seed=3), out_dir=tmp_path)
             del runner
             gc.collect()
         assert caught == []
