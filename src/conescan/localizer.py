@@ -82,7 +82,7 @@ class LocalizerConfig:
 
 @dataclass(frozen=True)
 class ParticleSet:
-    points: np.ndarray  # (m, 3) float world points from the maker, kept as a read-only view
+    points: np.ndarray  # (m, 3) float world points, kept as a read-only view
 
     def __post_init__(self):
         pts = self.points.view()  # no copy; read-only so the cached statistics stay valid
