@@ -80,12 +80,14 @@ def predict(
 
 def update(track: BoxTrack, z: BBox, cfg: TrackerConfig) -> BoxTrack:
     """Kalman measurement update with an identity observation model and gain
-    k = var / (var + r^2); the fused detection counts as one more hit."""
-    k = track.var / (track.var + cfg.measure_noise_px**2)
+    k = var / (var + r^2); the posterior variance (1 - k) var is written as
+    k r^2, which keeps every digit where 1 - k would cancel. The fused
+    detection counts as one more hit."""
+    r2 = cfg.measure_noise_px**2
+    k = track.var / (track.var + r2)
     u = track.u.as_array()
     u_new = u + k * (z.as_array() - u)
-    return _derive(track, u=BBox(*u_new.tolist()), var=(1.0 - k) * track.var,
-                   hits=track.hits + 1)
+    return _derive(track, u=BBox(*u_new.tolist()), var=k * r2, hits=track.hits + 1)
 
 
 def iou(a: BBox, b: BBox) -> float:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -82,8 +83,8 @@ def reference_dereg(sigma, threshold) -> bool:
 
 def assert_isotropic(sigma, var, prior=0.0):
     """sigma equals var * I to 1e-12 of the larger of var and the prior
-    variance: with var >> r^2 an update's 1 - k cancels digits of the prior,
-    in the 4x4 (I - K) sigma as in the scalar (1 - k) var."""
+    variance: with var >> r^2 an update's 1 - k cancels digits of the prior
+    in the 4x4 (I - K) sigma, which the scalar k r^2 keeps."""
     assert np.abs(sigma - var * np.eye(4)).max() <= 1e-12 * max(var, prior)
 
 
@@ -341,6 +342,17 @@ class TestUpdate:
         ref = reference_update(track.u, track.var * np.eye(4), z, cfg)
         out = update(track, z, cfg)
         assert_matches_reference(out, track, ref, box_rel=1e-12, hits=track.hits + 1)
+
+    @pytest.mark.parametrize("r", [0.1, 1.0, 4.0])
+    @pytest.mark.parametrize("ratio", [1.0, 50.0, 1e3, 1e6, 1e9])
+    def test_posterior_variance_is_exact_to_a_few_ulp(self, ratio, r):
+        # var r^2 / (var + r^2) in exact rationals; (1 - k) var, where 1 - k
+        # cancels, was 2.7e-8 of it off at var = 1e9 r^2 and 19 ulp at 50 r^2
+        var = ratio * r * r
+        out = update(make_track(var=var), BBox(1, 1, 11, 11), TrackerConfig(measure_noise_px=r))
+        v, r2 = Fraction(var), Fraction(r) ** 2
+        exact = float(v * r2 / (v + r2))
+        assert abs(out.var - exact) <= 4 * math.ulp(exact)
 
     def test_zero_prior_covariance_ignores_measurement(self):
         track = make_track((0, 0, 10, 10), var=0.0)

@@ -270,7 +270,7 @@ GOLDEN_DIGESTS = {
             "0c12ed7b1ea959a3202520da9072d9a14eb03629064779b8fd0cfcf8f5a2c7ca",
         "metrics.csv": "fb8a57ca45290a4b9c5b9df767da15ccbf085cecda761cd3daf21f4cf43e119c",
         "coverage.json": "bea0cd7c73db7e5e5a5c00f2160e7bdb10d99bde7adeed05ea94d6a303f4f16f",
-        "tracks.csv": "13e8f7ad7205bc2be8d0174c279296babcdfcbd6d59634c1238bcc1af92dde9e",
+        "tracks.csv": "b3a1b8bed0f556e89a156f1a5ce67fb4ea12e0d1f1460b075b9db0276bc2a258",
         "particles/*.json":
             "293411cd34e401318b3b3e00ed305ba93c65d8b2370ce9f5892368cbcebf5eb7",
     },
@@ -281,7 +281,7 @@ GOLDEN_DIGESTS = {
             "fab2832735e75ae888179e8e4805a7ada9bd72d3868768d5b054fab30f12d8bc",
         "metrics.csv": "f4c155e647efa6f978ca6e2c1ed9e174f3b0fb637be281c0804bd88ecbd95562",
         "coverage.json": "bfbb438867600e0bf7f7d5ca8eea6fe757d00370261b5402a8656c39b102d8d7",
-        "tracks.csv": "5f8d95174c1ab13829faa507bb8aac6b4af0af0e596bd73329b29fdfc206b694",
+        "tracks.csv": "0a13a33750b4458477204d9a5253d4f67ee4de9e3b3a3673fa021c2433bfe937",
         "particles/*.json":
             "d56efdda92533dcfa3958b21955922875adcb6d9353823178983c29206e6bbfb",
     },
@@ -299,12 +299,12 @@ GOLDEN_DIGESTS = {
         "planned_path.csv":
             "fe669d4e105ed717383264f67f374ff1607eca4cfd4c7230da138dd08b8566b8",
         "metrics.csv": "ae850397033a0d7592a5d46648fdad45390b3af67b57c839bac0fc08e0fc30bd",
-        "tracks.csv": "4535c374d46aa1c460f517a7a4ae10d0254da0b9db3c493729ad7f9899580977",
+        "tracks.csv": "8b9a679ebb4d86a3a4450c58af3672e044d1f06463194f7e3ffd68e89287e0df",
     },
     # a bank of tens of tracks fed mostly by false positives
     "fp_heavy_run": {
         "report.json": "b2d9a41dca11944eef37313135900f3ddc57871883d362bd2692207f49aec62e",
-        "tracks.csv": "266332f3c8a318785f13c8e11c195ec6746ae348fc44334d7916ff438826646f",
+        "tracks.csv": "b35d92ea6bb5156d838529987f2f7b6dc8f17e046b453e37a6533cd35aa52711",
     },
 }
 
