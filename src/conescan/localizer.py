@@ -7,6 +7,7 @@ divergence and differential entropy of the cloud drive mission transitions.
 """
 
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -32,6 +33,12 @@ WEIGHT_FLOOR = 1e-12
 # unmatched cloud to a handful of numpy calls.
 _FIRST_CHUNK = 256
 _CHUNK_GROWTH = 4
+
+# A cloud of this many points or more draws its next perturbation on a thread
+# while the frame loop runs, a smaller one inline. Handing a draw to a thread and
+# joining it costs about 0.4 ms on a 2-vCPU x86-64 host, an inline draw of about
+# 10,000 points; 16,384 points take about 0.7 ms inline.
+THREADED_DRAW_MIN_POINTS = 16_384
 
 STATUS_ROUGH = "rough"
 STATUS_FINE_REQUESTED = "fine_requested"
@@ -271,6 +278,50 @@ def systematic_resample(weights, rng: np.random.Generator) -> np.ndarray:
     return idx
 
 
+def perturb_points(points, rng: np.random.Generator, noise_var: float, out: np.ndarray):
+    """points plus the stream's next standard normals scaled by sqrt(noise_var),
+    written into out, an array of the points' shape."""
+    rng.standard_normal(out=out)
+    out *= math.sqrt(noise_var)
+    out += points
+    return out
+
+
+class PendingPerturbation:
+    """An update's perturbed cloud, drawn ahead: on a thread for a cloud of at
+    least THREADED_DRAW_MIN_POINTS points, inline for a smaller one. Until
+    result() or join() the draw owns its stream and its buffer."""
+
+    def __init__(self, points, rng: np.random.Generator, noise_var: float):
+        self._out = np.empty(points.shape)  # allocated here, filled by the draw
+        self._error = None
+        self._thread = None
+        args = (points, rng, noise_var, self._out)
+        if len(points) < THREADED_DRAW_MIN_POINTS:
+            perturb_points(*args)
+        else:
+            self._thread = threading.Thread(target=self._draw, args=args)
+            self._thread.start()
+
+    def _draw(self, *args):
+        try:
+            perturb_points(*args)
+        except Exception as exc:  # raised again by result()
+            self._error = exc
+
+    def join(self):
+        """Wait for the draw to end."""
+        if self._thread is not None:
+            self._thread.join()
+
+    def result(self) -> np.ndarray:
+        """The perturbed cloud; an exception of the draw is raised here."""
+        self.join()
+        if self._error is not None:
+            raise self._error
+        return self._out
+
+
 @dataclass(frozen=True)
 class UpdateResult:
     particles: ParticleSet
@@ -279,24 +330,24 @@ class UpdateResult:
 
 def update_particles(
     ps: ParticleSet,
+    perturbed: np.ndarray,
     box: BBox,
     world_to_cam: PoseSE3,
     cam: CameraRig,
     cfg: LocalizerConfig,
     rng: np.random.Generator,
 ) -> UpdateResult:
-    """One perturb / project / weight / resample round against a tracked box.
+    """One project / weight / resample round of ps, perturbed, against a tracked box.
 
+    perturbed is ps's points perturbed by `perturb_points` with cfg.update_noise_var.
     Points projecting behind the camera get the floor weight. If every weight
     sits at the floor the box carries no information about this cloud: the
     update is skipped and the starved flag raised.
     """
-    perturbed = rng.standard_normal(ps.points.shape)  # scaled and shifted in place
-    perturbed *= math.sqrt(cfg.update_noise_var)
-    perturbed += ps.points
     pix, depth = project_points(perturbed, world_to_cam, cam)
     weights = weight_density(pix, box, cfg)
     np.copyto(weights, WEIGHT_FLOOR, where=~(depth > 0))
+    del pix, depth  # depth views the whole camera-frame cloud; free both before resampling
     if np.all(weights <= WEIGHT_FLOOR):
         return UpdateResult(ps, starved=True)
     idx = systematic_resample(weights, rng)
@@ -359,7 +410,8 @@ def localization_status(rec: ConvergenceRecord, cfg: LocalizerConfig) -> str:
 @dataclass
 class TargetHypothesis:
     """One target's estimate: its current particle set, the random stream that
-    resamples it, and the convergence record of every set it has had.
+    perturbs and resamples it, the perturbation for its next update and the
+    convergence record of every set it has had.
 
     `status` only rises (rough, fine_requested, converged) as records are
     added; the mission marks a hypothesis whose fine phase ran out "failed" and
@@ -373,6 +425,25 @@ class TargetHypothesis:
     status: str = STATUS_ROUGH
     updates: int = 0
     last_update_camera: np.ndarray = None  # where the last accepted view was taken
+    pending: Optional[PendingPerturbation] = None  # the next update's perturbed cloud
+
+    def draw_next(self, cfg: LocalizerConfig):
+        """Start the next update's perturbation of the current cloud. It takes the
+        stream's next normals, as an update drawing its own would: the stream is
+        drawn from nowhere else until that update."""
+        self.pending = PendingPerturbation(self.particles.points, self.rng,
+                                           cfg.update_noise_var)
+
+    def take_perturbed(self) -> np.ndarray:
+        """The pending perturbed cloud, which this hypothesis then lets go of."""
+        pending, self.pending = self.pending, None
+        return pending.result()
+
+    def release(self):
+        """Wait for a pending draw to end and let go of it, unused."""
+        if self.pending is not None:
+            self.pending.join()
+            self.pending = None
 
     @property
     def center(self) -> np.ndarray:

@@ -124,7 +124,9 @@ def coverage_samples(
 
     A wall sample counts as covered when some waypoint sees it inside the
     vertical scan band and the horizontal field of view, with the cylinder not
-    occluding it (outward wall normal facing the waypoint).
+    occluding it (outward wall normal facing the waypoint). Each waypoint tests
+    only the samples still uncovered that face it: covered is an OR over the
+    waypoints, and each sample's test is its own elementwise arithmetic.
     """
     height = max(cyl.height, 1e-6)
     circumference = 2.0 * math.pi * cyl.radius
@@ -144,15 +146,16 @@ def coverage_samples(
     normal_x, normal_y = sx - cyl.axis_xy[0], sy - cyl.axis_xy[1]  # outward
     for wp in plan.all_waypoints():
         qx, qy, qz = wp.position
-        dx, dy = sx - qx, sy - qy
+        facing = normal_x * (qx - sx) + normal_y * (qy - sy) > 0
+        open_ = np.flatnonzero(facing & ~covered)
+        dx, dy = sx[open_] - qx, sy[open_] - qy
         dist_h = np.hypot(dx, dy)
-        depression = np.arctan2(qz - sz, dist_h)
+        depression = np.arctan2(qz - sz[open_], dist_h)
         in_band = (depression >= plan.gamma_high) & (depression <= plan.gamma_low)
         rel_bearing = np.arctan2(dy, dx) - wp.yaw
         rel_bearing = (rel_bearing + math.pi) % (2.0 * math.pi) - math.pi
         in_fov = np.abs(rel_bearing) <= half_hfov
-        facing = normal_x * (qx - sx) + normal_y * (qy - sy) > 0
-        covered |= in_band & in_fov & facing
+        covered[open_[in_band & in_fov]] = True
         if covered.all():
             break
     return samples, covered

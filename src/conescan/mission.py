@@ -431,18 +431,21 @@ class MissionRunner:
         )
         hyp = TargetHypothesis(target_id=hyp_id, particles=particles, rng=rng,
                                last_update_camera=est_c2w.translation.copy())
-        hyp.record(lcfg, kl=None)
         self.hypotheses.append(hyp)
+        hyp.draw_next(lcfg)  # while the cloud's statistics are computed
+        hyp.record(lcfg, kl=None)
         self.log.metrics_row(self.frame, hyp)
         self.log.snapshot(hyp, self.frame, "registered")
 
     def _update_hypothesis(self, hyp, box, est_w2c, cam_pos):
         lcfg = self.cfg.localizer
         pre = gaussian_summary(hyp.particles)
-        result = update_particles(hyp.particles, box, est_w2c, self.cam, lcfg, hyp.rng)
+        result = update_particles(hyp.particles, hyp.take_perturbed(), box, est_w2c,
+                                  self.cam, lcfg, hyp.rng)
+        hyp.particles = result.particles  # the same set when starved
+        hyp.draw_next(lcfg)
         if result.starved:
             return
-        hyp.particles = result.particles
         hyp.updates += 1
         hyp.last_update_camera = cam_pos.copy()
         try:
@@ -514,6 +517,7 @@ class MissionRunner:
         with its report entry, snapshot it and resume the search."""
         hyp = self.active
         self.hypotheses.remove(hyp)
+        hyp.release()
         self.finished.append((hyp, self._entry(hyp, status, coverage, arc_fraction)))
         self.log.snapshot(hyp, self.frame, status)
         self._resume_search()
@@ -590,10 +594,12 @@ class MissionRunner:
             # the circled hypothesis stays live until _retire; another one in a
             # finished target's zone is a duplicate of that target, not a new one
             kept = drop_duplicates(self.hypotheses, keep=self.active)
-            self.hypotheses = [
-                h for h in kept
-                if h is self.active or not self._near_done_target(h.center)
-            ]
+            kept = [h for h in kept
+                    if h is self.active or not self._near_done_target(h.center)]
+            for h in self.hypotheses:
+                if not any(h is k for k in kept):
+                    h.release()
+            self.hypotheses = kept
 
         finished = self._step_modes()
 
@@ -618,6 +624,8 @@ class MissionRunner:
             self.log.write_json("config.json", to_dict(self.cfg))
             return report
         finally:
+            for hyp in self.hypotheses:  # the others let go of theirs when dropped
+                hyp.release()
             self.log.close()
 
     # ----------------------------------------------------------------- report

@@ -37,6 +37,7 @@ from conescan.localizer import (
     generate_particles,
     kl_divergence,
     pca_summary,
+    perturb_points,
     points_entropy,
     update_particles,
     weight_density,
@@ -445,7 +446,9 @@ def test_criterion_9_degenerate_inputs():
 
     rng = np.random.default_rng(109)
     far_cloud = ParticleSet(rng.normal([0, 0, 5], 0.1, size=(500, 3)))
-    result = update_particles(far_cloud, BBox(0, 0, 4, 4), identity_pose(),
+    perturbed = perturb_points(far_cloud.points, rng, LocalizerConfig().update_noise_var,
+                               np.empty(far_cloud.points.shape))
+    result = update_particles(far_cloud, perturbed, BBox(0, 0, 4, 4), identity_pose(),
                               CAM, LocalizerConfig(), rng)
     assert result.starved and result.particles is far_cloud
     assert weight_density([[5000.0, 5000.0]], BBox(0, 0, 4, 4),

@@ -31,6 +31,7 @@ from conescan.localizer import (
     localization_status,
     needs_new_particle_set,
     pca_summary,
+    perturb_points,
     points_entropy,
     systematic_resample,
     update_particles,
@@ -46,6 +47,13 @@ MAX_DEPTH = 24.0
 
 def cloud(points):
     return ParticleSet(np.asarray(points, dtype=float))
+
+
+def update(ps, box, world_to_cam, cam, cfg, rng):
+    """update_particles of ps perturbed from rng, drawn first as a hypothesis draws it."""
+    perturbed = perturb_points(ps.points, rng, cfg.update_noise_var,
+                               np.empty(ps.points.shape))
+    return update_particles(ps, perturbed, box, world_to_cam, cam, cfg, rng)
 
 
 def gaussian_cloud(rng, mean, cov, n=1000):
@@ -363,7 +371,7 @@ class TestUpdateParticles:
         ps = cloud(rng.normal([0.0, 0.0, 5.0], 3.0, size=(n, 3)))
         world_to_cam = overhead_pose([0.0, 0.0, 10.0]).inverse()
         box = BBox(280.0, 200.0, 360.0, 290.0)
-        res = update_particles(ps, box, world_to_cam, cam, LCFG, np.random.default_rng(5))
+        res = update(ps, box, world_to_cam, cam, LCFG, np.random.default_rng(5))
 
         ref_rng = np.random.default_rng(5)
         noise = math.sqrt(LCFG.update_noise_var) * ref_rng.standard_normal(ps.points.shape)
@@ -392,7 +400,7 @@ class TestUpdateParticles:
         for position, yaw in (([0, -8, 10], math.pi / 2), ([8, 0, 10], math.pi)):
             pose = camera_to_world_pose(position, yaw, math.radians(55))
             box = exact_box(spread, pose.inverse(), cam, pad=2.0)
-            res = update_particles(ps, box, pose.inverse(), cam, LCFG, rng)
+            res = update(ps, box, pose.inverse(), cam, LCFG, rng)
             assert not res.starved
             ps = res.particles
         assert np.trace(np.cov(ps.points.T)) < trace0
@@ -401,7 +409,7 @@ class TestUpdateParticles:
         rng = np.random.default_rng(13)
         ps = cloud(rng.normal([0, 0, 5], 0.1, size=(500, 3)))
         far_box = BBox(0, 0, 4, 4)  # projected cloud is at the principal point
-        res = update_particles(ps, far_box, identity_pose(), cam, LCFG, rng)
+        res = update(ps, far_box, identity_pose(), cam, LCFG, rng)
         assert res.starved
         assert res.particles is ps
 
@@ -409,7 +417,7 @@ class TestUpdateParticles:
         rng = np.random.default_rng(14)
         ps = cloud(rng.normal([0, 0, -5], 0.1, size=(500, 3)))
         box = BBox(300, 220, 340, 260)
-        res = update_particles(ps, box, identity_pose(), cam, LCFG, rng)
+        res = update(ps, box, identity_pose(), cam, LCFG, rng)
         assert res.starved
 
     def test_zero_noise_whole_image_uniform_is_permutation(self, cam):
@@ -421,7 +429,7 @@ class TestUpdateParticles:
         pts = rng.normal([0, 0, 10], 0.5, size=(500, 3))
         ps = cloud(pts)
         box = BBox(1.0, 1.0, cam.width - 1.0, cam.height - 1.0)
-        res = update_particles(ps, box, identity_pose(), cam, cfg, rng)
+        res = update(ps, box, identity_pose(), cam, cfg, rng)
         assert not res.starved
         assert np.abs(res.particles.points.mean(axis=0) - pts.mean(axis=0)).max() < 1e-9
 
@@ -433,7 +441,7 @@ class TestUpdateParticles:
         for _ in range(10):
             box = BBox(250 + rng.uniform(-20, 20), 190 + rng.uniform(-20, 20),
                        390 + rng.uniform(-20, 20), 290 + rng.uniform(-20, 20))
-            res = update_particles(ps, box, identity_pose(), cam, LCFG, rng)
+            res = update(ps, box, identity_pose(), cam, LCFG, rng)
             ps = res.particles
             assert ps.points.shape == (LCFG.n_particles, 3)
             assert np.all(np.isfinite(ps.points))
@@ -505,7 +513,7 @@ class TestCachedCloudStatistics:
         box = BBox(250, 190, 390, 290)
         made = generate_particles(box.corners_clockwise(), identity_pose(), cam, LCFG, rng,
                                   max_depth=MAX_DEPTH)
-        res = update_particles(made, box, identity_pose(), cam, LCFG, rng)
+        res = update(made, box, identity_pose(), cam, LCFG, rng)
         assert not res.starved
         for ps in (made, res.particles):
             assert not ps.points.flags.writeable

@@ -179,7 +179,42 @@ class TestCircleWaypoints:
         assert chords == pytest.approx(2 * math.pi * 7.0, rel=0.01)
 
 
+def reference_covered(plan, cam, cyl, samples):
+    """The covered mask from every sample tested at every waypoint."""
+    sx, sy, sz = samples.T
+    covered = np.zeros(len(samples), dtype=bool)
+    normal_x, normal_y = sx - cyl.axis_xy[0], sy - cyl.axis_xy[1]
+    for wp in plan.all_waypoints():
+        qx, qy, qz = wp.position
+        dx, dy = sx - qx, sy - qy
+        depression = np.arctan2(qz - sz, np.hypot(dx, dy))
+        in_band = (depression >= plan.gamma_high) & (depression <= plan.gamma_low)
+        rel_bearing = np.arctan2(dy, dx) - wp.yaw
+        rel_bearing = (rel_bearing + math.pi) % (2.0 * math.pi) - math.pi
+        in_fov = np.abs(rel_bearing) <= cam.hfov / 2.0
+        facing = normal_x * (qx - sx) + normal_y * (qy - sy) > 0
+        covered |= in_band & in_fov & facing
+    return covered
+
+
 class TestCoverage:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_per_circle=st.integers(4, 8),
+           n_surface_samples=st.sampled_from([500, 10_000]))
+    def test_equal_to_testing_every_sample(self, seed, n_per_circle, n_surface_samples):
+        # few waypoints on the lowest circle of a tall body, so coverage stays partial
+        cam = CameraRig()
+        rng = np.random.default_rng(seed)
+        z0 = rng.uniform(-2.0, 2.0)
+        cyl = Cylinder(axis_xy=rng.uniform(-20, 20, size=2), z_bottom=z0,
+                       z_top=z0 + rng.uniform(10.0, 25.0), radius=rng.uniform(0.3, 3.0))
+        plan = scan_circles(cyl, cam, rng.uniform(1.0, 3.0), n_per_circle)
+        plan = type(plan)(circles=plan.circles[:1], waypoints=plan.waypoints[:1],
+                          gamma_low=plan.gamma_low, gamma_high=plan.gamma_high)
+        samples, covered = coverage_samples(plan, cam, cyl, n_surface_samples)
+        assert np.array_equal(covered, reference_covered(plan, cam, cyl, samples))
+        assert not covered.all()
+
     def test_planned_orbits_cover_everything(self, cam):
         cyl = Cylinder(axis_xy=[0, 0], z_bottom=0.0, z_top=4.0, radius=1.5)
         plan = scan_circles(cyl, cam, standoff=3.0, n_per_circle=72)

@@ -4,6 +4,8 @@ import gc
 import hashlib
 import json
 import math
+import threading
+import time
 import warnings
 from types import SimpleNamespace
 
@@ -14,11 +16,14 @@ from conescan import bbox_tracker, localizer, mission, simulator
 from conescan.config import ConfigError
 from conescan.geometry import BBox, camera_to_world_pose
 from conescan.localizer import (
+    THREADED_DRAW_MIN_POINTS,
     LocalizerConfig,
     ParticleSet,
     TargetHypothesis,
     enlarge,
     generate_particles,
+    perturb_points,
+    update_particles,
 )
 from conescan.mission import (
     EXIT_OK,
@@ -28,6 +33,13 @@ from conescan.mission import (
 )
 from conescan.view_planner import lawnmower_path
 from conftest import stock_scenario
+
+
+def one_target_100k():
+    """The stock one-target mission at 100,000 particles, as the benchmark runs it."""
+    cfg = stock_scenario(1, seed=3)
+    cfg.localizer = dataclasses.replace(cfg.localizer, n_particles=100_000)
+    return cfg
 
 
 @pytest.fixture(scope="module")
@@ -317,6 +329,9 @@ CUT_SHORT_REPORTS = {
 }
 
 ONE_TARGET_100K_REPORT = "1814f64dbdd3be7ad0683539564597354845aa59ef008d856d02571fcc882a59"
+# its metrics.csv: every accepted update's eigenvalues, entropy and KL, from
+# clouds whose perturbations were drawn on a thread
+ONE_TARGET_100K_METRICS = "ce27cc27f677362cd96e4fce4544ed9c3497c239dff7909fdfcff8cafb158a92"
 
 # the one-target mission cut at 60 s with particle dumps: its target is still
 # in MAP, so it has no coverage entry yet and a `final` snapshot of a live cloud
@@ -349,10 +364,17 @@ class TestGoldenDigests:
     def test_one_target_100k_report_digest(self):
         # the stock one-target mission at the particle count where the localizer
         # dominates, run without a run directory as the benchmark runs it
-        cfg = stock_scenario(1, seed=3)
-        cfg.localizer = dataclasses.replace(cfg.localizer, n_particles=100_000)
-        text = json.dumps(MissionRunner(cfg).run().to_dict(), indent=2, sort_keys=True)
+        text = json.dumps(MissionRunner(one_target_100k()).run().to_dict(), indent=2,
+                          sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == ONE_TARGET_100K_REPORT
+
+    def test_one_target_100k_metrics_digest(self, tmp_path, monkeypatch):
+        # the 100,000-point snapshots are not digested here, and writing them
+        # would take most of the test's time
+        monkeypatch.setattr(mission._RunLog, "snapshot", lambda *args: None)
+        MissionRunner(one_target_100k(), out_dir=tmp_path).run()
+        assert _digest(tmp_path, "report.json") == ONE_TARGET_100K_REPORT
+        assert _digest(tmp_path, "metrics.csv") == ONE_TARGET_100K_METRICS
 
     @pytest.mark.parametrize("max_sim_time", sorted(CUT_SHORT_REPORTS))
     def test_cut_short_report_digest(self, max_sim_time, tmp_path):
@@ -426,8 +448,10 @@ class TestFineLocalizeCandidates:
             rng = np.random.default_rng(target_id)
             particles = generate_particles(self.BOX.corners_clockwise(), est_c2w, cam,
                                            lcfg, rng, max_depth=24.0)
-            return TargetHypothesis(target_id=target_id, particles=particles, rng=rng,
-                                    last_update_camera=last_update_camera)
+            hyp = TargetHypothesis(target_id=target_id, particles=particles, rng=rng,
+                                   last_update_camera=last_update_camera)
+            hyp.draw_next(lcfg)  # as registration draws it
+            return hyp
 
         active, other = hypothesis(0, away), hypothesis(1, None)
         runner.hypotheses = [active, other]
@@ -518,6 +542,104 @@ class TestFineLocalizeCandidates:
         assert first.updates == 0 and first.particles is first_particles
         assert second.updates == 1
         assert runner.hypotheses == [first, second] and runner.next_hypothesis_id == 0
+
+
+class TestDrawAhead:
+    """Each hypothesis draws its next update's perturbation ahead: on a thread
+    for a large cloud, inline for a small one."""
+
+    BOX = BBox(280.0, 200.0, 360.0, 290.0)
+    FAR_BOX = BBox(0.0, 0.0, 4.0, 4.0)  # far from every projected point: starves
+
+    @staticmethod
+    def registered(n_particles):
+        """A runner, a camera pose and the hypothesis the runner registered from
+        BOX seen from that pose."""
+        cfg = stock_scenario(1, seed=3)
+        cfg.localizer = dataclasses.replace(cfg.localizer, n_particles=n_particles)
+        runner = MissionRunner(cfg)
+        c2w = camera_to_world_pose(np.array([0.0, -12.0, 12.0]), math.pi / 2,
+                                   runner.cam.gamma)
+        runner._localize_from_track(SimpleNamespace(u=TestDrawAhead.BOX), c2w,
+                                    c2w.inverse())
+        [hyp] = runner.hypotheses
+        return runner, c2w, hyp
+
+    @pytest.mark.parametrize("n", [1000, THREADED_DRAW_MIN_POINTS])
+    def test_clouds_equal_inline_draws_from_a_twin_stream(self, n):
+        runner, c2w, hyp = self.registered(n)
+        cam, lcfg = runner.cam, runner.cfg.localizer
+        twin_rng = simulator.substream(runner.cfg.seed, "particles", hyp.target_id)
+        twin = generate_particles(
+            enlarge(self.BOX, lcfg.enlarge_factor).corners_clockwise(), c2w, cam, lcfg,
+            twin_rng, max_depth=2.0 * runner.cfg.search_altitude)
+        assert np.array_equal(hyp.particles.points, twin.points)
+        moved = camera_to_world_pose(np.array([1.0, -12.0, 12.0]), math.pi / 2,
+                                     cam.gamma)
+        for box, pose, starved in ((self.FAR_BOX, c2w, True), (self.BOX, c2w, False),
+                                   (self.BOX, moved, False)):
+            w2c = pose.inverse()
+            runner._update_hypothesis(hyp, box, w2c, pose.translation)
+            perturbed = perturb_points(twin.points, twin_rng, lcfg.update_noise_var,
+                                       np.empty(twin.points.shape))
+            result = update_particles(twin, perturbed, box, w2c, cam, lcfg, twin_rng)
+            assert result.starved == starved
+            twin = result.particles
+            assert np.array_equal(hyp.particles.points, twin.points)
+        assert hyp.updates == 2
+        # the pending draw took the stream's next normals, of the last cloud
+        expected = perturb_points(twin.points, twin_rng, lcfg.update_noise_var,
+                                  np.empty(twin.points.shape))
+        assert np.array_equal(hyp.take_perturbed(), expected)
+
+    # a run's threads are compared as sets: a thread that another run left
+    # running, and that ends meanwhile, must not balance one that this run leaves
+
+    @pytest.fixture
+    def slow_draws(self, monkeypatch):
+        """Draws that are still running when a run that does not wait for them ends."""
+        draw = localizer.perturb_points
+
+        def slow(*args):
+            time.sleep(0.05)
+            return draw(*args)
+
+        monkeypatch.setattr(localizer, "perturb_points", slow)
+
+    def test_a_cut_short_run_leaves_no_draw_running(self, slow_draws):
+        cfg = one_target_100k()
+        cfg.mission.max_sim_time = 30.0
+        before = set(threading.enumerate())
+        report = MissionRunner(cfg).run()
+        assert report.transitions[-1]["to"] == "fine_localize"  # a live cloud remains
+        assert set(threading.enumerate()) <= before
+
+    def test_a_raising_run_leaves_no_draw_running(self, slow_draws, monkeypatch):
+        runner = MissionRunner(one_target_100k())
+        tick = runner._tick
+
+        def tick_then_raise():
+            finished = tick()
+            if runner.hypotheses:  # raised right after the registration
+                raise RuntimeError("mid-mission")
+            return finished
+
+        monkeypatch.setattr(runner, "_tick", tick_then_raise)
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="mid-mission"):
+            runner.run()
+        assert set(threading.enumerate()) <= before
+
+    def test_a_failed_draw_raises_in_the_update_that_joins_it(self, monkeypatch):
+        def fail(*args):
+            raise FloatingPointError("draw failed")
+
+        runner, c2w, hyp = self.registered(THREADED_DRAW_MIN_POINTS)
+        monkeypatch.setattr(localizer, "perturb_points", fail)
+        runner._update_hypothesis(hyp, self.BOX, c2w.inverse(), c2w.translation)
+        assert hyp.updates == 1  # the failed draw started on a thread, raising nothing
+        with pytest.raises(FloatingPointError, match="draw failed"):
+            runner._update_hypothesis(hyp, self.BOX, c2w.inverse(), c2w.translation)
 
 
 class TestCloudStatistics:
