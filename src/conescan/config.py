@@ -126,7 +126,7 @@ _RANGES = (
     ("noise.detect_prob", *_UNIT),
     ("noise.detection_latency_frames", *_at_least(0)),
     ("uav.v_max", *_POSITIVE),
-    ("uav.a_max", *_POSITIVE),
+    ("uav.a_max", *_POSITIVE_FINITE),
     ("uav.yaw_rate", *_POSITIVE),
     ("tracker.predict_noise_px", *_POSITIVE_FINITE),
     ("tracker.measure_noise_px", *_POSITIVE_FINITE),
@@ -142,12 +142,12 @@ _RANGES = (
     ("localizer.kl_converged", *_POSITIVE),
     ("planner.overlap", lambda v: 0 <= v < 1, "must lie in [0, 1)"),
     ("planner.angular_step", *_POSITIVE),
-    ("planner.standoff", *_POSITIVE),
+    ("planner.standoff", *_POSITIVE_FINITE),
     ("planner.n_per_circle", *_at_least(4)),
     ("planner.n_surface_samples", *_at_least(1)),
-    ("mission.dt", *_POSITIVE),
+    ("mission.dt", *_POSITIVE_FINITE),
     ("mission.confirm_hits", *_at_least(1)),
-    ("mission.min_update_baseline", *_NON_NEGATIVE),
+    ("mission.min_update_baseline", *_NON_NEGATIVE_FINITE),
     ("mission.fine_replan_distance", *_NON_NEGATIVE),
     ("mission.fine_max_laps", *_POSITIVE),
     ("mission.suppression_scale", *_POSITIVE_FINITE),

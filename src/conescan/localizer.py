@@ -7,7 +7,7 @@ divergence and differential entropy of the cloud drive mission transitions.
 """
 
 import math
-import threading
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -33,12 +33,6 @@ WEIGHT_FLOOR = 1e-12
 # unmatched cloud to a handful of numpy calls.
 _FIRST_CHUNK = 256
 _CHUNK_GROWTH = 4
-
-# A cloud of this many points or more draws its next perturbation on a thread
-# while the frame loop runs, a smaller one inline. Handing a draw to a thread and
-# joining it costs about 0.4 ms on a 2-vCPU x86-64 host, an inline draw of about
-# 10,000 points; 16,384 points take about 0.7 ms inline.
-THREADED_DRAW_MIN_POINTS = 16_384
 
 STATUS_ROUGH = "rough"
 STATUS_FINE_REQUESTED = "fine_requested"
@@ -287,41 +281,6 @@ def perturb_points(points, rng: np.random.Generator, noise_var: float, out: np.n
     return out
 
 
-class PendingPerturbation:
-    """An update's perturbed cloud, drawn ahead: on a thread for a cloud of at
-    least THREADED_DRAW_MIN_POINTS points, inline for a smaller one. Until
-    result() or join() the draw owns its stream and its buffer."""
-
-    def __init__(self, points, rng: np.random.Generator, noise_var: float):
-        self._out = np.empty(points.shape)  # allocated here, filled by the draw
-        self._error = None
-        self._thread = None
-        args = (points, rng, noise_var, self._out)
-        if len(points) < THREADED_DRAW_MIN_POINTS:
-            perturb_points(*args)
-        else:
-            self._thread = threading.Thread(target=self._draw, args=args)
-            self._thread.start()
-
-    def _draw(self, *args):
-        try:
-            perturb_points(*args)
-        except Exception as exc:  # raised again by result()
-            self._error = exc
-
-    def join(self):
-        """Wait for the draw to end."""
-        if self._thread is not None:
-            self._thread.join()
-
-    def result(self) -> np.ndarray:
-        """The perturbed cloud; an exception of the draw is raised here."""
-        self.join()
-        if self._error is not None:
-            raise self._error
-        return self._out
-
-
 @dataclass(frozen=True)
 class UpdateResult:
     particles: ParticleSet
@@ -425,25 +384,7 @@ class TargetHypothesis:
     status: str = STATUS_ROUGH
     updates: int = 0
     last_update_camera: np.ndarray = None  # where the last accepted view was taken
-    pending: Optional[PendingPerturbation] = None  # the next update's perturbed cloud
-
-    def draw_next(self, cfg: LocalizerConfig):
-        """Start the next update's perturbation of the current cloud. It takes the
-        stream's next normals, as an update drawing its own would: the stream is
-        drawn from nowhere else until that update."""
-        self.pending = PendingPerturbation(self.particles.points, self.rng,
-                                           cfg.update_noise_var)
-
-    def take_perturbed(self) -> np.ndarray:
-        """The pending perturbed cloud, which this hypothesis then lets go of."""
-        pending, self.pending = self.pending, None
-        return pending.result()
-
-    def release(self):
-        """Wait for a pending draw to end and let go of it, unused."""
-        if self.pending is not None:
-            self.pending.join()
-            self.pending = None
+    pending: Optional[Future] = None  # the next update's perturbed cloud
 
     @property
     def center(self) -> np.ndarray:

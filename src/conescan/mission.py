@@ -10,6 +10,7 @@ import csv
 import json
 import math
 import shutil
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -40,6 +41,7 @@ from .localizer import (
     kl_divergence,
     needs_new_particle_set,
     pca_summary,
+    perturb_points,
     update_particles,
 )
 from .mapping_planner import (
@@ -73,6 +75,14 @@ MAP = "map"
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_UNCONVERGED = 2
+
+# A cloud of this many points or more draws its next perturbation on the
+# runner's worker thread while the frame loop runs, a smaller one inline.
+# Handing a draw to the worker and waiting for it costs about as much as an
+# inline draw of 10,000 points on a 2-vCPU x86-64 host (16,384 points take
+# about 0.7 ms inline); sending the 1,000-point draws of the stock two-target
+# mission to the worker made it slower.
+THREADED_DRAW_MIN_POINTS = 16_384
 
 
 @dataclass
@@ -325,6 +335,8 @@ class MissionRunner:
         self._mapping = None  # (coverage payload, suppression radius, arc fraction)
 
         self.log = _RunLog(out_dir)  # opened and closed by run(), which writes every row
+        # draws the large clouds' perturbations; run() shuts it down, waiting for them
+        self._draws = ThreadPoolExecutor(max_workers=1)
 
     # ------------------------------------------------------------------ utils
 
@@ -432,18 +444,30 @@ class MissionRunner:
         hyp = TargetHypothesis(target_id=hyp_id, particles=particles, rng=rng,
                                last_update_camera=est_c2w.translation.copy())
         self.hypotheses.append(hyp)
-        hyp.draw_next(lcfg)  # while the cloud's statistics are computed
+        self._draw_next(hyp)  # while the cloud's statistics are computed
         hyp.record(lcfg, kl=None)
         self.log.metrics_row(self.frame, hyp)
         self.log.snapshot(hyp, self.frame, "registered")
 
+    def _draw_next(self, hyp):
+        """Start the perturbation of hyp's current cloud for its next update. It
+        takes the stream's next normals, as an update drawing its own would: the
+        stream is drawn from nowhere else until that update takes the result."""
+        points = hyp.particles.points
+        args = (points, hyp.rng, self.cfg.localizer.update_noise_var, np.empty(points.shape))
+        if len(points) >= THREADED_DRAW_MIN_POINTS:
+            hyp.pending = self._draws.submit(perturb_points, *args)
+        else:
+            hyp.pending = Future()
+            hyp.pending.set_result(perturb_points(*args))
+
     def _update_hypothesis(self, hyp, box, est_w2c, cam_pos):
         lcfg = self.cfg.localizer
         pre = gaussian_summary(hyp.particles)
-        result = update_particles(hyp.particles, hyp.take_perturbed(), box, est_w2c,
+        result = update_particles(hyp.particles, hyp.pending.result(), box, est_w2c,
                                   self.cam, lcfg, hyp.rng)
         hyp.particles = result.particles  # the same set when starved
-        hyp.draw_next(lcfg)
+        self._draw_next(hyp)
         if result.starved:
             return
         hyp.updates += 1
@@ -517,7 +541,7 @@ class MissionRunner:
         with its report entry, snapshot it and resume the search."""
         hyp = self.active
         self.hypotheses.remove(hyp)
-        hyp.release()
+        hyp.pending = None  # no update follows: let go of the drawn cloud
         self.finished.append((hyp, self._entry(hyp, status, coverage, arc_fraction)))
         self.log.snapshot(hyp, self.frame, status)
         self._resume_search()
@@ -594,12 +618,8 @@ class MissionRunner:
             # the circled hypothesis stays live until _retire; another one in a
             # finished target's zone is a duplicate of that target, not a new one
             kept = drop_duplicates(self.hypotheses, keep=self.active)
-            kept = [h for h in kept
-                    if h is self.active or not self._near_done_target(h.center)]
-            for h in self.hypotheses:
-                if not any(h is k for k in kept):
-                    h.release()
-            self.hypotheses = kept
+            self.hypotheses = [h for h in kept
+                               if h is self.active or not self._near_done_target(h.center)]
 
         finished = self._step_modes()
 
@@ -624,8 +644,7 @@ class MissionRunner:
             self.log.write_json("config.json", to_dict(self.cfg))
             return report
         finally:
-            for hyp in self.hypotheses:  # the others let go of theirs when dropped
-                hyp.release()
+            self._draws.shutdown(wait=True)  # no run leaves a draw running
             self.log.close()
 
     # ----------------------------------------------------------------- report

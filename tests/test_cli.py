@@ -81,7 +81,7 @@ class TestValidate:
 
     @pytest.mark.parametrize("section, name, value, rule", [
         ("mission", "confirm_hits", 2.5, "must be an integer of at least 1"),
-        ("mission", "dt", True, "must be positive"),
+        ("uav", "v_max", True, "must be positive"),
     ])
     def test_fraction_or_bool_rejected(self, tmp_path, capsys, section, name, value, rule):
         # both loaded: a count compared as a float, and true read as 1

@@ -207,7 +207,9 @@ class TestValidation:
         ("localizer", "lambda_rough", 0), ("localizer", "lambda_rough", -1),
         ("localizer", "lambda_fine", math.nan), ("localizer", "n_particles", 99),
         ("localizer", "n_particles", 1000.0), ("localizer", "uniform_weight", -0.1),
-        ("localizer", "uniform_weight", 1.1),
+        ("localizer", "uniform_weight", 1.1), ("uav", "a_max", math.inf),
+        ("mission", "dt", math.inf), ("planner", "standoff", math.inf),
+        ("mission", "min_update_baseline", math.inf),
     ])
     def test_range_rejected_at_load(self, section, name, value):
         # each value makes its use site raise, at start, mid-mission or at mapping,
@@ -272,7 +274,8 @@ class TestValidation:
     def test_range_edges_accepted(self):
         data = to_dict(stock_scenario(1))
         data["planner"].update(overlap=0.0, n_per_circle=4, n_surface_samples=1)
-        data["mission"]["confirm_hits"] = 1
+        # infinity stays valid where it means "no limit"
+        data["mission"].update(confirm_hits=1, max_sim_time=math.inf, fine_max_laps=math.inf)
         data["camera"].update(cx=0.0, cy=-1e6, width=1, beta=1e-9, gamma=1e-9)
         data["localizer"].update(n_particles=100, enlarge_factor=1, update_noise_var=0.0,
                                  uniform_weight=0.0, lambda_fine=1e-12,
@@ -285,6 +288,7 @@ class TestValidation:
         assert (cfg.camera.cy, cfg.camera.width) == (-1e6, 1)
         assert (cfg.localizer.n_particles, cfg.localizer.update_noise_var) == (100, 0.0)
         assert cfg.localizer.gauss_weight == 1.0
+        assert cfg.mission.max_sim_time == cfg.mission.fine_max_laps == math.inf
 
     @pytest.mark.parametrize("name, bad", [
         ("min_update_baseline", -0.01), ("fine_replan_distance", -1.0),

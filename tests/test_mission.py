@@ -16,7 +16,6 @@ from conescan import bbox_tracker, localizer, mission, simulator
 from conescan.config import ConfigError
 from conescan.geometry import BBox, camera_to_world_pose
 from conescan.localizer import (
-    THREADED_DRAW_MIN_POINTS,
     LocalizerConfig,
     ParticleSet,
     TargetHypothesis,
@@ -28,6 +27,7 @@ from conescan.localizer import (
 from conescan.mission import (
     EXIT_OK,
     EXIT_UNCONVERGED,
+    THREADED_DRAW_MIN_POINTS,
     MissionRunner,
     emit_plot_data,
 )
@@ -450,7 +450,7 @@ class TestFineLocalizeCandidates:
                                            lcfg, rng, max_depth=24.0)
             hyp = TargetHypothesis(target_id=target_id, particles=particles, rng=rng,
                                    last_update_camera=last_update_camera)
-            hyp.draw_next(lcfg)  # as registration draws it
+            runner._draw_next(hyp)  # as registration draws it
             return hyp
 
         active, other = hypothesis(0, away), hypothesis(1, None)
@@ -545,8 +545,8 @@ class TestFineLocalizeCandidates:
 
 
 class TestDrawAhead:
-    """Each hypothesis draws its next update's perturbation ahead: on a thread
-    for a large cloud, inline for a small one."""
+    """Each hypothesis draws its next update's perturbation ahead: on the
+    runner's one worker thread for a large cloud, inline for a small one."""
 
     BOX = BBox(280.0, 200.0, 360.0, 290.0)
     FAR_BOX = BBox(0.0, 0.0, 4.0, 4.0)  # far from every projected point: starves
@@ -590,7 +590,7 @@ class TestDrawAhead:
         # the pending draw took the stream's next normals, of the last cloud
         expected = perturb_points(twin.points, twin_rng, lcfg.update_noise_var,
                                   np.empty(twin.points.shape))
-        assert np.array_equal(hyp.take_perturbed(), expected)
+        assert np.array_equal(hyp.pending.result(), expected)
 
     # a run's threads are compared as sets: a thread that another run left
     # running, and that ends meanwhile, must not balance one that this run leaves
@@ -598,13 +598,13 @@ class TestDrawAhead:
     @pytest.fixture
     def slow_draws(self, monkeypatch):
         """Draws that are still running when a run that does not wait for them ends."""
-        draw = localizer.perturb_points
+        draw = mission.perturb_points
 
         def slow(*args):
             time.sleep(0.05)
             return draw(*args)
 
-        monkeypatch.setattr(localizer, "perturb_points", slow)
+        monkeypatch.setattr(mission, "perturb_points", slow)
 
     def test_a_cut_short_run_leaves_no_draw_running(self, slow_draws):
         cfg = one_target_100k()
@@ -635,11 +635,37 @@ class TestDrawAhead:
             raise FloatingPointError("draw failed")
 
         runner, c2w, hyp = self.registered(THREADED_DRAW_MIN_POINTS)
-        monkeypatch.setattr(localizer, "perturb_points", fail)
+        monkeypatch.setattr(mission, "perturb_points", fail)
         runner._update_hypothesis(hyp, self.BOX, c2w.inverse(), c2w.translation)
-        assert hyp.updates == 1  # the failed draw started on a thread, raising nothing
+        assert hyp.updates == 1  # the failed draw was handed to the worker, raising nothing
         with pytest.raises(FloatingPointError, match="draw failed"):
             runner._update_hypothesis(hyp, self.BOX, c2w.inverse(), c2w.translation)
+
+    # the cut-short run ends with a live cloud, the full ones with a mapped one
+    @pytest.mark.parametrize("n, max_sim_time",
+                             [(100_000, 30.0), (100_000, 3600.0), (1000, 3600.0)])
+    def test_large_draws_run_on_one_worker_and_small_ones_inline(self, n, max_sim_time,
+                                                               monkeypatch):
+        threads, draw = [], mission.perturb_points
+
+        def recording(*args):
+            threads.append(threading.current_thread())
+            return draw(*args)
+
+        monkeypatch.setattr(mission, "perturb_points", recording)
+        cfg = stock_scenario(1, seed=3)
+        cfg.localizer = dataclasses.replace(cfg.localizer, n_particles=n)
+        cfg.mission.max_sim_time = max_sim_time
+        runner = MissionRunner(cfg)
+        runner.run()
+        assert len(threads) > 2
+        if n >= THREADED_DRAW_MIN_POINTS:
+            assert len(set(threads)) == 1 and threads[0] is not threading.main_thread()
+        else:
+            assert set(threads) == {threading.main_thread()}
+        assert bool(runner.finished) == (max_sim_time > 30.0)
+        # a finished hypothesis holds no drawn cloud
+        assert all(hyp.pending is None for hyp, _ in runner.finished)
 
 
 class TestCloudStatistics:
