@@ -20,7 +20,7 @@ DEREGISTERED = "deregistered"
 
 
 class SimilarityEstimationError(ValueError):
-    """Too few or degenerate correspondences for a similarity fit."""
+    """Degenerate correspondences for a similarity fit."""
 
 
 @dataclass(frozen=True)
@@ -194,21 +194,15 @@ def estimate_similarity(prev_points, curr_points) -> np.ndarray:
     """Least-squares similarity between point sets, as the (3, 3) matrix
     [[s cos, -s sin, tx], [s sin, s cos, ty], [0, 0, 1]] that predict takes.
 
-    The means are np.mean's own arithmetic, np.add.reduce over the rows
-    divided by the count, without its Python wrapper. Fewer than 2 pairs
-    raise before any mean is taken (simulate_klt gives 4 or more). A NaN or
-    infinity makes a mean non-finite, and raises.
+    The points are two equal (n, 2) arrays of finite pixels with n >= 4, as
+    simulate_klt returns them. The means are np.mean's own arithmetic,
+    np.add.reduce over the rows divided by the count, without its Python
+    wrapper. Coincident previous points and a zero-scale fit raise.
     """
     p = np.asarray(prev_points, dtype=float)
     q = np.asarray(curr_points, dtype=float)
-    if p.ndim != 2 or p.shape != q.shape or p.shape[1] != 2:
-        raise SimilarityEstimationError("correspondence lists must be equal (n, 2)")
     n = len(p)
-    if n < 2:
-        raise SimilarityEstimationError(f"2 or more correspondences are needed, got {n}")
     p_mean, q_mean = np.add.reduce(p, axis=0) / n, np.add.reduce(q, axis=0) / n
-    if not all(map(math.isfinite, p_mean.tolist() + q_mean.tolist())):
-        raise SimilarityEstimationError("correspondences must be finite")
     pc, qc = p - p_mean, q - q_mean
     spread = float((pc * pc).sum())
     if spread < 1e-12:

@@ -2,8 +2,8 @@
 
 A target hypothesis is a fixed-size cloud of world points seeded inside the
 cone back-projected from an enlarged box, then sharpened by perturb / project /
-weight / resample rounds against boxes from other viewpoints. PCA, KL
-divergence and differential entropy of the cloud drive mission transitions.
+weight / resample rounds against boxes from other viewpoints. PCA and KL
+divergence of the cloud drive mission transitions; its entropy is logged.
 """
 
 import math
@@ -43,11 +43,6 @@ _STATUS_ORDER = {STATUS_ROUGH: 0, STATUS_FINE_REQUESTED: 1, STATUS_CONVERGED: 2}
 _ENTROPY_OFFSET = 1.5 + 1.5 * math.log(2.0 * math.pi)
 
 
-def gaussian_entropy_for_eigenvalue(lam: float) -> float:
-    """Entropy of an isotropic 3D Gaussian whose variances all equal lam."""
-    return _ENTROPY_OFFSET + 1.5 * math.log(lam)
-
-
 @dataclass(frozen=True)
 class LocalizerConfig:
     n_particles: int = 1000
@@ -69,16 +64,6 @@ class LocalizerConfig:
         """Weight of the Gaussian term of the box likelihood, the rest of the
         uniform term's."""
         return 1.0 - self.uniform_weight
-
-    @property
-    def entropy_rough(self) -> float:
-        """Entropy gate of the rough phase, the isotropic cloud at lambda_rough."""
-        return gaussian_entropy_for_eigenvalue(self.lambda_rough)
-
-    @property
-    def entropy_converged(self) -> float:
-        """Entropy gate of convergence, the isotropic cloud at lambda_fine."""
-        return gaussian_entropy_for_eigenvalue(self.lambda_fine)
 
 
 @dataclass(frozen=True)
@@ -356,12 +341,15 @@ class ConvergenceRecord:
 
 
 def localization_status(rec: ConvergenceRecord, cfg: LocalizerConfig) -> str:
-    """Joint eigenvalue / entropy / KL gate on one record; a hypothesis keeps the
-    highest status any of its records reached."""
-    if (rec.lambda_max < cfg.lambda_fine and rec.entropy < cfg.entropy_converged
-            and rec.kl is not None and rec.kl < cfg.kl_converged):
+    """Joint eigenvalue / KL gate on one record; a hypothesis keeps the highest
+    status any of its records reached. The entropy needs no gate: it is offset +
+    1/2 sum log lambda_i <= offset + 1.5 log lambda_max, so a cloud under an
+    eigenvalue gate is under the entropy of the isotropic cloud at that gate. The
+    two tests differ only for a near-isotropic cloud whose lambda_max is within a
+    few ulps of a gate."""
+    if rec.lambda_max < cfg.lambda_fine and rec.kl is not None and rec.kl < cfg.kl_converged:
         return STATUS_CONVERGED
-    if rec.lambda_max < cfg.lambda_rough and rec.entropy < cfg.entropy_rough:
+    if rec.lambda_max < cfg.lambda_rough:
         return STATUS_FINE_REQUESTED
     return STATUS_ROUGH
 

@@ -52,7 +52,9 @@ def fit_cylinder(ps: ParticleSet) -> Cylinder:
     The radius is the largest sqrt(dx*dx + dy*dy), np.linalg.norm's arithmetic
     on each row's offset (dx, dy), worked one offset column at a time; sqrt is
     correctly rounded and never decreasing, so the root of the largest sum is
-    the largest root."""
+    the largest root. The radius is floored at MIN_CYLINDER_RADIUS, so a cloud
+    that resampling without re-injected noise collapsed to one point gets a
+    floor-radius cylinder of zero height."""
     pts = ps.points
     axis = gaussian_summary(ps).mean[:2]  # the cached mean of the cloud
     squares = pts[:, 0] - axis[0]
@@ -61,9 +63,6 @@ def fit_cylinder(ps: ParticleSet) -> Cylinder:
     squares += dy * dy
     radius = math.sqrt(squares.max())
     z_bottom, z_top = float(pts[:, 2].min()), float(pts[:, 2].max())
-    spread = radius + (z_top - z_bottom)
-    if spread < 1e-12:
-        raise ValueError("points are all coincident")
     return Cylinder(
         axis_xy=axis,
         z_bottom=z_bottom,

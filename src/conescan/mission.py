@@ -396,6 +396,11 @@ class MissionRunner:
                 return True
         return False
 
+    def _above_targets(self, center) -> bool:
+        """At or above the survey altitude, which config.validate keeps above
+        every target's top: such a cloud is no target."""
+        return center[2] >= self.cfg.search_altitude
+
     def _near_done_target(self, center) -> bool:
         return any(
             np.linalg.norm(center - done_center) <= radius
@@ -562,16 +567,18 @@ class MissionRunner:
             return self.follower.done
         if self.mode == FINE_LOCALIZE:
             hyp = self.active
-            if hyp.status == STATUS_CONVERGED:
+            # fine circles fly at the survey altitude, so a risen cloud has none
+            risen = self._above_targets(hyp.center)
+            if hyp.status == STATUS_CONVERGED and not risen:
                 self._enter_map(hyp)
                 return False
             drifted = (
                 np.linalg.norm(hyp.center - self._fine["center"])
                 > self.cfg.mission.fine_replan_distance
             )
-            if self.follower.done or drifted:
+            if risen or self.follower.done or drifted:
                 self._lap_angle += self._fine_progress_angle()
-                if self._lap_angle >= self.cfg.mission.fine_max_laps * 2.0 * math.pi:
+                if risen or self._lap_angle >= self.cfg.mission.fine_max_laps * 2.0 * math.pi:
                     hyp.status = "failed"
                     self._retire("failed")
                 else:
@@ -616,10 +623,11 @@ class MissionRunner:
                     continue
                 self._localize_from_track(track, est_c2w, est_w2c)
             # the circled hypothesis stays live until _retire; another one in a
-            # finished target's zone is a duplicate of that target, not a new one
+            # finished target's zone is a duplicate of that target, not a new
+            # one, and one at the survey altitude is no target
             kept = drop_duplicates(self.hypotheses, keep=self.active)
-            self.hypotheses = [h for h in kept
-                               if h is self.active or not self._near_done_target(h.center)]
+            self.hypotheses = [h for h in kept if h is self.active or not (
+                self._near_done_target(h.center) or self._above_targets(h.center))]
 
         finished = self._step_modes()
 

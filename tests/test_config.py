@@ -18,7 +18,6 @@ from conescan.config import (
 )
 from conescan.bbox_tracker import associate_and_register
 from conescan.geometry import BBox, CameraRig
-from conescan.localizer import gaussian_entropy_for_eigenvalue
 from conftest import SCENARIOS, stock_scenario, to_json
 
 
@@ -329,21 +328,6 @@ class TestValidation:
         m = from_dict(data).mission
         assert (m.min_update_baseline, m.fine_replan_distance, m.found_radius,
                 m.max_sim_time) == (0.0, 0, 0.0, 1e-9)
-
-    def test_entropy_gates_follow_lambdas(self):
-        # the gates were stored in every scenario file, so an edited lambda_rough
-        # left the rough entropy gate at the value for 4.0
-        data = json.loads((SCENARIOS / "one_target.json").read_text())
-        data.setdefault("localizer", {}).update(lambda_rough=1.0, lambda_fine=0.05)
-        loc = from_dict(data).localizer
-        assert loc.entropy_rough == gaussian_entropy_for_eigenvalue(1.0)
-        assert loc.entropy_converged == gaussian_entropy_for_eigenvalue(0.05)
-
-    def test_derived_gates_equal_the_stored_ones(self):
-        # the values the stock files stored, bit for bit
-        loc = load(SCENARIOS / "one_target.json").localizer
-        assert (loc.entropy_rough, loc.entropy_converged) == (
-            6.336257141293855, 1.4111356222851965)
 
     @pytest.mark.parametrize("name", ["entropy_rough", "entropy_converged"])
     def test_stored_entropy_gate_rejected(self, name):

@@ -36,6 +36,7 @@ from conescan.localizer import (
     systematic_resample,
     update_particles,
     weight_density,
+    _STATUS_ORDER,
     _cloud_statistics,
 )
 
@@ -726,7 +727,7 @@ class TestLocalizationStatus:
         assert hyp.status == "rough"
         hyp.particles = self._hyp(0.1).particles
         rec = hyp.record(self.CFG, kl=1e-4)
-        assert rec.lambda_max < 0.25 and rec.entropy < self.CFG.entropy_converged
+        assert rec.lambda_max < 0.25
         assert hyp.status == "converged"
 
     def test_low_lambda_but_high_kl_not_converged(self):
@@ -743,11 +744,51 @@ class TestLocalizationStatus:
         assert hyp.status == "converged"
         assert len(hyp.history) == 2
 
-    def test_derived_entropy_thresholds(self):
-        cfg = LocalizerConfig(lambda_rough=4.0, lambda_fine=0.25)
-        base = 1.5 * (1.0 + math.log(2 * math.pi))
-        assert cfg.entropy_rough == pytest.approx(base + 1.5 * math.log(4.0))
-        assert cfg.entropy_converged == pytest.approx(base + 1.5 * math.log(0.25))
+    @staticmethod
+    def three_gate_status(rec, cfg):
+        """The former formula: each eigenvalue gate joined by an entropy gate,
+        the entropy of the isotropic cloud at that eigenvalue."""
+        offset = 1.5 + 1.5 * math.log(2.0 * math.pi)
+        entropy_rough = offset + 1.5 * math.log(cfg.lambda_rough)
+        entropy_converged = offset + 1.5 * math.log(cfg.lambda_fine)
+        if (rec.lambda_max < cfg.lambda_fine and rec.entropy < entropy_converged
+                and rec.kl is not None and rec.kl < cfg.kl_converged):
+            return "converged"
+        if rec.lambda_max < cfg.lambda_rough and rec.entropy < entropy_rough:
+            return "fine_requested"
+        return "rough"
+
+    @settings(max_examples=400, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([4, 10, 1000]),
+           shape=st.sampled_from(["isotropic", "near_isotropic", "general", "flat"]),
+           gate=st.sampled_from(["lambda_rough", "lambda_fine"]),
+           ulps=st.one_of(st.integers(-8, 8), st.none()),
+           kl=st.sampled_from([None, 0.0, 0.05, 0.5]))
+    def test_equals_the_three_gate_formula(self, seed, n, shape, gate, ulps, kl):
+        # whitened points scaled so that lambda_max lands a few ulps either side
+        # of a gate, or anywhere within a factor e^3 of it when ulps is None
+        rng = np.random.default_rng(seed)
+        cfg = LocalizerConfig(lambda_rough=float(rng.uniform(0.5, 10.0)),
+                              lambda_fine=float(rng.uniform(0.01, 0.5)),
+                              kl_converged=0.06)
+        pts = rng.standard_normal((n, 3))
+        pts -= pts.mean(axis=0)
+        evals, evecs = np.linalg.eigh(pts.T @ pts / (n - 1))
+        pts = pts @ (evecs / np.sqrt(evals)) @ evecs.T
+        pts *= {"isotropic": np.ones(3), "near_isotropic": 1.0 - rng.uniform(0, 1e-6, 3),
+                "general": np.exp(rng.uniform(-3, 0, 3)), "flat": [1.0, 0.5, 0.0]}[shape]
+        factor = math.exp(rng.uniform(-3, 3)) if ulps is None else 1.0 + ulps * 2.0**-52
+        pts *= math.sqrt(getattr(cfg, gate) * factor / pca_summary(cloud(pts)).eigenvalues[0])
+        hyp = TargetHypothesis(target_id=0, particles=cloud(pts + rng.uniform(-20, 20, 3)),
+                               rng=rng)
+        rec = hyp.record(cfg, kl)
+        new, old = localization_status(rec, cfg), self.three_gate_status(rec, cfg)
+        if new != old:
+            # rounding only: a near-isotropic cloud a few ulps under the gate
+            # whose entropy clause failed; the entropy clauses never pass alone
+            passed = cfg.lambda_fine if new == "converged" else cfg.lambda_rough
+            assert 0 < passed - rec.lambda_max <= 8 * math.ulp(passed)
+            assert _STATUS_ORDER[new] > _STATUS_ORDER[old]
 
 
 class TestDropDuplicates:

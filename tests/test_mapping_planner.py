@@ -79,9 +79,11 @@ class TestFitCylinder:
         pts = np.array([[0, 0, 0], [0, 0, 1.0], [0, 0, 2.0]])
         assert fit_cylinder(cloud(pts)).radius == MIN_CYLINDER_RADIUS
 
-    def test_coincident_points_rejected(self):
-        with pytest.raises(ValueError):
-            fit_cylinder(cloud(np.ones((10, 3))))
+    def test_coincident_points_give_the_floor_cylinder(self):
+        # a cloud resampled without re-injected noise collapses to one point
+        cyl = fit_cylinder(cloud(np.ones((10, 3))))
+        assert cyl.radius == MIN_CYLINDER_RADIUS and cyl.height == 0.0
+        assert cyl.axis_xy.tolist() == [1.0, 1.0] and cyl.z_bottom == 1.0
 
 
 class TestScanCircles:

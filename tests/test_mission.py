@@ -11,10 +11,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conescan import bbox_tracker, localizer, mission, simulator
-from conescan.config import ConfigError
-from conescan.geometry import BBox, camera_to_world_pose
+from conescan.config import ConfigError, from_dict
+from conescan.geometry import BBox, CameraRig, camera_to_world_pose
 from conescan.localizer import (
     LocalizerConfig,
     ParticleSet,
@@ -420,6 +422,102 @@ class TestReportAgreesWithLogs:
                                for i, status in finished.items() if status == "done")
         coverage = json.loads((out / "coverage.json").read_text())
         assert [c["target_id"] for c in coverage] == [i for _, i in done_in_order]
+
+
+class TestCloudsAboveTheSurvey:
+    """config.validate keeps every target's top below the survey altitude, so a
+    cloud centred at or above it is no target: it is dropped, never circled, and
+    an active one that rises there fails."""
+
+    def test_steep_camera_mission_runs_to_its_end(self):
+        # the first mapping orbit flies about 40 m up; the resumed survey then
+        # registered clouds centred near 28 m, and the next fine phase raised
+        # "flight altitude must be above the target center" at 105.0 s
+        cfg = stock_scenario(2, seed=1)
+        cfg.camera = dataclasses.replace(cfg.camera, gamma=1.31, beta=0.38)
+        altitude = cfg.search_altitude
+        registered, live = [], []
+
+        class Watching(MissionRunner):
+            def _localize_from_track(self, *args):
+                n = self.next_hypothesis_id
+                super()._localize_from_track(*args)
+                if self.next_hypothesis_id > n:
+                    registered.append(self.hypotheses[-1].center[2])
+
+            def _tick(self):
+                finished = super()._tick()
+                live.extend(h.center[2] for h in self.hypotheses if h is not self.active)
+                return finished
+
+        runner = Watching(cfg)
+        report = runner.run()
+        assert max(registered) >= altitude
+        assert max(live) < altitude
+        assert runner.mode == mission.SEARCH and report.duration_s < cfg.mission.max_sim_time
+        assert report.targets_found >= 1
+
+    def test_a_risen_active_cloud_fails(self):
+        runner = MissionRunner(stock_scenario(1, seed=3))
+        while runner.mode != mission.FINE_LOCALIZE:
+            runner._tick()
+        active = runner.active
+        active.particles = ParticleSet(
+            active.particles.points + [0.0, 0.0, runner.cfg.search_altitude])
+        runner._tick()
+        assert runner.mode == mission.SEARCH and runner.active is None
+        assert active.status == "failed" and active not in runner.hypotheses
+        assert [e.status for h, e in runner.finished if h is active] == ["failed"]
+
+    def test_a_converged_cloud_above_the_survey_is_never_circled(self):
+        runner = MissionRunner(stock_scenario(0))
+        high = TargetHypothesis(
+            target_id=0, rng=np.random.default_rng(0),
+            particles=ParticleSet(np.random.default_rng(1).normal(
+                [10.0, 5.0, runner.cfg.search_altitude + 0.1], 0.05, size=(1000, 3))))
+        high.record(runner.cfg.localizer, kl=0.0)
+        assert high.status == localizer.STATUS_CONVERGED
+        runner.hypotheses.append(high)
+        runner.next_hypothesis_id = 1
+        runner._tick()
+        assert runner.hypotheses == [] and runner.mode == mission.SEARCH
+
+
+@st.composite
+def short_missions(draw):
+    """A short mission from a random valid scenario file: steep cameras, low and
+    high surveys, near and far mapping orbits, detector latency, false-positive
+    storms and updates without re-injected noise."""
+    beta = draw(st.floats(0.05, CameraRig().vfov - 0.01))
+    gamma = draw(st.one_of(st.floats(beta / 2 + 0.01, 1.55), st.floats(1.2, 1.55)))
+    width, height = draw(st.floats(8.0, 36.0)), draw(st.floats(4.0, 12.0))
+    targets = []
+    for _ in range(draw(st.integers(0, 3))):
+        half = [draw(st.floats(0.1, 1.0)) for _ in range(3)]
+        center = [draw(st.floats(0.0, width)), draw(st.floats(0.0, height)), half[2]]
+        targets.append({"center": center, "half_extents": half})
+    return from_dict({
+        "seed": draw(st.integers(0, 2**32 - 1)),
+        "region": [0.0, 0.0, width, height],
+        "search_altitude": draw(st.floats(6.0, 20.0)),
+        "camera": {"gamma": gamma, "beta": beta},
+        "targets": targets,
+        "noise": {"detection_latency_frames": draw(st.integers(0, 4)),
+                  "false_positive_rate": draw(st.floats(0.0, 2.0))},
+        "localizer": {"update_noise_var": draw(st.sampled_from([0.0, 0.01])),
+                      "n_particles": draw(st.sampled_from([100, 1000]))},
+        "planner": {"standoff": draw(st.floats(0.5, 8.0))},
+        "mission": {"max_sim_time": draw(st.floats(30.0, 300.0))},
+    })
+
+
+class TestRobustnessProfile:
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(cfg=short_missions())
+    def test_random_valid_missions_raise_nothing_and_end_in_time(self, cfg):
+        # filterwarnings = error: a numpy warning fails the mission too
+        report = MissionRunner(cfg).run()
+        assert report.duration_s <= cfg.mission.max_sim_time + cfg.mission.dt
 
 
 class TestCrowdedFinePhase:

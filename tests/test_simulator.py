@@ -515,6 +515,35 @@ class TestSimulateKlt:
         (proj,) = project_truth([tg], overhead_world_to_cam([0, 0, 10]), cam)
         assert simulate_klt(proj, proj, noise, rng) is None
 
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**32 - 1), survey_pose=st.booleans(),
+           where=st.sampled_from(["ahead", "behind", "aside", "straddle"]),
+           sigma=st.one_of(st.just(0.0), st.floats(0.0, 100.0)))
+    def test_none_or_two_equal_finite_pixel_arrays(self, cam, seed, survey_pose, where,
+                                                   sigma):
+        # estimate_similarity, the pair's one reader, re-checks none of this
+        rng = np.random.default_rng(seed)
+        if survey_pose:
+            c2w = camera_to_world_pose(rng.uniform(-30, 30, 3),
+                                       rng.uniform(-math.pi, math.pi), cam.gamma)
+        else:
+            c2w = random_pose(rng)
+        tg = make_target(0, c2w.apply(TestTruthPoints.place(where, cam, rng)),
+                         rng.uniform(0.1, 2.0, 3), int(rng.integers(4, 40)), rng)
+        moved = NoiseModel(pose_sigma_xyz=rng.uniform(0, 2), yaw_sigma=rng.uniform(0, 0.5))
+        (prev,) = project_truth([tg], perturb_pose(c2w, moved, rng).inverse(), cam)
+        (curr,) = project_truth([tg], c2w.inverse(), cam)
+        pair = simulate_klt(prev, curr, NoiseModel(klt_pixel_sigma=sigma), rng)
+        n = np.count_nonzero(prev.feature_visible & curr.feature_visible)
+        if n < 4:
+            assert pair is None
+            return
+        p, q = pair
+        assert p.dtype == q.dtype == np.float64
+        assert p.shape == q.shape == (n, 2)
+        assert np.isfinite(p).all() and np.isfinite(q).all()
+
 
 class TestPerturbPose:
     def test_zero_noise_is_identity(self):
