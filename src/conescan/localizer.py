@@ -7,7 +7,7 @@ divergence of the cloud drive mission transitions; its entropy is logged.
 """
 
 import math
-from concurrent.futures import Future
+from concurrent.futures import Executor, Future
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -188,20 +188,21 @@ def needs_new_particle_set(existing_sets, normals: np.ndarray, world_to_cam: Pos
     return matched
 
 
-def weight_density(pixels, box: BBox, cfg: LocalizerConfig):
+def weight_density(pixels, box: BBox, cfg: LocalizerConfig, out=None):
     """Gaussian-plus-uniform box likelihood for projected pixels.
 
     The Gaussian sits at the box center with per-axis std of half the box
     extent; the uniform term is supported on the enlarged box. Values are
-    floored at WEIGHT_FLOOR. Takes an (n, 2) array of pixels; the result is a
-    fresh array the caller may write to.
+    floored at WEIGHT_FLOOR. Takes an (n, 2) array of pixels; the result is
+    written into out, an (n,) array, or else into a fresh array the caller may
+    write to.
     """
     pix = np.asarray(pixels, dtype=float)
     cu, cv = box.center
     su, sv = box.width / 2.0, box.height / 2.0
     norm = 1.0 / (2.0 * math.pi * su * sv)
     quad = ((pix[:, 0] - cu) / su) ** 2 + ((pix[:, 1] - cv) / sv) ** 2
-    f = np.exp(-0.5 * quad)
+    f = np.exp(-0.5 * quad, out=out)
     f *= norm
     f *= cfg.gauss_weight
 
@@ -272,6 +273,22 @@ class UpdateResult:
     starved: bool
 
 
+def weigh_rows(rows: slice, perturbed, box: BBox, world_to_cam: PoseSE3,
+               cam: CameraRig, cfg: LocalizerConfig, weights: np.ndarray):
+    """The box likelihood of the points perturbed[rows], written into
+    weights[rows]; a point projecting behind the camera gets the floor weight.
+
+    Each row's weight depends on that row alone, in the same bits whatever
+    rows the call covers: past the projection's products, which give a row the
+    same bits in any block of two or more rows (geometry.row_blocks), every
+    step is elementwise. So calls over a split of the rows into parts of two
+    rows or more write what one call over all of them writes.
+    """
+    pix, depth = project_points(perturbed[rows], world_to_cam, cam)
+    out = weight_density(pix, box, cfg, out=weights[rows])
+    np.copyto(out, WEIGHT_FLOOR, where=~(depth > 0))
+
+
 def update_particles(
     ps: ParticleSet,
     perturbed: np.ndarray,
@@ -280,6 +297,7 @@ def update_particles(
     cam: CameraRig,
     cfg: LocalizerConfig,
     rng: np.random.Generator,
+    worker: Optional[Executor] = None,
 ) -> UpdateResult:
     """One project / weight / resample round of ps, perturbed, against a tracked box.
 
@@ -287,11 +305,22 @@ def update_particles(
     Points projecting behind the camera get the floor weight. If every weight
     sits at the floor the box carries no information about this cloud: the
     update is skipped and the starved flag raised.
+
+    With a worker, an executor, the worker weighs the second half of the rows
+    while the caller weighs the first, with the same bits as weighing them all
+    inline; the caller's thread does everything else.
     """
-    pix, depth = project_points(perturbed, world_to_cam, cam)
-    weights = weight_density(pix, box, cfg)
-    np.copyto(weights, WEIGHT_FLOOR, where=~(depth > 0))
-    del pix, depth  # depth views the whole camera-frame cloud; free both before resampling
+    n = len(perturbed)
+    weights = np.empty(n)
+    args = (perturbed, box, world_to_cam, cam, cfg, weights)
+    if worker is None:
+        weigh_rows(slice(0, n), *args)
+    else:
+        second = worker.submit(weigh_rows, slice(n // 2, n), *args)
+        try:
+            weigh_rows(slice(0, n // 2), *args)
+        finally:
+            second.result()  # the worker is done with weights before they are read
     if np.all(weights <= WEIGHT_FLOOR):
         return UpdateResult(ps, starved=True)
     idx = systematic_resample(weights, rng)

@@ -76,13 +76,17 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_UNCONVERGED = 2
 
-# A cloud of this many points or more draws its next perturbation on the
-# runner's worker thread while the frame loop runs, a smaller one inline.
-# Handing a draw to the worker and waiting for it costs about as much as an
-# inline draw of 10,000 points on a 2-vCPU x86-64 host (16,384 points take
-# about 0.7 ms inline); sending the 1,000-point draws of the stock two-target
-# mission to the worker made it slower.
-THREADED_DRAW_MIN_POINTS = 16_384
+# A cloud of this many points or more uses the runner's worker thread: it
+# draws its next perturbation there while the frame loop runs, and each update
+# weighs the second half of its rows there while the main thread weighs the
+# first. A smaller cloud does both inline. Handing a draw to the worker and
+# waiting for it costs about as much as an inline draw of 10,000 points on a
+# 2-vCPU x86-64 host (16,384 points take about 0.7 ms inline); sending the
+# 1,000-point draws of the stock two-target mission to the worker made it slower.
+WORKER_MIN_POINTS = 16_384
+
+# A cloud this close to a failed one is taken for the same failed target.
+FAILED_TARGET_RADIUS = 1.0
 
 
 @dataclass
@@ -335,8 +339,8 @@ class MissionRunner:
         self._mapping = None  # (coverage payload, suppression radius, arc fraction)
 
         self.log = _RunLog(out_dir)  # opened and closed by run(), which writes every row
-        # draws the large clouds' perturbations; run() shuts it down, waiting for them
-        self._draws = ThreadPoolExecutor(max_workers=1)
+        # draws and weighs for the large clouds; run() shuts it down, waiting for them
+        self._worker = ThreadPoolExecutor(max_workers=1)
 
     # ------------------------------------------------------------------ utils
 
@@ -407,6 +411,12 @@ class MissionRunner:
             for done_center, radius, _ in self.mapped
         )
 
+    def _near_failed_target(self, center) -> bool:
+        return any(
+            np.linalg.norm(center - hyp.center) <= FAILED_TARGET_RADIUS
+            for hyp, entry in self.finished if entry.status == "failed"
+        )
+
     def _has_baseline(self, hyp, cam_pos) -> bool:
         """The view is far enough from the last accepted one to add parallax."""
         return (hyp.last_update_camera is None
@@ -454,14 +464,19 @@ class MissionRunner:
         self.log.metrics_row(self.frame, hyp)
         self.log.snapshot(hyp, self.frame, "registered")
 
+    def _worker_for(self, hyp):
+        """The worker thread for a large cloud, None for a small one."""
+        return self._worker if len(hyp.particles.points) >= WORKER_MIN_POINTS else None
+
     def _draw_next(self, hyp):
         """Start the perturbation of hyp's current cloud for its next update. It
         takes the stream's next normals, as an update drawing its own would: the
         stream is drawn from nowhere else until that update takes the result."""
         points = hyp.particles.points
         args = (points, hyp.rng, self.cfg.localizer.update_noise_var, np.empty(points.shape))
-        if len(points) >= THREADED_DRAW_MIN_POINTS:
-            hyp.pending = self._draws.submit(perturb_points, *args)
+        worker = self._worker_for(hyp)
+        if worker is not None:
+            hyp.pending = worker.submit(perturb_points, *args)
         else:
             hyp.pending = Future()
             hyp.pending.set_result(perturb_points(*args))
@@ -470,7 +485,7 @@ class MissionRunner:
         lcfg = self.cfg.localizer
         pre = gaussian_summary(hyp.particles)
         result = update_particles(hyp.particles, hyp.pending.result(), box, est_w2c,
-                                  self.cam, lcfg, hyp.rng)
+                                  self.cam, lcfg, hyp.rng, self._worker_for(hyp))
         hyp.particles = result.particles  # the same set when starved
         self._draw_next(hyp)
         if result.starved:
@@ -561,6 +576,11 @@ class MissionRunner:
         if self.mode == SEARCH:
             # live hypotheses are rough, fine_requested or converged
             candidates = [h for h in self.hypotheses if h.status != STATUS_ROUGH]
+            if not candidates and self.follower.done:
+                # the survey is flown: no updated cloud is left unvisited, but a
+                # failed target is not circled again
+                candidates = [h for h in self.hypotheses if h.updates > 0
+                              and not self._near_failed_target(h.center)]
             if candidates:
                 self._enter_fine(min(candidates, key=lambda h: h.target_id))
                 return False
@@ -652,7 +672,7 @@ class MissionRunner:
             self.log.write_json("config.json", to_dict(self.cfg))
             return report
         finally:
-            self._draws.shutdown(wait=True)  # no run leaves a draw running
+            self._worker.shutdown(wait=True)  # no run leaves a draw or a weighing running
             self.log.close()
 
     # ----------------------------------------------------------------- report

@@ -1,12 +1,15 @@
 import math
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conescan import localizer
 from conescan.geometry import (
+    ROW_BLOCK,
     BBox,
     CameraRig,
     PoseSE3,
@@ -39,6 +42,7 @@ from conescan.localizer import (
     _STATUS_ORDER,
     _cloud_statistics,
 )
+from conescan.mission import WORKER_MIN_POINTS
 
 from conftest import identity_pose, random_pose, same_bits
 
@@ -385,6 +389,56 @@ class TestUpdateParticles:
         idx = np.minimum(np.searchsorted(np.cumsum(w), positions, side="right"), n - 1)
         assert not res.starved
         assert np.array_equal(res.particles.points, perturbed[idx])
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.one_of(
+            st.sampled_from([WORKER_MIN_POINTS - 1, WORKER_MIN_POINTS + 1, 100_000]),
+            st.integers(1, 6).map(lambda k: k * ROW_BLOCK + 1),
+            st.integers(WORKER_MIN_POINTS // 2, 60_000).map(lambda m: 2 * m + 1),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        yaw=st.floats(-math.pi, math.pi),
+        depression=st.floats(0.1, 1.5),
+        ahead=st.floats(-5.0, 30.0),  # the cloud's center, along the optical axis
+        spread=st.floats(0.5, 10.0),
+        corner=st.tuples(st.floats(-300.0, 900.0), st.floats(-300.0, 700.0)),
+        size=st.tuples(st.floats(1.0, 400.0), st.floats(1.0, 400.0)),
+    )
+    def test_a_worker_weighing_half_the_rows_changes_no_bit(
+            self, n, seed, yaw, depression, ahead, spread, corner, size):
+        # clouds behind, around and ahead of the camera, boxes partly or wholly
+        # off the image; the weights are read from the array both halves write
+        cam = CameraRig()
+        rng = np.random.default_rng(seed)
+        c2w = camera_to_world_pose(rng.uniform(-20.0, 20.0, size=3), yaw, depression)
+        center = c2w.translation + ahead * c2w.rotation[:, 2]
+        ps = cloud(center + spread * rng.standard_normal((n, 3)))
+        perturbed = perturb_points(ps.points, rng, LCFG.update_noise_var,
+                                   np.empty(ps.points.shape))
+        box = BBox(corner[0], corner[1], corner[0] + size[0], corner[1] + size[1])
+        weigh = localizer.weigh_rows
+
+        def update_and_weights(worker):
+            written = []
+
+            def recording(rows, *args):
+                written.append(args[-1])
+                weigh(rows, *args)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(localizer, "weigh_rows", recording)
+                result = update_particles(ps, perturbed, box, c2w.inverse(), cam, LCFG,
+                                          np.random.default_rng(seed), worker)
+            return result, written
+
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            split, split_weights = update_and_weights(worker)
+        whole, [weights] = update_and_weights(None)
+        assert len(split_weights) == 2 and split_weights[0] is split_weights[1]
+        assert same_bits(split_weights[0], weights)
+        assert split.starved == whole.starved
+        assert same_bits(split.particles.points, whole.particles.points)
 
     def test_two_views_contract_covariance(self, cam):
         # noiseless two-view oracle: generate from one pose, update from two

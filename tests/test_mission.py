@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conescan import bbox_tracker, localizer, mission, simulator
@@ -29,7 +29,8 @@ from conescan.localizer import (
 from conescan.mission import (
     EXIT_OK,
     EXIT_UNCONVERGED,
-    THREADED_DRAW_MIN_POINTS,
+    FAILED_TARGET_RADIUS,
+    WORKER_MIN_POINTS,
     MissionRunner,
     emit_plot_data,
 )
@@ -511,13 +512,73 @@ def short_missions(draw):
     })
 
 
+# the mission that raised "flight altitude must be above the target center" at
+# 105.0 s before clouds above the survey were dropped; the random examples
+# below never reach it
+STEEP_CAMERA = {"seed": 1, "region": [0, 0, 36, 10],
+                "targets": [{"center": [15, 5.5, 0.3]}, {"center": [28, 4.5, 0.3]}],
+                "camera": {"gamma": 1.31, "beta": 0.38}}
+
+
 class TestRobustnessProfile:
     @settings(max_examples=20, deadline=None, derandomize=True, database=None)
     @given(cfg=short_missions())
+    @example(cfg=from_dict(STEEP_CAMERA))
     def test_random_valid_missions_raise_nothing_and_end_in_time(self, cfg):
         # filterwarnings = error: a numpy warning fails the mission too
         report = MissionRunner(cfg).run()
         assert report.duration_s <= cfg.mission.max_sim_time + cfg.mission.dt
+
+
+def two_target_mission_at(seed, **planner):
+    cfg = stock_scenario(2, seed=seed)
+    cfg.planner = dataclasses.replace(cfg.planner, **planner)
+    runner = MissionRunner(cfg)
+    return runner, runner.run()
+
+
+class TestSurveyEndFinePhase:
+    """Once the survey is flown and no cloud asks for a fine phase, each live
+    cloud with an accepted update gets one, lowest id first, unless it lies at
+    a failed target."""
+
+    # each found one target before: the other's cloud, once updated, was left
+    # live when the survey ended
+    @pytest.mark.parametrize("seed, planner", [(8, {}), (7, {"standoff": 5.0})])
+    def test_both_targets_found(self, seed, planner):
+        _, report = two_target_mission_at(seed, **planner)
+        assert report.targets_found == report.targets_total == 2
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_no_updated_cloud_outlives_the_survey(self, seed):
+        runner, report = two_target_mission_at(seed)
+        assert runner.mode == mission.SEARCH and runner.follower.done
+        assert report.duration_s < runner.cfg.mission.max_sim_time
+        failed = [hyp.center for hyp, entry in runner.finished if entry.status == "failed"]
+        for hyp in runner.hypotheses:
+            assert hyp.updates == 0 or any(
+                np.linalg.norm(hyp.center - c) <= FAILED_TARGET_RADIUS for c in failed)
+
+    def test_a_cloud_at_a_failed_target_is_not_circled_again(self):
+        runner = MissionRunner(stock_scenario(1, seed=3))
+        while runner.mode != mission.FINE_LOCALIZE:
+            runner._tick()
+        first = runner.active
+        first.status = "failed"
+        runner._retire("failed")
+        # rough clouds: one never updated, and two updated ones, beside the
+        # failed target and 2 m from it
+        fresh, near, far = (
+            TargetHypothesis(target_id=i, rng=np.random.default_rng(i), updates=updates,
+                             particles=ParticleSet(first.particles.points + shift))
+            for i, updates, shift in ((99, 0, [4.0, 0.0, 0.0]), (100, 1, [0.5, 0.0, 0.0]),
+                                      (101, 1, [2.0, 0.0, 0.0])))
+        runner.hypotheses = [fresh, near, far]
+        runner.follower.set_path([])  # the survey is flown once the follower rests
+        while not runner.follower.done:
+            runner.follower.step(runner.cfg.mission.dt)
+        assert not runner._step_modes()
+        assert runner.mode == mission.FINE_LOCALIZE and runner.active is far
 
 
 class TestCrowdedFinePhase:
@@ -663,7 +724,7 @@ class TestDrawAhead:
         [hyp] = runner.hypotheses
         return runner, c2w, hyp
 
-    @pytest.mark.parametrize("n", [1000, THREADED_DRAW_MIN_POINTS])
+    @pytest.mark.parametrize("n", [1000, WORKER_MIN_POINTS])
     def test_clouds_equal_inline_draws_from_a_twin_stream(self, n):
         runner, c2w, hyp = self.registered(n)
         cam, lcfg = runner.cam, runner.cfg.localizer
@@ -732,7 +793,7 @@ class TestDrawAhead:
         def fail(*args):
             raise FloatingPointError("draw failed")
 
-        runner, c2w, hyp = self.registered(THREADED_DRAW_MIN_POINTS)
+        runner, c2w, hyp = self.registered(WORKER_MIN_POINTS)
         monkeypatch.setattr(mission, "perturb_points", fail)
         runner._update_hypothesis(hyp, self.BOX, c2w.inverse(), c2w.translation)
         assert hyp.updates == 1  # the failed draw was handed to the worker, raising nothing
@@ -757,13 +818,62 @@ class TestDrawAhead:
         runner = MissionRunner(cfg)
         runner.run()
         assert len(threads) > 2
-        if n >= THREADED_DRAW_MIN_POINTS:
+        if n >= WORKER_MIN_POINTS:
             assert len(set(threads)) == 1 and threads[0] is not threading.main_thread()
         else:
             assert set(threads) == {threading.main_thread()}
         assert bool(runner.finished) == (max_sim_time > 30.0)
         # a finished hypothesis holds no drawn cloud
         assert all(hyp.pending is None for hyp, _ in runner.finished)
+
+
+    @pytest.mark.parametrize("n", [100_000, 1000])
+    def test_large_clouds_are_weighed_half_on_the_draw_worker(self, n, monkeypatch):
+        weighs, draws = [], []
+        weigh, draw = localizer.weigh_rows, mission.perturb_points
+
+        def recording_weigh(rows, *args):
+            weighs.append((threading.current_thread(), (rows.start, rows.stop)))
+            weigh(rows, *args)
+
+        def recording_draw(*args):
+            draws.append(threading.current_thread())
+            return draw(*args)
+
+        monkeypatch.setattr(localizer, "weigh_rows", recording_weigh)
+        monkeypatch.setattr(mission, "perturb_points", recording_draw)
+        cfg = stock_scenario(1, seed=3)
+        cfg.localizer = dataclasses.replace(cfg.localizer, n_particles=n)
+        cfg.mission.max_sim_time = 30.0
+        before = set(threading.enumerate())
+        MissionRunner(cfg).run()
+        assert set(threading.enumerate()) <= before
+        main = threading.main_thread()
+        on_main = [rows for thread, rows in weighs if thread is main]
+        elsewhere = [(thread, rows) for thread, rows in weighs if thread is not main]
+        assert on_main
+        if n >= WORKER_MIN_POINTS:
+            # one half on each thread per update, the second on the draws' one worker
+            assert set(on_main) == {(0, n // 2)}
+            assert {rows for _, rows in elsewhere} == {(n // 2, n)}
+            assert len(elsewhere) == len(on_main)
+            assert {thread for thread, _ in elsewhere} == set(draws) != {main}
+        else:
+            assert set(on_main) == {(0, n)} and not elsewhere
+
+    def test_a_failed_worker_half_raises_from_run_and_leaves_no_thread(self, monkeypatch):
+        weigh = localizer.weigh_rows
+
+        def failing_off_main(rows, *args):
+            if threading.current_thread() is not threading.main_thread():
+                raise FloatingPointError("weighing failed")
+            weigh(rows, *args)
+
+        monkeypatch.setattr(localizer, "weigh_rows", failing_off_main)
+        before = set(threading.enumerate())
+        with pytest.raises(FloatingPointError, match="weighing failed"):
+            MissionRunner(one_target_100k()).run()
+        assert set(threading.enumerate()) <= before
 
 
 class TestCloudStatistics:
