@@ -10,7 +10,7 @@ import csv
 import json
 import math
 import shutil
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -41,7 +41,6 @@ from .localizer import (
     kl_divergence,
     needs_new_particle_set,
     pca_summary,
-    perturb_points,
     update_particles,
 )
 from .mapping_planner import (
@@ -75,15 +74,6 @@ MAP = "map"
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_UNCONVERGED = 2
-
-# A cloud of this many points or more uses the runner's worker thread: it
-# draws its next perturbation there while the frame loop runs, and each update
-# weighs the second half of its rows there while the main thread weighs the
-# first. A smaller cloud does both inline. Handing a draw to the worker and
-# waiting for it costs about as much as an inline draw of 10,000 points on a
-# 2-vCPU x86-64 host (16,384 points take about 0.7 ms inline); sending the
-# 1,000-point draws of the stock two-target mission to the worker made it slower.
-WORKER_MIN_POINTS = 16_384
 
 # A cloud this close to a failed one is taken for the same failed target.
 FAILED_TARGET_RADIUS = 1.0
@@ -339,7 +329,8 @@ class MissionRunner:
         self._mapping = None  # (coverage payload, suppression radius, arc fraction)
 
         self.log = _RunLog(out_dir)  # opened and closed by run(), which writes every row
-        # draws and weighs for the large clouds; run() shuts it down, waiting for them
+        # the localizer draws and weighs large clouds on it; run() shuts it down,
+        # waiting for them
         self._worker = ThreadPoolExecutor(max_workers=1)
 
     # ------------------------------------------------------------------ utils
@@ -459,35 +450,18 @@ class MissionRunner:
         hyp = TargetHypothesis(target_id=hyp_id, particles=particles, rng=rng,
                                last_update_camera=est_c2w.translation.copy())
         self.hypotheses.append(hyp)
-        self._draw_next(hyp)  # while the cloud's statistics are computed
+        hyp.draw_next(lcfg.update_noise_var, self._worker)  # while record() runs
         hyp.record(lcfg, kl=None)
         self.log.metrics_row(self.frame, hyp)
         self.log.snapshot(hyp, self.frame, "registered")
-
-    def _worker_for(self, hyp):
-        """The worker thread for a large cloud, None for a small one."""
-        return self._worker if len(hyp.particles.points) >= WORKER_MIN_POINTS else None
-
-    def _draw_next(self, hyp):
-        """Start the perturbation of hyp's current cloud for its next update. It
-        takes the stream's next normals, as an update drawing its own would: the
-        stream is drawn from nowhere else until that update takes the result."""
-        points = hyp.particles.points
-        args = (points, hyp.rng, self.cfg.localizer.update_noise_var, np.empty(points.shape))
-        worker = self._worker_for(hyp)
-        if worker is not None:
-            hyp.pending = worker.submit(perturb_points, *args)
-        else:
-            hyp.pending = Future()
-            hyp.pending.set_result(perturb_points(*args))
 
     def _update_hypothesis(self, hyp, box, est_w2c, cam_pos):
         lcfg = self.cfg.localizer
         pre = gaussian_summary(hyp.particles)
         result = update_particles(hyp.particles, hyp.pending.result(), box, est_w2c,
-                                  self.cam, lcfg, hyp.rng, self._worker_for(hyp))
+                                  self.cam, lcfg, hyp.rng, self._worker)
         hyp.particles = result.particles  # the same set when starved
-        self._draw_next(hyp)
+        hyp.draw_next(lcfg.update_noise_var, self._worker)
         if result.starved:
             return
         hyp.updates += 1

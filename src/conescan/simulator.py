@@ -43,20 +43,7 @@ class TargetTruth:
     center: np.ndarray
     half_extents: np.ndarray
     features: np.ndarray  # (k, 3) surface points
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        object.__setattr__(
-            self, "half_extents", np.asarray(self.half_extents, dtype=float)
-        )
-        object.__setattr__(self, "features", np.asarray(self.features, dtype=float))
-        corners = self.center + _CORNER_SIGNS * self.half_extents
-        corners.flags.writeable = False
-        object.__setattr__(self, "_corners", corners)
-
-    def corners(self) -> np.ndarray:
-        """The 8 box corners, computed once; the array is read-only."""
-        return self._corners
+    corners: np.ndarray  # (8, 3) box corners, read-only
 
 
 def corner_boxes(pix: np.ndarray, depth: np.ndarray, corner_rows: np.ndarray,
@@ -108,7 +95,7 @@ class TruthPoints:
     bits as projecting its block alone."""
 
     def __init__(self, targets):
-        blocks = [np.vstack([tg.center, tg.corners(), tg.features]) for tg in targets]
+        blocks = [np.vstack([tg.center, tg.corners, tg.features]) for tg in targets]
         self.points = np.vstack(blocks) if blocks else np.empty((0, 3))
         self.points.flags.writeable = False
         ends = np.cumsum([len(b) for b in blocks], dtype=int).tolist()
@@ -138,7 +125,9 @@ def make_target(
     pts = rng.uniform(-1.0, 1.0, size=(n_features, 3))
     for i, f in enumerate(faces):
         pts[i, f // 2] = 1.0 if f % 2 else -1.0
-    return TargetTruth(target_id, center, half, center + pts * half)
+    corners = center + _CORNER_SIGNS * half
+    corners.flags.writeable = False
+    return TargetTruth(target_id, center, half, center + pts * half, corners)
 
 
 @dataclass

@@ -219,7 +219,7 @@ def test_criterion_4_filter_benefit():
     spawn_truth_iou = {}
     for frame in range(1, 501):
         w2c = _orbit_pose(frame, target.center, radius, 12.0).inverse()
-        pix, depth = project_points(target.corners(), w2c, CAM)
+        pix, depth = project_points(target.corners, w2c, CAM)
         assert np.all(depth > 0)
         truth = np.array([pix[:, 0].min(), pix[:, 1].min(),
                           pix[:, 0].max(), pix[:, 1].max()])

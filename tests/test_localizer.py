@@ -4,7 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conescan import localizer
@@ -21,6 +21,7 @@ from conescan.geometry import (
 )
 from conescan.localizer import (
     WEIGHT_FLOOR,
+    WORKER_MIN_POINTS,
     ConvergenceRecord,
     GaussianSummary,
     LocalizerConfig,
@@ -42,7 +43,6 @@ from conescan.localizer import (
     _STATUS_ORDER,
     _cloud_statistics,
 )
-from conescan.mission import WORKER_MIN_POINTS
 
 from conftest import identity_pose, random_pose, same_bits
 
@@ -405,10 +405,17 @@ class TestUpdateParticles:
         corner=st.tuples(st.floats(-300.0, 900.0), st.floats(-300.0, 700.0)),
         size=st.tuples(st.floats(1.0, 400.0), st.floats(1.0, 400.0)),
     )
+    # the worker is handed over on both sides of the threshold
+    @example(n=WORKER_MIN_POINTS - 1, seed=0, yaw=0.0, depression=0.9, ahead=15.0,
+             spread=2.0, corner=(200.0, 150.0), size=(200.0, 200.0))
+    @example(n=WORKER_MIN_POINTS, seed=0, yaw=0.0, depression=0.9, ahead=15.0,
+             spread=2.0, corner=(200.0, 150.0), size=(200.0, 200.0))
     def test_a_worker_weighing_half_the_rows_changes_no_bit(
             self, n, seed, yaw, depression, ahead, spread, corner, size):
         # clouds behind, around and ahead of the camera, boxes partly or wholly
-        # off the image; the weights are read from the array both halves write
+        # off the image; the weights are read from the array both halves write,
+        # and a cloud below WORKER_MIN_POINTS is weighed in one call although a
+        # worker is handed over
         cam = CameraRig()
         rng = np.random.default_rng(seed)
         c2w = camera_to_world_pose(rng.uniform(-20.0, 20.0, size=3), yaw, depression)
@@ -435,7 +442,8 @@ class TestUpdateParticles:
         with ThreadPoolExecutor(max_workers=1) as worker:
             split, split_weights = update_and_weights(worker)
         whole, [weights] = update_and_weights(None)
-        assert len(split_weights) == 2 and split_weights[0] is split_weights[1]
+        assert len(split_weights) == (2 if n >= WORKER_MIN_POINTS else 1)
+        assert split_weights[0] is split_weights[-1]
         assert same_bits(split_weights[0], weights)
         assert split.starved == whole.starved
         assert same_bits(split.particles.points, whole.particles.points)
@@ -500,6 +508,33 @@ class TestUpdateParticles:
             ps = res.particles
             assert ps.points.shape == (LCFG.n_particles, 3)
             assert np.all(np.isfinite(ps.points))
+
+
+class TestDrawNext:
+    """A hypothesis draws its next perturbation inline below WORKER_MIN_POINTS
+    and on the worker it is handed at or above it, with the same bits."""
+
+    @pytest.mark.parametrize("n", [1000, WORKER_MIN_POINTS - 1, WORKER_MIN_POINTS,
+                                   WORKER_MIN_POINTS + 1])
+    def test_inline_below_the_threshold_and_on_the_worker_from_it(self, n):
+        points = np.random.default_rng(n).normal(size=(n, 3))
+        hyp = TargetHypothesis(target_id=0, particles=cloud(points),
+                               rng=np.random.default_rng(7))
+        submitted = []
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            class RecordingWorker:
+                def submit(self, fn, *args):
+                    submitted.append(fn)
+                    return pool.submit(fn, *args)
+
+            hyp.draw_next(LCFG.update_noise_var, RecordingWorker())
+            if n < WORKER_MIN_POINTS:
+                assert hyp.pending.done()  # finished before draw_next returned
+            drawn = hyp.pending.result()
+        assert submitted == ([localizer.perturb_points] if n >= WORKER_MIN_POINTS else [])
+        expected = perturb_points(points, np.random.default_rng(7), LCFG.update_noise_var,
+                                  np.empty((n, 3)))
+        assert same_bits(drawn, expected)
 
 
 def reference_statistics(pts):

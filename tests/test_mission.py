@@ -18,6 +18,7 @@ from conescan import bbox_tracker, localizer, mission, simulator
 from conescan.config import ConfigError, from_dict
 from conescan.geometry import BBox, CameraRig, camera_to_world_pose
 from conescan.localizer import (
+    WORKER_MIN_POINTS,
     LocalizerConfig,
     ParticleSet,
     TargetHypothesis,
@@ -30,7 +31,6 @@ from conescan.mission import (
     EXIT_OK,
     EXIT_UNCONVERGED,
     FAILED_TARGET_RADIUS,
-    WORKER_MIN_POINTS,
     MissionRunner,
     emit_plot_data,
 )
@@ -559,6 +559,25 @@ class TestSurveyEndFinePhase:
             assert hyp.updates == 0 or any(
                 np.linalg.norm(hyp.center - c) <= FAILED_TARGET_RADIUS for c in failed)
 
+    # one false positive a frame and a detector that misses two boxes in five:
+    # the survey still ends well before the cap, the true target is circled
+    # once, and the one cloud left live is a false positive's one-view cone
+    @pytest.mark.parametrize("seed, duration_s", [(3, 78.9), (7, 82.8)])
+    def test_a_false_positive_heavy_survey_ends(self, seed, duration_s):
+        cfg = stock_scenario(1, seed=seed)
+        cfg.noise.false_positive_rate = 1.0
+        cfg.noise.detect_prob = 0.6
+        cfg.mission.max_sim_time = 900.0
+        runner = MissionRunner(cfg)
+        report = runner.run()
+        assert report.duration_s == duration_s
+        assert runner.mode == mission.SEARCH and runner.follower.done
+        circled = [e["target"] for e in report.transitions if e["to"] == mission.FINE_LOCALIZE]
+        assert len(circled) == 1  # so no hypothesis is circled twice
+        [live] = runner.hypotheses
+        assert live.updates == 0
+        assert report.targets_found == report.targets_total == 1
+
     def test_a_cloud_at_a_failed_target_is_not_circled_again(self):
         runner = MissionRunner(stock_scenario(1, seed=3))
         while runner.mode != mission.FINE_LOCALIZE:
@@ -609,7 +628,7 @@ class TestFineLocalizeCandidates:
                                            lcfg, rng, max_depth=24.0)
             hyp = TargetHypothesis(target_id=target_id, particles=particles, rng=rng,
                                    last_update_camera=last_update_camera)
-            runner._draw_next(hyp)  # as registration draws it
+            hyp.draw_next(lcfg.update_noise_var, runner._worker)  # as registration does
             return hyp
 
         active, other = hypothesis(0, away), hypothesis(1, None)
@@ -757,13 +776,13 @@ class TestDrawAhead:
     @pytest.fixture
     def slow_draws(self, monkeypatch):
         """Draws that are still running when a run that does not wait for them ends."""
-        draw = mission.perturb_points
+        draw = localizer.perturb_points
 
         def slow(*args):
             time.sleep(0.05)
             return draw(*args)
 
-        monkeypatch.setattr(mission, "perturb_points", slow)
+        monkeypatch.setattr(localizer, "perturb_points", slow)
 
     def test_a_cut_short_run_leaves_no_draw_running(self, slow_draws):
         cfg = one_target_100k()
@@ -794,7 +813,7 @@ class TestDrawAhead:
             raise FloatingPointError("draw failed")
 
         runner, c2w, hyp = self.registered(WORKER_MIN_POINTS)
-        monkeypatch.setattr(mission, "perturb_points", fail)
+        monkeypatch.setattr(localizer, "perturb_points", fail)
         runner._update_hypothesis(hyp, self.BOX, c2w.inverse(), c2w.translation)
         assert hyp.updates == 1  # the failed draw was handed to the worker, raising nothing
         with pytest.raises(FloatingPointError, match="draw failed"):
@@ -805,13 +824,13 @@ class TestDrawAhead:
                              [(100_000, 30.0), (100_000, 3600.0), (1000, 3600.0)])
     def test_large_draws_run_on_one_worker_and_small_ones_inline(self, n, max_sim_time,
                                                                monkeypatch):
-        threads, draw = [], mission.perturb_points
+        threads, draw = [], localizer.perturb_points
 
         def recording(*args):
             threads.append(threading.current_thread())
             return draw(*args)
 
-        monkeypatch.setattr(mission, "perturb_points", recording)
+        monkeypatch.setattr(localizer, "perturb_points", recording)
         cfg = stock_scenario(1, seed=3)
         cfg.localizer = dataclasses.replace(cfg.localizer, n_particles=n)
         cfg.mission.max_sim_time = max_sim_time
@@ -830,7 +849,7 @@ class TestDrawAhead:
     @pytest.mark.parametrize("n", [100_000, 1000])
     def test_large_clouds_are_weighed_half_on_the_draw_worker(self, n, monkeypatch):
         weighs, draws = [], []
-        weigh, draw = localizer.weigh_rows, mission.perturb_points
+        weigh, draw = localizer.weigh_rows, localizer.perturb_points
 
         def recording_weigh(rows, *args):
             weighs.append((threading.current_thread(), (rows.start, rows.stop)))
@@ -841,7 +860,7 @@ class TestDrawAhead:
             return draw(*args)
 
         monkeypatch.setattr(localizer, "weigh_rows", recording_weigh)
-        monkeypatch.setattr(mission, "perturb_points", recording_draw)
+        monkeypatch.setattr(localizer, "perturb_points", recording_draw)
         cfg = stock_scenario(1, seed=3)
         cfg.localizer = dataclasses.replace(cfg.localizer, n_particles=n)
         cfg.mission.max_sim_time = 30.0

@@ -315,10 +315,10 @@ class TestTruthPoints:
         # the kept previous frame still equals a fresh projection at its pose
         for pose, frame in ((prev_w2c, prev), (w2c, curr)):
             for tg, proj in zip(targets, frame):
-                block = np.vstack([tg.center, tg.corners(), tg.features])
+                block = np.vstack([tg.center, tg.corners, tg.features])
                 parts = [(proj.pix, proj.depth, block),
                          (proj.pix[:1], proj.depth[:1], tg.center),
-                         (proj.pix[1:9], proj.depth[1:9], tg.corners()),
+                         (proj.pix[1:9], proj.depth[1:9], tg.corners),
                          (proj.feature_pix, proj.depth[9:], tg.features)]
                 for pix, depth, points in parts:
                     fresh_pix, fresh_depth = project_points(points, pose, cam)
@@ -354,9 +354,9 @@ class TestTruthPoints:
 
     def test_points_and_corners_are_read_only(self):
         tg = make_target(0, [1.0, 2.0, 0.5], [0.5, 0.4, 0.5], 6, np.random.default_rng(0))
-        assert tg.corners() is tg.corners()
+        assert tg.corners is tg.corners
         with pytest.raises(ValueError):
-            tg.corners()[0, 0] = 0.0
+            tg.corners[0, 0] = 0.0
         with pytest.raises(ValueError):
             TruthPoints([tg]).points[0, 0] = 0.0
 
@@ -374,7 +374,7 @@ class TestSimulateDetector:
         w2c = overhead_world_to_cam([0, 0, 10])
         dets = simulate_detector(project_truth([tg], w2c, cam), cam, self.quiet(), rng)
         assert len(dets) == 1
-        pix, depth = project_points(tg.corners(), w2c, cam)
+        pix, depth = project_points(tg.corners, w2c, cam)
         assert np.all(depth > 0)
         expected = [pix[:, 0].min(), pix[:, 1].min(), pix[:, 0].max(), pix[:, 1].max()]
         assert dets[0].as_array() == pytest.approx(expected, abs=1e-9)
@@ -395,7 +395,7 @@ class TestSimulateDetector:
         tg = make_target(0, [0, 0, 0.4], [0.5, 0.5, 0.4], 10, rng)
         noise = self.quiet(detect_prob=0.0, false_positive_rate=2.0)
         w2c = overhead_world_to_cam([0, 0, 10])
-        pix, _ = project_points(tg.corners(), w2c, cam)
+        pix, _ = project_points(tg.corners, w2c, cam)
         true_box = [pix[:, 0].min(), pix[:, 1].min(), pix[:, 0].max(), pix[:, 1].max()]
         truth = project_truth([tg], w2c, cam)
         for _ in range(50):

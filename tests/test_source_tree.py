@@ -65,3 +65,44 @@ def unreferenced(root: Path) -> list:
 
 def test_every_definition_is_named_outside_itself():
     assert unreferenced(ROOT) == []
+
+
+def unused_imports(root: Path) -> list:
+    """module.name of each name a module in root/src/conescan imports but
+    neither uses nor lists in its ``__all__``."""
+    found = []
+    for path in sorted((root / "src" / "conescan").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        imported, used, exported = set(), set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                # "import a.b" binds a; "import a as b" and "from a import b" bind b
+                imported.update(alias.asname or alias.name.partition(".")[0]
+                                for alias in node.names)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif (isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "__all__"
+                          for t in node.targets)):
+                exported.update(ast.literal_eval(node.value))
+        found += [f"{path.stem}.{name}" for name in sorted(imported - used - exported)]
+    return found
+
+
+def test_every_imported_name_is_used_or_exported():
+    assert unused_imports(ROOT) == []
+
+
+def test_an_import_left_behind_is_found(tmp_path):
+    package = tmp_path / "src" / "conescan"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text(
+        "from . import config\nfrom .mission import Runner\n__all__ = ['config']\n")
+    (package / "mission.py").write_text(
+        "import numpy as np\nfrom concurrent.futures import Future, ThreadPoolExecutor\n"
+        "from .localizer import perturb_points, update_particles\n\n"
+        "def run(points):\n"
+        "    with ThreadPoolExecutor(1) as worker:\n"
+        "        return update_particles(np.asarray(points), worker)\n")
+    assert unused_imports(tmp_path) == [
+        "__init__.Runner", "mission.Future", "mission.perturb_points"]
