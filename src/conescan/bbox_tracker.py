@@ -190,7 +190,7 @@ def prune(tracks, image_size, cfg: TrackerConfig, frame: int = None):
     return out
 
 
-def estimate_similarity(prev_points, curr_points) -> np.ndarray:
+def estimate_similarity(prev_points: np.ndarray, curr_points: np.ndarray) -> np.ndarray:
     """Least-squares similarity between point sets, as the (3, 3) matrix
     [[s cos, -s sin, tx], [s sin, s cos, ty], [0, 0, 1]] that predict takes.
 
@@ -199,11 +199,10 @@ def estimate_similarity(prev_points, curr_points) -> np.ndarray:
     np.add.reduce over the rows divided by the count, without its Python
     wrapper. Coincident previous points and a zero-scale fit raise.
     """
-    p = np.asarray(prev_points, dtype=float)
-    q = np.asarray(curr_points, dtype=float)
-    n = len(p)
-    p_mean, q_mean = np.add.reduce(p, axis=0) / n, np.add.reduce(q, axis=0) / n
-    pc, qc = p - p_mean, q - q_mean
+    n = len(prev_points)
+    p_mean = np.add.reduce(prev_points, axis=0) / n
+    q_mean = np.add.reduce(curr_points, axis=0) / n
+    pc, qc = prev_points - p_mean, curr_points - q_mean
     spread = float((pc * pc).sum())
     if spread < 1e-12:
         raise SimilarityEstimationError("previous points are coincident")

@@ -63,14 +63,13 @@ class PoseSE3:
         return PoseSE3(self.rotation.T, -self.rotation.T @ self.translation)
 
     def apply(self, points):
-        """Transform a (3,) point or an (n, 3) array of points."""
-        pts = np.asarray(points, dtype=float)
-        if len(pts) > ROW_BLOCK:
-            out = blocked_matmul(pts, self.rotation.T)
+        """Transform a float (3,) point or (n, 3) array of points."""
+        if len(points) > ROW_BLOCK:
+            out = blocked_matmul(points, self.rotation.T)
             for k in range(3):  # column by column: an (n, 3) + (3,) broadcast loops per row
                 out[:, k] += self.translation[k]
             return out
-        return pts @ self.rotation.T + self.translation
+        return points @ self.rotation.T + self.translation
 
 
 @dataclass(frozen=True)
@@ -146,19 +145,19 @@ class BBox:
         return np.array([self.u_min, self.v_min, self.u_max, self.v_max])
 
 
-def to_euclidean(x) -> BBox:
-    """Drop the homogeneous entries of a stacked 6-vector back to a box."""
-    u_min, v_min, _, u_max, v_max, _ = np.asarray(x, dtype=float).reshape(6).tolist()
+def to_euclidean(x: np.ndarray) -> BBox:
+    """Drop the homogeneous entries of a stacked float (6,) vector back to a box."""
+    u_min, v_min, _, u_max, v_max, _ = x.tolist()
     return BBox(u_min, v_min, u_max, v_max)
 
 
-def project_points(points, world_to_cam: PoseSE3, cam: CameraRig):
-    """Vectorized projection of (n, 3) world points.
+def project_points(points: np.ndarray, world_to_cam: PoseSE3, cam: CameraRig):
+    """Vectorized projection of a float (n, 3) array of world points.
 
     Returns (pixels (n, 2), depths (n,)). Rows with depth <= 0 carry meaningless
     pixels; callers must mask on depth.
     """
-    p_cam = world_to_cam.apply(np.atleast_2d(points))
+    p_cam = world_to_cam.apply(points)
     z = p_cam[:, 2]
     safe_z = np.where(np.abs(z) < 1e-300, 1e-300, z)
     pix = np.column_stack(
@@ -173,13 +172,12 @@ def back_project_direction(pixel, cam: CameraRig) -> np.ndarray:
     return np.array([(u - cam.cx) / cam.fx, (v - cam.cy) / cam.fy, 1.0])
 
 
-def cone_normals(corners, cam: CameraRig) -> np.ndarray:
+def cone_normals(corners: np.ndarray, cam: CameraRig) -> np.ndarray:
     """Inward normals of the four cone faces back-projected from box corners.
 
-    Corners must be in clockwise image order; each face passes through the
-    camera origin so membership reduces to sign tests.
+    Corners are a (4, 2) array in clockwise image order; each face passes
+    through the camera origin so membership reduces to sign tests.
     """
-    corners = np.asarray(corners, dtype=float)
     # rays (x, y, 1) = K^-1 (u, v, 1), as back_project_direction gives them
     rays = [((u - cam.cx) / cam.fx, (v - cam.cy) / cam.fy)
             for u, v in corners.tolist()]
@@ -194,17 +192,17 @@ def cone_normals(corners, cam: CameraRig) -> np.ndarray:
     return np.array(normals)
 
 
-def cone_contains(normals: np.ndarray, points) -> np.ndarray:
+def cone_contains(normals: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Strict membership mask for (n, 3) camera-frame points: every face's
     product is > 0, tested one face column at a time (NaN is outside)."""
-    side = blocked_matmul(np.atleast_2d(points), normals.T)
+    side = blocked_matmul(points, normals.T)
     inside = side[:, 0] > 0.0
     for k in range(1, side.shape[1]):
         inside &= side[:, k] > 0.0
     return inside
 
 
-def camera_to_world_pose(position, yaw: float, depression: float) -> PoseSE3:
+def camera_to_world_pose(position: np.ndarray, yaw: float, depression: float) -> PoseSE3:
     """Camera pose from a hovering body: heading yaw, optical axis depressed.
 
     Returns the camera->world transform; the rotation columns are the camera
@@ -219,7 +217,7 @@ def camera_to_world_pose(position, yaw: float, depression: float) -> PoseSE3:
         [x1, z2 * x0 - z0 * x2, z1],
         [x2, z0 * x1 - z1 * x0, z2],
     ])
-    return PoseSE3(rot, np.asarray(position, dtype=float).reshape(3))
+    return PoseSE3(rot, position)
 
 
 def bearing(from_xy, to_xy) -> float:

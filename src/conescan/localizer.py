@@ -197,7 +197,7 @@ def needs_new_particle_set(existing_sets, normals: np.ndarray, world_to_cam: Pos
     return matched
 
 
-def weight_density(pixels, box: BBox, cfg: LocalizerConfig, out=None):
+def weight_density(pixels: np.ndarray, box: BBox, cfg: LocalizerConfig, out=None):
     """Gaussian-plus-uniform box likelihood for projected pixels.
 
     The Gaussian sits at the box center with per-axis std of half the box
@@ -206,28 +206,27 @@ def weight_density(pixels, box: BBox, cfg: LocalizerConfig, out=None):
     written into out, an (n,) array, or else into a fresh array the caller may
     write to.
     """
-    pix = np.asarray(pixels, dtype=float)
     cu, cv = box.center
     su, sv = box.width / 2.0, box.height / 2.0
     norm = 1.0 / (2.0 * math.pi * su * sv)
-    quad = ((pix[:, 0] - cu) / su) ** 2 + ((pix[:, 1] - cv) / sv) ** 2
+    quad = ((pixels[:, 0] - cu) / su) ** 2 + ((pixels[:, 1] - cv) / sv) ** 2
     f = np.exp(-0.5 * quad, out=out)
     f *= norm
     f *= cfg.gauss_weight
 
     support = enlarge(box, cfg.enlarge_factor)
     inside = (
-        (pix[:, 0] >= support.u_min)
-        & (pix[:, 0] <= support.u_max)
-        & (pix[:, 1] >= support.v_min)
-        & (pix[:, 1] <= support.v_max)
+        (pixels[:, 0] >= support.u_min)
+        & (pixels[:, 0] <= support.u_max)
+        & (pixels[:, 1] >= support.v_min)
+        & (pixels[:, 1] <= support.v_max)
     )
     np.add(f, cfg.uniform_weight * (1.0 / support.area), out=f, where=inside)
     np.maximum(f, WEIGHT_FLOOR, out=f)
     return f
 
 
-def systematic_resample(weights, rng: np.random.Generator) -> np.ndarray:
+def systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Low-variance systematic resampling; returns chosen indices.
 
     Position j picks the number of cumulative weights at or below it, clipped
@@ -237,8 +236,7 @@ def systematic_resample(weights, rng: np.random.Generator) -> np.ndarray:
     formula and corrected against the positions array itself, which never
     decreases.
     """
-    w = np.asarray(weights, dtype=float)
-    w = w / w.sum()
+    w = weights / weights.sum()
     n = len(w)
     u = rng.uniform()
     padded = np.empty(n + 2)  # the positions between -inf and +inf
@@ -350,14 +348,13 @@ def pca_summary(ps: ParticleSet) -> PcaSummary:
 
 def kl_divergence(n0: GaussianSummary, n1: GaussianSummary) -> float:
     """Closed-form KL divergence D(n0 || n1) between 3D Gaussians, in nats."""
-    p0, p1 = np.asarray(n0.cov, dtype=float), np.asarray(n1.cov, dtype=float)
     try:
-        np.linalg.cholesky(p1)
+        np.linalg.cholesky(n1.cov)
     except np.linalg.LinAlgError:
         raise ValueError("second covariance must be nonsingular") from None
-    diff = np.asarray(n1.mean, dtype=float) - np.asarray(n0.mean, dtype=float)
-    trace_term = float(np.trace(np.linalg.solve(p1, p0)))
-    quad_term = float(diff @ np.linalg.solve(p1, diff))
+    diff = n1.mean - n0.mean
+    trace_term = float(np.trace(np.linalg.solve(n1.cov, n0.cov)))
+    quad_term = float(diff @ np.linalg.solve(n1.cov, diff))
     _, logdet1 = n1.slogdet
     sign0, logdet0 = n0.slogdet
     if sign0 <= 0:

@@ -25,11 +25,6 @@ class Cylinder:
     z_top: float
     radius: float
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "axis_xy", np.asarray(self.axis_xy, dtype=float).reshape(2)
-        )
-
     @property
     def height(self) -> float:
         return self.z_top - self.z_bottom
@@ -102,17 +97,16 @@ def scan_circles(cyl: Cylinder, cam: CameraRig, standoff: float, n_per_circle: i
                     gamma_low=gamma_low, gamma_high=gamma_high)
 
 
-def circle_waypoints(circle: ViewCircle, n_per_circle: int, axis_xy) -> list:
+def circle_waypoints(circle: ViewCircle, n_per_circle: int, axis_xy: np.ndarray) -> list:
     """Equally spaced orbit waypoints, yaw locked on the cylinder axis.
 
     All circles start at azimuth zero so consecutive circles join at a matching
     azimuth with a straight vertical transit.
     """
-    axis = np.asarray(axis_xy, dtype=float).reshape(2)
     wps = []
     for i in range(n_per_circle):
         pos = circle.point_at(2.0 * math.pi * i / n_per_circle)
-        wps.append(Waypoint(pos, bearing(pos[:2], axis)))
+        wps.append(Waypoint(pos, bearing(pos[:2], axis_xy)))
     return wps
 
 
@@ -160,7 +154,7 @@ def coverage_samples(
     return samples, covered
 
 
-def mapping_path(plan: ScanPlan, start_position) -> list:
+def mapping_path(plan: ScanPlan, start_position: np.ndarray) -> list:
     """Flyable waypoint sequence: descend onto the first circle, orbit, step up.
 
     Each circle is closed back to its entry azimuth; circles are joined by a
@@ -168,10 +162,9 @@ def mapping_path(plan: ScanPlan, start_position) -> list:
     above the first orbit point at the start altitude.
     """
     first = plan.waypoints[0][0]
-    start = np.asarray(start_position, dtype=float)
     path = []
-    if start[2] > first.position[2]:
-        above = np.array([first.position[0], first.position[1], start[2]])
+    if start_position[2] > first.position[2]:
+        above = np.array([first.position[0], first.position[1], start_position[2]])
         path.append(Waypoint(above, first.yaw))
     for wps in plan.waypoints:
         path.extend(wps)

@@ -41,7 +41,6 @@ _CORNER_SIGNS = np.array(
 class TargetTruth:
     id: int
     center: np.ndarray
-    half_extents: np.ndarray
     features: np.ndarray  # (k, 3) surface points
     corners: np.ndarray  # (8, 3) box corners, read-only
 
@@ -64,7 +63,7 @@ def corner_boxes(pix: np.ndarray, depth: np.ndarray, corner_rows: np.ndarray,
 
 class TargetProjection(NamedTuple):
     """One target's ground truth projected at one pose, rows in `TruthPoints`
-    order: center, 8 corners, features. Rows with depth <= 0 carry
+    order: center, 8 corners, features. Rows behind the camera carry
     meaningless pixels. `box` is the target's true box, or None, from the
     frame's one `corner_boxes` call; the detector and the KLT matcher both
     read it.
@@ -74,7 +73,6 @@ class TargetProjection(NamedTuple):
     this frame and the last, without recomputing them."""
 
     pix: np.ndarray  # (9 + k, 2)
-    depth: np.ndarray  # (9 + k,)
     box: BBox  # or None, see corner_boxes
     visible: np.ndarray  # (9 + k,) bool
 
@@ -109,7 +107,7 @@ class TruthPoints:
         u, v = pix.T
         visible = (depth > 0) & (u >= 0) & (u < cam.width) & (v >= 0) & (v < cam.height)
         boxes = corner_boxes(pix, depth, self._corner_rows, cam)
-        return [TargetProjection(pix[a:b], depth[a:b], box, visible[a:b])
+        return [TargetProjection(pix[a:b], box, visible[a:b])
                 for (a, b), box in zip(self._bounds, boxes)]
 
 
@@ -127,7 +125,7 @@ def make_target(
         pts[i, f // 2] = 1.0 if f % 2 else -1.0
     corners = center + _CORNER_SIGNS * half
     corners.flags.writeable = False
-    return TargetTruth(target_id, center, half, center + pts * half, corners)
+    return TargetTruth(target_id, center, center + pts * half, corners)
 
 
 @dataclass
@@ -173,8 +171,8 @@ class _Leg:
     """
 
     def __init__(self, p0, yaw0, p1, yaw1, yaw_rate, counts_waypoint):
-        self.p0 = np.asarray(p0, dtype=float)
-        self.p1 = np.asarray(p1, dtype=float)
+        self.p0 = p0
+        self.p1 = p1
         self.yaw0 = yaw0
         self.dyaw = wrap_angle(yaw1 - yaw0)
         self.length = float(np.linalg.norm(self.p1 - self.p0))
@@ -213,9 +211,7 @@ class _Leg:
         """Position, yaw and speed at leg time t (clamped to the duration)."""
         t = min(max(t, 0.0), self.duration)
         tm = min(t, self.t_move)
-        if self.length == 0:
-            dist, speed = 0.0, 0.0
-        elif tm < self.t_acc:
+        if tm < self.t_acc:
             dist = self.v0 * tm + 0.5 * self.a * tm**2
             speed = self.v0 + self.a * tm
         elif tm < self.t_acc + self.t_cruise:
@@ -245,7 +241,7 @@ class WaypointFollower:
     """
 
     def __init__(self, position, yaw, v_max: float, a_max: float, yaw_rate: float):
-        self.position = np.asarray(position, dtype=float)
+        self.position = position
         self.yaw = wrap_angle(yaw)
         self.velocity = np.zeros(3)
         self.v_max = v_max

@@ -20,9 +20,7 @@ class Waypoint:
     yaw: float
 
     def __post_init__(self):
-        pos = np.asarray(self.position, dtype=float).reshape(3)
-        object.__setattr__(self, "position", pos)
-        object.__setattr__(self, "yaw", wrap_angle(float(self.yaw)))
+        object.__setattr__(self, "yaw", wrap_angle(self.yaw))
 
 
 @dataclass(frozen=True)
@@ -30,18 +28,13 @@ class ViewCircle:
     center: np.ndarray  # (x, y, flight altitude)
     radius: float
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "center", np.asarray(self.center, dtype=float).reshape(3)
-        )
-
     def point_at(self, azimuth: float) -> np.ndarray:
         return self.center + self.radius * np.array(
             [math.cos(azimuth), math.sin(azimuth), 0.0]
         )
 
-    def azimuth_of(self, position) -> float:
-        rel = np.asarray(position, dtype=float)[:2] - self.center[:2]
+    def azimuth_of(self, position: np.ndarray) -> float:
+        rel = position[:2] - self.center[:2]
         return math.atan2(rel[1], rel[0])
 
 
@@ -86,18 +79,17 @@ def lawnmower_path(region, altitude: float, cam: CameraRig, overlap: float):
     return waypoints
 
 
-def fine_localization_circle(center, altitude: float, gamma: float) -> ViewCircle:
+def fine_localization_circle(center: np.ndarray, altitude: float, gamma: float) -> ViewCircle:
     """Circle at flight altitude from which the center is seen at depression
     gamma, the camera's, which config.validate keeps in (0, pi/2)."""
-    c = np.asarray(center, dtype=float).reshape(3)
-    if altitude <= c[2]:
+    if altitude <= center[2]:
         raise ValueError("flight altitude must be above the target center")
-    radius = (altitude - c[2]) / math.tan(gamma)
-    return ViewCircle(center=np.array([c[0], c[1], altitude]), radius=radius)
+    radius = (altitude - center[2]) / math.tan(gamma)
+    return ViewCircle(center=np.array([center[0], center[1], altitude]), radius=radius)
 
 
 def next_best_view(
-    circle: ViewCircle, v_min, current: Waypoint, cloud_center
+    circle: ViewCircle, v_min: np.ndarray, current: Waypoint, cloud_center: np.ndarray
 ) -> Waypoint:
     """Circle point whose camera axis best aligns with the smallest eigenvector.
 
@@ -107,28 +99,26 @@ def next_best_view(
     purely vertical one makes all azimuths equivalent and the current azimuth
     is kept. v_min has z >= 0, as PcaSummary.smallest_eigenvector is signed.
     """
-    v = np.asarray(v_min, dtype=float).reshape(3)
-    horiz = math.hypot(v[0], v[1])
+    horiz = math.hypot(v_min[0], v_min[1])
     if horiz < 1e-9:
         azimuth = circle.azimuth_of(current.position)
-    elif v[2] < 1e-12:
+    elif v_min[2] < 1e-12:
         rel = circle.center[:2] - current.position[:2]
         if np.linalg.norm(rel) < 1e-12:
             azimuth = circle.azimuth_of(current.position)
         else:
             azimuth = math.atan2(rel[1], rel[0])
     else:
-        azimuth = math.atan2(v[1], v[0])
+        azimuth = math.atan2(v_min[1], v_min[0])
     pos = circle.point_at(azimuth)
-    target = np.asarray(cloud_center, dtype=float)
-    return Waypoint(pos, bearing(pos, target))
+    return Waypoint(pos, bearing(pos, cloud_center))
 
 
 def arc_path(
     current: Waypoint,
     nbv: Waypoint,
     circle: ViewCircle,
-    cloud_center,
+    cloud_center: np.ndarray,
     angular_step: float,
 ):
     """The fine arc from the current pose, and the angle it sweeps.
@@ -140,7 +130,6 @@ def arc_path(
     on-circle waypoint keeps its yaw on the cloud center. nbv must lie on the
     circle, as next_best_view places it.
     """
-    target = np.asarray(cloud_center, dtype=float)
     rel = current.position[:2] - circle.center[:2]
     radial = np.linalg.norm(rel)
     if radial < 1e-12:
@@ -167,5 +156,5 @@ def arc_path(
         pos = circle.point_at(az)
         if np.linalg.norm(pos - path[-1].position) < 1e-9:
             continue
-        path.append(Waypoint(pos, bearing(pos, target)))
+        path.append(Waypoint(pos, bearing(pos, cloud_center)))
     return path, swept

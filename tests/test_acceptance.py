@@ -451,7 +451,7 @@ def test_criterion_9_degenerate_inputs():
     result = update_particles(far_cloud, perturbed, BBox(0, 0, 4, 4), identity_pose(),
                               CAM, LocalizerConfig(), rng)
     assert result.starved and result.particles is far_cloud
-    assert weight_density([[5000.0, 5000.0]], BBox(0, 0, 4, 4),
+    assert weight_density(np.array([[5000.0, 5000.0]]), BBox(0, 0, 4, 4),
                           LocalizerConfig())[0] == WEIGHT_FLOOR
     details.append("all-floor weights skip the update")
 

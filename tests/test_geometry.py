@@ -27,13 +27,13 @@ from conftest import identity_pose, random_pose, random_rotation, same_bits
 
 def lift(box):
     """The stacked homogeneous 6-vector of a box's corners."""
-    return [box.u_min, box.v_min, 1.0, box.u_max, box.v_max, 1.0]
+    return np.array([box.u_min, box.v_min, 1.0, box.u_max, box.v_max, 1.0])
 
 
 class TestHomogeneousConversions:
     def test_drop(self):
-        assert to_euclidean([0, 0, 1, 10, 10, 1]) == BBox(0, 0, 10, 10)
-        assert to_euclidean([5, 5, 1, 5.5, 6, 1]) == BBox(5, 5, 5.5, 6)
+        assert to_euclidean(np.array([0.0, 0.0, 1.0, 10.0, 10.0, 1.0])) == BBox(0, 0, 10, 10)
+        assert to_euclidean(np.array([5.0, 5.0, 1.0, 5.5, 6.0, 1.0])) == BBox(5, 5, 5.5, 6)
 
     def test_round_trip_exact(self):
         rng = np.random.default_rng(0)
@@ -65,18 +65,18 @@ class TestBBox:
 class TestProjection:
     def test_principal_point(self, cam):
         pose = identity_pose()
-        pix, depth = project_points([0, 0, 5], pose, cam)
+        pix, depth = project_points(np.array([[0.0, 0.0, 5.0]]), pose, cam)
         assert pix[0] == pytest.approx([320, 240])
         assert depth == pytest.approx([5.0])
 
     def test_lateral_offset(self, cam):
         # u = cx + fx * x / z = 320 + 500 * (1 / 5)
-        pix, _ = project_points([1, 0, 5], identity_pose(), cam)
+        pix, _ = project_points(np.array([[1.0, 0.0, 5.0]]), identity_pose(), cam)
         assert pix[0] == pytest.approx([420, 240], abs=1e-12)
 
     def test_behind_camera_has_negative_depth(self, cam):
         # callers mask on depth; a point behind the camera must not pass
-        _, depth = project_points([[0, 0, -1], [0, 0, 0], [0, 0, 2]],
+        _, depth = project_points(np.array([[0.0, 0.0, -1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 2.0]]),
                                   identity_pose(), cam)
         assert depth.tolist() == [-1.0, 0.0, 2.0]
 
@@ -97,7 +97,7 @@ class TestBackProjection:
             pixel = rng.uniform([0, 0], [cam.width, cam.height])
             direction = back_project_direction(pixel, cam)
             for mu in (0.5, 1.0, 10.0):
-                pix, _ = project_points(mu * direction, pose, cam)
+                pix, _ = project_points(np.array([mu * direction]), pose, cam)
                 assert np.max(np.abs(pix - pixel)) < 1e-9
 
     def test_round_trip_with_pose(self, cam):
@@ -107,7 +107,7 @@ class TestBackProjection:
             cam_to_world = random_pose(rng)
             pixel = rng.uniform([0, 0], [cam.width, cam.height])
             mu = rng.uniform(0.1, 50)
-            world = cam_to_world.apply(mu * back_project_direction(pixel, cam))
+            world = cam_to_world.apply(np.array([mu * back_project_direction(pixel, cam)]))
             pix, _ = project_points(world, cam_to_world.inverse(), cam)
             assert np.max(np.abs(pix - pixel)) < 1e-9
 
@@ -167,12 +167,12 @@ class TestCone:
 
     def test_point_on_axis_inside_centered_box(self, cam):
         normals = cone_normals(_centered_box_corners(cam), cam)
-        assert cone_contains(normals, [0, 0, 7.5]).all()
+        assert cone_contains(normals, np.array([[0.0, 0.0, 7.5]])).all()
 
     def test_mirrored_point_is_outside(self, cam):
         # all four inequalities flip sign under point negation
         normals = cone_normals(_centered_box_corners(cam), cam)
-        point = np.array([0.1, -0.2, 5.0])
+        point = np.array([[0.1, -0.2, 5.0]])
         assert cone_contains(normals, point).all()
         assert not cone_contains(normals, -point).any()
 
@@ -281,7 +281,7 @@ class TestConeColumns:
 
 class TestCameraPose:
     def test_level_heading_east_looks_down_forward(self):
-        pose = camera_to_world_pose([0, 0, 10], 0.0, math.radians(55))
+        pose = camera_to_world_pose(np.array([0.0, 0.0, 10.0]), 0.0, math.radians(55))
         optical_axis = pose.rotation[:, 2]
         assert optical_axis[2] < 0  # depressed below horizontal
         assert optical_axis[0] > 0  # forward along +x heading
@@ -292,8 +292,8 @@ class TestCameraPose:
         depression = cam.gamma
         altitude = 12.0
         ahead = altitude / math.tan(depression)
-        pose = camera_to_world_pose([0, 0, altitude], 0.0, depression)
-        pix, depth = project_points([ahead, 0, 0], pose.inverse(), cam)
+        pose = camera_to_world_pose(np.array([0.0, 0.0, altitude]), 0.0, depression)
+        pix, depth = project_points(np.array([[ahead, 0.0, 0.0]]), pose.inverse(), cam)
         assert pix[0] == pytest.approx([cam.cx, cam.cy], abs=1e-9)
         assert depth == pytest.approx([altitude / math.sin(depression)])
 
@@ -302,7 +302,7 @@ class TestCameraPose:
         for _ in range(50):
             yaw = rng.uniform(-math.pi, math.pi)
             gamma = rng.uniform(0.1, 1.4)
-            rot = camera_to_world_pose([0, 0, 0], yaw, gamma).rotation
+            rot = camera_to_world_pose(np.array([0.0, 0.0, 0.0]), yaw, gamma).rotation
             assert np.linalg.det(rot) == pytest.approx(1.0)
 
 
@@ -314,7 +314,7 @@ def test_built_poses_pass_public_checks(position, yaw, depression,
                                         pose_sigma, yaw_sigma, seed):
     # PoseSE3 takes its rotation as given: camera_to_world_pose, inverse and
     # perturb_pose are its makers, and each must hand it a proper rotation
-    c2w = camera_to_world_pose(position, yaw, depression)
+    c2w = camera_to_world_pose(np.array(position), yaw, depression)
     noise = NoiseModel(pose_sigma_xyz=pose_sigma, yaw_sigma=yaw_sigma)
     noisy = perturb_pose(c2w, noise, np.random.default_rng(seed))
     for pose in (c2w, c2w.inverse(), noisy, noisy.inverse()):

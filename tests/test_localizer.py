@@ -261,7 +261,7 @@ class TestWeightDensity:
 
     def test_center_is_max(self):
         rng = np.random.default_rng(8)
-        center_val = weight_density([self.BOX.center], self.BOX, LCFG)[0]
+        center_val = weight_density(np.array([self.BOX.center]), self.BOX, LCFG)[0]
         pixels = rng.uniform([0, 0], [640, 480], size=(2000, 2))
         assert np.all(weight_density(pixels, self.BOX, LCFG) <= center_val)
 
@@ -278,14 +278,14 @@ class TestWeightDensity:
         assert total == pytest.approx(1.0, abs=1e-3)
 
     def test_far_outside_is_exactly_floor(self):
-        assert weight_density([[5000.0, 5000.0]], self.BOX, LCFG)[0] == WEIGHT_FLOOR
+        assert weight_density(np.array([[5000.0, 5000.0]]), self.BOX, LCFG)[0] == WEIGHT_FLOOR
 
     def test_uniform_support_is_the_enlarged_box(self):
         box = self.BOX
         support = enlarge(box, LCFG.enlarge_factor)
         just_inside = [support.u_min + 1e-6, box.center[1]]
         just_outside = [support.u_min - 1e-6, box.center[1]]
-        inside, outside = weight_density([just_inside, just_outside], box, LCFG)
+        inside, outside = weight_density(np.array([just_inside, just_outside]), box, LCFG)
         gap = inside - outside
         assert gap == pytest.approx(LCFG.uniform_weight / support.area, rel=1e-3)
 
@@ -454,13 +454,14 @@ class TestUpdateParticles:
         rng = np.random.default_rng(12)
         target = np.array([0.0, 0.0, 0.5])
         spread = 0.4 * rng.standard_normal((60, 3)) + target
-        pose_a = camera_to_world_pose([-8, 0, 10], 0.0, math.radians(55))
+        pose_a = camera_to_world_pose(np.array([-8.0, 0.0, 10.0]), 0.0, math.radians(55))
         box_a = exact_box(spread, pose_a.inverse(), cam, pad=2.0)
         corners = enlarge(box_a, LCFG.enlarge_factor).corners_clockwise()
         ps = generate_particles(corners, pose_a, cam, LCFG, rng, max_depth=MAX_DEPTH)
         trace0 = np.trace(np.cov(ps.points.T))
 
-        for position, yaw in (([0, -8, 10], math.pi / 2), ([8, 0, 10], math.pi)):
+        for position, yaw in ((np.array([0.0, -8.0, 10.0]), math.pi / 2),
+                              (np.array([8.0, 0.0, 10.0]), math.pi)):
             pose = camera_to_world_pose(position, yaw, math.radians(55))
             box = exact_box(spread, pose.inverse(), cam, pad=2.0)
             res = update(ps, box, pose.inverse(), cam, LCFG, rng)

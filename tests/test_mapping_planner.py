@@ -89,7 +89,7 @@ class TestFitCylinder:
 class TestScanCircles:
     def test_default_angles_single_circle(self, cam):
         # band height 3 (tan 75 - tan 35) ~ 9.10 m covers the 4 m body at once
-        cyl = Cylinder(axis_xy=[5, 5], z_bottom=0.0, z_top=4.0, radius=1.0)
+        cyl = Cylinder(axis_xy=np.array([5.0, 5.0]), z_bottom=0.0, z_top=4.0, radius=1.0)
         plan = scan_circles(cyl, cam, standoff=3.0, n_per_circle=36)
         band = 3.0 * (math.tan(math.radians(75)) - math.tan(math.radians(35)))
         assert band == pytest.approx(9.0955, abs=1e-3)
@@ -99,13 +99,14 @@ class TestScanCircles:
 
     def test_height_just_above_band_needs_two(self, cam):
         band = 3.0 * (math.tan(math.radians(75)) - math.tan(math.radians(35)))
-        cyl = Cylinder(axis_xy=[0, 0], z_bottom=0.0, z_top=band + 0.05, radius=1.0)
+        cyl = Cylinder(axis_xy=np.array([0.0, 0.0]), z_bottom=0.0, z_top=band + 0.05,
+                       radius=1.0)
         plan = scan_circles(cyl, cam, standoff=3.0, n_per_circle=36)
         assert len(plan.circles) == 2
         assert plan.circles[1].center[2] - plan.circles[0].center[2] == pytest.approx(band)
 
     def test_orbit_radius_is_cylinder_plus_standoff(self, cam):
-        cyl = Cylinder(axis_xy=[2, -1], z_bottom=0.0, z_top=2.0, radius=1.7)
+        cyl = Cylinder(axis_xy=np.array([2.0, -1.0]), z_bottom=0.0, z_top=2.0, radius=1.7)
         plan = scan_circles(cyl, cam, standoff=3.0, n_per_circle=36)
         for circle in plan.circles:
             assert circle.radius == pytest.approx(1.7 + 3.0)
@@ -115,7 +116,7 @@ class TestScanCircles:
         band = 3.0 * (math.tan(math.radians(75)) - math.tan(math.radians(35)))
         for _ in range(200):
             height = rng.uniform(0.2, 40.0)
-            cyl = Cylinder(axis_xy=[0, 0], z_bottom=0.0, z_top=height, radius=1.0)
+            cyl = Cylinder(axis_xy=np.array([0.0, 0.0]), z_bottom=0.0, z_top=height, radius=1.0)
             plan = scan_circles(cyl, cam, standoff=3.0, n_per_circle=36)
             assert len(plan.circles) == band_oracle(height, band)
 
@@ -123,7 +124,7 @@ class TestScanCircles:
         rng = np.random.default_rng(3)
         for _ in range(100):
             height = rng.uniform(0.2, 30.0)
-            cyl = Cylinder(axis_xy=[0, 0], z_bottom=-2.0, z_top=-2.0 + height,
+            cyl = Cylinder(axis_xy=np.array([0.0, 0.0]), z_bottom=-2.0, z_top=-2.0 + height,
                            radius=1.0)
             plan = scan_circles(cyl, cam, standoff=3.0, n_per_circle=36)
             lo = plan.circles[0].center[2] - 3.0 * math.tan(plan.gamma_low)
@@ -137,7 +138,7 @@ class TestScanCircles:
                 assert bottom_b <= top_a + 1e-9
 
     def test_wider_scan_angle_never_needs_more_circles(self):
-        cyl = Cylinder(axis_xy=[0, 0], z_bottom=0.0, z_top=12.0, radius=1.0)
+        cyl = Cylinder(axis_xy=np.array([0.0, 0.0]), z_bottom=0.0, z_top=12.0, radius=1.0)
         counts = []
         for beta_deg in (20, 30, 40, 50):
             rig = CameraRig(fx=500, fy=500, cx=320, cy=240, width=640, height=480,
@@ -147,7 +148,7 @@ class TestScanCircles:
         assert counts == sorted(counts, reverse=True)
 
     def test_standoff_distance_to_surface(self, cam):
-        cyl = Cylinder(axis_xy=[4, 9], z_bottom=0.0, z_top=3.0, radius=2.0)
+        cyl = Cylinder(axis_xy=np.array([4.0, 9.0]), z_bottom=0.0, z_top=3.0, radius=2.0)
         plan = scan_circles(cyl, cam, standoff=3.0, n_per_circle=36)
         for wp in plan.all_waypoints():
             to_axis = np.linalg.norm(wp.position[:2] - cyl.axis_xy)
@@ -156,15 +157,15 @@ class TestScanCircles:
 
 class TestCircleWaypoints:
     def test_four_point_azimuths(self):
-        circle = ViewCircle(center=[0, 0, 5], radius=4.0)
-        wps = circle_waypoints(circle, 4, [0, 0])
+        circle = ViewCircle(center=np.array([0.0, 0.0, 5.0]), radius=4.0)
+        wps = circle_waypoints(circle, 4, np.array([0.0, 0.0]))
         azimuths = [math.degrees(math.atan2(w.position[1], w.position[0]))
                     for w in wps]
         assert azimuths == pytest.approx([0, 90, 180, -90])
 
     def test_yaw_hits_axis(self):
-        circle = ViewCircle(center=[3, -2, 5], radius=6.0)
-        for wp in circle_waypoints(circle, 12, [3, -2]):
+        circle = ViewCircle(center=np.array([3.0, -2.0, 5.0]), radius=6.0)
+        for wp in circle_waypoints(circle, 12, np.array([3.0, -2.0])):
             direction = np.array([math.cos(wp.yaw), math.sin(wp.yaw)])
             to_axis = np.array([3, -2]) - wp.position[:2]
             assert abs(wrap_angle(wp.yaw - math.atan2(to_axis[1], to_axis[0]))) < 1e-9
@@ -173,8 +174,8 @@ class TestCircleWaypoints:
             assert cross_z == pytest.approx(0.0, abs=1e-9)
 
     def test_chord_sum_approaches_circumference(self):
-        circle = ViewCircle(center=[0, 0, 5], radius=7.0)
-        wps = circle_waypoints(circle, 72, [0, 0])
+        circle = ViewCircle(center=np.array([0.0, 0.0, 5.0]), radius=7.0)
+        wps = circle_waypoints(circle, 72, np.array([0.0, 0.0]))
         chords = 0.0
         for a, b in zip(wps, wps[1:] + wps[:1]):
             chords += np.linalg.norm(a.position - b.position)
@@ -218,12 +219,12 @@ class TestCoverage:
         assert not covered.all()
 
     def test_planned_orbits_cover_everything(self, cam):
-        cyl = Cylinder(axis_xy=[0, 0], z_bottom=0.0, z_top=4.0, radius=1.5)
+        cyl = Cylinder(axis_xy=np.array([0.0, 0.0]), z_bottom=0.0, z_top=4.0, radius=1.5)
         plan = scan_circles(cyl, cam, standoff=3.0, n_per_circle=72)
         assert coverage_samples(plan, cam, cyl, 10_000)[1].mean() >= 0.99
 
     def test_empty_plan_is_zero(self, cam):
-        cyl = Cylinder(axis_xy=[0, 0], z_bottom=0.0, z_top=4.0, radius=1.5)
+        cyl = Cylinder(axis_xy=np.array([0.0, 0.0]), z_bottom=0.0, z_top=4.0, radius=1.5)
         empty = scan_circles(cyl, cam, standoff=3.0, n_per_circle=36)
         empty = type(empty)(circles=[], waypoints=[], gamma_low=empty.gamma_low,
                             gamma_high=empty.gamma_high)
@@ -232,7 +233,7 @@ class TestCoverage:
     def test_single_low_circle_misses_top(self, cam):
         # a tall body with one circle placed for the bottom band only
         band = 3.0 * (math.tan(math.radians(75)) - math.tan(math.radians(35)))
-        cyl = Cylinder(axis_xy=[0, 0], z_bottom=0.0, z_top=band + 3.0, radius=1.5)
+        cyl = Cylinder(axis_xy=np.array([0.0, 0.0]), z_bottom=0.0, z_top=band + 3.0, radius=1.5)
         full = scan_circles(cyl, cam, standoff=3.0, n_per_circle=72)
         partial = type(full)(circles=full.circles[:1], waypoints=full.waypoints[:1],
                              gamma_low=full.gamma_low, gamma_high=full.gamma_high)
@@ -241,7 +242,7 @@ class TestCoverage:
         assert samples[~covered][:, 2].min() > band - 1e-6  # only the top is missing
 
     def test_far_side_occluded_from_single_waypoint(self, cam):
-        cyl = Cylinder(axis_xy=[0, 0], z_bottom=0.0, z_top=4.0, radius=1.5)
+        cyl = Cylinder(axis_xy=np.array([0.0, 0.0]), z_bottom=0.0, z_top=4.0, radius=1.5)
         plan = scan_circles(cyl, cam, standoff=3.0, n_per_circle=36)
         single = type(plan)(circles=plan.circles[:1],
                             waypoints=[[plan.waypoints[0][0]]],
@@ -256,10 +257,10 @@ class TestCoverage:
 
 class TestMappingPath:
     def test_descends_then_orbits_then_climbs(self, cam):
-        cyl = Cylinder(axis_xy=[0, 0], z_bottom=0.0, z_top=10.0, radius=1.0)
+        cyl = Cylinder(axis_xy=np.array([0.0, 0.0]), z_bottom=0.0, z_top=10.0, radius=1.0)
         plan = scan_circles(cyl, cam, standoff=3.0, n_per_circle=8)
         assert len(plan.circles) == 2
-        path = mapping_path(plan, start_position=[10.0, 0.0, 30.0])
+        path = mapping_path(plan, start_position=np.array([10.0, 0.0, 30.0]))
         first_orbit = plan.waypoints[0][0]
         assert path[0].position[:2] == pytest.approx(first_orbit.position[:2])
         assert path[0].position[2] == 30.0

@@ -31,11 +31,12 @@ def reference_visible(pix, depth, cam):
             & (pix[:, 1] >= 0) & (pix[:, 1] < cam.height))
 
 
-def reference_klt(prev, curr, cam, noise, rng):
-    """simulate_klt with two visibility passes per call and two (n, 2) draws."""
+def reference_klt(prev, curr, prev_depth, curr_depth, cam, noise, rng):
+    """simulate_klt with two visibility passes per call and two (n, 2) draws;
+    the depths are those of the features' rows at each pose."""
     prev_pix, curr_pix = prev.pix[9:], curr.pix[9:]
-    keep = (reference_visible(prev_pix, prev.depth[9:], cam)
-            & reference_visible(curr_pix, curr.depth[9:], cam))
+    keep = (reference_visible(prev_pix, prev_depth, cam)
+            & reference_visible(curr_pix, curr_depth, cam))
     n = int(keep.sum())
     if n < 4:
         return None
@@ -73,8 +74,9 @@ class TestSubstream:
 class TestMakeTarget:
     def test_features_on_surface(self):
         rng = np.random.default_rng(0)
-        tg = make_target(0, [5, 5, 1], [1.0, 0.8, 0.6], 200, rng)
-        rel = (tg.features - tg.center) / tg.half_extents
+        half_extents = np.array([1.0, 0.8, 0.6])
+        tg = make_target(0, [5, 5, 1], half_extents, 200, rng)
+        rel = (tg.features - tg.center) / half_extents
         assert np.all(np.abs(rel) <= 1 + 1e-12)
         on_face = np.isclose(np.abs(rel), 1.0).any(axis=1)
         assert on_face.all()
@@ -128,7 +130,7 @@ def distance_to_polyline(p, points) -> float:
 class TestWaypointFollower:
     def test_ten_meter_trapezoid_takes_eleven_seconds(self):
         # 1 s accelerate + 9 s cruise + 1 s decelerate
-        ticks = fly([Waypoint([10, 0, 0], 0.0)])
+        ticks = fly([Waypoint(np.array([10.0, 0.0, 0.0]), 0.0)])
         assert len(ticks) == 110
         position, _, velocity = ticks[-1]
         assert position == pytest.approx([10, 0, 0], abs=1e-9)
@@ -138,8 +140,9 @@ class TestWaypointFollower:
         assert fly([]) == []
 
     def test_kinematic_limits_every_tick(self):
-        wps = [Waypoint([7, 3, 2], 1.0), Waypoint([-4, 1, 5], -2.0),
-               Waypoint([0, 0, 0], 0.0)]
+        wps = [Waypoint(np.array([7.0, 3.0, 2.0]), 1.0),
+               Waypoint(np.array([-4.0, 1.0, 5.0]), -2.0),
+               Waypoint(np.array([0.0, 0.0, 0.0]), 0.0)]
         v_max, a_max, dt = 1.0, 1.0, 0.1
         prev_v = np.zeros(3)
         for _, _, velocity in fly(wps, v_max, a_max, dt):
@@ -150,14 +153,15 @@ class TestWaypointFollower:
     def test_yaw_rate_bounded(self):
         yaw_rate = 1.5
         prev_yaw = 0.0
-        for _, yaw, _ in fly([Waypoint([0.1, 0, 0], 3.0)], yaw_rate=yaw_rate):
+        for _, yaw, _ in fly([Waypoint(np.array([0.1, 0.0, 0.0]), 3.0)], yaw_rate=yaw_rate):
             assert abs(wrap_angle(yaw - prev_yaw)) <= yaw_rate * 0.1 + 1e-9
             prev_yaw = yaw
         assert prev_yaw == pytest.approx(3.0, abs=1e-9)
 
     def test_waypoints_reached_in_order(self):
         follower = WaypointFollower(np.zeros(3), 0.0, 1.0, 1.0, 1.5)
-        wps = [Waypoint([2, 0, 0], 0.0), Waypoint([2, 2, 0], 0.0)]
+        wps = [Waypoint(np.array([2.0, 0.0, 0.0]), 0.0),
+               Waypoint(np.array([2.0, 2.0, 0.0]), 0.0)]
         follower.set_path(wps)
         seen = 0
         while not follower.done:
@@ -170,14 +174,30 @@ class TestWaypointFollower:
         assert np.linalg.norm(follower.position - wps[-1].position) < 0.2
         assert abs(wrap_angle(follower.yaw - wps[-1].yaw)) < 0.05
 
+    def test_yaw_only_leg_turns_in_place(self):
+        # a waypoint at the follower's own position makes a zero-length leg
+        # that only slews yaw: 1.2 rad at 1.5 rad/s takes 0.8 s
+        start = np.array([1.0, 2.0, 12.0])
+        follower = WaypointFollower(start, 0.0, 1.0, 1.0, 1.5)
+        follower.set_path([Waypoint(start.copy(), 1.2)])
+        ticks = 0
+        while not follower.done:
+            position, _, velocity = follower.step(0.1)
+            ticks += 1
+            assert np.array_equal(position, start)
+            assert np.array_equal(velocity, np.zeros(3))
+        assert ticks == 8
+        assert follower.yaw == pytest.approx(1.2, abs=1e-12)
+        assert follower.waypoints_reached == 1
+
     def test_replan_mid_motion_brakes_first(self):
         follower = WaypointFollower(np.zeros(3), 0.0, 1.0, 1.0, 1.5)
-        follower.set_path([Waypoint([10, 0, 0], 0.0)])
+        follower.set_path([Waypoint(np.array([10.0, 0.0, 0.0]), 0.0)])
         prev_v = np.zeros(3)
         for _ in range(30):  # cruise at full speed
             _, _, v = follower.step(0.1)
             prev_v = v
-        follower.set_path([Waypoint([0, 5, 0], 0.0)])
+        follower.set_path([Waypoint(np.array([0.0, 5.0, 0.0]), 0.0)])
         while not follower.done:
             _, _, v = follower.step(0.1)
             assert np.linalg.norm(v - prev_v) <= 1.0 * 0.1 + 1e-9
@@ -193,14 +213,15 @@ class TestWaypointFollower:
 
     @pytest.mark.parametrize("waypoints, passed", [
         # a 90 degree corner, then the last waypoint
-        ([Waypoint([3, 0, 0], 0.0), Waypoint([3, 3, 0], 0.0)], []),
+        ([Waypoint(np.array([3.0, 0.0, 0.0]), 0.0),
+          Waypoint(np.array([3.0, 3.0, 0.0]), 0.0)], []),
         # the middle leg slews yaw by 3 rad (2 s) over 1 m (1 s at v_max):
         # both of its ends are stops, though the path turns by under 6 degrees
-        ([Waypoint([2, 0, 0], 0.0), Waypoint([3, 0.1, 0], 3.0),
-          Waypoint([5, 0.2, 0], 3.0)], []),
+        ([Waypoint(np.array([2.0, 0.0, 0.0]), 0.0), Waypoint(np.array([3.0, 0.1, 0.0]), 3.0),
+          Waypoint(np.array([5.0, 0.2, 0.0]), 3.0)], []),
         # the same path without the slew is flown through
-        ([Waypoint([2, 0, 0], 0.0), Waypoint([3, 0.1, 0], 0.0),
-          Waypoint([5, 0.2, 0], 0.0)], [0, 1]),
+        ([Waypoint(np.array([2.0, 0.0, 0.0]), 0.0), Waypoint(np.array([3.0, 0.1, 0.0]), 0.0),
+          Waypoint(np.array([5.0, 0.2, 0.0]), 0.0)], [0, 1]),
     ])
     def test_corners_last_waypoint_and_yaw_bound_legs_end_at_rest(self, waypoints, passed):
         # a leg ending at rest leaves a tick at most a_max * dt of acceleration
@@ -214,8 +235,9 @@ class TestWaypointFollower:
         # a 5.7 degree turn onto a 0.2 m leg that ends at a corner: the
         # waypoint is passed no faster than sqrt(2 a_max 0.2), not at cruise
         short = math.hypot(0.2, 0.02)
-        wps = [Waypoint([5, 0, 0], 0.0), Waypoint([5.2, 0.02, 0], 0.0),
-               Waypoint([5.2, 3, 0], 0.0)]
+        wps = [Waypoint(np.array([5.0, 0.0, 0.0]), 0.0),
+               Waypoint(np.array([5.2, 0.02, 0.0]), 0.0),
+               Waypoint(np.array([5.2, 3.0, 0.0]), 0.0)]
         speeds = speeds_on_reaching(wps)
         assert 0.3 < speeds[0] <= math.sqrt(2.0 * short) + 1e-9
         prev = np.zeros(3)
@@ -241,7 +263,7 @@ class TestWaypointFollower:
             _, _, prev_v = follower.step(0.1)
         assert np.linalg.norm(prev_v) == pytest.approx(1.0)
         rest = follower.rest_position
-        new = [Waypoint([0, 5, 0], 0.0)]
+        new = [Waypoint(np.array([0.0, 5.0, 0.0]), 0.0)]
         follower.set_path(new)
         assert distance_to_polyline(rest, [old[2].position, old[3].position]) < 1e-12
         assert np.linalg.norm(rest - old[2].position) > 0.1
@@ -309,28 +331,34 @@ class TestTruthPoints:
         prev_w2c = perturb_pose(c2w, NoiseModel(), rng).inverse()
         w2c = c2w.inverse()
         truth = TruthPoints(targets)
-        prev = truth.split(*project_points(truth.points, prev_w2c, cam), cam)
-        curr = truth.split(*project_points(truth.points, w2c, cam), cam)
+        # each target's rows of the frame's depths, in TruthPoints order
+        ends = np.cumsum([9 + len(tg.features) for tg in targets]).tolist()
+        rows = [slice(a, b) for a, b in zip([0] + ends[:-1], ends)]
+        frames = []
+        for pose in (prev_w2c, w2c):
+            pix, depth = project_points(truth.points, pose, cam)
+            frames.append((pose, truth.split(pix, depth, cam), [depth[r] for r in rows]))
+        (_, prev, prev_depths), (_, curr, curr_depths) = frames
         assert len(prev) == len(curr) == len(targets)
         # the kept previous frame still equals a fresh projection at its pose
-        for pose, frame in ((prev_w2c, prev), (w2c, curr)):
-            for tg, proj in zip(targets, frame):
+        for pose, frame, frame_depths in frames:
+            for tg, proj, proj_depth in zip(targets, frame, frame_depths):
                 block = np.vstack([tg.center, tg.corners, tg.features])
-                parts = [(proj.pix, proj.depth, block),
-                         (proj.pix[:1], proj.depth[:1], tg.center),
-                         (proj.pix[1:9], proj.depth[1:9], tg.corners),
-                         (proj.feature_pix, proj.depth[9:], tg.features)]
+                parts = [(proj.pix, proj_depth, block),
+                         (proj.pix[:1], proj_depth[:1], tg.center.reshape(1, 3)),
+                         (proj.pix[1:9], proj_depth[1:9], tg.corners),
+                         (proj.feature_pix, proj_depth[9:], tg.features)]
                 for pix, depth, points in parts:
                     fresh_pix, fresh_depth = project_points(points, pose, cam)
                     assert np.array_equal(pix, fresh_pix)
                     assert np.array_equal(depth, fresh_depth)
                 # the frame's one mask gives each target visible() of its rows
                 assert np.array_equal(proj.visible,
-                                      reference_visible(proj.pix, proj.depth, cam))
+                                      reference_visible(proj.pix, proj_depth, cam))
         # one box per target, the min / max of its corners, from one gather;
         # none when a corner is behind, the box misses the image or has no area
-        for tg, proj in zip(targets, curr):
-            corners, depth = proj.pix[1:9], proj.depth[1:9]
+        for tg, proj, proj_depth in zip(targets, curr, curr_depths):
+            corners, depth = proj.pix[1:9], proj_depth[1:9]
             u0, v0, u1, v1 = (corners[:, 0].min(), corners[:, 1].min(),
                               corners[:, 0].max(), corners[:, 1].max())
             seen = (not (depth <= 0).any() and u1 > 0 and v1 > 0
@@ -338,10 +366,11 @@ class TestTruthPoints:
             expected = BBox(u0, v0, u1, v1) if seen else None
             assert proj.box == expected
         # and with every other target, the KLT pair of the reference arithmetic
-        for a, b in zip(prev, curr):
+        for a, b, a_depth, b_depth in zip(prev, curr, prev_depths, curr_depths):
             seed_rng = int(rng.integers(0, 2**32))
             got = simulate_klt(a, b, NoiseModel(), np.random.default_rng(seed_rng))
-            ref = reference_klt(a, b, cam, NoiseModel(), np.random.default_rng(seed_rng))
+            ref = reference_klt(a, b, a_depth[9:], b_depth[9:], cam, NoiseModel(),
+                                np.random.default_rng(seed_rng))
             if ref is None:
                 assert got is None
             else:
@@ -418,7 +447,7 @@ class TestSimulateDetector:
         tg = make_target(0, [0, 0, 0.9], [1.0, 1.0, 0.9], 300, rng)
         noise = self.quiet(detector_pixel_sigma=2.0)
         ahead = 9.0 / math.tan(cam.gamma)
-        w2c = camera_to_world_pose([-ahead, 0, 9.9], 0.0, cam.gamma).inverse()
+        w2c = camera_to_world_pose(np.array([-ahead, 0.0, 9.9]), 0.0, cam.gamma).inverse()
         sil_pix, _ = project_points(tg.features, w2c, cam)
         truth = project_truth([tg], w2c, cam)
         inside = 0
@@ -488,9 +517,12 @@ class TestSimulateKlt:
         shifted = PoseSE3(w2c.rotation, w2c.translation + [0.3, -0.2, 0.1])
         (curr,) = project_truth([tg], shifted, cam)
         noise = NoiseModel(klt_pixel_sigma=1.7)
+        _, prev_depth = project_points(tg.features, w2c, cam)
+        _, curr_depth = project_points(tg.features, shifted, cam)
         for seed in range(20):
             got = simulate_klt(prev, curr, noise, np.random.default_rng(seed))
-            ref = reference_klt(prev, curr, cam, noise, np.random.default_rng(seed))
+            ref = reference_klt(prev, curr, prev_depth, curr_depth, cam, noise,
+                                np.random.default_rng(seed))
             assert [x.tobytes() for x in got] == [x.tobytes() for x in ref]
 
     def test_reads_the_given_masks(self, cam):

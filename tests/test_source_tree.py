@@ -1,6 +1,7 @@
 """Nothing in ``src/`` is kept only for tests: every function, class and method
 the package defines is named by the package or by the benchmark outside its
-own definition."""
+own definition. Below the scenario boundary nothing converts its input: every
+function takes the float arrays the package builds."""
 
 import ast
 import re
@@ -106,3 +107,51 @@ def test_an_import_left_behind_is_found(tmp_path):
         "        return update_particles(np.asarray(points), worker)\n")
     assert unused_imports(tmp_path) == [
         "__init__.Runner", "mission.Future", "mission.perturb_points"]
+
+
+CONVERSIONS = {"asarray", "atleast_2d"}
+
+
+def conversion_sites(root: Path) -> list:
+    """module.qualname of the function or method around each ``asarray`` or
+    ``atleast_2d`` call in root/src/conescan, once per call, in source order."""
+    found = []
+
+    def visit(node, stem, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, stem, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in CONVERSIONS:
+                    found.append(".".join([stem] + scope))
+            visit(child, stem, scope)
+
+    for path in sorted((root / "src" / "conescan").glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path.stem, [])
+    return found
+
+
+def test_only_make_target_converts_to_arrays():
+    # make_target turns a scenario's center and half-extents into arrays;
+    # config.from_dict and lawnmower_path turn the other scenario values into floats
+    assert conversion_sites(ROOT) == ["simulator.make_target"] * 2
+
+
+def test_a_conversion_below_the_boundary_is_found(tmp_path):
+    package = tmp_path / "src" / "conescan"
+    package.mkdir(parents=True)
+    (package / "geometry.py").write_text(
+        "import numpy as np\nfrom numpy import atleast_2d\n\n"
+        "class Pose:\n"
+        "    def apply(self, points):\n"
+        "        return atleast_2d(points) @ self.rotation.T\n\n"
+        "def bearing(a, b):\n"
+        "    return np.asarray(b) - np.asarray(a, dtype=float)\n")
+    (package / "simulator.py").write_text(
+        "import numpy as np\n\ndef make_target(center):\n    return np.asarray(center)\n")
+    assert conversion_sites(tmp_path) == [
+        "geometry.Pose.apply", "geometry.bearing", "geometry.bearing",
+        "simulator.make_target"]

@@ -73,12 +73,12 @@ class TestLawnmower:
 
 class TestFineLocalizationCircle:
     def test_unit_tangent_radius(self):
-        circle = fine_localization_circle([10, 20, 2], 12.0, math.radians(45))
+        circle = fine_localization_circle(np.array([10.0, 20.0, 2.0]), 12.0, math.radians(45))
         assert circle.radius == pytest.approx(10.0)
         assert circle.center == pytest.approx([10, 20, 12])
 
     def test_steep_mount_angle_radius(self):
-        circle = fine_localization_circle([0, 0, 2], 12.0, math.radians(55))
+        circle = fine_localization_circle(np.array([0.0, 0.0, 2.0]), 12.0, math.radians(55))
         assert circle.radius == pytest.approx(10.0 / math.tan(math.radians(55)))
 
     def test_depression_angle_from_any_circle_point(self):
@@ -93,7 +93,7 @@ class TestFineLocalizationCircle:
 
     def test_target_above_flight_plane_rejected(self):
         with pytest.raises(ValueError):
-            fine_localization_circle([0, 0, 12.5], 12.0, math.radians(55))
+            fine_localization_circle(np.array([0.0, 0.0, 12.5]), 12.0, math.radians(55))
 
 
 def camera_axis_at(position, target):
@@ -115,7 +115,7 @@ class TestNextBestView:
     def test_rising_eigenvector_worked_example(self):
         v = np.array([1.0, 0.0, 0.5])
         v /= np.linalg.norm(v)
-        current = Waypoint([0.0, 20.0, 12.0], 0.0)
+        current = Waypoint(np.array([0.0, 20.0, 12.0]), 0.0)
         nbv = next_best_view(self.circle(), v, current, self.CENTER)
         assert nbv.position == pytest.approx([20, 20, 12], abs=1e-9)
         assert abs(wrap_angle(nbv.yaw - math.pi)) < 1e-9
@@ -139,7 +139,8 @@ class TestNextBestView:
             v = rng.standard_normal(3)
             v[2] = abs(v[2]) + 0.05
             v /= np.linalg.norm(v)
-            nbv = next_best_view(circle, v, Waypoint([0, 0, 12], 0.0), self.CENTER)
+            current = Waypoint(np.array([0.0, 0.0, 12.0]), 0.0)
+            nbv = next_best_view(circle, v, current, self.CENTER)
             expected = math.atan2(self.CENTER[1] - nbv.position[1],
                                   self.CENTER[0] - nbv.position[0])
             assert abs(wrap_angle(nbv.yaw - expected)) < 1e-9
@@ -155,7 +156,8 @@ class TestNextBestView:
             v /= np.linalg.norm(v)
             if math.hypot(v[0], v[1]) < 1e-6 or v[2] < 1e-6:
                 continue
-            nbv = next_best_view(circle, v, Waypoint([0, 0, 12], 0.0), self.CENTER)
+            current = Waypoint(np.array([0.0, 0.0, 12.0]), 0.0)
+            nbv = next_best_view(circle, v, current, self.CENTER)
             best = line_angle(camera_axis_at(nbv.position, self.CENTER), v)
             for az in azimuths:
                 candidate = line_angle(
@@ -204,7 +206,7 @@ class TestArcPath:
 
     def test_off_circle_start_enters_radially(self):
         circle = self.circle()
-        current = Waypoint([2.0, 2.0, 11.0], 0.5)
+        current = Waypoint(np.array([2.0, 2.0, 11.0]), 0.5)
         nbv_az = math.pi / 2
         nbv = Waypoint(circle.point_at(nbv_az), 0.0)
         path, swept = arc_path(current, nbv, circle, self.CENTER, math.radians(15))
