@@ -63,9 +63,11 @@ def predict(
     The state moves in stacked homogeneous coordinates, the lifted box
     (u_min, v_min, 1, u_max, v_max, 1) times blockdiag(M, M), as one 6-vector
     product; a 3x3 product per corner gives other bits in a mission. The
-    variance scales by s^2, the squared norm of M's first column, and gains
-    the process noise, which noise_scale inflates for the fallback, None, where
-    the box stays put.
+    variance scales by s^2, the squared norm of M's first column, in floats
+    (a float's ** 2 calls C pow as a numpy scalar's does; a fit of pixels is
+    far below the 1e154 where it would overflow), and gains the process
+    noise, which noise_scale inflates for the fallback, None, where the box
+    stays put.
     """
     e2 = cfg.predict_noise_px**2 * noise_scale
     if sim is None:
@@ -74,8 +76,8 @@ def predict(
     motion[:3, :3] = motion[3:, 3:] = sim
     b = track.u
     x_pred = motion @ np.array([b.u_min, b.v_min, 1.0, b.u_max, b.v_max, 1.0])
-    s2 = sim[0, 0] ** 2 + sim[1, 0] ** 2
-    return _derive(track, u=to_euclidean(x_pred), var=float(s2 * track.var + e2))
+    (sc, _, _), (ss, _, _), _ = sim.tolist()
+    return _derive(track, u=to_euclidean(x_pred), var=(sc**2 + ss**2) * track.var + e2)
 
 
 def update(track: BoxTrack, z: BBox, cfg: TrackerConfig) -> BoxTrack:
@@ -85,9 +87,10 @@ def update(track: BoxTrack, z: BBox, cfg: TrackerConfig) -> BoxTrack:
     detection counts as one more hit."""
     r2 = cfg.measure_noise_px**2
     k = track.var / (track.var + r2)
-    u = track.u.as_array()
-    u_new = u + k * (z.as_array() - u)
-    return _derive(track, u=BBox(*u_new.tolist()), var=k * r2, hits=track.hits + 1)
+    u = track.u
+    u_new = BBox(u.u_min + k * (z.u_min - u.u_min), u.v_min + k * (z.v_min - u.v_min),
+                 u.u_max + k * (z.u_max - u.u_max), u.v_max + k * (z.v_max - u.v_max))
+    return _derive(track, u=u_new, var=k * r2, hits=track.hits + 1)
 
 
 def iou(a: BBox, b: BBox) -> float:
@@ -196,26 +199,27 @@ def estimate_similarity(prev_points: np.ndarray, curr_points: np.ndarray) -> np.
 
     The points are two equal (n, 2) arrays of finite pixels with n >= 4, as
     simulate_klt returns them. The means are np.mean's own arithmetic,
-    np.add.reduce over the rows divided by the count, without its Python
-    wrapper. Coincident previous points and a zero-scale fit raise.
+    np.add.reduce over the rows divided by the count, and the sums
+    ndarray.sum's, np.add.reduce over all axes, without their Python
+    wrappers. Coincident previous points and a zero-scale fit raise.
     """
     n = len(prev_points)
     p_mean = np.add.reduce(prev_points, axis=0) / n
     q_mean = np.add.reduce(curr_points, axis=0) / n
     pc, qc = prev_points - p_mean, curr_points - q_mean
-    spread = float((pc * pc).sum())
+    spread = float(np.add.reduce(pc * pc, axis=None))
     if spread < 1e-12:
         raise SimilarityEstimationError("previous points are coincident")
-    dot = float((pc * qc).sum())
-    cross = float((pc[:, 0] * qc[:, 1] - pc[:, 1] * qc[:, 0]).sum())
+    dot = float(np.add.reduce(pc * qc, axis=None))
+    cross = float(np.add.reduce(pc[:, 0] * qc[:, 1] - pc[:, 1] * qc[:, 0], axis=None))
     scale = math.hypot(dot, cross) / spread
     if scale < 1e-12:
         raise SimilarityEstimationError("degenerate fit with zero scale")
     theta = math.atan2(cross, dot)
     c, s = math.cos(theta), math.sin(theta)
     rot = np.array([[c, -s], [s, c]])
-    t = q_mean - scale * rot @ p_mean
-    return np.array([[scale * c, -scale * s, t[0]], [scale * s, scale * c, t[1]],
+    tx, ty = (q_mean - scale * rot @ p_mean).tolist()
+    return np.array([[scale * c, -scale * s, tx], [scale * s, scale * c, ty],
                      [0, 0, 1.0]])
 
 

@@ -45,6 +45,12 @@ class DegenerateConeError(ValueError):
     """Bounding-box corners do not span a proper four-face cone."""
 
 
+def vector_norm(v: np.ndarray) -> float:
+    """np.linalg.norm of a contiguous float (n,) array, bit for bit: its own
+    1-D formula, sqrt(v . v), without its Python wrapper."""
+    return math.sqrt(v.dot(v))
+
+
 def wrap_angle(a: float) -> float:
     """Normalize an angle to (-pi, pi]."""
     w = (a + math.pi) % (2.0 * math.pi) - math.pi
@@ -141,9 +147,6 @@ class BBox:
             ]
         )
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.u_min, self.v_min, self.u_max, self.v_max])
-
 
 def to_euclidean(x: np.ndarray) -> BBox:
     """Drop the homogeneous entries of a stacked float (6,) vector back to a box."""
@@ -157,12 +160,12 @@ def project_points(points: np.ndarray, world_to_cam: PoseSE3, cam: CameraRig):
     Returns (pixels (n, 2), depths (n,)). Rows with depth <= 0 carry meaningless
     pixels; callers must mask on depth.
     """
-    p_cam = world_to_cam.apply(points)
-    z = p_cam[:, 2]
+    x, y, z = world_to_cam.apply(points).T
     safe_z = np.where(np.abs(z) < 1e-300, 1e-300, z)
-    pix = np.column_stack(
-        [cam.fx * p_cam[:, 0] / safe_z + cam.cx, cam.fy * p_cam[:, 1] / safe_z + cam.cy]
-    )
+    pix = np.empty((len(z), 2))
+    u, v = pix.T  # fx * x / safe_z + cx and fy * y / safe_z + cy, built in place
+    np.add(np.divide(np.multiply(x, cam.fx, out=u), safe_z, out=u), cam.cx, out=u)
+    np.add(np.divide(np.multiply(y, cam.fy, out=v), safe_z, out=v), cam.cy, out=v)
     return pix, z
 
 

@@ -22,6 +22,7 @@ from .geometry import (
     blocked_matmul,
     cone_contains,
     project_points,
+    vector_norm,
 )
 
 # Weight assigned in place of exact zeros so a bad box cannot silently
@@ -448,13 +449,15 @@ def drop_duplicates(hypotheses, radius: float = 1.0, keep=None):
     smaller largest eigenvalue; keep, if given, outranks every other and so
     is always kept. Returns the kept ones in id order.
     """
+    if len(hypotheses) < 2:
+        return list(hypotheses)
     ranked = sorted(
         hypotheses,
         key=lambda h: (h is not keep, -_STATUS_ORDER[h.status], h.lambda_max, h.target_id),
     )
     kept = []
     for h in ranked:
-        if not any(np.linalg.norm(h.center - k.center) < radius for k in kept):
+        if not any(vector_norm(h.center - k.center) < radius for k in kept):
             kept.append(h)
     kept.sort(key=lambda h: h.target_id)
     return kept

@@ -29,6 +29,7 @@ from .geometry import (
     camera_to_world_pose,
     cone_normals,
     project_points,
+    vector_norm,
 )
 from .localizer import (
     STATUS_CONVERGED,
@@ -398,20 +399,20 @@ class MissionRunner:
 
     def _near_done_target(self, center) -> bool:
         return any(
-            np.linalg.norm(center - done_center) <= radius
+            vector_norm(center - done_center) <= radius
             for done_center, radius, _ in self.mapped
         )
 
     def _near_failed_target(self, center) -> bool:
         return any(
-            np.linalg.norm(center - hyp.center) <= FAILED_TARGET_RADIUS
+            vector_norm(center - hyp.center) <= FAILED_TARGET_RADIUS
             for hyp, entry in self.finished if entry.status == "failed"
         )
 
     def _has_baseline(self, hyp, cam_pos) -> bool:
         """The view is far enough from the last accepted one to add parallax."""
         return (hyp.last_update_camera is None
-                or np.linalg.norm(cam_pos - hyp.last_update_camera)
+                or vector_norm(cam_pos - hyp.last_update_camera)
                 >= self.cfg.mission.min_update_baseline)
 
     def _localize_from_track(self, track, est_c2w, est_w2c):
@@ -567,7 +568,7 @@ class MissionRunner:
                 self._enter_map(hyp)
                 return False
             drifted = (
-                np.linalg.norm(hyp.center - self._fine["center"])
+                vector_norm(hyp.center - self._fine["center"])
                 > self.cfg.mission.fine_replan_distance
             )
             if risen or self.follower.done or drifted:
@@ -589,16 +590,15 @@ class MissionRunner:
 
     def _tick(self):
         dt = self.cfg.mission.dt
-        prev_pos = self.follower.position.copy()
+        prev_pos = self.follower.position  # step binds a new array, never writes this one
         pos, yaw, _ = self.follower.step(dt)
         self.t += dt
         self.frame += 1
-        self.distance += float(np.linalg.norm(pos - prev_pos))
+        self.distance += vector_norm(pos - prev_pos)
 
         true_c2w = camera_to_world_pose(pos, yaw, self.cam.gamma)
         est_c2w = perturb_pose(true_c2w, self.noise, self.pose_rng)
         true_w2c = true_c2w.inverse()
-        est_w2c = est_c2w.inverse()
 
         # all ground truth projected once; the next frame's KLT reuses it
         truth = self.truth.split(*project_points(self.truth.points, true_w2c, self.cam),
@@ -612,9 +612,12 @@ class MissionRunner:
         self.log.track_rows(self.frame, self.tracker.live + self.tracker.retired[n_retired:])
 
         if self.mode != MAP:
+            est_w2c = None  # inverted once a frame, when a track is localized
             for track in self.tracker.live:  # in id order
                 if track.id not in updated or track.hits < self.cfg.mission.confirm_hits:
                     continue
+                if est_w2c is None:
+                    est_w2c = est_c2w.inverse()
                 self._localize_from_track(track, est_c2w, est_w2c)
             # the circled hypothesis stays live until _retire; another one in a
             # finished target's zone is a duplicate of that target, not a new
@@ -654,7 +657,7 @@ class MissionRunner:
     def _entry(self, hyp, status, coverage=None, arc_fraction=None) -> TargetReport:
         """A hypothesis's report entry; its error is to the nearest true target."""
         center = hyp.center
-        errors = [np.linalg.norm(center - tg.center) for tg in self.targets]
+        errors = [vector_norm(center - tg.center) for tg in self.targets]
         return TargetReport(
             target_id=hyp.target_id,
             status=status,
@@ -673,7 +676,7 @@ class MissionRunner:
         entries.sort(key=lambda e: e.target_id)
         done = [hyp for hyp, entry in self.finished if entry.status == "done"]
         found = sum(
-            any(np.linalg.norm(hyp.center - tg.center) <= self.cfg.mission.found_radius
+            any(vector_norm(hyp.center - tg.center) <= self.cfg.mission.found_radius
                 for hyp in done)
             for tg in self.targets
         )

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import BBox, CameraRig, PoseSE3, wrap_angle
+from .geometry import BBox, CameraRig, PoseSE3, vector_norm, wrap_angle
 
 def substream(seed: int, *key) -> np.random.Generator:
     """Named, order-independent RNG substream of one scenario seed."""
@@ -51,9 +51,10 @@ def corner_boxes(pix: np.ndarray, depth: np.ndarray, corner_rows: np.ndarray,
     corner lies behind the camera, the box misses the image or it has no
     area. Row t of the (targets, 8) index array `corner_rows` holds target
     t's corner rows of the frame's projection; one gather serves every target."""
-    corners = pix[corner_rows]
-    lows, highs = corners.min(axis=1).tolist(), corners.max(axis=1).tolist()
-    behind = (depth[corner_rows] <= 0).any(axis=1).tolist()
+    corners = pix.take(corner_rows, axis=0)
+    lows = np.minimum.reduce(corners, axis=1).tolist()
+    highs = np.maximum.reduce(corners, axis=1).tolist()
+    behind = np.logical_or.reduce(depth.take(corner_rows) <= 0, axis=1).tolist()
     boxes = []
     for (u0, v0), (u1, v1), back in zip(lows, highs, behind):
         seen = not back and u1 > 0 and v1 > 0 and u0 < cam.width and v0 < cam.height
@@ -104,8 +105,10 @@ class TruthPoints:
     def split(self, pix: np.ndarray, depth: np.ndarray, cam: CameraRig) -> list:
         """One `TargetProjection` per target of the frame's projection, with
         the visibility mask of every row and every corner box made once."""
-        u, v = pix.T
-        visible = (depth > 0) & (u >= 0) & (u < cam.width) & (v >= 0) & (v < cam.height)
+        inside = pix >= 0  # 0 <= u < width and 0 <= v < height
+        inside &= pix < (cam.width, cam.height)
+        visible = np.logical_and.reduce(inside, axis=1)
+        visible &= depth > 0
         boxes = corner_boxes(pix, depth, self._corner_rows, cam)
         return [TargetProjection(pix[a:b], box, visible[a:b])
                 for (a, b), box in zip(self._bounds, boxes)]
@@ -175,7 +178,7 @@ class _Leg:
         self.p1 = p1
         self.yaw0 = yaw0
         self.dyaw = wrap_angle(yaw1 - yaw0)
-        self.length = float(np.linalg.norm(self.p1 - self.p0))
+        self.length = vector_norm(self.p1 - self.p0)
         self.direction = (
             (self.p1 - self.p0) / self.length if self.length > 0 else np.zeros(3)
         )
@@ -270,12 +273,12 @@ class WaypointFollower:
         being flown, at the current yaw, and the point where they stop; no
         legs at rest. No pass-through is faster than the legs after it can
         brake from, so the stop comes before their end."""
-        speed = float(np.linalg.norm(self.velocity))
+        speed = vector_norm(self.velocity)
         pos, brake = self.position, []
         for leg in self._legs:
             if speed <= 1e-9:
                 break
-            left = float(np.linalg.norm(leg.p1 - pos))
+            left = vector_norm(leg.p1 - pos)
             need = speed**2 / (2.0 * self.a_max)
             if need < left or leg.v1 == 0:
                 end, v_end = pos + leg.direction * min(need, left), 0.0
@@ -327,7 +330,8 @@ class WaypointFollower:
         return ends
 
     def step(self, dt: float):
-        """Advance sim time by dt; returns (position, yaw, velocity)."""
+        """Advance sim time by dt; returns (position, yaw, velocity), arrays
+        the follower replaces but never writes into, so a caller may keep them."""
         remaining = dt
         while self._legs and remaining > 0:
             leg = self._legs[0]
@@ -342,7 +346,7 @@ class WaypointFollower:
                 self._leg_t = 0.0
                 if leg.counts_waypoint:
                     self._reached += 1
-        return self.position.copy(), self.yaw, self.velocity.copy()
+        return self.position, self.yaw, self.velocity
 
 
 def _clamp(x, hi) -> float:
@@ -375,8 +379,10 @@ def simulate_detector(projections, cam: CameraRig, noise: NoiseModel,
             continue
         if proj.box is None:
             continue
-        add(*(proj.box.as_array()
-              + noise.detector_pixel_sigma * rng.standard_normal(4)).tolist())
+        b, sigma = proj.box, noise.detector_pixel_sigma
+        e0, e1, e2, e3 = rng.standard_normal(4).tolist()
+        add(b.u_min + sigma * e0, b.v_min + sigma * e1,
+            b.u_max + sigma * e2, b.v_max + sigma * e3)
 
     for _ in range(rng.poisson(noise.false_positive_rate)):
         cu = rng.uniform(0, cam.width)
@@ -403,13 +409,19 @@ def simulate_klt(prev: TargetProjection, curr: TargetProjection, noise: NoiseMod
     if n < 4:
         return None
     jitter = noise.klt_pixel_sigma * rng.standard_normal((2, n, 2))
-    return prev.feature_pix[keep] + jitter[0], curr.feature_pix[keep] + jitter[1]
+    # compress copies the kept rows as feature_pix[keep] does, with less dispatch
+    return (prev.feature_pix.compress(keep, axis=0) + jitter[0],
+            curr.feature_pix.compress(keep, axis=0) + jitter[1])
 
 
 def perturb_pose(pose: PoseSE3, noise: NoiseModel, rng: np.random.Generator) -> PoseSE3:
-    """Noisy state-estimator stand-in: jitter translation and world yaw only."""
-    t = pose.translation + noise.pose_sigma_xyz * rng.standard_normal(3)
-    dyaw = noise.yaw_sigma * rng.standard_normal()
+    """Noisy state-estimator stand-in: jitter translation and world yaw only,
+    from one draw of 4 normals, the stream of a draw of 3 and then of 1."""
+    e0, e1, e2, e3 = rng.standard_normal(4).tolist()
+    x, y, z = pose.translation.tolist()
+    sigma = noise.pose_sigma_xyz
+    t = np.array([x + sigma * e0, y + sigma * e1, z + sigma * e2])
+    dyaw = noise.yaw_sigma * e3
     c, s = math.cos(dyaw), math.sin(dyaw)
     rz = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
     return PoseSE3(rz @ pose.rotation, t)

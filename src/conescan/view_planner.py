@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CameraRig, bearing, wrap_angle
+from .geometry import CameraRig, bearing, vector_norm, wrap_angle
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ def next_best_view(
         azimuth = circle.azimuth_of(current.position)
     elif v_min[2] < 1e-12:
         rel = circle.center[:2] - current.position[:2]
-        if np.linalg.norm(rel) < 1e-12:
+        if vector_norm(rel) < 1e-12:
             azimuth = circle.azimuth_of(current.position)
         else:
             azimuth = math.atan2(rel[1], rel[0])
@@ -131,7 +131,7 @@ def arc_path(
     circle, as next_best_view places it.
     """
     rel = current.position[:2] - circle.center[:2]
-    radial = np.linalg.norm(rel)
+    radial = vector_norm(rel)
     if radial < 1e-12:
         entry_azimuth = circle.azimuth_of(nbv.position)
     else:
@@ -154,7 +154,7 @@ def arc_path(
     path = [current]
     for az in azimuths:
         pos = circle.point_at(az)
-        if np.linalg.norm(pos - path[-1].position) < 1e-9:
+        if vector_norm(pos - path[-1].position) < 1e-9:
             continue
         path.append(Waypoint(pos, bearing(pos, cloud_center)))
     return path, swept

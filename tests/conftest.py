@@ -48,6 +48,11 @@ def same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def box_array(b) -> np.ndarray:
+    """A box's corners (u_min, v_min, u_max, v_max) as a float array."""
+    return np.array([b.u_min, b.v_min, b.u_max, b.v_max])
+
+
 def identity_pose() -> PoseSE3:
     """The identity rigid transform: the camera frame is the world frame."""
     return PoseSE3(np.eye(3), np.zeros(3))

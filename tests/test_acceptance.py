@@ -47,7 +47,8 @@ from conescan.mapping_planner import Cylinder, coverage_samples, scan_circles
 from conescan.mission import EXIT_UNCONVERGED, MissionRunner
 from conescan.simulator import NoiseModel, make_target, simulate_detector, simulate_klt
 
-from conftest import identity_pose, project_truth, similarity_matrix, stock_scenario
+from conftest import (box_array, identity_pose, project_truth, similarity_matrix,
+                      stock_scenario)
 from conescan.view_planner import (
     Waypoint,
     fine_localization_circle,
@@ -106,18 +107,18 @@ def test_criterion_2_kalman_algebra():
 
     track = BoxTrack(id=0, u=BBox(0, 0, 10, 10), var=2.5)
     out = predict(track, similarity_matrix(1, 0, 5, 3), cfg)
-    ok &= bool(np.max(np.abs(out.u.as_array() - [5, 3, 15, 13])) < 1e-9)
+    ok &= bool(np.max(np.abs(box_array(out.u) - [5, 3, 15, 13])) < 1e-9)
     ok &= abs(out.var - (2.5 + e2)) < 1e-9
 
     track = BoxTrack(id=0, u=BBox(1, 2, 3, 4), var=1.0)
     out = predict(track, similarity_matrix(2, 0, 0, 0), cfg)
-    ok &= bool(np.max(np.abs(out.u.as_array() - [2, 4, 6, 8])) < 1e-9)
+    ok &= bool(np.max(np.abs(box_array(out.u) - [2, 4, 6, 8])) < 1e-9)
     ok &= abs(out.var - (4 + e2)) < 1e-9
 
     gain_cfg = TrackerConfig(measure_noise_px=5.0)
     track = BoxTrack(id=0, u=BBox(0, 0, 10, 10), var=100.0)
     out = update(track, BBox(4, 4, 14, 14), gain_cfg)
-    ok &= bool(np.max(np.abs(out.u.as_array() - [3.2, 3.2, 13.2, 13.2])) < 1e-9)
+    ok &= bool(np.max(np.abs(box_array(out.u) - [3.2, 3.2, 13.2, 13.2])) < 1e-9)
     details.append("3 hand examples at 1e-9")
 
     rng = np.random.default_rng(102)
@@ -137,7 +138,7 @@ def test_criterion_2_kalman_algebra():
                     track = predict(track, None, cfg, noise_scale=4.0)
             else:
                 shift = rng.uniform(-3, 3, size=2)
-                arr = track.u.as_array() + np.concatenate([shift, shift])
+                arr = box_array(track.u) + np.concatenate([shift, shift])
                 track = update(track, BBox(*arr), cfg)
             steps += 1
             min_var = min(min_var, track.var)
@@ -252,8 +253,8 @@ def test_criterion_4_filter_benefit():
         main = max(tracker.active(), key=lambda t: iou(t.u, truth_box), default=None)
         if main is None or main.id not in assigned or iou(main.u, truth_box) < 0.2:
             continue
-        raw_sq.extend((best_det.as_array() - truth) ** 2)
-        tracked_sq.extend((main.u.as_array() - truth) ** 2)
+        raw_sq.extend((box_array(best_det) - truth) ** 2)
+        tracked_sq.extend((box_array(main.u) - truth) ** 2)
         prev_proj, prev_truth = proj, truth_box
 
     raw_rmse = math.sqrt(np.mean(raw_sq))

@@ -24,7 +24,7 @@ from conescan.bbox_tracker import (
 )
 from conescan.geometry import BBox, to_euclidean
 
-from conftest import scale_and_angle, similarity_matrix
+from conftest import box_array, same_bits, scale_and_angle, similarity_matrix
 
 
 def make_track(box=(0, 0, 10, 10), var=1.0, track_id=0):
@@ -53,7 +53,7 @@ def reference_predict(u, sigma, sim, cfg, noise_scale=1.0):
     motion[:3, :3] = sim
     motion[3:, 3:] = sim
     process_cov = np.diag([e2, e2, 0.0, e2, e2, 0.0])
-    x = _REF_LIFT @ u.as_array() + _REF_OFFSET
+    x = _REF_LIFT @ box_array(u) + _REF_OFFSET
     omega = _REF_LIFT @ sigma @ _REF_LIFT.T
     x_pred = motion @ x
     omega_pred = motion @ omega @ motion.T + process_cov
@@ -64,10 +64,10 @@ def reference_predict(u, sigma, sim, cfg, noise_scale=1.0):
 
 def reference_update(u, sigma, z, cfg):
     """The box and 4x4 covariance that update's Kalman formulas give."""
-    meas = z.as_array()
+    meas = box_array(z)
     measure_cov = cfg.measure_noise_px**2 * np.eye(4)
     gain = sigma @ np.linalg.inv(sigma + measure_cov)
-    u_new = u.as_array() + gain @ (meas - u.as_array())
+    u_new = box_array(u) + gain @ (meas - box_array(u))
     sigma_new = (np.eye(4) - gain) @ sigma
     return BBox(*u_new), 0.5 * (sigma_new + sigma_new.T)
 
@@ -89,7 +89,7 @@ def assert_isotropic(sigma, var, prior=0.0):
 
 def assert_same_box(out, ref, rel=0.0):
     """Boxes equal byte for byte, or to rel of their largest coordinate."""
-    a, b = out.as_array(), ref.as_array()
+    a, b = box_array(out), box_array(ref)
     if rel == 0.0:
         assert a.tobytes() == b.tobytes()
     else:
@@ -189,7 +189,7 @@ class TestPredict:
         cfg = TrackerConfig(predict_noise_px=1e-12)
         track = make_track(var=2.5)
         out = predict(track, None, cfg)
-        assert out.u.as_array() == pytest.approx(track.u.as_array())
+        assert box_array(out.u) == pytest.approx(box_array(track.u))
         assert out.var == pytest.approx(track.var, abs=1e-20)
 
     def test_pure_translation(self):
@@ -198,7 +198,7 @@ class TestPredict:
         track = make_track((0, 0, 10, 10), var=2.5)
         sim = similarity_matrix(1.0, 0.0, 5.0, 3.0)
         out = predict(track, sim, CFG)
-        assert out.u.as_array() == pytest.approx([5, 3, 15, 13], abs=1e-9)
+        assert box_array(out.u) == pytest.approx([5, 3, 15, 13], abs=1e-9)
         e2 = CFG.predict_noise_px**2
         assert out.var == pytest.approx(2.5 + e2, abs=1e-9)
 
@@ -206,7 +206,7 @@ class TestPredict:
         track = make_track((1, 2, 3, 4), var=1.0)
         sim = similarity_matrix(2.0, 0.0, 0.0, 0.0)
         out = predict(track, sim, CFG)
-        assert out.u.as_array() == pytest.approx([2, 4, 6, 8], abs=1e-9)
+        assert box_array(out.u) == pytest.approx([2, 4, 6, 8], abs=1e-9)
         e2 = CFG.predict_noise_px**2
         assert out.var == pytest.approx(4.0 + e2, abs=1e-9)
 
@@ -232,13 +232,13 @@ class TestPredict:
             motion[3:, 3:] = sim
             e2 = CFG.predict_noise_px**2
             noise = np.diag([e2, e2, 0, e2, e2, 0])
-            x = lift @ track.u.as_array() + offset
+            x = lift @ box_array(track.u) + offset
             expected_u = drop @ (motion @ x)
             expected_sigma = drop @ (
                 motion @ (lift @ (track.var * np.eye(4)) @ lift.T) @ motion.T + noise
             ) @ drop.T
             out = predict(track, sim, CFG)
-            assert out.u.as_array() == pytest.approx(expected_u, abs=1e-9)
+            assert box_array(out.u) == pytest.approx(expected_u, abs=1e-9)
             assert out.var * np.eye(4) == pytest.approx(expected_sigma, abs=1e-9)
 
     @settings(max_examples=200, deadline=None)
@@ -342,6 +342,16 @@ class TestUpdate:
         out = update(track, z, cfg)
         assert_matches_reference(out, track, ref, box_rel=1e-12, hits=track.hits + 1)
 
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), r=st.floats(0.1, 50.0))
+    def test_float_step_equals_the_array_step(self, seed, r):
+        rng = np.random.default_rng(seed)
+        track, z = random_track(rng, random_var(rng)), random_track(rng, 1.0).u
+        out = update(track, z, TrackerConfig(measure_noise_px=r))
+        k = track.var / (track.var + r**2)
+        u = box_array(track.u)
+        assert same_bits(box_array(out.u), u + k * (box_array(z) - u))
+
     @pytest.mark.parametrize("r", [0.1, 1.0, 4.0])
     @pytest.mark.parametrize("ratio", [1.0, 50.0, 1e3, 1e6, 1e9])
     def test_posterior_variance_is_exact_to_a_few_ulp(self, ratio, r):
@@ -363,14 +373,14 @@ class TestUpdate:
         w2 = CFG.measure_noise_px**2
         track = make_track((0, 0, 10, 10), var=w2)
         out = update(track, BBox(4, 4, 14, 14), CFG)
-        assert out.u.as_array() == pytest.approx([2, 2, 12, 12], abs=1e-9)
+        assert box_array(out.u) == pytest.approx([2, 2, 12, 12], abs=1e-9)
 
     def test_hand_arithmetic_gain(self):
         # K = 100 / (100 + 25) = 0.8 per coordinate
         cfg = TrackerConfig(measure_noise_px=5.0)
         track = make_track((0, 0, 10, 10), var=100.0)
         out = update(track, BBox(4, 4, 14, 14), cfg)
-        assert out.u.as_array() == pytest.approx([3.2, 3.2, 13.2, 13.2], abs=1e-9)
+        assert box_array(out.u) == pytest.approx([3.2, 3.2, 13.2, 13.2], abs=1e-9)
         assert out.var == pytest.approx(20.0, abs=1e-9)
 
     def test_trace_strictly_decreases(self):
@@ -735,7 +745,7 @@ class TestFilterProperties:
         errs = []
         for _ in range(20):
             track = update(track, z, CFG)
-            errs.append(np.abs(track.u.as_array() - z.as_array()))
+            errs.append(np.abs(box_array(track.u) - box_array(z)))
         for prev, curr in zip(errs, errs[1:]):
             assert np.all(curr <= prev + 1e-12)
 

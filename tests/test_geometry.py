@@ -18,6 +18,7 @@ from conescan.geometry import (
     project_points,
     row_blocks,
     to_euclidean,
+    vector_norm,
     wrap_angle,
 )
 from conescan.simulator import NoiseModel, perturb_pose
@@ -79,6 +80,39 @@ class TestProjection:
         _, depth = project_points(np.array([[0.0, 0.0, -1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 2.0]]),
                                   identity_pose(), cam)
         assert depth.tolist() == [-1.0, 0.0, 2.0]
+
+
+def column_stack_projection(points, world_to_cam, cam):
+    """project_points by its earlier formula: each pixel column computed on its
+    own and the two stacked."""
+    p_cam = world_to_cam.apply(points)
+    z = p_cam[:, 2]
+    safe_z = np.where(np.abs(z) < 1e-300, 1e-300, z)
+    pix = np.column_stack(
+        [cam.fx * p_cam[:, 0] / safe_z + cam.cx, cam.fy * p_cam[:, 1] / safe_z + cam.cy])
+    return pix, z
+
+
+class TestProjectionBits:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 80),
+           intrinsics=st.tuples(st.floats(50, 2000), st.floats(50, 2000),
+                                st.floats(-500, 1500), st.floats(-500, 1500)),
+           tiny=st.lists(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-301, -1e-301,
+                                          9.9e-301, 1e-300, 2e-300]), min_size=1, max_size=6))
+    def test_in_place_pixels_equal_column_stack(self, seed, n, intrinsics, tiny):
+        # a random pose puts about half the points behind the camera; under
+        # the identity pose the camera-frame depths are the tiny z given
+        fx, fy, cx, cy = intrinsics
+        cam = CameraRig(fx=fx, fy=fy, cx=cx, cy=cy)
+        rng = np.random.default_rng(seed)
+        points = rng.uniform(-30.0, 30.0, size=(n, 3))
+        near = rng.uniform(-30.0, 30.0, size=(len(tiny), 3))
+        near[:, 2] = tiny
+        for pts, pose in ((points, random_pose(rng)), (near, identity_pose())):
+            pix, depth = project_points(pts, pose, cam)
+            ref_pix, ref_depth = column_stack_projection(pts, pose, cam)
+            assert same_bits(pix, ref_pix) and same_bits(depth, ref_depth)
 
 
 class TestBackProjection:
@@ -331,3 +365,15 @@ def test_wrap_angle_range(a):
     assert -math.pi < w <= math.pi
     assert math.isclose(math.sin(w), math.sin(a), abs_tol=1e-9)
     assert math.isclose(math.cos(w), math.cos(a), abs_tol=1e-9)
+
+
+class TestVectorNorm:
+    @pytest.mark.parametrize("scale", [1.0, 0.0, 1e-200, 1e150])
+    @pytest.mark.parametrize("n", [2, 3, 78])
+    def test_equals_np_linalg_norm_bit_for_bit(self, scale, n):
+        # 1e-200 squares to zero and 1e150 to 1e300: numpy takes no scaling
+        # step, so neither does the helper
+        rng = np.random.default_rng(n)
+        for _ in range(200):
+            v = scale * rng.standard_normal(n)
+            assert same_bits(np.float64(vector_norm(v)), np.linalg.norm(v))

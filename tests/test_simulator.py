@@ -5,11 +5,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conescan.geometry import BBox, PoseSE3, camera_to_world_pose, project_points, wrap_angle
+from conescan.geometry import (BBox, CameraRig, PoseSE3, camera_to_world_pose, project_points,
+                               wrap_angle)
 from conescan.simulator import (
     PASS_THROUGH_TURN,
     DetectionDelay,
     NoiseModel,
+    TargetProjection,
     TruthPoints,
     WaypointFollower,
     make_target,
@@ -20,7 +22,8 @@ from conescan.simulator import (
 )
 from conescan.view_planner import Waypoint
 
-from conftest import identity_pose, project_truth, random_pose, scale_and_angle
+from conftest import (box_array, identity_pose, project_truth, random_pose, same_bits,
+                      scale_and_angle)
 
 
 def reference_visible(pix, depth, cam):
@@ -406,7 +409,7 @@ class TestSimulateDetector:
         pix, depth = project_points(tg.corners, w2c, cam)
         assert np.all(depth > 0)
         expected = [pix[:, 0].min(), pix[:, 1].min(), pix[:, 0].max(), pix[:, 1].max()]
-        assert dets[0].as_array() == pytest.approx(expected, abs=1e-9)
+        assert box_array(dets[0]) == pytest.approx(expected, abs=1e-9)
 
     def test_box_dimensions_from_pinhole_arithmetic(self, cam):
         # near-face corners dominate the projected square: fx * extent / depth
@@ -429,7 +432,7 @@ class TestSimulateDetector:
         truth = project_truth([tg], w2c, cam)
         for _ in range(50):
             for det in simulate_detector(truth, cam, noise, rng):
-                assert det.as_array() != pytest.approx(true_box, abs=1e-6)
+                assert box_array(det) != pytest.approx(true_box, abs=1e-6)
 
     def test_out_of_frame_target_not_detected(self, cam):
         rng = np.random.default_rng(4)
@@ -461,6 +464,26 @@ class TestSimulateDetector:
             total += len(sil_pix)
         assert inside / total >= 0.95
 
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), sigma=st.floats(0.0, 50.0),
+           corner=st.tuples(st.floats(-100, 700), st.floats(-100, 500)),
+           size=st.tuples(st.floats(1, 200), st.floats(1, 200)))
+    def test_box_noise_equals_the_array_form(self, seed, sigma, corner, size):
+        # the true box plus sigma times one draw of 4 normals, clipped to the image
+        cam = CameraRig()
+        box = BBox(corner[0], corner[1], corner[0] + size[0], corner[1] + size[1])
+        proj = TargetProjection(np.zeros((9, 2)), box, np.ones(9, dtype=bool))
+        noise = NoiseModel(detector_pixel_sigma=sigma, detect_prob=1.0,
+                           false_positive_rate=0.0)
+        dets = simulate_detector([proj], cam, noise, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        rng.uniform()  # the detection's draw against detect_prob
+        noisy = box_array(box) + sigma * rng.standard_normal(4)
+        ref = np.clip(noisy, 0.0, [cam.width, cam.height] * 2)
+        expected = [ref] if ref[0] < ref[2] and ref[1] < ref[3] else []
+        assert same_bits(np.reshape([box_array(d) for d in dets], (-1, 4)),
+                         np.reshape(expected, (-1, 4)))
+
     def test_deterministic_given_stream(self, cam):
         tg = make_target(0, [0, 0, 0.4], [0.5, 0.5, 0.4], 10,
                          np.random.default_rng(6))
@@ -472,7 +495,7 @@ class TestSimulateDetector:
             rng = substream(42, "detector")
             frames = [simulate_detector(truth, cam, noise, rng)
                       for _ in range(20)]
-            runs.append([[d.as_array().tolist() for d in f] for f in frames])
+            runs.append([[box_array(d).tolist() for d in f] for f in frames])
         assert runs[0] == runs[1]
 
 
@@ -605,3 +628,26 @@ class TestPerturbPose:
         delta = out.rotation @ pose.rotation.T
         assert delta[2, 2] == pytest.approx(1.0, abs=1e-12)
         assert abs(np.linalg.det(delta) - 1.0) < 1e-9
+
+
+def two_draw_perturbation(pose, noise, rng):
+    """perturb_pose by its earlier formula: a draw of 3 normals for the
+    translation, then a scalar one for the yaw."""
+    t = pose.translation + noise.pose_sigma_xyz * rng.standard_normal(3)
+    dyaw = noise.yaw_sigma * rng.standard_normal()
+    c, s = math.cos(dyaw), math.sin(dyaw)
+    rz = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    return PoseSE3(rz @ pose.rotation, t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), pose_sigma=st.floats(0.0, 5.0),
+       yaw_sigma=st.floats(0.0, 1.0))
+def test_perturb_pose_one_draw_equals_two_draws(seed, pose_sigma, yaw_sigma):
+    pose = random_pose(np.random.default_rng(seed))
+    noise = NoiseModel(pose_sigma_xyz=pose_sigma, yaw_sigma=yaw_sigma)
+    one, two = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):  # the streams stay in step
+        a, b = perturb_pose(pose, noise, one), two_draw_perturbation(pose, noise, two)
+        assert same_bits(a.rotation, b.rotation)
+        assert same_bits(a.translation, b.translation)

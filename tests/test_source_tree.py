@@ -1,7 +1,8 @@
 """Nothing in ``src/`` is kept only for tests: every function, class and method
 the package defines is named by the package or by the benchmark outside its
 own definition. Below the scenario boundary nothing converts its input: every
-function takes the float arrays the package builds."""
+function takes the float arrays the package builds, and a vector's norm is
+taken by one helper."""
 
 import ast
 import re
@@ -155,3 +156,36 @@ def test_a_conversion_below_the_boundary_is_found(tmp_path):
     assert conversion_sites(tmp_path) == [
         "geometry.Pose.apply", "geometry.bearing", "geometry.bearing",
         "simulator.make_target"]
+
+
+def norms_without_axis(root: Path) -> list:
+    """module:line of each ``linalg.norm`` call in root/src/conescan without an
+    ``axis=`` argument: a vector's norm is ``geometry.vector_norm``."""
+    found = []
+    for path in sorted((root / "src" / "conescan").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            func = getattr(node, "func", None)
+            if (isinstance(node, ast.Call) and isinstance(func, ast.Attribute)
+                    and func.attr == "norm" and isinstance(func.value, ast.Attribute)
+                    and func.value.attr == "linalg"
+                    and not any(kw.arg == "axis" for kw in node.keywords)):
+                found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_only_row_norms_call_numpy():
+    assert norms_without_axis(ROOT) == []
+
+
+def test_a_vector_norm_through_numpy_is_found(tmp_path):
+    package = tmp_path / "src" / "conescan"
+    package.mkdir(parents=True)
+    (package / "mission.py").write_text(
+        "import numpy as np\nimport numpy\n\n"
+        "def unit(normals):\n"
+        "    return normals / np.linalg.norm(normals, axis=1, keepdims=True)\n\n"
+        "def near(a, b, radius):\n"
+        "    return np.linalg.norm(a - b) <= radius\n\n"
+        "def length(v):\n"
+        "    return float(numpy.linalg.norm(v, ord=2))\n")
+    assert norms_without_axis(tmp_path) == ["mission:8", "mission:11"]
